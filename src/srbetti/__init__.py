@@ -27,7 +27,6 @@ from .exactla import GF_DEFAULT, QQ, FieldSpec, SparseMatrix, rank
 from .formulas import (
     FormulaInput,
     betti_from_h,
-    betti_from_h_linear,
     check_lower_bound,
     chordal_h_relations,
     h_relations,

@@ -84,7 +84,7 @@ def _restriction_dims(facets: tuple[int, ...], w: int, field: FieldSpec) -> tupl
     key = (field.p, key_facets)
     dims = _HOM_CACHE.get(key)
     if dims is None:
-        dims = reduced_dims_from_facets(len(positions), key_facets, field)
+        dims = reduced_dims_from_facets(key_facets, field)
         if len(_HOM_CACHE) < _HOM_CACHE_LIMIT:
             _HOM_CACHE[key] = dims
     return dims
@@ -135,6 +135,13 @@ class ResolutionShape:
     @property
     def is_pure(self) -> bool:
         return self.kind in ("pure", "linear")
+
+    @property
+    def is_linear_or_trivial(self) -> bool:
+        """Linear, counting the zero ideal (a full simplex) as vacuously
+        linear.  By Froberg's theorem this is the shape of exactly the clique
+        complexes of chordal graphs."""
+        return self.kind in ("linear", "trivial")
 
 
 def classify(table: BettiTable) -> ResolutionShape:

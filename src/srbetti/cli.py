@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .betti import BettiTable
+from .betti import DEFAULT_VERTEX_CAP, BettiTable
 from .errors import EmptyInputError, ParseError, TooManyVerticesError
 from .exactla import FieldSpec
 from .graphs import gen_chordal, is_chordal, clique_complex, read_graph, write_graph
@@ -28,20 +27,6 @@ from .verify import (
 )
 
 DEFAULT_FIELD = "32003"
-DEFAULT_N_CAP = 20
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    field: FieldSpec
-    n_cap: int
-    out: str | None
-    fmt: str
-    seed: int
-
-    def __post_init__(self):
-        if not 1 <= self.n_cap <= 64:
-            raise ValueError("--n-cap must be between 1 and 64")
 
 
 def _parse_field(text: str) -> FieldSpec:
@@ -57,19 +42,9 @@ def _parse_field(text: str) -> FieldSpec:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _config(args) -> CliConfig:
-    return CliConfig(
-        field=args.field,
-        n_cap=args.n_cap,
-        out=args.out,
-        fmt=args.format,
-        seed=args.seed,
-    )
-
-
-def _emit(text: str, cfg: CliConfig) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
+def _emit(text: str, args) -> None:
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -130,11 +105,12 @@ def report_text(rep: VerificationReport, source: dict) -> str:
     lines.append(f"h-vector: ({', '.join(map(str, rep.h.entries))})")
     series = series_from_f(rep.f)
     lines.append(f"hilbert series: {series}")
+    checks = rep.checks()
     mc = rep.multiplicity_check
-    lines.append(f"multiplicity: {mc.h_sum} (= f_(d-1) = {mc.f_top}: {_yesno(mc.equal)})")
+    lines.append(f"multiplicity: {mc.h_sum} (= f_(d-1) = {mc.f_top}: {_yesno(checks['multiplicity'])})")
     lines.append(f"betti table over {rep.field}:")
     lines.append(betti_triangle(rep.table))
-    lines.append(f"pdim: {rep.pdim}, codim: {rep.codim} (pdim >= codim: {_yesno(rep.pdim >= rep.codim)})")
+    lines.append(f"pdim: {rep.pdim}, codim: {rep.codim} (pdim >= codim: {_yesno(checks['pdim_codim'])})")
     if rep.shape.kind == "trivial":
         lines.append("classification: zero ideal (complex is a simplex)")
     elif rep.shape.kind == "general":
@@ -151,26 +127,25 @@ def report_text(rep: VerificationReport, source: dict) -> str:
         )
         if rep.formula_betti is not None:
             lines.append(f"formula betti: ({', '.join(map(str, rep.formula_betti))})")
-        lines.append(f"formula match: {_yesno(all(rep.match))}")
+        lines.append(f"formula match: {_yesno(checks['theorem_formula'])}")
         lines.append(f"series identity residual: {rep.series_residual}")
-        lines.append(f"lower bound beta_i >= C(p,i): {_yesno(all(rep.bound_verdicts))}")
+        lines.append(f"lower bound beta_i >= C(p,i): {_yesno(checks['lower_bound'])}")
         if rep.relation_residuals is not None:
             shown = ", ".join(map(str, rep.relation_residuals)) or "none emitted"
             lines.append(f"h-relation residuals (j > p+t): {shown}")
-    if rep.char_zero_agrees is not None:
-        lines.append(f"betti table agrees with char 0: {_yesno(rep.char_zero_agrees)}")
-        if not rep.char_zero_agrees:
+    if checks["char_zero"] is not None:
+        lines.append(f"betti table agrees with char 0: {_yesno(checks['char_zero'])}")
+        if not checks["char_zero"]:
             lines.append("note: field-dependent Betti numbers detected")
     lines.append(f"all identity checks hold: {_yesno(rep.all_identities_hold())}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_analyze(args) -> int:
-    cfg = _config(args)
-    c, kind, chordal = _load_input(args.path, cfg.n_cap)
-    rep = verify_complex(c, cfg.field, cfg.n_cap)
+    c, kind, chordal = _load_input(args.path, args.n_cap)
+    rep = verify_complex(c, args.field, args.n_cap)
     source = {"path": args.path, "kind": kind, "chordal": chordal}
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = rep.to_json_dict()
         series = series_from_f(rep.f)
         doc["hilbert_series"] = {
@@ -179,17 +154,16 @@ def cmd_analyze(args) -> int:
         }
         doc["multiplicity"] = str(multiplicity(rep.h))
         doc["source"] = source
-        _emit(dumps_report(doc), cfg)
+        _emit(dumps_report(doc), args)
     else:
-        _emit(report_text(rep, source), cfg)
+        _emit(report_text(rep, source), args)
     return 0
 
 
 def cmd_gen_chordal(args) -> int:
-    cfg = _config(args)
-    if args.n > cfg.n_cap:
-        raise TooManyVerticesError(f"n={args.n} exceeds --n-cap {cfg.n_cap}")
-    g = gen_chordal(args.n, args.density, args.seed_pos)
+    if args.n > args.n_cap:
+        raise TooManyVerticesError(f"n={args.n} exceeds --n-cap {args.n_cap}")
+    g = gen_chordal(args.n, args.density, args.seed)
     if args.out:
         write_graph(g, args.out)
     else:
@@ -200,41 +174,40 @@ def cmd_gen_chordal(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
     if args.paths:
         reports = []
         texts = []
         ok = True
         for path in args.paths:
-            c, kind, chordal = _load_input(path, cfg.n_cap)
-            rep = verify_complex(c, cfg.field, cfg.n_cap)
+            c, kind, chordal = _load_input(path, args.n_cap)
+            rep = verify_complex(c, args.field, args.n_cap)
             ok = ok and rep.all_identities_hold()
             reports.append((path, kind, chordal, rep))
             texts.append(report_text(rep, {"path": path, "kind": kind, "chordal": chordal}))
-        if cfg.fmt == "json":
+        if args.format == "json":
             doc = {
                 "schema": "srbetti-verify-paths/1",
                 "reports": [r.to_json_dict() | {"source": {"path": p, "kind": k, "chordal": ch}}
                             for p, k, ch, r in reports],
                 "all_passed": ok,
             }
-            _emit(dumps_report(doc), cfg)
+            _emit(dumps_report(doc), args)
         else:
-            _emit("\n".join(texts) + f"verdict: {'pass' if ok else 'FAIL'}\n", cfg)
+            _emit("\n".join(texts) + f"verdict: {'pass' if ok else 'FAIL'}\n", args)
         return 0 if ok else 1
 
-    summary = verify_chordal_corpus(args.count, args.n_max, cfg.seed, cfg.field)
+    summary = verify_chordal_corpus(args.count, args.n_max, args.seed, args.field)
     ok = summary.gate_passed()
     sweep = None
     if args.exhaustive_froberg:
-        sweep = froberg_exhaustive(6, cfg.field)
+        sweep = froberg_exhaustive(6, args.field)
         ok = ok and sweep.passed
-    if cfg.fmt == "json":
+    if args.format == "json":
         doc = summary.to_json_dict()
         if sweep is not None:
             doc["froberg_sweep"] = sweep.to_json_dict()
             doc["all_passed"] = ok
-        _emit(dumps_report(doc), cfg)
+        _emit(dumps_report(doc), args)
     else:
         lines = [
             f"chordal corpus: count={summary.count} n_max={summary.n_max} "
@@ -252,7 +225,7 @@ def cmd_verify(args) -> int:
                 f"{len(sweep.mismatches)} mismatches"
             )
         lines.append(f"verdict: {'pass' if ok else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", cfg)
+        _emit("\n".join(lines) + "\n", args)
     return 0 if ok else 1
 
 
@@ -264,23 +237,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--n-cap", type=int, default=DEFAULT_VERTEX_CAP,
+                       help=f"vertex cap for the subset sweep (default {DEFAULT_VERTEX_CAP}, max 64)")
+        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+
+    def report_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--field", type=_parse_field, default=_parse_field(DEFAULT_FIELD),
                        help="coefficient field: a prime p or Q (default 32003)")
-        p.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP,
-                       help="vertex cap for the subset sweep (default 20, max 64)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+        common(p)
 
     p_an = sub.add_parser("analyze", help="full analysis of a .cplx complex or .graph clique complex")
     p_an.add_argument("path")
-    common(p_an)
+    report_options(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
     p_gen = sub.add_parser("gen-chordal", help="write a seeded random chordal graph")
     p_gen.add_argument("n", type=int)
     p_gen.add_argument("density", type=float)
-    p_gen.add_argument("seed_pos", type=int, metavar="seed")
+    p_gen.add_argument("seed", type=int)
     common(p_gen)
     p_gen.set_defaults(func=cmd_gen_chordal)
 
@@ -288,17 +263,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("paths", nargs="*", help="explicit .cplx/.graph files; empty = corpus mode")
     p_ver.add_argument("--count", type=int, default=50, help="corpus size (default 50)")
     p_ver.add_argument("--n-max", type=int, default=9, help="max vertices per corpus graph (default 9)")
+    p_ver.add_argument("--seed", type=int, default=7, help="corpus seed (default 7)")
     p_ver.add_argument("--exhaustive-froberg", action="store_true",
                        help="also sweep all graphs on 6 vertices (minutes)")
-    common(p_ver)
+    report_options(p_ver)
     p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if not 1 <= args.n_cap <= 64:
+            raise ValueError("--n-cap must be between 1 and 64")
         return args.func(args)
     except (ParseError, EmptyInputError, TooManyVerticesError, ValueError, OSError) as exc:
         print(f"srbetti: error: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@
 Everything is integer or Fraction arithmetic; there is no floating point.
 Matrices are expected to be small and sparse (boundary matrices with +-1
 entries), so elimination keeps rows as dicts and picks pivots in the
-sparsest column, densifying only when fill-in defeats that strategy.
+sparsest column.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
 
 _PRIME_LIMIT = 1 << 31
 
@@ -93,12 +92,6 @@ class SparseMatrix:
         return dense
 
 
-# Densify once the active block both exceeds this many cells and is more
-# than _DENSE_FILL full; below that the dict rows win on constant factors.
-_DENSE_MIN_CELLS = 4096
-_DENSE_FILL = 0.25
-
-
 def rank(m: SparseMatrix, field: FieldSpec = GF_DEFAULT) -> int:
     """Rank of m over the field (entries reduced mod p for prime fields)."""
     p = field.p
@@ -108,17 +101,15 @@ def rank(m: SparseMatrix, field: FieldSpec = GF_DEFAULT) -> int:
         if val:
             rowmap.setdefault(r, {})[c] = val
     rows = [d for d in rowmap.values() if d]
-    return _eliminate(rows, m.cols, p)
+    return _eliminate(rows, p)
 
 
-def _eliminate(rows: list[dict], ncols: int, p: int | None) -> int:
+def _eliminate(rows: list[dict], p: int | None) -> int:
+    """Sparse Gaussian elimination; each step pivots in the sparsest column,
+    on its shortest row.  The only field-specific step is reducing mod p."""
     rnk = 0
     active = rows
     while active:
-        cells = len(active) * ncols
-        nnz = sum(len(r) for r in active)
-        if cells >= _DENSE_MIN_CELLS and nnz > _DENSE_FILL * cells:
-            return rnk + _dense_rank(active, ncols, p)
         counts: dict[int, int] = {}
         for r in active:
             for c in r:
@@ -130,61 +121,20 @@ def _eliminate(rows: list[dict], ncols: int, p: int | None) -> int:
                 best = idx
         piv = active.pop(best)
         rnk += 1
-        pval = piv[pivot_col]
-        inv = pow(pval, -1, p) if p is not None else None
+        inv = pow(piv[pivot_col], -1, p) if p is not None else 1 / piv[pivot_col]
         nxt = []
         for r in active:
             if pivot_col in r:
-                if p is not None:
-                    factor = (r[pivot_col] * inv) % p
-                    for c, v in piv.items():
-                        nv = (r.get(c, 0) - factor * v) % p
-                        if nv:
-                            r[c] = nv
-                        elif c in r:
-                            del r[c]
-                else:
-                    factor = r[pivot_col] / pval
-                    for c, v in piv.items():
-                        nv = r.get(c, 0) - factor * v
-                        if nv:
-                            r[c] = nv
-                        elif c in r:
-                            del r[c]
+                factor = r[pivot_col] * inv
+                for c, v in piv.items():
+                    nv = r.get(c, 0) - factor * v
+                    if p is not None:
+                        nv %= p
+                    if nv:
+                        r[c] = nv
+                    elif c in r:
+                        del r[c]
             if r:
                 nxt.append(r)
         active = nxt
-    return rnk
-
-
-def _dense_rank(rows: Sequence[dict], ncols: int, p: int | None) -> int:
-    zero = 0 if p is not None else Fraction(0)
-    dense = []
-    for r in rows:
-        row = [zero] * ncols
-        for c, v in r.items():
-            row[c] = v
-        dense.append(row)
-    m = len(dense)
-    rnk = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rnk, m) if dense[i][col]), None)
-        if piv is None:
-            continue
-        dense[rnk], dense[piv] = dense[piv], dense[rnk]
-        prow = dense[rnk]
-        inv = pow(prow[col], -1, p) if p is not None else 1 / prow[col]
-        for i in range(rnk + 1, m):
-            if dense[i][col]:
-                factor = dense[i][col] * inv
-                row = dense[i]
-                if p is not None:
-                    for c in range(col, ncols):
-                        row[c] = (row[c] - factor * prow[c]) % p
-                else:
-                    for c in range(col, ncols):
-                        row[c] = row[c] - factor * prow[c]
-        rnk += 1
-        if rnk == m:
-            break
     return rnk

@@ -62,23 +62,6 @@ def betti_from_h(inp: FormulaInput) -> tuple[int, ...]:
     return tuple(out)
 
 
-def betti_from_h_linear(h: HVector, t: int, p: int, n: int, d: int) -> tuple[int, ...]:
-    """The linear-shape specialization, with d_i = t + i.
-
-    Identical to betti_from_h on the degree sequence (t, t+1, ..., t+p).
-    """
-    if not n >= d >= 1:
-        raise ValueError(f"need n >= d >= 1, got n={n}, d={d}")
-    m = n - d
-    out = []
-    for i in range(p + 1):
-        s = _betti_sum(h, m, i, t + i)
-        if s <= 0:
-            raise NonPositiveResultError(f"beta_{i} = {s} <= 0 for t={t}; inconsistent degree data")
-        out.append(s)
-    return tuple(out)
-
-
 def h_relations(h: HVector, n: int, d: int, p: int, t: int) -> tuple[int, ...]:
     """Residuals sum_{ell=0}^{j} (-1)^ell h_{j-ell} C(n-d, ell) for j in (p+t, n].
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import NotChordalError, ParseError
+from .errors import ParseError
 from .simplicial import Complex, _bits, complex_from_facets
 
 _MASK64 = (1 << 64) - 1
@@ -307,11 +307,3 @@ def read_graph(path) -> Graph:
     if vertices is None and not edges:
         raise ParseError(path, 1, "no vertices or edges found")
     return graph_from_edges(edges, vertices=vertices)
-
-
-def require_chordal(g: Graph) -> tuple[str, ...]:
-    """Elimination-order witness, or NotChordalError."""
-    ok, order = is_chordal(g)
-    if not ok:
-        raise NotChordalError("graph has a chordless cycle of length >= 4")
-    return order

@@ -63,11 +63,10 @@ def boundary_matrix(c: Complex, i: int) -> SparseMatrix:
     return SparseMatrix(len(groups[i]), len(groups[i + 1]), _boundary_entries(groups[i], groups[i + 1]))
 
 
-def reduced_dims_from_facets(n: int, facets: Sequence[int], field: FieldSpec) -> tuple[int, ...]:
+def reduced_dims_from_facets(facets: Sequence[int], field: FieldSpec) -> tuple[int, ...]:
     """Reduced homology dimensions (b_{-1}, ..., b_dim) from facet masks alone.
 
-    Mask-level entry point used by the graded Betti sweep; `n` is accepted for
-    interface symmetry but the computation only needs the facets.
+    Mask-level entry point used by the graded Betti sweep.
     """
     groups = masks_by_card(facets)
     top = len(groups) - 1
@@ -83,7 +82,7 @@ def reduced_dims_from_facets(n: int, facets: Sequence[int], field: FieldSpec) ->
 
 def reduced_homology_dims(c: Complex, field: FieldSpec = GF_DEFAULT) -> ReducedBetti:
     """b_i = (number of i-faces) - rank(boundary_i) - rank(boundary_{i+1})."""
-    return ReducedBetti(reduced_dims_from_facets(c.n, c.facets, field))
+    return ReducedBetti(reduced_dims_from_facets(c.facets, field))
 
 
 def boundary_squared_is_zero(c: Complex) -> bool:

@@ -158,10 +158,6 @@ def masks_by_card(facets: Sequence[int]) -> list[list[int]]:
     return groups
 
 
-def faces_by_card(c: Complex) -> list[list[int]]:
-    return masks_by_card(c.facets)
-
-
 @dataclass(frozen=True)
 class FVector:
     """Face counts (f_{-1}, f_0, ..., f_{d-1}); entry 0 is the empty face count 1."""
@@ -209,7 +205,7 @@ class HVector:
 
 def f_vector(c: Complex) -> FVector:
     """Count faces by dimension; entry at index i+1 counts i-dimensional faces."""
-    return FVector(tuple(len(g) for g in faces_by_card(c)))
+    return FVector(tuple(len(g) for g in masks_by_card(c.facets)))
 
 
 def h_vector(f: FVector) -> HVector:
@@ -269,7 +265,7 @@ def minimal_non_faces(c: Complex) -> list[tuple[str, ...]]:
     one vertex and qualifies iff it is not itself a face while all of its
     cardinality-(k-1) subsets are.  Sorted by (cardinality, tokens).
     """
-    groups = faces_by_card(c)
+    groups = masks_by_card(c.facets)
     face_sets = [set(g) for g in groups]
     n = c.n
     out: list[int] = []

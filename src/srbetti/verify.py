@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .betti import BettiTable, ResolutionView, ResolutionShape, classify, graded_betti, resolution_view
@@ -32,6 +33,29 @@ def fingerprint(c: Complex) -> str:
     """Stable identity of a complex: sha256 over n and the facet masks."""
     blob = f"{c.n}:{','.join(map(str, c.facets))}".encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+# Identity checks, in report and tally order.  "froberg_linear" is the
+# forward direction of Froberg's theorem: a chordal graph's clique complex
+# must classify linear (or trivial, for a complete graph, where the ideal is
+# zero).  Only the corpus knows its inputs are chordal, so only the corpus
+# decides it; a single report leaves it None.
+CHECK_NAMES = (
+    "theorem_formula",
+    "multiplicity",
+    "series_identity",
+    "h_relations",
+    "lower_bound",
+    "froberg_linear",
+    "pdim_codim",
+    "char_zero",
+)
+
+
+def _verdict(outcomes: dict[str, bool | None]) -> bool:
+    """No gating check failed.  char_zero is informational (field dependence
+    is legitimate data) and never gates; None means "does not apply"."""
+    return not any(ok is False for name, ok in outcomes.items() if name != "char_zero")
 
 
 @dataclass(frozen=True)
@@ -63,16 +87,25 @@ class VerificationReport:
     bound_verdicts: tuple[bool, ...] | None
     char_zero_agrees: bool | None
 
+    def checks(self) -> dict[str, bool | None]:
+        """Per-identity outcomes keyed in CHECK_NAMES order, None where the
+        identity does not apply.  Which identities apply to which shape is
+        decided once, by the fields verify_complex fills in."""
+        residual = self.series_residual
+        relations = self.relation_residuals
+        return {
+            "theorem_formula": None if self.match is None else all(self.match),
+            "multiplicity": self.multiplicity_check.equal,
+            "series_identity": None if residual is None else residual.is_zero,
+            "h_relations": None if relations is None else all(r == 0 for r in relations),
+            "lower_bound": None if self.bound_verdicts is None else all(self.bound_verdicts),
+            "froberg_linear": None,
+            "pdim_codim": self.pdim >= self.codim,
+            "char_zero": self.char_zero_agrees,
+        }
+
     def all_identities_hold(self) -> bool:
-        ok = self.multiplicity_check.equal and self.pdim >= self.codim
-        if self.shape.is_pure:
-            ok = ok and self.match is not None and all(self.match)
-            ok = ok and self.series_residual is not None and self.series_residual.is_zero
-            ok = ok and self.bound_verdicts is not None and all(self.bound_verdicts)
-        if self.shape.kind == "linear":
-            ok = ok and self.relation_residuals is not None
-            ok = ok and all(r == 0 for r in self.relation_residuals)
-        return ok
+        return _verdict(self.checks())
 
     def to_json_dict(self) -> dict:
         shape = {
@@ -182,20 +215,6 @@ def verify_complex(
     )
 
 
-# Identity checks tallied by the corpus runner.  "froberg_linear" is the
-# forward direction: a chordal graph's clique complex must classify linear
-# (or trivial, for a complete graph, where the ideal is zero).
-CHECK_NAMES = (
-    "theorem_formula",
-    "multiplicity",
-    "series_identity",
-    "h_relations",
-    "lower_bound",
-    "froberg_linear",
-    "pdim_codim",
-    "char_zero",
-)
-
 # Converse fixtures: chordless cycles, whose clique complexes must NOT
 # classify linear.
 NONCHORDAL_FIXTURES = ("C4", "C5", "C6")
@@ -223,15 +242,9 @@ class CorpusSummary:
     first_failure: str | None
 
     def gate_passed(self) -> bool:
-        """Exit-status verdict: every tallied identity and the converse hold.
-
-        char_zero is informational (field dependence is legitimate data) and
-        does not gate.
-        """
-        for name, counts in self.checks.items():
-            if name != "char_zero" and counts.failed:
-                return False
-        return all(flag for _, _, flag in self.converse)
+        """Exit-status verdict: no corpus complex failed a gating check (so
+        there is no first failure) and the converse holds."""
+        return self.first_failure is None and all(flag for _, _, flag in self.converse)
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,18 +268,6 @@ class CorpusSummary:
         }
 
 
-def _tally(tallies: dict, name: str, outcome: bool | None) -> bool:
-    p, f, na = tallies[name]
-    if outcome is None:
-        tallies[name] = (p, f, na + 1)
-        return True
-    if outcome:
-        tallies[name] = (p + 1, f, na)
-        return True
-    tallies[name] = (p, f + 1, na)
-    return False
-
-
 def corpus_graphs(count: int, n_max: int, seed: int) -> list[Graph]:
     """The seeded chordal corpus: per-graph (n, density, subseed) drawn from
     one master stream, so the corpus is a pure function of its parameters."""
@@ -282,21 +283,6 @@ def corpus_graphs(count: int, n_max: int, seed: int) -> list[Graph]:
     return out
 
 
-def report_checks(rep: VerificationReport) -> dict[str, bool | None]:
-    """Per-identity outcomes of one report (None where not applicable)."""
-    pure = rep.shape.is_pure
-    linear = rep.shape.kind == "linear"
-    return {
-        "theorem_formula": (rep.match is not None and all(rep.match)) if pure else None,
-        "multiplicity": rep.multiplicity_check.equal,
-        "series_identity": rep.series_residual.is_zero if pure else None,
-        "h_relations": all(r == 0 for r in rep.relation_residuals) if linear else None,
-        "lower_bound": all(rep.bound_verdicts) if pure else None,
-        "pdim_codim": rep.pdim >= rep.codim,
-        "char_zero": rep.char_zero_agrees,
-    }
-
-
 def verify_chordal_corpus(
     count: int,
     n_max: int,
@@ -305,26 +291,21 @@ def verify_chordal_corpus(
 ) -> CorpusSummary:
     """Generate seeded chordal graphs, verify every identity on each clique
     complex, and check the converse on the chordless-cycle fixtures."""
-    tallies = {name: (0, 0, 0) for name in CHECK_NAMES}
+    tally: Counter = Counter()  # (check name, outcome) -> complexes
     first_failure = None
     for g in corpus_graphs(count, n_max, seed):
-        c = clique_complex(g)
-        rep = verify_complex(c, field)
-        outcomes = report_checks(rep)
-        outcomes["froberg_linear"] = rep.shape.kind in ("linear", "trivial")
-        ok = True
-        for name in CHECK_NAMES:
-            good = _tally(tallies, name, outcomes[name])
-            if name != "char_zero":
-                ok = ok and good
-        if not ok and first_failure is None:
+        rep = verify_complex(clique_complex(g), field)
+        outcomes = rep.checks()
+        outcomes["froberg_linear"] = rep.shape.is_linear_or_trivial
+        tally.update(outcomes.items())
+        if first_failure is None and not _verdict(outcomes):
             first_failure = rep.facet_hash
     converse = []
     for name in NONCHORDAL_FIXTURES:
         g = _nonchordal_graph(name)
         shape = classify(graded_betti(clique_complex(g), field))
-        converse.append((name, shape.kind, shape.kind not in ("linear", "trivial")))
-    checks = {name: CheckCounts(*tallies[name]) for name in CHECK_NAMES}
+        converse.append((name, shape.kind, not shape.is_linear_or_trivial))
+    checks = {name: CheckCounts(tally[name, True], tally[name, False], tally[name, None]) for name in CHECK_NAMES}
     return CorpusSummary(count, n_max, seed, field, checks, tuple(converse), first_failure)
 
 
@@ -368,8 +349,7 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
                 adj[j] |= 1 << i
         g = Graph(labels, tuple(adj))
         chordal, _ = is_chordal(g)
-        shape = classify(graded_betti(clique_complex(g), field))
-        linear = shape.kind in ("linear", "trivial")
+        linear = classify(graded_betti(clique_complex(g), field)).is_linear_or_trivial
         if linear != chordal:
             mismatches.append(edge_mask)
         checked += 1

@@ -159,3 +159,11 @@ def test_bad_field_flag(capsys):
 def test_bad_n_cap(capsys):
     code, _, err = run(capsys, "verify", "--count", "2", "--n-max", "4", "--n-cap", "99")
     assert code == 2
+
+
+def test_gen_chordal_rejects_seed_flag(capsys):
+    # the seed is positional; --seed belongs to verify's corpus only
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-chordal", "8", "0.5", "42", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err

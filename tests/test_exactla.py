@@ -95,8 +95,8 @@ def test_rank_transpose_and_bound():
             assert r <= min(rows, cols)
 
 
-def test_dense_fallback_path():
-    # 70x70 all-ones plus identity: big and full enough to trip densification
+def test_rank_of_dense_input():
+    # 70x70 all-ones plus identity: every row fills in completely on elimination
     n = 70
     dense = [[1 + (i == j) for j in range(n)] for i in range(n)]
     m = dense_to_sparse(dense)

@@ -8,7 +8,6 @@ from srbetti import (
     NonPositiveResultError,
     NotChordalError,
     betti_from_h,
-    betti_from_h_linear,
     check_lower_bound,
     chordal_h_relations,
     classify,
@@ -45,8 +44,8 @@ def test_betti_from_h_pentagon():
 
 
 def test_betti_from_h_linear_fixed_cases():
-    assert betti_from_h_linear(HVector((1, 1, 0)), t=2, p=0, n=3, d=2) == (1,)
-    assert betti_from_h_linear(HVector((1, 1)), t=2, p=0, n=2, d=1) == (1,)
+    assert betti_from_h(FormulaInput(HVector((1, 1, 0)), 3, 2, LINEAR_2)) == (1,)
+    assert betti_from_h(FormulaInput(HVector((1, 1)), 2, 1, LINEAR_2)) == (1,)
 
 
 def test_linear_specializes_general():
@@ -57,9 +56,11 @@ def test_linear_specializes_general():
         assert shape.kind == "linear"
         f = f_vector(c)
         h = h_vector(f)
-        general = betti_from_h(FormulaInput(h, c.n, f.d, shape))
-        linear = betti_from_h_linear(h, shape.t, shape.p, c.n, f.d)
-        assert general == linear == resolution_view(table, shape).betti
+        # a t-linear shape of length p+1 is the degree sequence t, t+1, ..., t+p
+        degrees = tuple(range(shape.t, shape.t + shape.p + 1))
+        linear = ResolutionShape("linear", degrees=degrees, t=shape.t, p=shape.p)
+        assert linear == shape
+        assert betti_from_h(FormulaInput(h, c.n, f.d, linear)) == resolution_view(table, shape).betti
 
 
 def test_non_positive_result_raises():

@@ -12,10 +12,11 @@ from srbetti import (
     fingerprint,
     fixture_path,
     read_complex,
+    read_graph,
     verify_chordal_corpus,
     verify_complex,
 )
-from srbetti.verify import corpus_graphs, dumps_report, report_checks
+from srbetti.verify import CHECK_NAMES, corpus_graphs, dumps_report
 
 C4 = complex_from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]])
 MIXED = complex_from_facets(
@@ -138,8 +139,24 @@ def test_projective_plane_field_dependence_flagged():
     # char-0 disagreement is reported but does not invalidate the identity
     # checks run over GF(2) itself
     assert rep2.all_identities_hold()
-    checks = report_checks(rep2)
+    checks = rep2.checks()
     assert checks["char_zero"] is False and checks["multiplicity"] is True
+    # the verdict is the check table with char_zero left out, on every shape
+    cases = {
+        "general": rep2,
+        "pure": verify_complex(read_complex(fixture_path("c4.cplx")), FieldSpec.rationals()),
+        "linear": verify_complex(clique_complex(read_graph(fixture_path("p3.graph")))),
+        "trivial": verify_complex(clique_complex(read_graph(fixture_path("k3.graph")))),
+    }
+    for kind, rep in cases.items():
+        checks = rep.checks()
+        assert rep.shape.kind == kind
+        assert tuple(checks) == CHECK_NAMES
+        gating = [ok for name, ok in checks.items() if name != "char_zero"]
+        assert rep.all_identities_hold() == (False not in gating)
+        assert (checks["theorem_formula"] is None) == (kind in ("general", "trivial"))
+        assert (checks["h_relations"] is None) == (kind != "linear")
+    assert cases["pure"].checks()["char_zero"] is None  # over Q
 
 
 def test_rationals_report_has_no_char_zero_section():
