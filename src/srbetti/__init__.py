@@ -52,7 +52,6 @@ from .hilbert import (
     IntPolynomial,
     hilbert_polynomial,
     multiplicity,
-    numerator_from_resolution,
     series_from_f,
     verify_series_identity,
 )

@@ -50,9 +50,6 @@ class BettiTable:
         """Projective dimension: the largest homological degree present."""
         return max(a for a, _, _ in self.cells)
 
-    def degrees_of(self, i: int) -> tuple[int, ...]:
-        return tuple(b for a, b, _ in self.cells if a == i)
-
     def total(self, i: int) -> int:
         return sum(v for a, _, v in self.cells if a == i)
 

@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n-max", type=int, default=9, help="max vertices per corpus graph (default 9)")
     p_ver.add_argument("--seed", type=int, default=7, help="corpus seed (default 7)")
     p_ver.add_argument("--exhaustive-froberg", action="store_true",
-                       help="also sweep all graphs on 6 vertices (minutes)")
+                       help="also sweep all graphs on 6 vertices (about 20 s)")
     report_options(p_ver)
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -1,10 +1,12 @@
 """Closed-form Betti numbers and h-vector relations for pure resolutions.
 
-Given the shape (degrees) of a pure resolution of the face ring, the Betti
-numbers are alternating binomial sums of the h-vector; for linear shapes the
-same expansion forces a system of linear relations on the h-vector in all
-degrees above p+t.  These are the formulas the oracle table is checked
-against; the shape is always taken from the oracle, never guessed from h.
+Both read coefficients of N(z) = (1-z)^(n-d) h(z) (`hilbert.h_numerator`),
+which equals the K-polynomial 1 + sum_i (-1)^(i+1) beta_i z^(d_i) of a pure
+resolution.  Given its shape (degrees), beta_i = (-1)^(i+1) [z^(d_i)] N; for
+a t-linear shape of length p+1, N has degree at most p+t, so the vanishing
+of [z^j] N for every j > p+t is a system of linear relations on the h-vector.
+These are the formulas the oracle table is checked against; the shape is
+always taken from the oracle, never guessed from h.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .betti import ResolutionShape, classify, graded_betti, resolution_view
 from .errors import NonPositiveResultError, NotChordalError
 from .exactla import GF_DEFAULT, FieldSpec
 from .graphs import Graph, clique_complex, is_chordal
+from .hilbert import h_numerator
 from .simplicial import HVector, f_vector, h_vector
 
 
@@ -39,21 +42,16 @@ class FormulaInput:
             raise ValueError(f"formula input requires a pure shape, got {self.shape.kind!r}")
 
 
-def _betti_sum(h: HVector, m: int, i: int, di: int) -> int:
-    return sum((-1) ** (ell + i + 1) * comb(m, ell) * h.get(di - ell) for ell in range(di + 1))
-
-
 def betti_from_h(inp: FormulaInput) -> tuple[int, ...]:
-    """beta_i = sum_{ell=0}^{d_i} (-1)^(ell+i+1) C(n-d, ell) h_{d_i - ell}.
+    """beta_i = (-1)^(i+1) [z^(d_i)] (1-z)^(n-d) h(z), for i in 0..p.
 
-    One value per shape index i in 0..p.  h indices beyond d read as zero.
     A result <= 0 means the degree data cannot be the shape of a minimal
     resolution for this h-vector, and raises NonPositiveResultError.
     """
-    m = inp.n - inp.d
+    num = h_numerator(inp.h, inp.n, inp.d)
     out = []
     for i, di in enumerate(inp.shape.degrees):
-        s = _betti_sum(inp.h, m, i, di)
+        s = num.coeff(di) if i % 2 else -num.coeff(di)
         if s <= 0:
             raise NonPositiveResultError(
                 f"beta_{i} = {s} <= 0 for degrees {inp.shape.degrees}; inconsistent degree data"
@@ -63,17 +61,14 @@ def betti_from_h(inp: FormulaInput) -> tuple[int, ...]:
 
 
 def h_relations(h: HVector, n: int, d: int, p: int, t: int) -> tuple[int, ...]:
-    """Residuals sum_{ell=0}^{j} (-1)^ell h_{j-ell} C(n-d, ell) for j in (p+t, n].
+    """Residuals [z^j] (1-z)^(n-d) h(z) for j in (p+t, n].
 
     All must vanish when the face ring has a t-linear resolution of length
     p+1; residuals beyond j = n vanish identically and are not emitted.
     Nonzero residuals are returned as data, not raised as errors.
     """
-    m = n - d
-    return tuple(
-        sum((-1) ** ell * h.get(j - ell) * comb(m, ell) for ell in range(j + 1))
-        for j in range(p + t + 1, n + 1)
-    )
+    num = h_numerator(h, n, d)
+    return tuple(num.coeff(j) for j in range(p + t + 1, n + 1))
 
 
 def chordal_h_relations(g: Graph, field: FieldSpec = GF_DEFAULT) -> tuple[int, ...]:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ParseError
-from .simplicial import Complex, _bits, complex_from_facets
+from .errors import EmptyInputError, ParseError
+from .simplicial import Complex, _bits
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -100,11 +100,6 @@ class Graph:
                 if u > v:
                     out.append((self.labels[v], self.labels[u]))
         return out
-
-    def has_edge(self, u: str, v: str) -> bool:
-        iu = self.labels.index(u)
-        iv = self.labels.index(v)
-        return bool((self.adj[iu] >> iv) & 1)
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -235,9 +230,14 @@ def maximal_cliques(adj: Sequence[int]) -> list[int]:
 
 
 def clique_complex(g: Graph) -> Complex:
-    """The flag complex whose faces are the cliques of g."""
-    masks = maximal_cliques(g.adj)
-    return complex_from_facets([[g.labels[v] for v in _bits(m)] for m in masks])
+    """The flag complex whose faces are the cliques of g.
+
+    Its facets are the maximal cliques, already a sorted antichain that
+    covers every vertex.
+    """
+    if g.n == 0:
+        raise EmptyInputError("no facets given")
+    return Complex(g.labels, tuple(maximal_cliques(g.adj)))
 
 
 def gen_chordal(n: int, density: float, seed: int) -> Graph:

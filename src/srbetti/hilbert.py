@@ -2,17 +2,21 @@
 
 All arithmetic is integer arithmetic on polynomial coefficient tuples; the
 identities checked here are exact, so the tolerance everywhere is zero.
-Rational functions only ever have denominator (1-z)^d, represented by the
-pole order next to an integer numerator.
+The Hilbert series of a face ring is h(z)/(1-z)^d, already in lowest terms
+since h(1) = f_{d-1} > 0.  Over the common denominator (1-z)^n its numerator
+is N(z) = (1-z)^(n-d) h(z) (`h_numerator`), and N equals the K-polynomial
+sum_{i,j} (-1)^i beta_{i,j} z^j of any Betti table of the ring.  The series
+identity, the closed-form Betti numbers and the h-relations of `formulas`
+all read coefficients of this one polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Sequence
 
-from .simplicial import FVector, HVector
+from .betti import BettiTable
+from .simplicial import FVector, HVector, h_vector
 
 
 @dataclass(frozen=True)
@@ -57,14 +61,9 @@ class IntPolynomial:
                     out[i + j] += a * b
         return IntPolynomial(tuple(out))
 
-    def scale(self, k: int) -> "IntPolynomial":
-        return IntPolynomial(tuple(k * a for a in self.coeffs))
-
-    def shift(self, s: int) -> "IntPolynomial":
-        """Multiply by z^s."""
-        if self.is_zero:
-            return self
-        return IntPolynomial((0,) * s + self.coeffs)
+    def coeff(self, k: int) -> int:
+        """[z^k], zero outside [0, degree]: a negative k never wraps around."""
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def evaluate(self, x: int) -> int:
         acc = 0
@@ -91,29 +90,11 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-ZERO = IntPolynomial(())
-ONE = IntPolynomial((1,))
-
-
 def one_minus_z_pow(k: int) -> IntPolynomial:
     """(1-z)^k expanded by the binomial theorem."""
     if k < 0:
         raise ValueError("negative power")
     return IntPolynomial(tuple((-1) ** j * comb(k, j) for j in range(k + 1)))
-
-
-def divide_by_one_minus_z(poly: IntPolynomial) -> IntPolynomial:
-    """Synthetic division by (1-z); requires exact divisibility (poly(1) = 0)."""
-    if poly.is_zero:
-        return poly
-    if poly.evaluate(1) != 0:
-        raise ValueError("not divisible by (1-z)")
-    acc = 0
-    out = []
-    for a in poly.coeffs[:-1]:
-        acc += a
-        out.append(acc)
-    return IntPolynomial(tuple(out))
 
 
 def binom_int(m: int, k: int) -> int:
@@ -150,21 +131,8 @@ class HilbertSeries:
 
 
 def series_from_f(f: FVector) -> HilbertSeries:
-    """Hilbert series of the face ring: sum of f_{i-1} z^i / (1-z)^i terms.
-
-    Summed over the common denominator (1-z)^d and reduced to lowest terms in
-    (1-z).  For a genuine f-vector the numerator coefficients are exactly the
-    h-vector and no reduction occurs, since their sum f_{d-1} is positive.
-    """
-    d = f.d
-    num = ZERO
-    for k in range(d + 1):
-        num = num + one_minus_z_pow(d - k).shift(k).scale(f.entries[k])
-    pole = d
-    while pole > 0 and not num.is_zero and num.evaluate(1) == 0:
-        num = divide_by_one_minus_z(num)
-        pole -= 1
-    return HilbertSeries(num, pole)
+    """Hilbert series of the face ring: h(z) / (1-z)^d, in lowest terms."""
+    return HilbertSeries(IntPolynomial(h_vector(f).entries), f.d)
 
 
 def multiplicity(h: HVector) -> int:
@@ -218,38 +186,23 @@ def hilbert_polynomial(h: HVector, d: int) -> HilbertPolynomial:
     return HilbertPolynomial(tuple(coeffs))
 
 
-def numerator_from_resolution(p: int, degrees: Sequence[int], betti: Sequence[int]) -> IntPolynomial:
-    """1 + sum_i (-1)^(i+1) beta_i z^(d_i), the series numerator over (1-z)^n."""
-    degrees = tuple(degrees)
-    betti = tuple(betti)
-    if len(degrees) != p + 1 or len(betti) != p + 1:
-        raise ValueError("need p+1 degrees and p+1 Betti numbers")
-    if any(b <= 0 for b in betti):
-        raise ValueError("Betti numbers must be positive")
-    if any(degrees[i] >= degrees[i + 1] for i in range(p)) or (degrees and degrees[0] < 1):
-        raise ValueError("degrees must be strictly increasing and >= 1")
-    out = [0] * (degrees[-1] + 1)
-    out[0] = 1
-    for i in range(p + 1):
-        out[degrees[i]] += (-1) ** (i + 1) * betti[i]
+def h_numerator(h: HVector, n: int, d: int) -> IntPolynomial:
+    """N(z) = (1-z)^(n-d) * sum h_i z^i, the series numerator over (1-z)^n."""
+    return one_minus_z_pow(n - d) * IntPolynomial(h.entries)
+
+
+def k_polynomial(table: BettiTable) -> IntPolynomial:
+    """sum_{i,j} (-1)^i beta_{i,j} z^j over every cell of the table."""
+    out = [0] * (table.max_j() + 1)
+    for i, j, v in table.cells:
+        out[j] += -v if i % 2 else v
     return IntPolynomial(tuple(out))
 
 
-def verify_series_identity(
-    h: HVector,
-    n: int,
-    d: int,
-    p: int,
-    degrees: Sequence[int],
-    betti: Sequence[int],
-) -> IntPolynomial:
-    """Residual of the numerator identity relating h-vector and resolution data.
+def verify_series_identity(h: HVector, n: int, d: int, table: BettiTable) -> IntPolynomial:
+    """Residual N(z) minus the K-polynomial of the table.
 
-    Returns (1-z)^(n-d) * sum h_i z^i minus (1 + sum (-1)^(i+1) beta_i z^(d_i));
-    the zero polynomial iff the identity holds.
+    The zero polynomial iff the identity holds; it holds for every table
+    shape, and for a pure shape it is the paper's numerator identity.
     """
-    if n < d:
-        raise ValueError("need n >= d")
-    lhs = one_minus_z_pow(n - d) * IntPolynomial(h.entries)
-    rhs = numerator_from_resolution(p, degrees, betti)
-    return lhs - rhs
+    return h_numerator(h, n, d) - k_polynomial(table)

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from srbetti import Complex, Graph, complex_from_facets, graph_from_edges
+from srbetti import BettiTable, Complex, Graph, complex_from_facets, graph_from_edges
 
 
 def bits(mask: int) -> list[int]:
@@ -27,6 +27,14 @@ def random_complex(rnd: random.Random, max_n: int = 7, max_facets: int = 6) -> C
     for _ in range(rnd.randint(1, max_facets)):
         facets.append(rnd.sample(pool, rnd.randint(1, len(pool))))
     return complex_from_facets(facets)
+
+
+def bumped_table(table: BettiTable, k: int) -> BettiTable:
+    """The table with its k-th cell raised by one, for mutation checks."""
+    cells = list(table.cells)
+    i, j, v = cells[k]
+    cells[k] = (i, j, v + 1)
+    return BettiTable(tuple(cells), table.n, table.field)
 
 
 def brute_face_masks(c: Complex) -> set[int]:

@@ -68,6 +68,11 @@ def test_non_positive_result_raises():
     bad = ResolutionShape("pure", degrees=(3, 4), p=1)
     with pytest.raises(NonPositiveResultError):
         betti_from_h(FormulaInput(HVector((1, 2, 1)), 4, 2, bad))
+    # a degree <= 0 reads a zero coefficient: with (1-z)^2 h(z) = 1 - 2z^2 + z^4,
+    # index -3 read from the end would give beta_0 = 2 and no error
+    for low in ((-3, 4), (0, 4)):
+        with pytest.raises(NonPositiveResultError):
+            betti_from_h(FormulaInput(HVector((1, 2, 1)), 4, 2, ResolutionShape("pure", degrees=low, p=1)))
 
 
 def test_formula_input_validation():

@@ -1,23 +1,30 @@
-"""Hilbert series, Hilbert polynomials, and the resolution numerator identity."""
+"""Hilbert series, Hilbert polynomials, and the K-polynomial identity."""
 
 import random
 
 import pytest
 
-from helpers import count_monomials, random_complex
+from helpers import bumped_table, count_monomials, h_by_expansion, random_complex
 from srbetti import (
+    GF_DEFAULT,
+    FieldSpec,
     HVector,
     IntPolynomial,
+    classify,
+    clique_complex,
     complex_from_facets,
     f_vector,
+    fixture_path,
+    graded_betti,
     h_vector,
     hilbert_polynomial,
     multiplicity,
-    numerator_from_resolution,
+    read_complex,
+    read_graph,
     series_from_f,
     verify_series_identity,
 )
-from srbetti.hilbert import binom_int, divide_by_one_minus_z, one_minus_z_pow
+from srbetti.hilbert import binom_int, h_numerator, k_polynomial, one_minus_z_pow
 
 C4 = complex_from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]])
 TRI = complex_from_facets([["1", "2"], ["1", "3"], ["2", "3"]])
@@ -34,18 +41,20 @@ def test_polynomial_basics():
     assert (p * q).coeffs == (0, 1, 2)
     assert (p - p).is_zero
     assert p.evaluate(3) == 7
+    # coefficients outside [0, degree] read zero; a negative index never wraps
+    assert [p.coeff(k) for k in range(-3, 4)] == [0, 0, 0, 1, 2, 0, 0]
+    assert z.coeff(0) == 0
     assert str(IntPolynomial((1, 2, 1))) == "1 + 2z + z^2"
     assert str(IntPolynomial((1, 0, -2, 1))) == "1 - 2z^2 + z^3"
 
 
-def test_one_minus_z_powers_and_division():
+def test_one_minus_z_powers():
     assert one_minus_z_pow(0).coeffs == (1,)
     assert one_minus_z_pow(2).coeffs == (1, -2, 1)
     for k in range(1, 6):
-        p = one_minus_z_pow(k)
-        assert divide_by_one_minus_z(p) == one_minus_z_pow(k - 1)
+        assert one_minus_z_pow(k - 1) * IntPolynomial((1, -1)) == one_minus_z_pow(k)
     with pytest.raises(ValueError):
-        divide_by_one_minus_z(IntPolynomial((1, 1)))
+        one_minus_z_pow(-1)
 
 
 def test_binom_int_negative_arguments():
@@ -66,17 +75,13 @@ def test_series_examples():
 
 
 def test_series_numerator_is_h_vector():
-    # two independent computation paths: rational-function summation vs the
-    # alternating binomial transform
+    # against the f-vector expansion of tests/helpers, not srbetti's h_vector
     rnd = random.Random(5001)
     for _ in range(120):
         f = f_vector(random_complex(rnd))
         s = series_from_f(f)
-        h = h_vector(f)
-        trimmed = list(h.entries)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        assert list(s.numerator.coeffs) == trimmed
+        assert s.numerator == IntPolynomial(tuple(h_by_expansion(f.entries)))
+        assert s.numerator.coeffs == IntPolynomial(h_vector(f).entries).coeffs
         assert s.pole_order == f.d
 
 
@@ -124,26 +129,40 @@ def test_hilbert_polynomial_counts_monomials():
             assert hp.evaluate(s) == count_monomials(c, s), (c.facets, s)
 
 
-def test_numerator_from_resolution_examples():
-    assert numerator_from_resolution(0, (2,), (1,)).coeffs == (1, 0, -1)
-    assert numerator_from_resolution(1, (2, 4), (2, 1)).coeffs == (1, 0, -2, 0, 1)
-    assert numerator_from_resolution(0, (3,), (1,)).coeffs == (1, 0, 0, -1)
-    with pytest.raises(ValueError):
-        numerator_from_resolution(1, (2, 2), (1, 1))
-    with pytest.raises(ValueError):
-        numerator_from_resolution(0, (2,), (0,))
+def test_k_polynomial_examples():
+    # C4: beta_{1,2} = 2, beta_{2,4} = 1; two points: beta_{1,2} = 1
+    assert k_polynomial(graded_betti(C4)).coeffs == (1, 0, -2, 0, 1)
+    assert k_polynomial(graded_betti(TWO_POINTS)).coeffs == (1, 0, -1)
+    assert h_numerator(HVector((1, 2, 1)), 4, 2).coeffs == (1, 0, -2, 0, 1)
+    assert h_numerator(HVector((1, 1)), 2, 1).coeffs == (1, 0, -1)
+    assert k_polynomial(graded_betti(complex_from_facets([["x", "y"]]))).coeffs == (1,)
 
 
 def test_series_identity_examples():
-    assert verify_series_identity(HVector((1, 2, 1)), 4, 2, 1, (2, 4), (2, 1)).is_zero
-    assert verify_series_identity(HVector((1, 1)), 2, 1, 0, (2,), (1,)).is_zero
-    corrupted = verify_series_identity(HVector((1, 2, 1)), 4, 2, 1, (2, 4), (3, 1))
-    assert not corrupted.is_zero
+    assert verify_series_identity(HVector((1, 2, 1)), 4, 2, graded_betti(C4)).is_zero
+    assert verify_series_identity(HVector((1, 1)), 2, 1, graded_betti(TWO_POINTS)).is_zero
+    corrupted = verify_series_identity(HVector((1, 2, 1)), 4, 2, bumped_table(graded_betti(C4), 1))
+    assert corrupted.coeffs == (0, 0, 1)
 
 
 def test_series_identity_perturbations():
-    # flipping any single Betti number must leave a nonzero residual
-    for k in range(2):
-        betti = [2, 1]
-        betti[k] += 1
-        assert not verify_series_identity(HVector((1, 2, 1)), 4, 2, 1, (2, 4), tuple(betti)).is_zero
+    # raising any single Betti cell must leave a nonzero residual
+    table = graded_betti(C4)
+    for k in range(len(table.cells)):
+        assert not verify_series_identity(HVector((1, 2, 1)), 4, 2, bumped_table(table, k)).is_zero
+
+
+def test_series_identity_holds_for_every_shape():
+    rnd = random.Random(5005)
+    fields = (FieldSpec.prime(2), GF_DEFAULT, FieldSpec.rationals())
+    cases = [(random_complex(rnd), field) for field in fields for _ in range(40)]
+    cases.append((read_complex(fixture_path("rp2.cplx")), FieldSpec.prime(2)))
+    cases.append((read_complex(fixture_path("c4.cplx")), FieldSpec.rationals()))
+    cases.append((clique_complex(read_graph(fixture_path("k3.graph"))), GF_DEFAULT))
+    kinds = set()
+    for c, field in cases:
+        table = graded_betti(c, field)
+        kinds.add(classify(table).kind)
+        f = f_vector(c)
+        assert verify_series_identity(h_vector(f), c.n, f.d, table).is_zero, (c.facets, field)
+    assert kinds == {"trivial", "linear", "pure", "general"}
