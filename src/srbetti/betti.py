@@ -5,11 +5,14 @@ homology in degree j-i-1 of the restriction of the complex to W.  This is
 the oracle everything else is checked against: it sums nonnegative homology
 dimensions, so accumulation order cannot matter.
 
-Two optimizations, neither affecting results:
-  - restrictions that are cones (some vertex lies in every facet of the
-    restriction) are skipped; cones are contractible and contribute nothing;
-  - homology of a restriction is cached on its relabeled facet signature,
-    since isomorphic restrictions recur massively across sweeps.
+The sweep visits W in ascending order, collecting the minimal non-faces of
+the complex on the way; those inside W are the minimal non-faces of the
+restriction and determine it.  Two optimizations, neither affecting results:
+  - W is skipped when those non-faces do not cover it: an uncovered vertex
+    is an apex, and cones are contractible and contribute nothing;
+  - homology of a restriction is cached on those non-faces relabeled to W,
+    since isomorphic restrictions recur massively across sweeps; only a
+    miss builds the restriction's facets.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from .errors import NotPureError, TooManyVerticesError
 from .exactla import GF_DEFAULT, FieldSpec
 from .homology import reduced_dims_from_facets
-from .simplicial import Complex, _bits, _compact, _maximal_masks
+from .simplicial import Complex, _bits, induced_facet_masks
 
 DEFAULT_VERTEX_CAP = 20
 
@@ -60,33 +63,6 @@ class BettiTable:
         return {(a, b): v for a, b, v in self.cells}
 
 
-def _restriction_dims(facets: tuple[int, ...], w: int, field: FieldSpec) -> tuple[int, ...] | None:
-    """Homology dims of the restriction to vertex mask w, or None for a cone."""
-    inter = -1
-    restricted = []
-    for f in facets:
-        fw = f & w
-        restricted.append(fw)
-        inter &= fw
-    if inter:
-        return None
-    fac_w = _maximal_masks(restricted)
-    apex = -1
-    for m in fac_w:
-        apex &= m
-    if apex:
-        return None
-    positions = _bits(w)
-    key_facets = tuple(_compact(m, positions) for m in fac_w)
-    key = (field.p, key_facets)
-    dims = _HOM_CACHE.get(key)
-    if dims is None:
-        dims = reduced_dims_from_facets(key_facets, field)
-        if len(_HOM_CACHE) < _HOM_CACHE_LIMIT:
-            _HOM_CACHE[key] = dims
-    return dims
-
-
 def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT_VERTEX_CAP) -> BettiTable:
     """Exact graded Betti numbers of the face ring of c over the field.
 
@@ -97,11 +73,38 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
         raise TooManyVerticesError(f"{c.n} vertices exceeds the sweep cap {n_cap}")
     acc: dict[tuple[int, int], int] = {}
     facets = c.facets
+    # Minimal non-faces met so far.  Every subset of w is numerically <= w,
+    # so each one inside w was met before w; the list stays ascending.
+    gens: list[int] = []
+    below: dict[int, list[int]] = {}  # generator -> mask of the bits below each of its vertices
     for w in range(1 << c.n):
-        dims = _restriction_dims(facets, w, field)
-        if dims is None:
-            continue
+        inside = [g for g in gens if g & w == g]
+        if not inside:
+            for f in facets:
+                if w & f == w:
+                    break
+            else:  # w is in no facet, but every proper subset of w is a face
+                gens.append(w)
+                below[w] = [(1 << v) - 1 for v in _bits(w)]
+                inside = [w]
+        union = 0
+        for g in inside:
+            union |= g
+        if union != w:
+            continue  # a vertex of w in no minimal non-face is an apex: a cone
         j = w.bit_count()
+        packed = 0
+        for g in inside:
+            # compact g to w: vertex v of g becomes bit (number of w's vertices below v)
+            packed <<= j
+            for m in below[g]:
+                packed |= 1 << (w & m).bit_count()
+        key = (field.p, j, packed)
+        dims = _HOM_CACHE.get(key)
+        if dims is None:
+            dims = reduced_dims_from_facets(induced_facet_masks(facets, w), field)
+            if len(_HOM_CACHE) < _HOM_CACHE_LIMIT:
+                _HOM_CACHE[key] = dims
         for r_idx, b in enumerate(dims):
             if b:
                 # reduced degree r = r_idx - 1 contributes at i = j - r - 1

@@ -196,7 +196,11 @@ def cmd_verify(args) -> int:
             _emit("\n".join(texts) + f"verdict: {'pass' if ok else 'FAIL'}\n", args)
         return 0 if ok else 1
 
-    summary = verify_chordal_corpus(args.count, args.n_max, args.seed, args.field)
+    if args.n_max > args.n_cap:
+        raise TooManyVerticesError(f"--n-max {args.n_max} exceeds --n-cap {args.n_cap}")
+    if args.exhaustive_froberg and args.n_cap < 6:
+        raise TooManyVerticesError(f"--exhaustive-froberg needs --n-cap 6 or more, got {args.n_cap}")
+    summary = verify_chordal_corpus(args.count, args.n_max, args.seed, args.field, args.n_cap)
     ok = summary.gate_passed()
     sweep = None
     if args.exhaustive_froberg:
@@ -265,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n-max", type=int, default=9, help="max vertices per corpus graph (default 9)")
     p_ver.add_argument("--seed", type=int, default=7, help="corpus seed (default 7)")
     p_ver.add_argument("--exhaustive-froberg", action="store_true",
-                       help="also sweep all graphs on 6 vertices (about 20 s)")
+                       help="also sweep all graphs on 6 vertices (about 10 s)")
     report_options(p_ver)
     p_ver.set_defaults(func=cmd_verify)
     return parser

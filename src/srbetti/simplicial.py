@@ -232,16 +232,13 @@ def f_from_h(h: HVector, d: int | None = None) -> FVector:
 
 
 def induced_facet_masks(facets: Sequence[int], wmask: int) -> tuple[int, ...]:
-    """Facets of the restriction to the vertex mask `wmask` (original bit positions)."""
-    return _maximal_masks(f & wmask for f in facets)
-
-
-def _compact(mask: int, positions: Sequence[int]) -> int:
-    out = 0
-    for newbit, pos in enumerate(positions):
-        if (mask >> pos) & 1:
-            out |= 1 << newbit
-    return out
+    """Facets of the restriction to the vertex mask `wmask`, relabeled so that
+    the k-th vertex of `wmask` is bit k; relabeling keeps them ascending."""
+    positions = _bits(wmask)
+    return tuple(
+        sum(((m >> pos) & 1) << k for k, pos in enumerate(positions))
+        for m in _maximal_masks(f & wmask for f in facets)
+    )
 
 
 def induced_subcomplex(c: Complex, w: Iterable[str]) -> Complex:
@@ -251,11 +248,8 @@ def induced_subcomplex(c: Complex, w: Iterable[str]) -> Complex:
     label set yields the empty complex.
     """
     wmask = c.mask_of(w)
-    sub_facets = induced_facet_masks(c.facets, wmask)
-    positions = _bits(wmask)
-    labels = tuple(c.labels[p] for p in positions)
-    facets = tuple(sorted(_compact(m, positions) for m in sub_facets))
-    return Complex(labels, facets)
+    labels = tuple(c.labels[p] for p in _bits(wmask))
+    return Complex(labels, induced_facet_masks(c.facets, wmask))
 
 
 def minimal_non_faces(c: Complex) -> list[tuple[str, ...]]:

@@ -21,11 +21,13 @@ def bits(mask: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # complexes
 
-def random_complex(rnd: random.Random, max_n: int = 7, max_facets: int = 6) -> Complex:
+def random_complex(rnd: random.Random, max_n: int = 7, max_facets: int = 6, max_size: int | None = None) -> Complex:
+    """Random facets drawn from up to max_n vertices.  Facets of any size
+    mostly give a simplex; a small max_size gives many facets and homology."""
     pool = [chr(ord("a") + i) for i in range(rnd.randint(1, max_n))]
     facets = []
     for _ in range(rnd.randint(1, max_facets)):
-        facets.append(rnd.sample(pool, rnd.randint(1, len(pool))))
+        facets.append(rnd.sample(pool, rnd.randint(1, min(len(pool), max_size or len(pool)))))
     return complex_from_facets(facets)
 
 
@@ -44,6 +46,39 @@ def brute_face_masks(c: Complex) -> set[int]:
         if any(mask & f == mask for f in c.facets):
             out.add(mask)
     return out
+
+
+def brute_betti(c: Complex) -> dict[tuple[int, int], int]:
+    """Graded Betti numbers over Q by Hochster's formula, from scratch.
+
+    For every vertex subset W, cones included and nothing cached, the reduced
+    homology of the restriction is read off dense augmented boundary
+    matrices built from the face list and ranked by `frac_rank`.  A
+    k-vertex face is a chain in reduced degree k-1, which lands at
+    beta_{|W|-k, |W|}.
+    """
+    faces = sorted(brute_face_masks(c))
+    table: dict[tuple[int, int], int] = {}
+    for w in range(1 << c.n):
+        j = w.bit_count()
+        by_card: list[list[int]] = [[] for _ in range(j + 1)]
+        for m in faces:
+            if m & w == m:
+                by_card[m.bit_count()].append(m)
+        # ranks[k]: the boundary from k-vertex faces to (k-1)-vertex faces
+        ranks = [0] * (j + 2)
+        for k in range(1, j + 1):
+            rows, cols = by_card[k - 1], by_card[k]
+            dense = [[0] * len(cols) for _ in rows]
+            for col, m in enumerate(cols):
+                for pos, v in enumerate(bits(m)):
+                    dense[rows.index(m ^ (1 << v))][col] = (-1) ** pos
+            ranks[k] = frac_rank(dense)
+        for k in range(j + 1):
+            dim = len(by_card[k]) - ranks[k] - ranks[k + 1]
+            if dim:
+                table[(j - k, j)] = table.get((j - k, j), 0) + dim
+    return table
 
 
 def brute_minimal_non_faces(c: Complex) -> set[frozenset[str]]:

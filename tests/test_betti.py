@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import random_complex
+from helpers import brute_betti, random_complex
 from srbetti import (
     GF_DEFAULT,
     QQ,
@@ -24,8 +24,9 @@ from srbetti import (
     resolution_view,
     read_complex,
 )
+from srbetti import betti
 from srbetti.betti import clear_homology_cache
-from srbetti.verify import corpus_graphs
+from srbetti.verify import corpus_graphs, froberg_exhaustive
 
 C4 = complex_from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]])
 TRI = complex_from_facets([["1", "2"], ["1", "3"], ["2", "3"]])
@@ -175,6 +176,54 @@ def test_cross_polytope_koszul_pattern(r):
     assert shape.kind == ("linear" if r == 1 else "pure")
 
 
+def test_tables_match_brute_force_hochster():
+    # every subset, cones included, no cache: guards the cone test and the
+    # cache key of the sweep
+    rnd = random.Random(6004)
+    complexes = [C4, MIXED, read_complex(fixture_path("rp2.cplx"))]
+    complexes += [cross_polytope(r) for r in (1, 2, 3, 4)]
+    complexes += [random_complex(rnd, max_n=6) for _ in range(60)]
+    complexes += [random_complex(rnd, max_n=6, max_facets=10, max_size=3) for _ in range(100)]
+    for c in complexes:
+        assert graded_betti(c, QQ).as_dict() == brute_betti(c), c.facets
+
+
+def test_cache_misses_once_per_distinct_restriction(monkeypatch):
+    calls = []
+    real = betti.reduced_dims_from_facets
+
+    def counting(facets, field):
+        calls.append(facets)
+        return real(facets, field)
+
+    monkeypatch.setattr(betti, "reduced_dims_from_facets", counting)
+    assert froberg_exhaustive(5).passed
+    # the distinct non-cone restrictions of all graphs on 5 vertices
+    assert len(calls) == 815
+    calls.clear()
+    assert froberg_exhaustive(5).passed
+    assert calls == []
+
+
+def test_cache_consistency():
+    # every table computed in a shuffled mix, sharing one cache, equals the
+    # table computed from an empty cache.  rp2 differs over GF(2) and
+    # GF(32003), so a key that dropped the field would serve one table to
+    # the other; mixed sizes guard the |W| field of the key
+    rnd = random.Random(6005)
+    complexes = [C4, read_complex(fixture_path("rp2.cplx"))]
+    complexes += [random_complex(rnd, max_n=8, max_facets=12, max_size=4) for _ in range(40)]
+    jobs = [(c, field) for c in complexes for field in (FieldSpec.prime(2), GF_DEFAULT)]
+    cold = {}
+    for c, field in jobs:
+        clear_homology_cache()
+        cold[c, field] = graded_betti(c, field)
+    rnd.shuffle(jobs)
+    clear_homology_cache()
+    for c, field in jobs:
+        assert graded_betti(c, field) == cold[c, field], (c.facets, field)
+
+
 def test_first_syzygies_count_minimal_non_faces():
     # degree-j entries in homological degree 1 are exactly the cardinality-j
     # minimal generators of the face ideal
@@ -187,13 +236,6 @@ def test_first_syzygies_count_minimal_non_faces():
             by_size[len(tokens)] = by_size.get(len(tokens), 0) + 1
         got = {j: v for i, j, v in t.cells if i == 1}
         assert got == by_size, c.facets
-
-
-def test_cache_consistency():
-    clear_homology_cache()
-    cold = graded_betti(C4)
-    warm = graded_betti(C4)
-    assert cold == warm
 
 
 def test_field_dependence_on_projective_plane():

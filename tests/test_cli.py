@@ -161,6 +161,20 @@ def test_bad_n_cap(capsys):
     assert code == 2
 
 
+def test_verify_corpus_refuses_n_max_above_n_cap(capsys):
+    code, out, err = run(capsys, "verify", "--count", "3", "--n-max", "9", "--n-cap", "3")
+    assert code == 2
+    assert out == ""
+    assert "--n-max 9 exceeds --n-cap 3" in err
+
+
+def test_verify_refuses_froberg_sweep_above_n_cap(capsys):
+    code, out, err = run(capsys, "verify", "--count", "2", "--n-max", "4", "--n-cap", "5", "--exhaustive-froberg")
+    assert code == 2
+    assert out == ""
+    assert "--exhaustive-froberg needs --n-cap 6 or more, got 5" in err
+
+
 def test_gen_chordal_rejects_seed_flag(capsys):
     # the seed is positional; --seed belongs to verify's corpus only
     with pytest.raises(SystemExit) as exc:

@@ -2,9 +2,12 @@
 
 import json
 
+import pytest
+
 from srbetti import (
     GF_DEFAULT,
     FieldSpec,
+    TooManyVerticesError,
     clique_complex,
     complete_graph,
     complex_from_facets,
@@ -114,6 +117,14 @@ def test_corpus_converse_fixtures_not_linear():
     assert [name for name, _, _ in summary.converse] == ["C4", "C5", "C6"]
     assert all(flag for _, _, flag in summary.converse)
     assert all(kind == "pure" for _, kind, _ in summary.converse)
+
+
+def test_corpus_honours_n_cap():
+    # the corpus for count 3, n_max 9, seed 7 draws graphs on 4 and 6 vertices
+    assert sorted(g.n for g in corpus_graphs(3, 9, 7)) == [4, 4, 6]
+    with pytest.raises(TooManyVerticesError):
+        verify_chordal_corpus(3, 9, 7, n_cap=5)
+    assert verify_chordal_corpus(3, 9, 7, n_cap=6).gate_passed()
 
 
 def test_corpus_deterministic():
