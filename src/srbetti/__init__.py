@@ -1,8 +1,8 @@
 """Betti tables, Hilbert series and h-vector identities of face rings.
 
-Everything is exact integer (or Fraction) arithmetic over bitmask
-combinatorics; all values are immutable and every operation is a pure
-function, so the API is safe to call concurrently.
+Everything is exact integer arithmetic over bitmask combinatorics; all
+values are immutable and every operation is a pure function, so the API is
+safe to call concurrently.
 """
 
 from .betti import (

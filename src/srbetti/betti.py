@@ -13,6 +13,10 @@ restriction and determine it.  Two optimizations, neither affecting results:
   - homology of a restriction is cached on those non-faces relabeled to W,
     since isomorphic restrictions recur massively across sweeps; only a
     miss builds the restriction's facets.
+
+Homology is integral: the sweep adds up the table over Q and keeps the
+torsion of the few restrictions that have any, from which the table over
+every GF(p) follows, so one sweep serves every field.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotPureError, TooManyVerticesError
-from .exactla import GF_DEFAULT, FieldSpec
-from .homology import reduced_dims_from_facets
+from .exactla import GF_DEFAULT, QQ, FieldSpec
+from .homology import reduced_dims_from_facets, torsion_shift
 from .simplicial import Complex, _bits, induced_facet_masks
 
 DEFAULT_VERTEX_CAP = 20
 
-_HOM_CACHE: dict[tuple, tuple[int, ...]] = {}
+_HOM_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}  # Betti numbers over Q
+_TORSION_CACHE: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}  # the rare keys with torsion
 _HOM_CACHE_LIMIT = 1 << 20
 
 
@@ -36,11 +41,28 @@ class BettiTable:
 
     i is the homological degree (0 for the ring itself, so the only i = 0
     cell is (0, 0, 1)), j the internal degree.  Absent cells are zero.
+    `torsion` lists (|W|, torsion) for each restriction Delta_W with torsion
+    in its integral homology (see homology.reduced_dims_from_facets); it is
+    all the table over another field needs.
     """
 
     cells: tuple[tuple[int, int, int], ...]
     n: int
     field: FieldSpec
+    torsion: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = ()
+
+    def over(self, field: FieldSpec) -> "BettiTable":
+        """The same complex's table over another field."""
+        if not self.torsion:  # no torsion: the same table over every field
+            return BettiTable(self.cells, self.n, field)
+        acc = self.as_dict()
+        for j, torsion in self.torsion:
+            for k in torsion_shift(torsion, self.field.p):
+                acc[j - k, j] -= 1
+            for k in torsion_shift(torsion, field.p):
+                acc[j - k, j] = acc.get((j - k, j), 0) + 1
+        cells = tuple(sorted((i, j, v) for (i, j), v in acc.items() if v))
+        return BettiTable(cells, self.n, field, self.torsion)
 
     def entry(self, i: int, j: int) -> int:
         for a, b, v in self.cells:
@@ -67,11 +89,13 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
     """Exact graded Betti numbers of the face ring of c over the field.
 
     Sweeps all vertex subsets; cost is 2^n times a small homology problem,
-    so n is capped (default 20).
+    so n is capped (default 20).  The sweep computes integral homology, so
+    the table over any other field follows from the result by `over`.
     """
     if c.n > n_cap:
         raise TooManyVerticesError(f"{c.n} vertices exceeds the sweep cap {n_cap}")
-    acc: dict[tuple[int, int], int] = {}
+    acc: dict[tuple[int, int], int] = {}  # the table over Q
+    torsions = []
     facets = c.facets
     # Minimal non-faces met so far.  Every subset of w is numerically <= w,
     # so each one inside w was met before w; the list stays ascending.
@@ -99,18 +123,24 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
             packed <<= j
             for m in below[g]:
                 packed |= 1 << (w & m).bit_count()
-        key = (field.p, j, packed)
+        key = (j, packed)
         dims = _HOM_CACHE.get(key)
         if dims is None:
-            dims = reduced_dims_from_facets(induced_facet_masks(facets, w), field)
+            dims, torsion = reduced_dims_from_facets(induced_facet_masks(facets, w))
             if len(_HOM_CACHE) < _HOM_CACHE_LIMIT:
                 _HOM_CACHE[key] = dims
+                if torsion:
+                    _TORSION_CACHE[key] = torsion
+            if torsion:
+                torsions.append((j, torsion))
+        elif _TORSION_CACHE and key in _TORSION_CACHE:
+            torsions.append((j, _TORSION_CACHE[key]))
         for r_idx, b in enumerate(dims):
             if b:
                 # reduced degree r = r_idx - 1 contributes at i = j - r - 1
                 acc[(j - r_idx, j)] = acc.get((j - r_idx, j), 0) + b
     cells = tuple(sorted((i, j, v) for (i, j), v in acc.items()))
-    return BettiTable(cells, c.n, field)
+    return BettiTable(cells, c.n, QQ, tuple(torsions)).over(field)
 
 
 @dataclass(frozen=True)
@@ -196,3 +226,4 @@ def resolution_view(table: BettiTable, shape: ResolutionShape) -> ResolutionView
 
 def clear_homology_cache() -> None:
     _HOM_CACHE.clear()
+    _TORSION_CACHE.clear()

@@ -173,8 +173,16 @@ def cmd_gen_chordal(args) -> int:
     return 0
 
 
+# verify's corpus-mode flags and their defaults; they are refused with paths
+CORPUS_DEFAULTS = {"count": 50, "n_max": 9, "seed": 7, "exhaustive_froberg": False}
+
+
 def cmd_verify(args) -> int:
     if args.paths:
+        for name in CORPUS_DEFAULTS:
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} applies only to the corpus (verify without paths)")
         reports = []
         texts = []
         ok = True
@@ -196,6 +204,9 @@ def cmd_verify(args) -> int:
             _emit("\n".join(texts) + f"verdict: {'pass' if ok else 'FAIL'}\n", args)
         return 0 if ok else 1
 
+    for name, default in CORPUS_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.n_max > args.n_cap:
         raise TooManyVerticesError(f"--n-max {args.n_max} exceeds --n-cap {args.n_cap}")
     if args.exhaustive_froberg and args.n_cap < 6:
@@ -265,10 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="verify identities on files or a seeded corpus")
     p_ver.add_argument("paths", nargs="*", help="explicit .cplx/.graph files; empty = corpus mode")
-    p_ver.add_argument("--count", type=int, default=50, help="corpus size (default 50)")
-    p_ver.add_argument("--n-max", type=int, default=9, help="max vertices per corpus graph (default 9)")
-    p_ver.add_argument("--seed", type=int, default=7, help="corpus seed (default 7)")
-    p_ver.add_argument("--exhaustive-froberg", action="store_true",
+    # corpus flags default to None so that paths mode can refuse them
+    p_ver.add_argument("--count", type=int, help=f"corpus size (default {CORPUS_DEFAULTS['count']})")
+    p_ver.add_argument("--n-max", type=int,
+                       help=f"max vertices per corpus graph (default {CORPUS_DEFAULTS['n_max']})")
+    p_ver.add_argument("--seed", type=int, help=f"corpus seed (default {CORPUS_DEFAULTS['seed']})")
+    p_ver.add_argument("--exhaustive-froberg", action="store_true", default=None,
                        help="also sweep all graphs on 6 vertices (about 10 s)")
     report_options(p_ver)
     p_ver.set_defaults(func=cmd_verify)

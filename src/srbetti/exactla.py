@@ -1,16 +1,19 @@
 """Exact rank computation over prime fields and over the rationals.
 
-Everything is integer or Fraction arithmetic; there is no floating point.
-Matrices are expected to be small and sparse (boundary matrices with +-1
-entries), so elimination keeps rows as dicts and picks pivots in the
-sparsest column.
+One elimination over the integers serves every field: it gives the rank
+over Q and the invariant factors, and the rank over GF(p) is the rank over
+Q less the factors divisible by p.  Everything is integer arithmetic; there
+is no floating point.  Matrices are expected to be small and sparse
+(boundary matrices with +-1 entries), so elimination keeps rows as dicts
+and picks pivots in the sparsest column.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
+from itertools import chain
+from math import gcd, isqrt
 
 _PRIME_LIMIT = 1 << 31
 
@@ -93,48 +96,102 @@ class SparseMatrix:
 
 
 def rank(m: SparseMatrix, field: FieldSpec = GF_DEFAULT) -> int:
-    """Rank of m over the field (entries reduced mod p for prime fields)."""
-    p = field.p
-    rowmap: dict[int, dict[int, object]] = {}
+    """Rank of m over the field: the rank over Q less, over GF(p), the
+    invariant factors divisible by p."""
+    rows: dict[int, dict[int, int]] = {}
     for r, c, v in m.entries:
-        val = v % p if p is not None else Fraction(v)
-        if val:
-            rowmap.setdefault(r, {})[c] = val
-    rows = [d for d in rowmap.values() if d]
-    return _eliminate(rows, p)
+        rows.setdefault(r, {})[c] = v
+    rnk, factors = integral_rank(list(rows.values()))
+    if field.p is None:
+        return rnk
+    return rnk - sum(1 for t in factors if t % field.p == 0)
 
 
-def _eliminate(rows: list[dict], p: int | None) -> int:
-    """Sparse Gaussian elimination; each step pivots in the sparsest column,
-    on its shortest row.  The only field-specific step is reducing mod p."""
+def integral_rank(rows: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """Rank over Q and the invariant factors > 1 of an integer matrix given
+    as sparse rows (column -> nonzero entry); the rows are consumed.
+
+    Elimination pivots only on entries +-1, in the sparsest column that has
+    one, on its shortest row.  Those steps are unimodular, so they hold over
+    every field at once and no fraction appears.  The rows left with no unit
+    entry go to `_smith`.
+    """
     rnk = 0
-    active = rows
+    active = [r for r in rows if r]
     while active:
-        counts: dict[int, int] = {}
-        for r in active:
-            for c in r:
-                counts[c] = counts.get(c, 0) + 1
-        pivot_col = min(counts, key=lambda c: (counts[c], c))
-        best = None
-        for idx, r in enumerate(active):
-            if pivot_col in r and (best is None or len(r) < len(active[best])):
-                best = idx
+        counts = Counter(chain.from_iterable(active))
+        pivot_col = min(counts, key=counts.get)
+        best = _unit_row(active, pivot_col)
+        if best is None:  # rare: the sparsest column has no unit entry
+            units = {c for r in active for c, v in r.items() if v == 1 or v == -1}
+            if not units:
+                break
+            pivot_col = min(units, key=counts.get)
+            best = _unit_row(active, pivot_col)
         piv = active.pop(best)
         rnk += 1
-        inv = pow(piv[pivot_col], -1, p) if p is not None else 1 / piv[pivot_col]
+        u = piv[pivot_col]  # +-1, its own inverse
         nxt = []
         for r in active:
             if pivot_col in r:
-                factor = r[pivot_col] * inv
+                factor = r[pivot_col] * u
                 for c, v in piv.items():
                     nv = r.get(c, 0) - factor * v
-                    if p is not None:
-                        nv %= p
                     if nv:
                         r[c] = nv
-                    elif c in r:
+                    else:
                         del r[c]
-            if r:
-                nxt.append(r)
+                if not r:
+                    continue
+            nxt.append(r)
         active = nxt
-    return rnk
+    factors = _smith(active)
+    return rnk + len(factors), tuple(t for t in factors if t > 1)
+
+
+def _unit_row(rows: list[dict[int, int]], col: int) -> int | None:
+    """Index of the shortest row with a +-1 entry in col, if any."""
+    best = None
+    for idx, r in enumerate(rows):
+        v = r.get(col)
+        if (v == 1 or v == -1) and (best is None or len(r) < shortest):
+            best, shortest = idx, len(r)
+    return best
+
+
+def _smith(rows: list[dict[int, int]]) -> list[int]:
+    """Nonzero invariant factors, ascending, of the integer matrix in rows
+    (consumed): a diagonal form by unimodular steps, then d_i | d_(i+1)."""
+    diag = []
+    rows = [r for r in rows if r]
+    while rows:
+        # pivot on an entry of least absolute value; a remainder left by
+        # reducing its column or row is smaller and becomes the next pivot
+        i, col = min(((i, c) for i, r in enumerate(rows) for c in r), key=lambda ic: abs(rows[ic[0]][ic[1]]))
+        piv = rows[i]
+        a = piv[col]
+        for k, r in enumerate(rows):
+            if k != i and col in r:
+                q = r[col] // a
+                for c, v in piv.items():
+                    nv = r.get(c, 0) - q * v
+                    if nv:
+                        r[c] = nv
+                    else:
+                        del r[c]
+        if all(col not in r for k, r in enumerate(rows) if k != i):
+            # column ops: only the pivot row has an entry in col
+            for c in list(piv):
+                if c != col:
+                    piv[c] %= a
+                    if not piv[c]:
+                        del piv[c]
+            if len(piv) == 1:
+                diag.append(abs(a))
+                rows.pop(i)
+        rows = [r for r in rows if r]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag

@@ -22,13 +22,17 @@ def bits(mask: int) -> list[int]:
 # complexes
 
 def random_complex(rnd: random.Random, max_n: int = 7, max_facets: int = 6, max_size: int | None = None) -> Complex:
-    """Random facets drawn from up to max_n vertices.  Facets of any size
-    mostly give a simplex; a small max_size gives many facets and homology."""
-    pool = [chr(ord("a") + i) for i in range(rnd.randint(1, max_n))]
-    facets = []
-    for _ in range(rnd.randint(1, max_facets)):
-        facets.append(rnd.sample(pool, rnd.randint(1, min(len(pool), max_size or len(pool)))))
-    return complex_from_facets(facets)
+    """Random facets drawn from 2 to max_n vertices, redrawn until the
+    complex is not a simplex, whose face ideal is zero.  Facets of at most
+    max_size vertices give more homology and more general shapes."""
+    while True:
+        pool = [chr(ord("a") + i) for i in range(rnd.randint(2, max_n))]
+        facets = []
+        for _ in range(rnd.randint(1, max_facets)):
+            facets.append(rnd.sample(pool, rnd.randint(1, min(len(pool), max_size or len(pool)))))
+        c = complex_from_facets(facets)
+        if len(c.facets) > 1:
+            return c
 
 
 def bumped_table(table: BettiTable, k: int) -> BettiTable:
@@ -48,14 +52,15 @@ def brute_face_masks(c: Complex) -> set[int]:
     return out
 
 
-def brute_betti(c: Complex) -> dict[tuple[int, int], int]:
-    """Graded Betti numbers over Q by Hochster's formula, from scratch.
+def brute_betti(c: Complex, p: int | None = None) -> dict[tuple[int, int], int]:
+    """Graded Betti numbers over GF(p), or over Q for p None, by Hochster's
+    formula, from scratch.
 
     For every vertex subset W, cones included and nothing cached, the reduced
     homology of the restriction is read off dense augmented boundary
-    matrices built from the face list and ranked by `frac_rank`.  A
-    k-vertex face is a chain in reduced degree k-1, which lands at
-    beta_{|W|-k, |W|}.
+    matrices built from the face list and ranked by `frac_rank` or
+    `modp_rank`.  A k-vertex face is a chain in reduced degree k-1, which
+    lands at beta_{|W|-k, |W|}.
     """
     faces = sorted(brute_face_masks(c))
     table: dict[tuple[int, int], int] = {}
@@ -73,7 +78,7 @@ def brute_betti(c: Complex) -> dict[tuple[int, int], int]:
             for col, m in enumerate(cols):
                 for pos, v in enumerate(bits(m)):
                     dense[rows.index(m ^ (1 << v))][col] = (-1) ** pos
-            ranks[k] = frac_rank(dense)
+            ranks[k] = frac_rank(dense) if p is None else modp_rank(dense, p)
         for k in range(j + 1):
             dim = len(by_card[k]) - ranks[k] - ranks[k + 1]
             if dim:
@@ -192,5 +197,23 @@ def frac_rank(dense: list[list[int]]) -> int:
             if i != rnk and a[i][col]:
                 factor = a[i][col] / a[rnk][col]
                 a[i] = [x - factor * y for x, y in zip(a[i], a[rnk])]
+        rnk += 1
+    return rnk
+
+
+def modp_rank(dense: list[list[int]], p: int) -> int:
+    """Dense Gaussian elimination over GF(p); the mod-p rank oracle."""
+    a = [[x % p for x in row] for row in dense]
+    rnk = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rnk, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rnk], a[piv] = a[piv], a[rnk]
+        inv = pow(a[rnk][col], p - 2, p)
+        for i in range(len(a)):
+            if i != rnk and a[i][col]:
+                factor = a[i][col] * inv % p
+                a[i] = [(x - factor * y) % p for x, y in zip(a[i], a[rnk])]
         rnk += 1
     return rnk

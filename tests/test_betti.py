@@ -26,7 +26,7 @@ from srbetti import (
 )
 from srbetti import betti
 from srbetti.betti import clear_homology_cache
-from srbetti.verify import corpus_graphs, froberg_exhaustive
+from srbetti.verify import corpus_graphs, froberg_exhaustive, verify_complex
 
 C4 = complex_from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]])
 TRI = complex_from_facets([["1", "2"], ["1", "3"], ["2", "3"]])
@@ -80,10 +80,11 @@ def test_relabeling_invariance():
 
 def test_no_entries_in_homological_degree_zero_beyond_origin():
     rnd = random.Random(6001)
-    for _ in range(40):
-        t = graded_betti(random_complex(rnd, max_n=6))
+    tables = [graded_betti(random_complex(rnd, max_n=6)) for _ in range(40)]
+    for t in tables:
         assert t.entry(0, 0) == 1
         assert all(i >= 1 for i, j, _ in t.cells if (i, j) != (0, 0))
+    assert {classify(t).kind for t in tables} == {"linear", "general"}
 
 
 def test_classification_examples():
@@ -132,9 +133,12 @@ def test_pdim_at_least_codim():
     complexes = [C4, TRI, TWO_POINTS, MIXED, read_complex(fixture_path("rp2.cplx"))]
     complexes += [clique_complex(g) for g in corpus_graphs(20, 8, 3)]
     complexes += [random_complex(rnd, max_n=6) for _ in range(20)]
+    kinds = set()
     for c in complexes:
         t = graded_betti(c)
         assert t.pdim >= c.n - f_vector(c).d, c.facets
+        kinds.add(classify(t).kind)
+    assert kinds == {"trivial", "linear", "pure", "general"}
 
 
 def test_flag_complex_generators_are_quadrics():
@@ -176,11 +180,21 @@ def test_cross_polytope_koszul_pattern(r):
     assert shape.kind == ("linear" if r == 1 else "pure")
 
 
+def suspension(c):
+    """Two cone points over c: homology shifts up one degree, so rp2's
+    torsion moves from the boundary map 2 to 3."""
+    faces = [[c.labels[v] for v in range(c.n) if (f >> v) & 1] for f in c.facets]
+    return complex_from_facets([f + [apex] for f in faces for apex in ("north", "south")])
+
+
+RP2 = read_complex(fixture_path("rp2.cplx"))
+
+
 def test_tables_match_brute_force_hochster():
     # every subset, cones included, no cache: guards the cone test and the
     # cache key of the sweep
     rnd = random.Random(6004)
-    complexes = [C4, MIXED, read_complex(fixture_path("rp2.cplx"))]
+    complexes = [C4, MIXED, RP2, suspension(RP2)]
     complexes += [cross_polytope(r) for r in (1, 2, 3, 4)]
     complexes += [random_complex(rnd, max_n=6) for _ in range(60)]
     complexes += [random_complex(rnd, max_n=6, max_facets=10, max_size=3) for _ in range(100)]
@@ -188,15 +202,34 @@ def test_tables_match_brute_force_hochster():
         assert graded_betti(c, QQ).as_dict() == brute_betti(c), c.facets
 
 
-def test_cache_misses_once_per_distinct_restriction(monkeypatch):
+def count_misses(monkeypatch) -> list:
+    """Record the facets of every homology-cache miss of the sweep."""
     calls = []
     real = betti.reduced_dims_from_facets
 
-    def counting(facets, field):
+    def counting(facets):
         calls.append(facets)
-        return real(facets, field)
+        return real(facets)
 
     monkeypatch.setattr(betti, "reduced_dims_from_facets", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_tables_match_brute_force_mod_p(p):
+    # the tables over GF(p) are derived from integral homology; the oracle
+    # ranks every restriction mod p.  rp2 has torsion 2 in the boundary map
+    # 2 and its suspension in map 3
+    rnd = random.Random(6006)
+    complexes = [C4, MIXED, RP2, suspension(RP2)]
+    complexes += [clique_complex(g) for g in corpus_graphs(5, 8, 11)]
+    complexes += [random_complex(rnd, max_n=7, max_facets=10, max_size=4) for _ in range(40)]
+    for c in complexes:
+        assert graded_betti(c, FieldSpec.prime(p)).as_dict() == brute_betti(c, p), c.facets
+
+
+def test_cache_misses_once_per_distinct_restriction(monkeypatch):
+    calls = count_misses(monkeypatch)
     assert froberg_exhaustive(5).passed
     # the distinct non-cone restrictions of all graphs on 5 vertices
     assert len(calls) == 815
@@ -205,13 +238,31 @@ def test_cache_misses_once_per_distinct_restriction(monkeypatch):
     assert calls == []
 
 
+def test_one_sweep_serves_every_field(monkeypatch):
+    # a report over GF(p) also needs the table over Q; both come from one
+    # sweep, so a report costs the misses of one table and a second field
+    # costs none
+    calls = count_misses(monkeypatch)
+    table = graded_betti(RP2, GF_DEFAULT)
+    misses = len(calls)
+    assert misses > 0
+    for field in (FieldSpec.prime(2), QQ):
+        graded_betti(RP2, field)
+    assert len(calls) == misses
+    clear_homology_cache()
+    calls.clear()
+    rep = verify_complex(RP2, GF_DEFAULT)
+    assert len(calls) == misses
+    assert rep.table == table and rep.char_zero_agrees is True
+
+
 def test_cache_consistency():
     # every table computed in a shuffled mix, sharing one cache, equals the
     # table computed from an empty cache.  rp2 differs over GF(2) and
-    # GF(32003), so a key that dropped the field would serve one table to
-    # the other; mixed sizes guard the |W| field of the key
+    # GF(32003) while both share the cache entries, so a hit must carry the
+    # torsion; mixed sizes guard the |W| field of the key
     rnd = random.Random(6005)
-    complexes = [C4, read_complex(fixture_path("rp2.cplx"))]
+    complexes = [C4, RP2, suspension(RP2)]
     complexes += [random_complex(rnd, max_n=8, max_facets=12, max_size=4) for _ in range(40)]
     jobs = [(c, field) for c in complexes for field in (FieldSpec.prime(2), GF_DEFAULT)]
     cold = {}
@@ -228,6 +279,7 @@ def test_first_syzygies_count_minimal_non_faces():
     # degree-j entries in homological degree 1 are exactly the cardinality-j
     # minimal generators of the face ideal
     rnd = random.Random(6003)
+    kinds = set()
     for _ in range(60):
         c = random_complex(rnd, max_n=6)
         t = graded_betti(c)
@@ -236,6 +288,8 @@ def test_first_syzygies_count_minimal_non_faces():
             by_size[len(tokens)] = by_size.get(len(tokens), 0) + 1
         got = {j: v for i, j, v in t.cells if i == 1}
         assert got == by_size, c.facets
+        kinds.add(classify(t).kind)
+    assert kinds == {"linear", "general"}
 
 
 def test_field_dependence_on_projective_plane():

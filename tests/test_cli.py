@@ -175,6 +175,17 @@ def test_verify_refuses_froberg_sweep_above_n_cap(capsys):
     assert "--exhaustive-froberg needs --n-cap 6 or more, got 5" in err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--count", "1"], ["--n-max", "4"], ["--seed", "3"], ["--exhaustive-froberg"]]
+)
+def test_verify_paths_refuse_corpus_flags(flags, capsys):
+    # a corpus flag cannot apply to explicit paths: refused before any work
+    code, out, err = run(capsys, "verify", str(fixture_path("c4.cplx")), *flags)
+    assert code == 2
+    assert out == ""
+    assert f"{flags[0]} applies only to the corpus" in err
+
+
 def test_gen_chordal_rejects_seed_flag(capsys):
     # the seed is positional; --seed belongs to verify's corpus only
     with pytest.raises(SystemExit) as exc:

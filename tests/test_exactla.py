@@ -5,8 +5,11 @@ import random
 
 import pytest
 
-from helpers import frac_rank
+from helpers import frac_rank, modp_rank
 from srbetti import GF_DEFAULT, QQ, FieldSpec, SparseMatrix, rank
+from srbetti.exactla import integral_rank
+
+PRIMES = (2, 3, 5, 32003)
 
 
 def dense_to_sparse(dense):
@@ -95,13 +98,59 @@ def test_rank_transpose_and_bound():
             assert r <= min(rows, cols)
 
 
+def sparse_rows(dense):
+    return [{c: v for c, v in enumerate(row) if v} for row in dense]
+
+
+def random_non_unit_matrix(rnd):
+    """Entries mostly without a unit, so elimination must leave a block
+    for the Smith normal form."""
+    rows, cols = rnd.randint(1, 7), rnd.randint(1, 7)
+    entries = (0, 0, 2, -2, 3, -3, 6, -6, 1)
+    return [[rnd.choice(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_integral_rank_against_oracles():
+    # rank over Q from the Fraction oracle; over GF(p) the rank is rank_Q
+    # less the invariant factors divisible by p, checked by the mod-p oracle
+    rnd = random.Random(2003)
+    blocks = 0
+    for _ in range(300):
+        dense = random_non_unit_matrix(rnd)
+        rnk, factors = integral_rank(sparse_rows(dense))
+        assert rnk == frac_rank(dense) == rank(dense_to_sparse(dense), QQ)
+        assert all(t > 1 for t in factors)
+        blocks += bool(factors)
+        for p in PRIMES:
+            expected = modp_rank(dense, p)
+            assert rnk - sum(1 for t in factors if t % p == 0) == expected
+            assert rank(dense_to_sparse(dense), FieldSpec.prime(p)) == expected
+    assert blocks > 100
+
+
+def test_integral_rank_matches_smith_normal_form():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rnd = random.Random(2004)
+    for _ in range(150):
+        dense = random_non_unit_matrix(rnd)
+        snf = smith_normal_form(sympy.Matrix(dense), domain=sympy.ZZ)
+        diagonal = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i]]
+        expected = (len(diagonal), tuple(sorted(t for t in diagonal if t > 1)))
+        assert integral_rank(sparse_rows(dense)) == expected, dense
+
+
 def test_rank_of_dense_input():
-    # 70x70 all-ones plus identity: every row fills in completely on elimination
+    # 70x70 all-ones plus identity, a dense input; its determinant is 71,
+    # the one invariant factor > 1
     n = 70
     dense = [[1 + (i == j) for j in range(n)] for i in range(n)]
     m = dense_to_sparse(dense)
+    assert integral_rank(sparse_rows(dense)) == (n, (71,))
     assert rank(m, GF_DEFAULT) == n
     assert rank(m, QQ) == n
+    assert rank(m, FieldSpec.prime(71)) == n - 1
     ones = SparseMatrix(n, n, tuple((i, j, 1) for i in range(n) for j in range(n)))
     assert rank(ones, GF_DEFAULT) == 1
     assert rank(ones, QQ) == 1

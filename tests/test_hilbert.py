@@ -159,10 +159,12 @@ def test_series_identity_holds_for_every_shape():
     cases.append((read_complex(fixture_path("rp2.cplx")), FieldSpec.prime(2)))
     cases.append((read_complex(fixture_path("c4.cplx")), FieldSpec.rationals()))
     cases.append((clique_complex(read_graph(fixture_path("k3.graph"))), GF_DEFAULT))
-    kinds = set()
+    kinds = []
     for c, field in cases:
         table = graded_betti(c, field)
-        kinds.add(classify(table).kind)
+        kinds.append(classify(table).kind)
         f = f_vector(c)
         assert verify_series_identity(h_vector(f), c.n, f.d, table).is_zero, (c.facets, field)
-    assert kinds == {"trivial", "linear", "pure", "general"}
+    # random draws are never a simplex; the fixtures add the pure and trivial shapes
+    assert set(kinds[:-3]) == {"linear", "general"}
+    assert set(kinds) == {"trivial", "linear", "pure", "general"}
