@@ -11,8 +11,9 @@ restriction and determine it.  Two optimizations, neither affecting results:
   - W is skipped when those non-faces do not cover it: an uncovered vertex
     is an apex, and cones are contractible and contribute nothing;
   - homology of a restriction is cached on those non-faces relabeled to W,
-    since isomorphic restrictions recur massively across sweeps; only a
-    miss builds the restriction's facets.
+    since isomorphic restrictions recur massively across sweeps; a miss is
+    handed the facets intersected with W, neither relabeled nor reduced to
+    the maximal ones, since homology depends on neither.
 
 Homology is integral: the sweep adds up the table over Q and keeps the
 torsion of the few restrictions that have any, from which the table over
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from .errors import NotPureError, TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
 from .homology import reduced_dims_from_facets, torsion_shift
-from .simplicial import Complex, _bits, induced_facet_masks
+from .simplicial import Complex, _bits
 
 DEFAULT_VERTEX_CAP = 20
 
@@ -126,7 +127,7 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
         key = (j, packed)
         dims = _HOM_CACHE.get(key)
         if dims is None:
-            dims, torsion = reduced_dims_from_facets(induced_facet_masks(facets, w))
+            dims, torsion = reduced_dims_from_facets({f & w for f in facets})
             if len(_HOM_CACHE) < _HOM_CACHE_LIMIT:
                 _HOM_CACHE[key] = dims
                 if torsion:

@@ -1,4 +1,4 @@
-"""Reduced simplicial homology dimensions over a field.
+"""Reduced simplicial homology of a complex, integrally.
 
 One integral computation per complex gives the Betti numbers over Q and
 the torsion; those over GF(p) follow by universal coefficients.
@@ -8,18 +8,31 @@ in degree -1 and the augmentation map sends every vertex to it.  Reduced
 homology in degree -1 is therefore 1 exactly for the empty complex, which is
 what the subset formula for graded Betti numbers consumes.
 
-Faces within a dimension are ordered by ascending bitmask value, so boundary
-matrices are reproducible.
+`reduced_dims_from_facets` takes any collection of face masks whose
+down-closure is the complex; they need not form an antichain or use the
+lowest bits.  It eliminates only the faces outside the star of one vertex
+v.  st(v) is a cone, so its augmented chain complex is a free, acyclic
+subcomplex, and the long exact sequence of the pair gives
+H(complex; Z) = H(complex / st(v)).  The quotient is free, so the pair's
+sequence stays exact after tensoring with GF(p), where the cone is still
+acyclic: the Betti numbers over Q and over every GF(p), and so the
+torsion (each map's invariant factors > 1), are those of the full complex.
+The quotient's basis is the faces F with F + v not a face, and its
+boundary drops the faces of the star.
+
+`boundary_matrix` orders the faces within a dimension by ascending mask, so
+its matrices are reproducible; the quotient's order does not affect any
+result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionOutOfRangeError
 from .exactla import GF_DEFAULT, FieldSpec, SparseMatrix, integral_rank
-from .simplicial import Complex, _bits, masks_by_card
+from .simplicial import Complex, masks_by_card
 
 
 @dataclass(frozen=True)
@@ -41,14 +54,22 @@ class ReducedBetti:
 def _boundary_rows(lower: Sequence[int], upper: Sequence[int]) -> list[dict[int, int]]:
     """The map from span(upper) to span(lower), one cardinality down, as one
     sparse row per face F of upper: (-1)^k at the index in lower of F minus
-    its k-th smallest vertex.  This is the transpose of the boundary matrix,
-    which has the same rank and invariant factors."""
+    its k-th smallest vertex, for each such face that lower has.  This is
+    the transpose of the boundary matrix, which has the same rank and
+    invariant factors."""
     index = {m: i for i, m in enumerate(lower)}
     rows = []
     for m in upper:
         row = {}
-        for k, v in enumerate(_bits(m)):
-            row[index[m ^ (1 << v)]] = -1 if k % 2 else 1
+        sign = 1
+        rest = m
+        while rest:
+            low = rest & -rest
+            i = index.get(m ^ low)
+            if i is not None:
+                row[i] = sign
+            sign = -sign
+            rest ^= low
         rows.append(row)
     return rows
 
@@ -70,24 +91,51 @@ def boundary_matrix(c: Complex, i: int) -> SparseMatrix:
     return SparseMatrix(len(groups[i]), len(groups[i + 1]), entries)
 
 
-def reduced_dims_from_facets(facets: Sequence[int]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Integral homology data from facet masks alone: the reduced Betti
-    numbers over Q, (b_{-1}, ..., b_dim), and the torsion, as (i, t) for
-    each invariant factor t > 1 of the boundary map i (from i-faces to
-    (i-1)-faces; 0 is the augmentation).
+def reduced_dims_from_facets(facets: Iterable[int]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Integral homology data of the complex spanned by some face masks:
+    the reduced Betti numbers over Q, (b_{-1}, ..., b_dim), and the
+    torsion, as (i, t) for each invariant factor t > 1 of the boundary map
+    i (from i-faces to (i-1)-faces; 0 is the augmentation).
 
-    Mask-level entry point used by the graded Betti sweep.
+    `facets` may be any nonempty collection of masks whose down-closure is
+    the complex, in any order; (0,) is the empty complex.  Computed on the
+    quotient by the star of the apex v, the lowest vertex of a largest mask
+    (a choice that affects speed only).  Every face outside st(v) lies in a
+    mask without v, so only those masks are enumerated.  The dims have
+    length (largest mask cardinality) + 1, star masks included.
     """
-    groups = masks_by_card(facets)
-    top = len(groups) - 1
-    ranks = [0] * (top + 1)
+    facets = list(facets)
+    big = max(facets, key=int.bit_count)
+    top = big.bit_count()
+    if not top:
+        return (1,), ()
+    v = big & -big
+    star = set()  # the v-free faces of st(v)
+    for g in facets:
+        if g & v:
+            g ^= v
+            sub = g
+            while sub:
+                star.add(sub)
+                sub = (sub - 1) & g
+    outside = set()
+    for g in facets:
+        if not g & v:
+            sub = g
+            while sub:
+                if sub not in star:
+                    outside.add(sub)
+                sub = (sub - 1) & g
+    groups: list[list[int]] = [[] for _ in range(top + 1)]
+    for m in outside:
+        groups[m.bit_count()].append(m)
+    ranks = [0] * (top + 1)  # ranks[i]: the map from (i+1)- to i-vertex faces
     torsion = []
     for i in range(top):
         ranks[i], factors = integral_rank(_boundary_rows(groups[i], groups[i + 1]))
         torsion.extend((i, t) for t in factors)
-    dims = [1 - ranks[0]]
-    for i in range(top):
-        dims.append(len(groups[i + 1]) - ranks[i] - ranks[i + 1])
+    # the empty face lies in st(v), so groups[0] is empty and b_{-1} = 0
+    dims = [len(g) - r - s for g, r, s in zip(groups, [0] + ranks, ranks)]
     return tuple(dims), tuple(torsion)
 
 
@@ -104,8 +152,8 @@ def torsion_shift(torsion: Sequence[tuple[int, int]], p: int | None) -> list[int
 
 
 def reduced_homology_dims(c: Complex, field: FieldSpec = GF_DEFAULT) -> ReducedBetti:
-    """b_i = (number of i-faces) - rank(boundary_i) - rank(boundary_{i+1}),
-    derived from the integral homology of c."""
+    """Reduced Betti numbers of c over the field, derived from its integral
+    homology by universal coefficients."""
     dims, torsion = reduced_dims_from_facets(c.facets)
     out = list(dims)
     for k in torsion_shift(torsion, field.p):

@@ -231,25 +231,20 @@ def f_from_h(h: HVector, d: int | None = None) -> FVector:
     return FVector(ent)
 
 
-def induced_facet_masks(facets: Sequence[int], wmask: int) -> tuple[int, ...]:
-    """Facets of the restriction to the vertex mask `wmask`, relabeled so that
-    the k-th vertex of `wmask` is bit k; relabeling keeps them ascending."""
-    positions = _bits(wmask)
-    return tuple(
-        sum(((m >> pos) & 1) << k for k, pos in enumerate(positions))
-        for m in _maximal_masks(f & wmask for f in facets)
-    )
-
-
 def induced_subcomplex(c: Complex, w: Iterable[str]) -> Complex:
     """Restriction of c to a subset of its vertex labels.
 
-    Faces of the result are exactly the faces of c contained in w.  The empty
-    label set yields the empty complex.
+    Faces of the result are exactly the faces of c contained in w, relabeled
+    so that the k-th vertex of w is bit k; relabeling keeps the facets
+    ascending.  The empty label set yields the empty complex.
     """
     wmask = c.mask_of(w)
-    labels = tuple(c.labels[p] for p in _bits(wmask))
-    return Complex(labels, induced_facet_masks(c.facets, wmask))
+    positions = _bits(wmask)
+    facets = tuple(
+        sum(((m >> pos) & 1) << k for k, pos in enumerate(positions))
+        for m in _maximal_masks(f & wmask for f in c.facets)
+    )
+    return Complex(tuple(c.labels[p] for p in positions), facets)
 
 
 def minimal_non_faces(c: Complex) -> list[tuple[str, ...]]:

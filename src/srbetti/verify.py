@@ -331,7 +331,7 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
 
     For every edge set: the clique complex's Betti table classifies linear
     (trivial counting as vacuously linear, the zero-ideal case) iff the graph
-    is chordal.  2^C(n,2) graphs; n = 6 takes about 10 s (2-vCPU Xeon,
+    is chordal.  2^C(n,2) graphs; n = 6 takes about 6 s (2-vCPU Xeon,
     Python 3.11) and is the strongest acceptance check in the suite.
     """
     pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]

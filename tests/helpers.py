@@ -35,6 +35,23 @@ def random_complex(rnd: random.Random, max_n: int = 7, max_facets: int = 6, max_
             return c
 
 
+def cross_polytope(r: int) -> Complex:
+    """Boundary of the r-dimensional cross-polytope: minimal non-faces are the
+    r disjoint pairs {2k-1, 2k}, a complete intersection of quadrics."""
+    labels = [str(i) for i in range(1, 2 * r + 1)]
+    facets = []
+    for pick in range(1 << r):
+        facets.append([labels[2 * k + ((pick >> k) & 1)] for k in range(r)])
+    return complex_from_facets(facets)
+
+
+def suspension(c: Complex) -> Complex:
+    """Two cone points over c: homology shifts up one degree, so rp2's
+    torsion moves from the boundary map 2 to 3."""
+    faces = [[c.labels[v] for v in range(c.n) if (f >> v) & 1] for f in c.facets]
+    return complex_from_facets([f + [apex] for f in faces for apex in ("north", "south")])
+
+
 def bumped_table(table: BettiTable, k: int) -> BettiTable:
     """The table with its k-th cell raised by one, for mutation checks."""
     cells = list(table.cells)
@@ -52,35 +69,45 @@ def brute_face_masks(c: Complex) -> set[int]:
     return out
 
 
+def brute_reduced_dims(faces: set[int], p: int | None = None) -> list[int]:
+    """Reduced Betti numbers (b_{-1}, ..., b_{top-1}) over GF(p), or over Q
+    for p None, of the complex whose faces, the empty face included, are
+    `faces`; top is the largest face cardinality.
+
+    Read off the dense matrices of the full augmented chain complex, ranked
+    by `frac_rank` or `modp_rank`.  A k-vertex face is a chain in reduced
+    degree k-1.
+    """
+    top = max(m.bit_count() for m in faces)
+    by_card: list[list[int]] = [[] for _ in range(top + 1)]
+    for m in sorted(faces):
+        by_card[m.bit_count()].append(m)
+    # ranks[k]: the boundary from k-vertex faces to (k-1)-vertex faces
+    ranks = [0] * (top + 2)
+    for k in range(1, top + 1):
+        rows, cols = by_card[k - 1], by_card[k]
+        dense = [[0] * len(cols) for _ in rows]
+        for col, m in enumerate(cols):
+            for pos, v in enumerate(bits(m)):
+                dense[rows.index(m ^ (1 << v))][col] = (-1) ** pos
+        ranks[k] = frac_rank(dense) if p is None else modp_rank(dense, p)
+    return [len(by_card[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1)]
+
+
 def brute_betti(c: Complex, p: int | None = None) -> dict[tuple[int, int], int]:
     """Graded Betti numbers over GF(p), or over Q for p None, by Hochster's
     formula, from scratch.
 
     For every vertex subset W, cones included and nothing cached, the reduced
-    homology of the restriction is read off dense augmented boundary
-    matrices built from the face list and ranked by `frac_rank` or
-    `modp_rank`.  A k-vertex face is a chain in reduced degree k-1, which
-    lands at beta_{|W|-k, |W|}.
+    homology of the restriction comes from `brute_reduced_dims`.  Reduced
+    degree k-1 lands at beta_{|W|-k, |W|}.
     """
-    faces = sorted(brute_face_masks(c))
+    faces = brute_face_masks(c)
     table: dict[tuple[int, int], int] = {}
     for w in range(1 << c.n):
         j = w.bit_count()
-        by_card: list[list[int]] = [[] for _ in range(j + 1)]
-        for m in faces:
-            if m & w == m:
-                by_card[m.bit_count()].append(m)
-        # ranks[k]: the boundary from k-vertex faces to (k-1)-vertex faces
-        ranks = [0] * (j + 2)
-        for k in range(1, j + 1):
-            rows, cols = by_card[k - 1], by_card[k]
-            dense = [[0] * len(cols) for _ in rows]
-            for col, m in enumerate(cols):
-                for pos, v in enumerate(bits(m)):
-                    dense[rows.index(m ^ (1 << v))][col] = (-1) ** pos
-            ranks[k] = frac_rank(dense) if p is None else modp_rank(dense, p)
-        for k in range(j + 1):
-            dim = len(by_card[k]) - ranks[k] - ranks[k + 1]
+        dims = brute_reduced_dims({m for m in faces if m & w == m}, p)
+        for k, dim in enumerate(dims):
             if dim:
                 table[(j - k, j)] = table.get((j - k, j), 0) + dim
     return table

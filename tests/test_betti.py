@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import brute_betti, random_complex
+from helpers import brute_betti, cross_polytope, random_complex, suspension
 from srbetti import (
     GF_DEFAULT,
     QQ,
@@ -154,16 +154,6 @@ def test_field_independence_on_corpus():
         assert graded_betti(c, GF_DEFAULT).cells == graded_betti(c, QQ).cells
 
 
-def cross_polytope(r):
-    """Boundary of the r-dimensional cross-polytope: minimal non-faces are the
-    r disjoint pairs {2k-1, 2k}, a complete intersection of quadrics."""
-    labels = [str(i) for i in range(1, 2 * r + 1)]
-    facets = []
-    for pick in range(1 << r):
-        facets.append([labels[2 * k + ((pick >> k) & 1)] for k in range(r)])
-    return complex_from_facets(facets)
-
-
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_cross_polytope_koszul_pattern(r):
     # complete intersection of r quadrics: beta_{i,2i} = C(r, i), pure with
@@ -178,13 +168,6 @@ def test_cross_polytope_koszul_pattern(r):
     assert shape.degrees == tuple(2 * i for i in range(1, r + 1))
     # a length-one resolution is vacuously consecutive, hence linear
     assert shape.kind == ("linear" if r == 1 else "pure")
-
-
-def suspension(c):
-    """Two cone points over c: homology shifts up one degree, so rp2's
-    torsion moves from the boundary map 2 to 3."""
-    faces = [[c.labels[v] for v in range(c.n) if (f >> v) & 1] for f in c.facets]
-    return complex_from_facets([f + [apex] for f in faces for apex in ("north", "south")])
 
 
 RP2 = read_complex(fixture_path("rp2.cplx"))

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import random_complex
+from helpers import bits, brute_reduced_dims, cross_polytope, random_complex, suspension
 from srbetti import (
     GF_DEFAULT,
     QQ,
@@ -20,6 +20,7 @@ from srbetti import (
     read_complex,
     reduced_homology_dims,
 )
+from srbetti.homology import reduced_dims_from_facets, torsion_shift
 
 GF2 = FieldSpec.prime(2)
 
@@ -110,3 +111,42 @@ def test_projective_plane_homology_by_field():
     assert reduced_homology_dims(rp2, QQ).dims == (0, 0, 0, 0)
     assert reduced_homology_dims(rp2, GF_DEFAULT).dims == (0, 0, 0, 0)
     assert reduced_homology_dims(rp2, GF2).dims == (0, 0, 1, 1)
+
+
+def miss_inputs():
+    """(n, masks) as the sweep hands them to a miss: {f & w} for vertex
+    subsets W, neither relabeled nor an antichain; plus the empty complex,
+    a full simplex with dominated masks and a cone over C4."""
+    rnd = random.Random(3003)
+    rp2 = read_complex(fixture_path("rp2.cplx"))
+    out = [(1, (0,)), (4, (0b1111, 0b0011, 0)), (5, (0b10011, 0b10110, 0b11100, 0b11001))]
+    complexes = [rp2, suspension(rp2)] + [cross_polytope(r) for r in (2, 3, 4)]
+    complexes += [random_complex(rnd, max_n=7, max_facets=10, max_size=4) for _ in range(30)]
+    for c in complexes:
+        full = (1 << c.n) - 1
+        subsets = range(1 << c.n) if c.n <= 6 else [full] + rnd.sample(range(full), 24)
+        out += [(c.n, {f & w for f in c.facets}) for w in subsets]
+    return out
+
+
+def test_quotient_matches_full_chain_complex_oracle():
+    # the homology of a miss is computed on the quotient by one vertex star;
+    # the oracle ranks the full augmented chain complex over Q, GF(2) and
+    # GF(3), and a relabeling moves the apex without changing the result
+    rnd = random.Random(3004)
+    with_torsion = 0
+    for n, masks in miss_inputs():
+        faces = {s for s in range(1 << n) if any(s & m == s for m in masks)}
+        dims, torsion = reduced_dims_from_facets(masks)
+        assert list(dims) == brute_reduced_dims(faces), masks
+        for p in (2, 3):
+            over_p = list(dims)
+            for k in torsion_shift(torsion, p):
+                over_p[k] += 1
+            assert over_p == brute_reduced_dims(faces, p), (masks, p)
+        with_torsion += bool(torsion)
+        for _ in range(5):
+            perm = rnd.sample(range(n), n)
+            moved = [sum(1 << perm[v] for v in bits(m)) for m in masks]
+            assert reduced_dims_from_facets(moved) == (dims, torsion), masks
+    assert with_torsion >= 2
