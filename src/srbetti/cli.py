@@ -9,6 +9,7 @@ into CI.  Exit codes: 0 all checks passed, 1 a verification check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -184,14 +185,12 @@ def cmd_verify(args) -> int:
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"{flag} applies only to the corpus (verify without paths)")
         reports = []
-        texts = []
         ok = True
         for path in args.paths:
             c, kind, chordal = _load_input(path, args.n_cap)
             rep = verify_complex(c, args.field, args.n_cap)
             ok = ok and rep.all_identities_hold()
             reports.append((path, kind, chordal, rep))
-            texts.append(report_text(rep, {"path": path, "kind": kind, "chordal": chordal}))
         if args.format == "json":
             doc = {
                 "schema": "srbetti-verify-paths/1",
@@ -201,6 +200,8 @@ def cmd_verify(args) -> int:
             }
             _emit(dumps_report(doc), args)
         else:
+            texts = [report_text(r, {"path": p, "kind": k, "chordal": ch})
+                     for p, k, ch, r in reports]
             _emit("\n".join(texts) + f"verdict: {'pass' if ok else 'FAIL'}\n", args)
         return 0 if ok else 1
 
@@ -244,7 +245,17 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argparse tree, built on first use and shared by every later
+    `main` call in the process.
+
+    Sharing it is safe because `parse_args` does not mutate the parser, the
+    one non-trivial default (`--field`'s `FieldSpec`) is frozen, and
+    `cmd_verify` writes its corpus defaults onto the parsed `Namespace`,
+    never onto the parser.  It is not built at import time, so importing
+    the module stays cheap.
+    """
     parser = argparse.ArgumentParser(
         prog="srbetti",
         description="Betti tables, Hilbert series and h-vector identities of face rings.",

@@ -1,11 +1,17 @@
 """CLI behavior: output content, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from srbetti import fixture_path, is_chordal, read_graph
-from srbetti.cli import main
+from srbetti import DATA_DIR, cli, fixture_path, is_chordal, read_graph
+from srbetti.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -56,7 +62,9 @@ def test_analyze_rp2_field_two_notes_dependence(capsys):
     code, out, _ = run(capsys, "analyze", str(fixture_path("rp2.cplx")), "--field", "2")
     assert code == 0
     assert "field-dependent Betti numbers detected" in out
+    # same process, same parser: --field 2 must not carry over
     code, out, _ = run(capsys, "analyze", str(fixture_path("rp2.cplx")))
+    assert "field: GF(32003)" in out
     assert "betti table agrees with char 0: yes" in out
 
 
@@ -192,3 +200,47 @@ def test_gen_chordal_rejects_seed_flag(capsys):
         main(["gen-chordal", "8", "0.5", "42", "--seed", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    # every main call parses with the same parser; no call may see the
+    # flags or defaults of the one before it
+    # (test_analyze_rp2_field_two_notes_dependence covers --field)
+    assert build_parser() is build_parser()
+    c4 = str(fixture_path("c4.cplx"))
+    assert run(capsys, "verify", "--count", "3", "--n-max", "5")[0] == 0
+    # the corpus defaults went onto that call's namespace, not the parser
+    assert run(capsys, "verify", c4)[0] == 0
+    code, out, err = run(capsys, "verify", c4, "--count", "3")
+    assert code == 2
+    assert "--count applies only to the corpus" in err
+
+    code, out, _ = run(capsys, "analyze", c4, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["source"]["kind"] == "complex"
+    code, out, _ = run(capsys, "analyze", c4)
+    assert code == 0
+    assert out.startswith(f"input: {c4} (complex, n=4)")
+
+
+def test_verify_paths_json_renders_no_text(capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("text report rendered for --format json")
+
+    monkeypatch.setattr(cli, "report_text", refuse)
+    code, out, _ = run(capsys, "verify", str(fixture_path("c4.cplx")), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True
+
+
+def test_fresh_process_matches_reused_parser(capsys, monkeypatch):
+    argv = ["verify", "c4.cplx", "rp2.cplx", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    fresh = subprocess.run([sys.executable, "-m", "srbetti.cli", *argv], cwd=DATA_DIR,
+                           env=env, capture_output=True, timeout=120)
+    monkeypatch.chdir(DATA_DIR)
+    run(capsys, "analyze", "rp2.cplx", "--field", "2")
+    run(capsys, "verify", "--count", "2", "--n-max", "4", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == fresh.returncode == 0
+    assert out.encode("utf-8") == fresh.stdout

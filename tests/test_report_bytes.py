@@ -1,8 +1,10 @@
-"""Byte-identity pin: the CLI reports of the bundled fixtures and of a small
-seeded corpus hash to fixed sha256 values.
+"""Byte-identity pin: the CLI reports of the bundled fixtures (one `analyze`
+each, and one paths-mode `verify` of all four) and of a small seeded corpus
+hash to fixed sha256 values.
 
 The values were recorded before the verification layer and the rank kernel
-were consolidated.  A change that is meant to keep every result (a
+were consolidated; the paths-mode `verify` values before the CLI parser was
+built once per process.  A change that is meant to keep every result (a
 refactor, a speedup, a deletion of dead code) must keep every hash; a change
 that alters a report on purpose must say so and re-record the value.
 """
@@ -66,6 +68,18 @@ EXPECTED = {
         "00a459d6ab8d8aee84fd9115f49269fe1fb9efae5bff739ac43317454fce2492",
     "analyze rp2.cplx --field Q --format text":
         "a04b658743230e205f51c6c9063088d838d534ea9ebdde25cdf7238c8dd283fb",
+    "verify c4.cplx rp2.cplx k3.graph p3.graph --field 2 --format json":
+        "f4c1f6538362be36649f4063b42685d41cb01ec5a34344f4273a0403dbc50dc1",
+    "verify c4.cplx rp2.cplx k3.graph p3.graph --field 2 --format text":
+        "ce1e668312cb3925eed98bf827aaabd0056c5381adc8d62801f6d2aac2ac1c47",
+    "verify c4.cplx rp2.cplx k3.graph p3.graph --field 32003 --format json":
+        "3b734452fcce13e5032f18d0d54e998e899fcd662b85861fe9535d2fd4b87600",
+    "verify c4.cplx rp2.cplx k3.graph p3.graph --field 32003 --format text":
+        "fd1f26e38ff64f0de2424a244345f1e341b6feffb7f003d4ce209c6f8ff8bdaa",
+    "verify c4.cplx rp2.cplx k3.graph p3.graph --field Q --format json":
+        "3839bcd6873927b0fe58bdf34ec35359aee21de116115eff45b2f939114950d2",
+    "verify c4.cplx rp2.cplx k3.graph p3.graph --field Q --format text":
+        "39ad21380d63dda24cec4348ca07adc6f25bc0206969749f64545ccd12dc0838",
     "verify corpus --format json":
         "69259d1282e364b4a3119582e1a48f3ab52fff1e4553281e92bc4a4f4b3d8de0",
     "verify corpus --format text":
@@ -81,6 +95,10 @@ def _cases():
             for fmt in ("text", "json"):
                 yield (f"analyze {name} --field {field} --format {fmt}",
                        ("analyze", name, "--field", field, "--format", fmt))
+    for field in FIELDS:
+        for fmt in ("text", "json"):
+            yield (f"verify {' '.join(FIXTURES)} --field {field} --format {fmt}",
+                   ("verify",) + FIXTURES + ("--field", field, "--format", fmt))
     for fmt in ("text", "json"):
         yield (f"verify corpus --format {fmt}", CORPUS_ARGS + ("--format", fmt))
 
