@@ -18,6 +18,11 @@ restriction and determine it.  Two optimizations, neither affecting results:
 Homology is integral: the sweep adds up the table over Q and keeps the
 torsion of the few restrictions that have any, from which the table over
 every GF(p) follows, so one sweep serves every field.
+
+`_HOM_CACHE` is process-wide: its key is one int, the packed non-faces
+shifted past |W|, and its value a miss's (Betti numbers over Q, torsion) in
+one write, so a reader sees a whole entry or none.  It stops inserting at
+`_HOM_CACHE_LIMIT` entries.
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ from .simplicial import Complex, _bits
 
 DEFAULT_VERTEX_CAP = 20
 
-_HOM_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}  # Betti numbers over Q
-_TORSION_CACHE: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}  # the rare keys with torsion
+_HOM_CACHE: dict[int, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
 _HOM_CACHE_LIMIT = 1 << 20
 
 
@@ -124,18 +128,15 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
             packed <<= j
             for m in below[g]:
                 packed |= 1 << (w & m).bit_count()
-        key = (j, packed)
-        dims = _HOM_CACHE.get(key)
-        if dims is None:
-            dims, torsion = reduced_dims_from_facets({f & w for f in facets})
+        key = packed << 7 | j  # j <= 64 fits in 7 bits
+        hom = _HOM_CACHE.get(key)
+        if hom is None:
+            hom = reduced_dims_from_facets({f & w for f in facets})
             if len(_HOM_CACHE) < _HOM_CACHE_LIMIT:
-                _HOM_CACHE[key] = dims
-                if torsion:
-                    _TORSION_CACHE[key] = torsion
-            if torsion:
-                torsions.append((j, torsion))
-        elif _TORSION_CACHE and key in _TORSION_CACHE:
-            torsions.append((j, _TORSION_CACHE[key]))
+                _HOM_CACHE[key] = hom
+        dims, torsion = hom
+        if torsion:
+            torsions.append((j, torsion))
         for r_idx, b in enumerate(dims):
             if b:
                 # reduced degree r = r_idx - 1 contributes at i = j - r - 1
@@ -227,4 +228,3 @@ def resolution_view(table: BettiTable, shape: ResolutionShape) -> ResolutionView
 
 def clear_homology_cache() -> None:
     _HOM_CACHE.clear()
-    _TORSION_CACHE.clear()

@@ -5,7 +5,9 @@ over Q and the invariant factors, and the rank over GF(p) is the rank over
 Q less the factors divisible by p.  Everything is integer arithmetic; there
 is no floating point.  Matrices are expected to be small and sparse
 (boundary matrices with +-1 entries), so elimination keeps rows as dicts
-and picks pivots in the sparsest column.
+and picks pivots in the sparsest column.  Where no +-1 pivot is left it
+takes Smith normal form steps, as Dumas, Heckenbach, Saunders and Welker
+(2003) do for simplicial homology.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd, isqrt
+from math import isqrt
 
 _PRIME_LIMIT = 1 << 31
 
@@ -108,15 +110,18 @@ def rank(m: SparseMatrix, field: FieldSpec = GF_DEFAULT) -> int:
 
 
 def integral_rank(rows: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
-    """Rank over Q and the invariant factors > 1 of an integer matrix given
-    as sparse rows (column -> nonzero entry); the rows are consumed.
+    """Rank over Q and the invariant factors > 1, ascending, of an integer
+    matrix given as sparse rows (column -> nonzero entry); the rows are
+    consumed.
 
-    Elimination pivots only on entries +-1, in the sparsest column that has
-    one, on its shortest row.  Those steps are unimodular, so they hold over
-    every field at once and no fraction appears.  The rows left with no unit
-    entry go to `_smith`.
+    One elimination by unimodular steps, so no fraction appears.  It pivots
+    on an entry +-1 where it can: in the sparsest column that has one, on
+    its shortest row.  Clearing that column also clears the pivot row, so
+    the step holds over every field at once.  Only when no unit entry is
+    left does it pivot on an entry of least absolute value, a Smith step.
     """
     rnk = 0
+    factors = []
     active = [r for r in rows if r]
     while active:
         counts = Counter(chain.from_iterable(active))
@@ -124,19 +129,21 @@ def integral_rank(rows: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
         best = _unit_row(active, pivot_col)
         if best is None:  # rare: the sparsest column has no unit entry
             units = {c for r in active for c, v in r.items() if v == 1 or v == -1}
-            if not units:
-                break
-            pivot_col = min(units, key=counts.get)
-            best = _unit_row(active, pivot_col)
+            if units:
+                pivot_col = min(units, key=counts.get)
+                best = _unit_row(active, pivot_col)
+            else:
+                best, pivot_col = min(
+                    ((i, c) for i, r in enumerate(active) for c in r), key=lambda ic: abs(active[ic[0]][ic[1]])
+                )
         piv = active.pop(best)
-        rnk += 1
-        u = piv[pivot_col]  # +-1, its own inverse
+        a = piv[pivot_col]
         nxt = []
         for r in active:
             if pivot_col in r:
-                factor = r[pivot_col] * u
+                q = r[pivot_col] // a  # exact when a is +-1
                 for c, v in piv.items():
-                    nv = r.get(c, 0) - factor * v
+                    nv = r.get(c, 0) - q * v
                     if nv:
                         r[c] = nv
                     else:
@@ -145,8 +152,27 @@ def integral_rank(rows: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
                     continue
             nxt.append(r)
         active = nxt
-    factors = _smith(active)
-    return rnk + len(factors), tuple(t for t in factors if t > 1)
+        if a != 1 and a != -1:
+            # A Smith step ends when a is alone in its row and column and
+            # divides every entry left, so the factors come out ascending,
+            # each dividing the next.  Until then the pivot row goes back
+            # with an entry smaller than |a|: a remainder in the column, else
+            # the row reduced modulo a by column operations, else that row
+            # plus the first row with an entry a does not divide.
+            if any(pivot_col in r for r in active):
+                active.append(piv)
+                continue
+            for r in (piv, *active):
+                rest = {c: v % a for c, v in r.items() if v % a}
+                if rest:
+                    rest[pivot_col] = a
+                    active.append(rest)
+                    break
+            if rest:
+                continue
+            factors.append(abs(a))
+        rnk += 1
+    return rnk, tuple(factors)
 
 
 def _unit_row(rows: list[dict[int, int]], col: int) -> int | None:
@@ -157,41 +183,3 @@ def _unit_row(rows: list[dict[int, int]], col: int) -> int | None:
         if (v == 1 or v == -1) and (best is None or len(r) < shortest):
             best, shortest = idx, len(r)
     return best
-
-
-def _smith(rows: list[dict[int, int]]) -> list[int]:
-    """Nonzero invariant factors, ascending, of the integer matrix in rows
-    (consumed): a diagonal form by unimodular steps, then d_i | d_(i+1)."""
-    diag = []
-    rows = [r for r in rows if r]
-    while rows:
-        # pivot on an entry of least absolute value; a remainder left by
-        # reducing its column or row is smaller and becomes the next pivot
-        i, col = min(((i, c) for i, r in enumerate(rows) for c in r), key=lambda ic: abs(rows[ic[0]][ic[1]]))
-        piv = rows[i]
-        a = piv[col]
-        for k, r in enumerate(rows):
-            if k != i and col in r:
-                q = r[col] // a
-                for c, v in piv.items():
-                    nv = r.get(c, 0) - q * v
-                    if nv:
-                        r[c] = nv
-                    else:
-                        del r[c]
-        if all(col not in r for k, r in enumerate(rows) if k != i):
-            # column ops: only the pivot row has an entry in col
-            for c in list(piv):
-                if c != col:
-                    piv[c] %= a
-                    if not piv[c]:
-                        del piv[c]
-            if len(piv) == 1:
-                diag.append(abs(a))
-                rows.pop(i)
-        rows = [r for r in rows if r]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return diag

@@ -1,6 +1,8 @@
 """The graded Betti oracle: subset-formula tables, classification, resolution view."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -256,6 +258,44 @@ def test_cache_consistency():
     clear_homology_cache()
     for c, field in jobs:
         assert graded_betti(c, field) == cold[c, field], (c.facets, field)
+
+
+def test_threads_share_one_cold_cache():
+    # a cache entry is one value written once, so a thread that hits an entry
+    # another thread just wrote sees the torsion with the Betti numbers.  A
+    # tiny switch interval makes the threads interleave inside the sweep
+    field = FieldSpec.prime(2)
+    complexes = [RP2, suspension(RP2), suspension(suspension(RP2))]
+    cold = {}
+    for c in complexes:
+        clear_homology_cache()
+        cold[c] = graded_betti(c, field)
+    clear_homology_cache()
+    jobs = complexes * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            tables = list(pool.map(lambda c: graded_betti(c, field), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert tables == [cold[c] for c in jobs]
+
+
+def test_misses_past_the_cache_cap_keep_their_torsion(monkeypatch):
+    # with room for two entries, the torsion of rp2 and its suspension comes
+    # from misses the cache does not keep, and still reaches the table
+    complexes = [RP2, suspension(RP2)]
+    fields = (FieldSpec.prime(2), QQ)
+    uncapped = {(c, field): graded_betti(c, field) for c in complexes for field in fields}
+    clear_homology_cache()
+    monkeypatch.setattr(betti, "_HOM_CACHE_LIMIT", 2)
+    for c in complexes:
+        for field in fields:
+            assert graded_betti(c, field) == uncapped[c, field], (c.facets, field)
+            assert len(betti._HOM_CACHE) <= 2
+    assert all(not torsion for _, torsion in betti._HOM_CACHE.values())
+    assert uncapped[RP2, fields[0]] != uncapped[RP2, fields[1]]
 
 
 def test_first_syzygies_count_minimal_non_faces():

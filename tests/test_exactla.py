@@ -110,13 +110,23 @@ def random_non_unit_matrix(rnd):
     return [[rnd.choice(entries) for _ in range(cols)] for _ in range(rows)]
 
 
+# (matrix, its rank and invariant factors > 1), each checked against sympy
+FIXED_SMITH = [
+    ([[2, 3]], (1, ())),  # the remainder 1 becomes a unit pivot
+    ([[6, 4], [4, 6]], (2, (2, 10))),
+    ([[-2, 4], [4, -2]], (2, (2, 6))),  # negative pivots
+    ([[2, 0, 1], [0, 2, 1]], (2, (2,))),  # a unit step, then a non-unit block
+    ([[2, 0], [0, 3]], (2, (6,))),  # 2 does not divide 3: factors 1 and 6
+]
+
+
 def test_integral_rank_against_oracles():
     # rank over Q from the Fraction oracle; over GF(p) the rank is rank_Q
     # less the invariant factors divisible by p, checked by the mod-p oracle
     rnd = random.Random(2003)
     blocks = 0
-    for _ in range(300):
-        dense = random_non_unit_matrix(rnd)
+    matrices = [dense for dense, _ in FIXED_SMITH] + [random_non_unit_matrix(rnd) for _ in range(300)]
+    for dense in matrices:
         rnk, factors = integral_rank(sparse_rows(dense))
         assert rnk == frac_rank(dense) == rank(dense_to_sparse(dense), QQ)
         assert all(t > 1 for t in factors)
@@ -126,6 +136,8 @@ def test_integral_rank_against_oracles():
             assert rnk - sum(1 for t in factors if t % p == 0) == expected
             assert rank(dense_to_sparse(dense), FieldSpec.prime(p)) == expected
     assert blocks > 100
+    for dense, expected in FIXED_SMITH:
+        assert integral_rank(sparse_rows(dense)) == expected, dense
 
 
 def test_integral_rank_matches_smith_normal_form():
@@ -133,8 +145,7 @@ def test_integral_rank_matches_smith_normal_form():
     from sympy.matrices.normalforms import smith_normal_form
 
     rnd = random.Random(2004)
-    for _ in range(150):
-        dense = random_non_unit_matrix(rnd)
+    for dense in [dense for dense, _ in FIXED_SMITH] + [random_non_unit_matrix(rnd) for _ in range(150)]:
         snf = smith_normal_form(sympy.Matrix(dense), domain=sympy.ZZ)
         diagonal = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i]]
         expected = (len(diagonal), tuple(sorted(t for t in diagonal if t > 1)))

@@ -1,0 +1,54 @@
+"""Leftovers of deleted code: imports a module no longer uses, and private
+module-level names that nothing in the package refers to any more."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "srbetti"
+TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def used_names(tree: ast.AST) -> set[str]:
+    """Names read in the tree, attributes included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_no_unused_imports():
+    # __init__ imports to re-export
+    unused = []
+    for name, tree in TREES.items():
+        if name == "__init__.py":
+            continue
+        used = used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert unused == []
+
+
+def test_no_unreferenced_private_module_names():
+    referenced = set().union(*map(used_names, TREES.values()))
+    unreferenced = []
+    for name, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                defined = []
+            for d in defined:
+                if d.startswith("_") and not d.startswith("__") and d not in referenced:
+                    unreferenced.append(f"{name}: {d}")
+    assert unreferenced == []
