@@ -10,24 +10,20 @@ Betti numbers without their torsion.
 from .betti import (
     DEFAULT_VERTEX_CAP,
     BettiTable,
-    ResolutionView,
     ResolutionShape,
     classify,
     graded_betti,
-    resolution_view,
 )
 from .errors import (
     DimensionOutOfRangeError,
     EmptyInputError,
     NonPositiveResultError,
     NotChordalError,
-    NotPureError,
     ParseError,
     TooManyVerticesError,
 )
 from .exactla import GF_DEFAULT, QQ, FieldSpec, SparseMatrix, rank
 from .formulas import (
-    FormulaInput,
     betti_from_h,
     check_lower_bound,
     chordal_h_relations,

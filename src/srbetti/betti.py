@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotPureError, TooManyVerticesError
+from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
 from .homology import reduced_dims_from_facets, torsion_shift
 from .simplicial import Complex, _bits
@@ -154,15 +154,23 @@ class ResolutionShape:
       "linear"   pure with consecutive degrees d_i = t + i
       "pure"     one internal degree per homological degree, not linear
       "general"  anything else
-    For pure/linear shapes, `degrees` and `p` use the convention that the
-    ring itself is displayed separately: index i covers homological degree
-    i+1 of the table and p = pdim - 1.
+    For pure/linear shapes, `degrees` and `betti` display the ring
+    separately: index i covers homological degree i+1 of the table, so
+    betti[i] is the entry at (i+1, d_i), and p = pdim - 1.  Trivial and
+    general shapes carry neither, and their p and t are None.
     """
 
     kind: str
     degrees: tuple[int, ...] | None = None
-    t: int | None = None
-    p: int | None = None
+    betti: tuple[int, ...] | None = None
+
+    @property
+    def p(self) -> int | None:
+        return None if self.degrees is None else len(self.degrees) - 1
+
+    @property
+    def t(self) -> int | None:
+        return self.degrees[0] if self.kind == "linear" else None
 
     @property
     def is_pure(self) -> bool:
@@ -180,50 +188,25 @@ def classify(table: BettiTable) -> ResolutionShape:
     """Pure / linear / general classification of a Betti table.
 
     Pure means every homological degree >= 1 carries exactly one internal
-    degree; linear additionally has consecutive degrees.  The zero ideal
-    (a full simplex, nothing beyond beta_{0,0}) gets the distinguished
-    "trivial" shape rather than an error.
+    degree, and these increase; linear additionally has consecutive
+    degrees.  The zero ideal (a full simplex, nothing beyond beta_{0,0})
+    gets the distinguished "trivial" shape rather than an error.  This is
+    the one place that reads degrees and pure Betti numbers off a table.
     """
-    by_i: dict[int, list[int]] = {}
-    for a, b, _ in table.cells:
-        if a >= 1:
-            by_i.setdefault(a, []).append(b)
-    if not by_i:
+    degrees: list[int] = []
+    betti: list[int] = []
+    for a, b, v in table.cells:  # sorted by (i, j)
+        if a == 0:
+            continue
+        # pure: the next homological degree, at a larger internal degree
+        if a != len(degrees) + 1 or (degrees and b <= degrees[-1]):
+            return ResolutionShape("general")
+        degrees.append(b)
+        betti.append(v)
+    if not degrees:
         return ResolutionShape("trivial")
-    pdim = max(by_i)
-    if set(by_i) != set(range(1, pdim + 1)):
-        return ResolutionShape("general")
-    if any(len(js) > 1 for js in by_i.values()):
-        return ResolutionShape("general")
-    degrees = tuple(by_i[i][0] for i in range(1, pdim + 1))
-    if any(degrees[i] >= degrees[i + 1] for i in range(len(degrees) - 1)):
-        return ResolutionShape("general")
-    p = pdim - 1
-    if all(degrees[i] == degrees[0] + i for i in range(len(degrees))):
-        return ResolutionShape("linear", degrees=degrees, t=degrees[0], p=p)
-    return ResolutionShape("pure", degrees=degrees, p=p)
-
-
-@dataclass(frozen=True)
-class ResolutionView:
-    """Pure-resolution data with the ring displayed separately: indices 0..p."""
-
-    p: int
-    degrees: tuple[int, ...]
-    betti: tuple[int, ...]
-
-
-def resolution_view(table: BettiTable, shape: ResolutionShape) -> ResolutionView:
-    """Degrees and Betti numbers of a pure table, reindexed from 0.
-
-    beta_i here is the table entry at homological degree i+1 and internal
-    degree d_i.  Raises NotPureError for general shapes and for the trivial
-    zero-ideal shape, where p is undefined.
-    """
-    if not shape.is_pure:
-        raise NotPureError(f"no pure-resolution view for a {shape.kind!r} table")
-    betti = tuple(table.entry(i + 1, d) for i, d in enumerate(shape.degrees))
-    return ResolutionView(shape.p, shape.degrees, betti)
+    kind = "linear" if degrees[-1] - degrees[0] == len(degrees) - 1 else "pure"
+    return ResolutionShape(kind, tuple(degrees), tuple(betti))
 
 
 def clear_homology_cache() -> None:

@@ -55,19 +55,18 @@ def _load_input(path: str, n_cap: int):
     complex).  Returns (complex, source_kind, chordal_flag_or_None)."""
     suffix = Path(path).suffix
     if suffix == ".cplx":
-        c = read_complex(path)
-        chordal = None
-        kind = "complex"
+        source = read_complex(path)
     elif suffix == ".graph":
-        g = read_graph(path)
-        chordal = is_chordal(g)[0]
-        c = clique_complex(g)
-        kind = "graph"
+        source = read_graph(path)
     else:
         raise ParseError(path, 1, f"unrecognized input extension {suffix!r} (want .cplx or .graph)")
-    if c.n > n_cap:
-        raise TooManyVerticesError(f"{c.n} vertices exceeds --n-cap {n_cap}")
-    return c, kind, chordal
+    # a graph is refused before its clique complex, which can be exponential in n
+    if source.n > n_cap:
+        raise TooManyVerticesError(f"{source.n} vertices exceeds --n-cap {n_cap}")
+    if suffix == ".cplx":
+        return source, "complex", None
+    chordal = is_chordal(source)[0]
+    return clique_complex(source), "graph", chordal
 
 
 def betti_triangle(table: BettiTable) -> str:
@@ -123,8 +122,8 @@ def report_text(rep: VerificationReport, source: dict) -> str:
         else:
             lines.append(f"classification: pure, degrees ({degrees})")
         lines.append(
-            f"resolution view: p={rep.resolution.p}, degrees=({degrees}), "
-            f"betti=({', '.join(map(str, rep.resolution.betti))})"
+            f"resolution view: p={rep.shape.p}, degrees=({degrees}), "
+            f"betti=({', '.join(map(str, rep.shape.betti))})"
         )
         if rep.formula_betti is not None:
             lines.append(f"formula betti: ({', '.join(map(str, rep.formula_betti))})")
@@ -293,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"max vertices per corpus graph (default {CORPUS_DEFAULTS['n_max']})")
     p_ver.add_argument("--seed", type=int, help=f"corpus seed (default {CORPUS_DEFAULTS['seed']})")
     p_ver.add_argument("--exhaustive-froberg", action="store_true", default=None,
-                       help="also sweep all graphs on 6 vertices (about 6 s)")
+                       help="also sweep all graphs on 6 vertices (about 8 s)")
     report_options(p_ver)
     p_ver.set_defaults(func=cmd_verify)
     return parser

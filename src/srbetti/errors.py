@@ -13,10 +13,6 @@ class DimensionOutOfRangeError(ValueError):
     """Requested chain degree outside [-1, dim]."""
 
 
-class NotPureError(ValueError):
-    """Operation requires a pure (or linear) resolution shape."""
-
-
 class NonPositiveResultError(ValueError):
     """A Betti formula evaluated to <= 0: the degree data is inconsistent."""
 

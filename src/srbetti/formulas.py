@@ -11,10 +11,9 @@ always taken from the oracle, never guessed from h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
-from .betti import ResolutionShape, classify, graded_betti, resolution_view
+from .betti import classify, graded_betti
 from .errors import NonPositiveResultError, NotChordalError
 from .exactla import GF_DEFAULT, FieldSpec
 from .graphs import Graph, clique_complex, is_chordal
@@ -22,39 +21,25 @@ from .hilbert import h_numerator
 from .simplicial import HVector, f_vector, h_vector
 
 
-@dataclass(frozen=True)
-class FormulaInput:
-    """Data feeding the closed forms: h-vector, ambient n, dimension d, shape.
-
-    n is the number of vertices (= ambient variables), d the Krull dimension
-    of the face ring (complex dimension + 1), so n - d is the codimension.
-    """
-
-    h: HVector
-    n: int
-    d: int
-    shape: ResolutionShape
-
-    def __post_init__(self):
-        if not self.n >= self.d >= 1:
-            raise ValueError(f"need n >= d >= 1, got n={self.n}, d={self.d}")
-        if not self.shape.is_pure:
-            raise ValueError(f"formula input requires a pure shape, got {self.shape.kind!r}")
-
-
-def betti_from_h(inp: FormulaInput) -> tuple[int, ...]:
+def betti_from_h(h: HVector, n: int, d: int, degrees: tuple[int, ...]) -> tuple[int, ...]:
     """beta_i = (-1)^(i+1) [z^(d_i)] (1-z)^(n-d) h(z), for i in 0..p.
 
-    A result <= 0 means the degree data cannot be the shape of a minimal
-    resolution for this h-vector, and raises NonPositiveResultError.
+    n is the number of vertices (= ambient variables), d the Krull dimension
+    of the face ring (complex dimension + 1), so n - d is the codimension;
+    degrees d_0 < ... < d_p are a pure shape's (`ResolutionShape.degrees`).
+    Raises ValueError unless n >= d >= 1.  A result <= 0 means the degree
+    data cannot be the shape of a minimal resolution for this h-vector, and
+    raises NonPositiveResultError.
     """
-    num = h_numerator(inp.h, inp.n, inp.d)
+    if not n >= d >= 1:
+        raise ValueError(f"need n >= d >= 1, got n={n}, d={d}")
+    num = h_numerator(h, n, d)
     out = []
-    for i, di in enumerate(inp.shape.degrees):
+    for i, di in enumerate(degrees):
         s = num.coeff(di) if i % 2 else -num.coeff(di)
         if s <= 0:
             raise NonPositiveResultError(
-                f"beta_{i} = {s} <= 0 for degrees {inp.shape.degrees}; inconsistent degree data"
+                f"beta_{i} = {s} <= 0 for degrees {degrees}; inconsistent degree data"
             )
         out.append(s)
     return tuple(out)
@@ -74,23 +59,25 @@ def h_relations(h: HVector, n: int, d: int, p: int, t: int) -> tuple[int, ...]:
 def chordal_h_relations(g: Graph, field: FieldSpec = GF_DEFAULT) -> tuple[int, ...]:
     """The linear-relation residuals for the clique complex of a chordal graph.
 
-    Builds the clique complex, takes p from the oracle table (t = 2: the
-    non-faces of a flag complex are generated by quadrics) and evaluates
-    h_relations; all residuals are zero for chordal input.  A complete graph
-    has zero ideal and no relations: the empty tuple is returned.  Raises
-    NotChordalError otherwise.
+    Builds the clique complex, takes p from the shape of its oracle table
+    and t = 2 (Froberg: the non-faces of a flag complex are generated by
+    quadrics), and evaluates h_relations; all residuals are zero for
+    chordal input.  A complete graph has zero ideal and no relations: the
+    empty tuple is returned.  Raises NotChordalError for a non-chordal
+    graph, and ValueError should a chordal graph's table be neither linear
+    nor trivial.
     """
     ok, _ = is_chordal(g)
     if not ok:
         raise NotChordalError("clique-complex relations require a chordal graph")
     c = clique_complex(g)
-    table = graded_betti(c, field)
-    shape = classify(table)
+    shape = classify(graded_betti(c, field))
     if shape.kind == "trivial":
         return ()
-    view = resolution_view(table, shape)
+    if shape.kind != "linear":
+        raise ValueError(f"chordal graph with a {shape.kind!r} table, not linear")
     f = f_vector(c)
-    return h_relations(h_vector(f), c.n, f.d, view.p, 2)
+    return h_relations(h_vector(f), c.n, f.d, shape.p, 2)
 
 
 def check_lower_bound(betti: tuple[int, ...], p: int) -> tuple[bool, ...]:

@@ -19,11 +19,11 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .betti import BettiTable, ResolutionView, ResolutionShape, classify, graded_betti, resolution_view
+from .betti import BettiTable, ResolutionShape, classify, graded_betti
 from .betti import DEFAULT_VERTEX_CAP
 from .errors import NonPositiveResultError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
-from .formulas import FormulaInput, betti_from_h, check_lower_bound, h_relations
+from .formulas import betti_from_h, check_lower_bound, h_relations
 from .graphs import Graph, Xorshift64Star, _default_labels, clique_complex, cycle_graph, gen_chordal, is_chordal
 from .hilbert import IntPolynomial, verify_series_identity
 from .simplicial import Complex, FVector, HVector, f_vector, h_vector
@@ -78,7 +78,6 @@ class VerificationReport:
     shape: ResolutionShape
     pdim: int
     codim: int
-    resolution: ResolutionView | None
     formula_betti: tuple[int, ...] | None
     match: tuple[bool, ...] | None
     multiplicity_check: MultiplicityCheck
@@ -115,11 +114,11 @@ class VerificationReport:
             "p": self.shape.p,
         }
         resolution = None
-        if self.resolution is not None:
+        if self.shape.is_pure:
             resolution = {
-                "p": self.resolution.p,
-                "degrees": list(self.resolution.degrees),
-                "betti": [str(b) for b in self.resolution.betti],
+                "p": self.shape.p,
+                "degrees": list(self.shape.degrees),
+                "betti": [str(b) for b in self.shape.betti],
             }
         return {
             "schema": "srbetti-report/1",
@@ -170,24 +169,21 @@ def verify_complex(
 
     mult = MultiplicityCheck(h.total(), f.entries[-1], h.total() == f.entries[-1])
 
-    resolution = None
     formula = None
     match = None
     residual = None
     relations = None
     bounds = None
     if shape.is_pure:
-        resolution = resolution_view(table, shape)
         try:
-            formula = betti_from_h(FormulaInput(h, c.n, f.d, shape))
-            match = tuple(a == b for a, b in zip(formula, resolution.betti))
+            formula = betti_from_h(h, c.n, f.d, shape.degrees)
+            match = tuple(a == b for a, b in zip(formula, shape.betti))
         except NonPositiveResultError:
-            formula = None
-            match = tuple(False for _ in resolution.betti)
+            match = tuple(False for _ in shape.betti)
         residual = verify_series_identity(h, c.n, f.d, table)
-        bounds = check_lower_bound(resolution.betti, resolution.p)
+        bounds = check_lower_bound(shape.betti, shape.p)
         if shape.kind == "linear":
-            relations = h_relations(h, c.n, f.d, resolution.p, shape.t)
+            relations = h_relations(h, c.n, f.d, shape.p, shape.t)
 
     char_zero = None
     if field.p is not None:
@@ -203,7 +199,6 @@ def verify_complex(
         shape=shape,
         pdim=pdim,
         codim=codim,
-        resolution=resolution,
         formula_betti=formula,
         match=match,
         multiplicity_check=mult,
@@ -331,8 +326,9 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
 
     For every edge set: the clique complex's Betti table classifies linear
     (trivial counting as vacuously linear, the zero-ideal case) iff the graph
-    is chordal.  2^C(n,2) graphs; n = 6 takes about 6 s (2-vCPU Xeon,
-    Python 3.11) and is the strongest acceptance check in the suite.
+    is chordal.  2^C(n,2) graphs; n = 6 takes about 8 s from a cold cache
+    (shared 2-vCPU Xeon VM, Python 3.11.7) and is the strongest acceptance
+    check in the suite.
     """
     pair_list = [(i, j) for i in range(n) for j in range(i + 1, n)]
     labels = _default_labels(n)

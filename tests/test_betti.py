@@ -1,4 +1,4 @@
-"""The graded Betti oracle: subset-formula tables, classification, resolution view."""
+"""The graded Betti oracle: subset-formula tables and their classification."""
 
 import random
 import sys
@@ -11,7 +11,6 @@ from srbetti import (
     GF_DEFAULT,
     QQ,
     FieldSpec,
-    NotPureError,
     TooManyVerticesError,
     classify,
     clique_complex,
@@ -23,7 +22,6 @@ from srbetti import (
     graded_betti,
     graph_from_edges,
     minimal_non_faces,
-    resolution_view,
     read_complex,
 )
 from srbetti import betti
@@ -107,27 +105,21 @@ def test_mixed_generators_table():
     assert t.entry(1, 2) == 1 and t.entry(1, 3) == 1
 
 
-def test_resolution_view_examples():
-    t = graded_betti(C4)
-    v = resolution_view(t, classify(t))
-    assert (v.p, v.degrees, v.betti) == (1, (2, 4), (2, 1))
+def test_pure_shape_examples():
+    s = classify(graded_betti(C4))
+    assert (s.p, s.degrees, s.betti) == (1, (2, 4), (2, 1))
 
-    t = graded_betti(TWO_POINTS)
-    v = resolution_view(t, classify(t))
-    assert (v.p, v.degrees, v.betti) == (0, (2,), (1,))
+    s = classify(graded_betti(TWO_POINTS))
+    assert (s.p, s.degrees, s.betti) == (0, (2,), (1,))
 
-    t = graded_betti(TRI)
-    v = resolution_view(t, classify(t))
-    assert (v.p, v.degrees, v.betti) == (0, (3,), (1,))
+    s = classify(graded_betti(TRI))
+    assert (s.p, s.degrees, s.betti) == (0, (3,), (1,))
 
 
-def test_resolution_view_rejects_non_pure():
-    t = graded_betti(MIXED)
-    with pytest.raises(NotPureError):
-        resolution_view(t, classify(t))
-    trivial = graded_betti(complex_from_facets([["x", "y"]]))
-    with pytest.raises(NotPureError):
-        resolution_view(trivial, classify(trivial))
+def test_non_pure_shapes_carry_no_resolution_data():
+    for c in (MIXED, complex_from_facets([["x", "y"]])):
+        s = classify(graded_betti(c))
+        assert (s.degrees, s.betti, s.p, s.t) == (None, None, None, None), s.kind
 
 
 def test_pdim_at_least_codim():
@@ -139,7 +131,14 @@ def test_pdim_at_least_codim():
     for c in complexes:
         t = graded_betti(c)
         assert t.pdim >= c.n - f_vector(c).d, c.facets
-        kinds.add(classify(t).kind)
+        shape = classify(t)
+        kinds.add(shape.kind)
+        if shape.is_pure:
+            # the shape's data is the table's, with the ring displayed separately
+            assert shape.betti == tuple(t.entry(i + 1, d) for i, d in enumerate(shape.degrees))
+            assert shape.p == t.pdim - 1
+        if shape.kind == "linear":
+            assert shape.degrees == tuple(range(shape.t, shape.t + shape.p + 1))
     assert kinds == {"trivial", "linear", "pure", "general"}
 
 

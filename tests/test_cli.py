@@ -91,6 +91,24 @@ def test_analyze_respects_n_cap(tmp_path, capsys):
     assert "exceeds" in err
 
 
+def test_oversized_graph_refused_before_its_clique_complex(tmp_path, capsys, monkeypatch):
+    # the complete 8-partite graph K_{3,...,3} has 3^8 maximal cliques: its
+    # clique complex takes seconds to build, and is never needed
+    labels = [f"v{i:02d}" for i in range(24)]
+    f = tmp_path / "k8x3.graph"
+    edges = [f"{labels[a]} {labels[b]}" for a in range(24) for b in range(a + 1, 24) if a // 3 != b // 3]
+    f.write_text("vertices " + " ".join(labels) + "\n" + "\n".join(edges) + "\n")
+
+    def refuse(_):
+        raise AssertionError("oversized graph reached the clique-complex stage")
+
+    monkeypatch.setattr(cli, "is_chordal", refuse)
+    monkeypatch.setattr(cli, "clique_complex", refuse)
+    for argv in (["analyze", str(f)], ["verify", str(f)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "srbetti: error: 24 vertices exceeds --n-cap 20\n"), argv
+
+
 def test_gen_chordal_writes_deterministic_chordal_file(tmp_path, capsys):
     out1 = tmp_path / "a.graph"
     out2 = tmp_path / "b.graph"

@@ -3,7 +3,6 @@
 import pytest
 
 from srbetti import (
-    FormulaInput,
     HVector,
     NonPositiveResultError,
     NotChordalError,
@@ -20,32 +19,24 @@ from srbetti import (
     graph_from_edges,
     h_relations,
     h_vector,
-    resolution_view,
     path_graph,
 )
-from srbetti.betti import ResolutionShape
-
-PURE_24 = ResolutionShape("pure", degrees=(2, 4), p=1)
-PURE_2 = ResolutionShape("pure", degrees=(2,), p=0)
-PURE_3 = ResolutionShape("pure", degrees=(3,), p=0)
-LINEAR_2 = ResolutionShape("linear", degrees=(2,), t=2, p=0)
 
 
 def test_betti_from_h_fixed_cases():
     # values independently confirmed by the subset-homology oracle tables
-    assert betti_from_h(FormulaInput(HVector((1, 2, 1)), 4, 2, PURE_24)) == (2, 1)
-    assert betti_from_h(FormulaInput(HVector((1, 1)), 2, 1, PURE_2)) == (1,)
-    assert betti_from_h(FormulaInput(HVector((1, 1, 1)), 3, 2, PURE_3)) == (1,)
+    assert betti_from_h(HVector((1, 2, 1)), 4, 2, (2, 4)) == (2, 1)
+    assert betti_from_h(HVector((1, 1)), 2, 1, (2,)) == (1,)
+    assert betti_from_h(HVector((1, 1, 1)), 3, 2, (3,)) == (1,)
 
 
 def test_betti_from_h_pentagon():
-    shape = ResolutionShape("pure", degrees=(2, 3, 5), p=2)
-    assert betti_from_h(FormulaInput(HVector((1, 3, 1)), 5, 2, shape)) == (5, 5, 1)
+    assert betti_from_h(HVector((1, 3, 1)), 5, 2, (2, 3, 5)) == (5, 5, 1)
 
 
 def test_betti_from_h_linear_fixed_cases():
-    assert betti_from_h(FormulaInput(HVector((1, 1, 0)), 3, 2, LINEAR_2)) == (1,)
-    assert betti_from_h(FormulaInput(HVector((1, 1)), 2, 1, LINEAR_2)) == (1,)
+    assert betti_from_h(HVector((1, 1, 0)), 3, 2, (2,)) == (1,)
+    assert betti_from_h(HVector((1, 1)), 2, 1, (2,)) == (1,)
 
 
 def test_linear_specializes_general():
@@ -58,28 +49,26 @@ def test_linear_specializes_general():
         h = h_vector(f)
         # a t-linear shape of length p+1 is the degree sequence t, t+1, ..., t+p
         degrees = tuple(range(shape.t, shape.t + shape.p + 1))
-        linear = ResolutionShape("linear", degrees=degrees, t=shape.t, p=shape.p)
-        assert linear == shape
-        assert betti_from_h(FormulaInput(h, c.n, f.d, linear)) == resolution_view(table, shape).betti
+        assert degrees == shape.degrees
+        assert betti_from_h(h, c.n, f.d, degrees) == shape.betti
 
 
 def test_non_positive_result_raises():
     # wrong degree data for the 4-cycle h-vector: the sums collapse to <= 0
-    bad = ResolutionShape("pure", degrees=(3, 4), p=1)
     with pytest.raises(NonPositiveResultError):
-        betti_from_h(FormulaInput(HVector((1, 2, 1)), 4, 2, bad))
+        betti_from_h(HVector((1, 2, 1)), 4, 2, (3, 4))
     # a degree <= 0 reads a zero coefficient: with (1-z)^2 h(z) = 1 - 2z^2 + z^4,
     # index -3 read from the end would give beta_0 = 2 and no error
     for low in ((-3, 4), (0, 4)):
         with pytest.raises(NonPositiveResultError):
-            betti_from_h(FormulaInput(HVector((1, 2, 1)), 4, 2, ResolutionShape("pure", degrees=low, p=1)))
+            betti_from_h(HVector((1, 2, 1)), 4, 2, low)
 
 
-def test_formula_input_validation():
+def test_betti_from_h_validation():
     with pytest.raises(ValueError):
-        FormulaInput(HVector((1, 1)), 1, 2, PURE_2)  # n < d
+        betti_from_h(HVector((1, 1)), 1, 2, (2,))  # n < d
     with pytest.raises(ValueError):
-        FormulaInput(HVector((1, 1)), 2, 1, ResolutionShape("general"))
+        betti_from_h(HVector((1,)), 0, 0, (2,))  # d < 1
 
 
 def test_h_relations_path():
@@ -156,5 +145,4 @@ def test_formula_matches_oracle_on_pure_non_linear():
         shape = classify(table)
         assert shape.kind == "pure"
         f = f_vector(c)
-        view = resolution_view(table, shape)
-        assert betti_from_h(FormulaInput(h_vector(f), c.n, f.d, shape)) == view.betti
+        assert betti_from_h(h_vector(f), c.n, f.d, shape.degrees) == shape.betti

@@ -1,5 +1,6 @@
-"""Leftovers of deleted code: imports a module no longer uses, and private
-module-level names that nothing in the package refers to any more."""
+"""Leftovers of deleted code: imports a module no longer uses, private
+module-level names that nothing in the package refers to any more, and
+exception classes that nothing raises."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,15 @@ def test_no_unreferenced_private_module_names():
                 if d.startswith("_") and not d.startswith("__") and d not in referenced:
                     unreferenced.append(f"{name}: {d}")
     assert unreferenced == []
+
+
+def test_every_exception_class_is_raised():
+    defined = {node.name for node in TREES["errors.py"].body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert defined and sorted(defined - raised) == []

@@ -45,7 +45,7 @@ def test_report_c4():
 def test_report_full_simplex():
     rep = verify_complex(clique_complex(complete_graph(3)))
     assert rep.shape.kind == "trivial"
-    assert rep.resolution is None and rep.formula_betti is None
+    assert rep.shape.betti is None and rep.formula_betti is None
     assert rep.series_residual is None and rep.bound_verdicts is None
     assert rep.multiplicity_check.h_sum == 1
     assert rep.multiplicity_check.f_top == 1
@@ -56,7 +56,7 @@ def test_report_full_simplex():
 def test_report_general_shape():
     rep = verify_complex(MIXED)
     assert rep.shape.kind == "general"
-    assert rep.resolution is None
+    assert rep.shape.betti is None
     assert rep.formula_betti is None and rep.match is None
     assert rep.series_residual is None
     assert rep.multiplicity_check.equal
