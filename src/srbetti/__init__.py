@@ -15,14 +15,13 @@ from .betti import (
     graded_betti,
 )
 from .errors import (
-    DimensionOutOfRangeError,
     EmptyInputError,
     NonPositiveResultError,
     NotChordalError,
     ParseError,
     TooManyVerticesError,
 )
-from .exactla import GF_DEFAULT, QQ, FieldSpec, SparseMatrix, rank
+from .exactla import GF_DEFAULT, QQ, FieldSpec, rank
 from .formulas import (
     betti_from_h,
     check_lower_bound,
@@ -45,15 +44,12 @@ from .graphs import (
     write_graph,
 )
 from .hilbert import (
-    HilbertPolynomial,
     HilbertSeries,
     IntPolynomial,
-    hilbert_polynomial,
     multiplicity,
     series_from_f,
     verify_series_identity,
 )
-from .homology import ReducedBetti, boundary_matrix, boundary_squared_is_zero, reduced_homology_dims
 from .simplicial import (
     MAX_VERTICES,
     Complex,

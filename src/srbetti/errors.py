@@ -9,10 +9,6 @@ class TooManyVerticesError(ValueError):
     """Vertex count exceeds a hard or configured cap."""
 
 
-class DimensionOutOfRangeError(ValueError):
-    """Requested chain degree outside [-1, dim]."""
-
-
 class NonPositiveResultError(ValueError):
     """A Betti formula evaluated to <= 0: the degree data is inconsistent."""
 

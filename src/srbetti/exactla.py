@@ -62,48 +62,11 @@ GF_DEFAULT = FieldSpec(32003)
 QQ = FieldSpec(None)
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Integer matrix as (row, col, value) triples; at most one entry per cell.
-
-    Zero values are dropped and entries are stored sorted, so equal matrices
-    compare equal regardless of construction order.
-    """
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        seen = set()
-        for r, c, v in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry ({r}, {c}) outside {self.rows}x{self.cols}")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
-            seen.add((r, c))
-        norm = tuple(sorted((r, c, v) for r, c, v in self.entries if v != 0))
-        object.__setattr__(self, "entries", norm)
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows, tuple((c, r, v) for r, c, v in self.entries))
-
-    def to_dense(self) -> list[list[int]]:
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            dense[r][c] = v
-        return dense
-
-
-def rank(m: SparseMatrix, field: FieldSpec = GF_DEFAULT) -> int:
-    """Rank of m over the field: the rank over Q less, over GF(p), the
-    invariant factors divisible by p."""
-    rows: dict[int, dict[int, int]] = {}
-    for r, c, v in m.entries:
-        rows.setdefault(r, {})[c] = v
-    rnk, factors = integral_rank(list(rows.values()))
+def rank(rows: list[dict[int, int]], field: FieldSpec = GF_DEFAULT) -> int:
+    """Rank over the field of an integer matrix given as sparse rows, which
+    are consumed: the rank over Q less, over GF(p), the invariant factors
+    divisible by p."""
+    rnk, factors = integral_rank(rows)
     if field.p is None:
         return rnk
     return rnk - sum(1 for t in factors if t % field.p == 0)

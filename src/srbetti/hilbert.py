@@ -1,4 +1,4 @@
-"""Exact Hilbert series, Hilbert polynomials and the resolution identities.
+"""Exact Hilbert series, multiplicity and the resolution identities.
 
 All arithmetic is integer arithmetic on polynomial coefficient tuples; the
 identities checked here are exact, so the tolerance everywhere is zero.
@@ -13,7 +13,7 @@ all read coefficients of this one polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
 from .betti import BettiTable
 from .simplicial import FVector, HVector, h_vector
@@ -97,18 +97,6 @@ def one_minus_z_pow(k: int) -> IntPolynomial:
     return IntPolynomial(tuple((-1) ** j * comb(k, j) for j in range(k + 1)))
 
 
-def binom_int(m: int, k: int) -> int:
-    """The binomial polynomial C(x, k) evaluated at an arbitrary integer x = m."""
-    if k < 0:
-        raise ValueError("negative lower index")
-    if m >= 0:
-        return comb(m, k)
-    num = 1
-    for t in range(k):
-        num *= m - t
-    return num // factorial(k)
-
-
 @dataclass(frozen=True)
 class HilbertSeries:
     """numerator / (1-z)^pole_order in lowest terms with respect to (1-z)."""
@@ -136,54 +124,8 @@ def series_from_f(f: FVector) -> HilbertSeries:
 
 
 def multiplicity(h: HVector) -> int:
-    """The normalized leading coefficient of the Hilbert polynomial: sum of h."""
+    """The degree of the face ring, h(1): the sum of h."""
     return h.total()
-
-
-@dataclass(frozen=True)
-class HilbertPolynomial:
-    """Coefficients (m_0, ..., m_{d-1}) over the basis C(z, d-1), ..., C(z, 0).
-
-    Empty for d = 0 (the zero polynomial of a finite-dimensional module).
-    m_0 is the multiplicity whenever d >= 1.
-    """
-
-    binom_coeffs: tuple[int, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.binom_coeffs)
-
-    @property
-    def leading(self) -> int:
-        return self.binom_coeffs[0] if self.binom_coeffs else 0
-
-    def evaluate(self, s: int) -> int:
-        d = self.d
-        return sum(m * binom_int(s, d - 1 - j) for j, m in enumerate(self.binom_coeffs))
-
-
-def hilbert_polynomial(h: HVector, d: int) -> HilbertPolynomial:
-    """Expand sum h_i z^i / (1-z)^d into the falling binomial basis.
-
-    The value at s >> 0 is sum_i h_i C(s - i + d - 1, d - 1); evaluating that
-    at s = 0..d-1 and taking forward differences yields the basis
-    coefficients.  d = 0 returns the empty (zero) polynomial.
-    """
-    if d < 0:
-        raise ValueError("negative dimension")
-    if d == 0:
-        return HilbertPolynomial(())
-    vals = [
-        sum(h.get(i) * binom_int(s - i + d - 1, d - 1) for i in range(h.d + 1))
-        for s in range(d)
-    ]
-    coeffs = [0] * d
-    row = vals
-    for r in range(d):
-        coeffs[d - 1 - r] = row[0]
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-    return HilbertPolynomial(tuple(coeffs))
 
 
 def h_numerator(h: HVector, n: int, d: int) -> IntPolynomial:

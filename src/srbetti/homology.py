@@ -18,37 +18,15 @@ sequence stays exact after tensoring with GF(p), where the cone is still
 acyclic: the Betti numbers over Q and over every GF(p), and so the
 torsion (each map's invariant factors > 1), are those of the full complex.
 The quotient's basis is the faces F with F + v not a face, and its
-boundary drops the faces of the star.
-
-`boundary_matrix` orders the faces within a dimension by ascending mask, so
-its matrices are reproducible; the quotient's order does not affect any
-result.
+boundary drops the faces of the star.  The order of the faces within a
+dimension does not affect any result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DimensionOutOfRangeError
-from .exactla import GF_DEFAULT, FieldSpec, SparseMatrix, integral_rank
-from .simplicial import Complex, masks_by_card
-
-
-@dataclass(frozen=True)
-class ReducedBetti:
-    """Dimensions (b_{-1}, b_0, ..., b_dim) of reduced homology."""
-
-    dims: tuple[int, ...]
-
-    def get(self, i: int) -> int:
-        """b_i with i from -1 up; out-of-range degrees are 0."""
-        if -1 <= i < len(self.dims) - 1:
-            return self.dims[i + 1]
-        return 0
-
-    def total(self) -> int:
-        return sum(self.dims)
+from .exactla import integral_rank
 
 
 def _boundary_rows(lower: Sequence[int], upper: Sequence[int]) -> list[dict[int, int]]:
@@ -72,23 +50,6 @@ def _boundary_rows(lower: Sequence[int], upper: Sequence[int]) -> list[dict[int,
             rest ^= low
         rows.append(row)
     return rows
-
-
-def boundary_matrix(c: Complex, i: int) -> SparseMatrix:
-    """The i-th boundary map of the augmented chain complex of c.
-
-    Rows are the (i-1)-faces and columns the i-faces, both sorted by mask.
-    i = 0 is the augmentation (a single all-ones row); i = -1 is the 0 x 1
-    map out of the empty-face chain group.
-    """
-    if not -1 <= i <= c.dim:
-        raise DimensionOutOfRangeError(f"degree {i} outside [-1, {c.dim}]")
-    groups = masks_by_card(c.facets)
-    if i == -1:
-        return SparseMatrix(0, 1, ())
-    rows = _boundary_rows(groups[i], groups[i + 1])
-    entries = tuple((r, j, v) for j, row in enumerate(rows) for r, v in row.items())
-    return SparseMatrix(len(groups[i]), len(groups[i + 1]), entries)
 
 
 def reduced_dims_from_facets(facets: Iterable[int]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -149,25 +110,3 @@ def torsion_shift(torsion: Sequence[tuple[int, int]], p: int | None) -> list[int
     if p is None:
         return []
     return [k for i, t in torsion if t % p == 0 for k in (i, i + 1)]
-
-
-def reduced_homology_dims(c: Complex, field: FieldSpec = GF_DEFAULT) -> ReducedBetti:
-    """Reduced Betti numbers of c over the field, derived from its integral
-    homology by universal coefficients."""
-    dims, torsion = reduced_dims_from_facets(c.facets)
-    out = list(dims)
-    for k in torsion_shift(torsion, field.p):
-        out[k] += 1
-    return ReducedBetti(tuple(out))
-
-
-def boundary_squared_is_zero(c: Complex) -> bool:
-    """Check boundary(i) o boundary(i+1) = 0 over the integers for all i."""
-    for i in range(0, c.dim):
-        a = boundary_matrix(c, i).to_dense()
-        b = boundary_matrix(c, i + 1).to_dense()
-        for arow in a:
-            for j in range(len(b[0]) if b else 0):
-                if sum(arow[k] * b[k][j] for k in range(len(b))) != 0:
-                    return False
-    return True

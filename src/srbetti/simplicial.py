@@ -32,11 +32,32 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    """Inclusion-maximal elements of a set of masks, sorted ascending."""
-    uniq = set(masks)
-    out = [m for m in uniq if not any(m != o and m & o == m for o in uniq)]
-    return tuple(sorted(out))
+def _maximal_masks(masks: Sequence[int]) -> tuple[int, ...]:
+    """Inclusion-maximal elements of distinct masks, in the given order.
+
+    Bit k of containing[1 << v] says that masks[k] contains vertex v.  The
+    masks containing m are the intersection of these over the vertices v
+    of m, so m is maximal exactly when that is m's own bit.
+    """
+    containing: dict[int, int] = {}
+    for k, m in enumerate(masks):
+        rest = m
+        while rest:
+            low = rest & -rest
+            containing[low] = containing.get(low, 0) | 1 << k
+            rest ^= low
+    every = (1 << len(masks)) - 1
+    out = []
+    for k, m in enumerate(masks):
+        supersets = every
+        rest = m
+        while rest:
+            low = rest & -rest
+            supersets &= containing[low]
+            rest ^= low
+        if supersets == 1 << k:
+            out.append(m)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -76,9 +97,8 @@ class Complex:
         if cover != full:
             missing = [self.labels[v] for v in range(n) if not (cover >> v) & 1]
             raise ValueError(f"vertices in no facet (every singleton must be a face): {missing}")
-        for f in self.facets:
-            if any(f != o and f & o == f for o in self.facets):
-                raise ValueError("facets must form an antichain")
+        if _maximal_masks(self.facets) != self.facets:
+            raise ValueError("facets must form an antichain")
 
     @property
     def n(self) -> int:
@@ -133,14 +153,14 @@ def complex_from_facets(facets: Iterable[Iterable[str]]) -> Complex:
         for t in fac:
             m |= 1 << index[t]
         masks.append(m)
-    return Complex(labels, _maximal_masks(masks))
+    return Complex(labels, _maximal_masks(sorted(set(masks))))
 
 
 def masks_by_card(facets: Sequence[int]) -> list[list[int]]:
     """All faces spanned by the facet masks, grouped by cardinality.
 
-    Group k lists the k-vertex face masks sorted ascending; group 0 is the
-    empty face.  Cost is sum of 2^|facet|.
+    Group k lists the k-vertex face masks, in no particular order; group 0
+    is the empty face.  Cost is sum of 2^|facet|.
     """
     seen: set[int] = set()
     for fac in facets:
@@ -153,8 +173,6 @@ def masks_by_card(facets: Sequence[int]) -> list[list[int]]:
     groups[0].append(0)
     for m in seen:
         groups[m.bit_count()].append(m)
-    for g in groups:
-        g.sort()
     return groups
 
 
@@ -242,7 +260,7 @@ def induced_subcomplex(c: Complex, w: Iterable[str]) -> Complex:
     positions = _bits(wmask)
     facets = tuple(
         sum(((m >> pos) & 1) << k for k, pos in enumerate(positions))
-        for m in _maximal_masks(f & wmask for f in c.facets)
+        for m in _maximal_masks(sorted({f & wmask for f in c.facets}))
     )
     return Complex(tuple(c.labels[p] for p in positions), facets)
 

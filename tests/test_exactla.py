@@ -6,19 +6,18 @@ import random
 import pytest
 
 from helpers import frac_rank, modp_rank
-from srbetti import GF_DEFAULT, QQ, FieldSpec, SparseMatrix, rank
+from srbetti import GF_DEFAULT, QQ, FieldSpec, rank
 from srbetti.exactla import integral_rank
 
 PRIMES = (2, 3, 5, 32003)
 
 
-def dense_to_sparse(dense):
-    rows = len(dense)
-    cols = len(dense[0]) if dense else 0
-    entries = tuple(
-        (r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v
-    )
-    return SparseMatrix(rows, cols, entries)
+def sparse_rows(dense):
+    return [{c: v for c, v in enumerate(row) if v} for row in dense]
+
+
+def transposed(dense):
+    return [list(col) for col in zip(*dense)]
 
 
 def test_field_validation():
@@ -32,21 +31,12 @@ def test_field_validation():
             FieldSpec.prime(bad)
 
 
-def test_sparse_matrix_validation():
-    with pytest.raises(ValueError):
-        SparseMatrix(2, 2, ((2, 0, 1),))
-    with pytest.raises(ValueError):
-        SparseMatrix(2, 2, ((0, 0, 1), (0, 0, 2)))
-    # zero entries are dropped, storage is canonical
-    m = SparseMatrix(2, 2, ((1, 1, 5), (0, 0, 0)))
-    assert m.entries == ((1, 1, 5),)
-
-
 def test_rank_zero_and_identity():
-    assert rank(SparseMatrix(3, 4, ())) == 0
-    eye = SparseMatrix(5, 5, tuple((i, i, 1) for i in range(5)))
+    assert rank(sparse_rows([[0] * 4] * 3)) == 0
+    assert rank([]) == 0
+    eye = [[int(i == j) for j in range(5)] for i in range(5)]
     for field in (GF_DEFAULT, QQ, FieldSpec.prime(2)):
-        assert rank(eye, field) == 5
+        assert rank(sparse_rows(eye), field) == 5
 
 
 def test_rank_c4_boundary():
@@ -57,20 +47,18 @@ def test_rank_c4_boundary():
         [0, 1, -1, 0],
         [0, 0, 1, 1],
     ]
-    m = dense_to_sparse(dense)
     assert frac_rank(dense) == 3
     for field in (GF_DEFAULT, QQ, FieldSpec.prime(2), FieldSpec.prime(3)):
-        assert rank(m, field) == 3
+        assert rank(sparse_rows(dense), field) == 3
 
 
 def test_rank_depends_on_characteristic():
-    m = dense_to_sparse([[2]])
-    assert rank(m, QQ) == 1
-    assert rank(m, FieldSpec.prime(2)) == 0
-    assert rank(m, FieldSpec.prime(3)) == 1
-    twos = dense_to_sparse([[1, 1], [1, -1]])
-    assert rank(twos, QQ) == 2
-    assert rank(twos, FieldSpec.prime(2)) == 1
+    assert rank(sparse_rows([[2]]), QQ) == 1
+    assert rank(sparse_rows([[2]]), FieldSpec.prime(2)) == 0
+    assert rank(sparse_rows([[2]]), FieldSpec.prime(3)) == 1
+    twos = [[1, 1], [1, -1]]
+    assert rank(sparse_rows(twos), QQ) == 2
+    assert rank(sparse_rows(twos), FieldSpec.prime(2)) == 1
 
 
 def test_rank_against_fraction_oracle():
@@ -80,9 +68,8 @@ def test_rank_against_fraction_oracle():
         cols = rnd.randint(1, 8)
         dense = [[rnd.choice((-1, 0, 0, 1)) for _ in range(cols)] for _ in range(rows)]
         expected = frac_rank(dense)
-        m = dense_to_sparse(dense)
-        assert rank(m, QQ) == expected
-        assert rank(m, GF_DEFAULT) == expected
+        assert rank(sparse_rows(dense), QQ) == expected
+        assert rank(sparse_rows(dense), GF_DEFAULT) == expected
 
 
 def test_rank_transpose_and_bound():
@@ -91,15 +78,10 @@ def test_rank_transpose_and_bound():
         rows = rnd.randint(1, 7)
         cols = rnd.randint(1, 7)
         dense = [[rnd.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        m = dense_to_sparse(dense)
         for field in (QQ, GF_DEFAULT):
-            r = rank(m, field)
-            assert r == rank(m.transpose(), field)
+            r = rank(sparse_rows(dense), field)
+            assert r == rank(sparse_rows(transposed(dense)), field)
             assert r <= min(rows, cols)
-
-
-def sparse_rows(dense):
-    return [{c: v for c, v in enumerate(row) if v} for row in dense]
 
 
 def random_non_unit_matrix(rnd):
@@ -128,13 +110,13 @@ def test_integral_rank_against_oracles():
     matrices = [dense for dense, _ in FIXED_SMITH] + [random_non_unit_matrix(rnd) for _ in range(300)]
     for dense in matrices:
         rnk, factors = integral_rank(sparse_rows(dense))
-        assert rnk == frac_rank(dense) == rank(dense_to_sparse(dense), QQ)
+        assert rnk == frac_rank(dense) == rank(sparse_rows(dense), QQ)
         assert all(t > 1 for t in factors)
         blocks += bool(factors)
         for p in PRIMES:
             expected = modp_rank(dense, p)
             assert rnk - sum(1 for t in factors if t % p == 0) == expected
-            assert rank(dense_to_sparse(dense), FieldSpec.prime(p)) == expected
+            assert rank(sparse_rows(dense), FieldSpec.prime(p)) == expected
     assert blocks > 100
     for dense, expected in FIXED_SMITH:
         assert integral_rank(sparse_rows(dense)) == expected, dense
@@ -157,11 +139,10 @@ def test_rank_of_dense_input():
     # the one invariant factor > 1
     n = 70
     dense = [[1 + (i == j) for j in range(n)] for i in range(n)]
-    m = dense_to_sparse(dense)
     assert integral_rank(sparse_rows(dense)) == (n, (71,))
-    assert rank(m, GF_DEFAULT) == n
-    assert rank(m, QQ) == n
-    assert rank(m, FieldSpec.prime(71)) == n - 1
-    ones = SparseMatrix(n, n, tuple((i, j, 1) for i in range(n) for j in range(n)))
-    assert rank(ones, GF_DEFAULT) == 1
-    assert rank(ones, QQ) == 1
+    assert rank(sparse_rows(dense), GF_DEFAULT) == n
+    assert rank(sparse_rows(dense), QQ) == n
+    assert rank(sparse_rows(dense), FieldSpec.prime(71)) == n - 1
+    ones = [[1] * n for _ in range(n)]
+    assert rank(sparse_rows(ones), GF_DEFAULT) == 1
+    assert rank(sparse_rows(ones), QQ) == 1

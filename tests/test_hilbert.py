@@ -1,4 +1,4 @@
-"""Hilbert series, Hilbert polynomials, and the K-polynomial identity."""
+"""Hilbert series, multiplicity, and the K-polynomial identity."""
 
 import random
 
@@ -17,14 +17,14 @@ from srbetti import (
     fixture_path,
     graded_betti,
     h_vector,
-    hilbert_polynomial,
+    induced_subcomplex,
     multiplicity,
     read_complex,
     read_graph,
     series_from_f,
     verify_series_identity,
 )
-from srbetti.hilbert import binom_int, h_numerator, k_polynomial, one_minus_z_pow
+from srbetti.hilbert import h_numerator, k_polynomial, one_minus_z_pow
 
 C4 = complex_from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]])
 TRI = complex_from_facets([["1", "2"], ["1", "3"], ["2", "3"]])
@@ -55,13 +55,6 @@ def test_one_minus_z_powers():
         assert one_minus_z_pow(k - 1) * IntPolynomial((1, -1)) == one_minus_z_pow(k)
     with pytest.raises(ValueError):
         one_minus_z_pow(-1)
-
-
-def test_binom_int_negative_arguments():
-    assert binom_int(5, 2) == 10
-    assert binom_int(-1, 2) == 1
-    assert binom_int(-2, 3) == -4
-    assert binom_int(0, 0) == 1
 
 
 def test_series_examples():
@@ -98,35 +91,48 @@ def test_multiplicity_equals_top_f():
         assert multiplicity(h_vector(f)) == f.entries[-1]
 
 
-def test_hilbert_polynomial_examples():
-    hp = hilbert_polynomial(HVector((1, 2, 1)), 2)
-    assert hp.binom_coeffs == (4, 0)
-    assert [hp.evaluate(s) for s in (1, 2, 3)] == [4, 8, 12]
-    assert hilbert_polynomial(HVector((1,)), 1).binom_coeffs == (1,)
-    assert hilbert_polynomial(HVector((1, 1)), 1).binom_coeffs == (2,)
-    assert hilbert_polynomial(HVector((1,)), 0).binom_coeffs == ()
+def series_coeffs(c, count):
+    """The first `count` power-series coefficients of the Hilbert series of
+    c: its numerator divided d times by (1-z), each a running sum."""
+    s = series_from_f(f_vector(c))
+    coeffs = [s.numerator.coeff(k) for k in range(count)]
+    for _ in range(s.pole_order):
+        for k in range(1, count):
+            coeffs[k] += coeffs[k - 1]
+    return coeffs
 
 
-def test_hilbert_polynomial_leading_is_multiplicity():
+def test_series_coefficients_examples():
+    assert series_coeffs(C4, 5) == [1, 4, 8, 12, 16]
+    point = complex_from_facets([["a"]])
+    assert series_coeffs(point, 5) == [1, 1, 1, 1, 1]
+    assert series_coeffs(TWO_POINTS, 5) == [1, 2, 2, 2, 2]
+    # the empty complex: k[empty] = k, one monomial in degree 0
+    assert series_coeffs(induced_subcomplex(C4, []), 5) == [1, 0, 0, 0, 0]
+
+
+def test_monomial_counts_difference_to_multiplicity():
+    # the Hilbert function agrees with a polynomial of degree d-1 from s = 1
+    # on, whose (d-1)-th forward difference is the multiplicity
     rnd = random.Random(5003)
     for _ in range(60):
-        f = f_vector(random_complex(rnd))
+        c = random_complex(rnd)
+        f = f_vector(c)
         if f.d == 0:
             continue
-        hp = hilbert_polynomial(h_vector(f), f.d)
-        assert hp.leading == multiplicity(h_vector(f))
+        row = [count_monomials(c, s) for s in range(1, f.d + 1)]
+        for _ in range(f.d - 1):
+            row = [b - a for a, b in zip(row, row[1:])]
+        assert row == [multiplicity(h_vector(f))], c.facets
 
 
-def test_hilbert_polynomial_counts_monomials():
+def test_series_counts_monomials():
     # agreement with brute-force enumeration of monomials supported on faces
     rnd = random.Random(5004)
     cases = [C4, TRI, TWO_POINTS, complex_from_facets([["a", "b", "c"], ["c", "d"]])]
     cases += [random_complex(rnd, max_n=5) for _ in range(10)]
     for c in cases:
-        f = f_vector(c)
-        hp = hilbert_polynomial(h_vector(f), f.d)
-        for s in range(1, 5):
-            assert hp.evaluate(s) == count_monomials(c, s), (c.facets, s)
+        assert series_coeffs(c, 5) == [count_monomials(c, s) for s in range(5)], c.facets
 
 
 def test_k_polynomial_examples():

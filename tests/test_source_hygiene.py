@@ -1,11 +1,13 @@
 """Leftovers of deleted code: imports a module no longer uses, private
 module-level names that nothing in the package refers to any more, and
-exception classes that nothing raises."""
+exception classes that nothing raises.  Also the independence of the test
+oracles from the code they check."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "srbetti"
+HELPERS = Path(__file__).resolve().parent / "helpers.py"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -65,3 +67,16 @@ def test_every_exception_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert defined and sorted(defined - raised) == []
+
+
+def test_oracles_import_only_constructors():
+    # the brute-force oracles may build srbetti's inputs and read its
+    # results, but never call what they check (homology, rank, the sweep)
+    imported = set()
+    for node in ast.walk(ast.parse(HELPERS.read_text(), str(HELPERS))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "srbetti":
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names if alias.name.split(".")[0] == "srbetti"}
+    expected = {"BettiTable", "Complex", "Graph", "complex_from_facets", "graph_from_edges"}
+    assert imported == {f"srbetti.{name}" for name in expected}
