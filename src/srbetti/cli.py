@@ -18,7 +18,7 @@ from .errors import EmptyInputError, ParseError, TooManyVerticesError
 from .exactla import FieldSpec
 from .graphs import gen_chordal, is_chordal, clique_complex, read_graph, write_graph
 from .hilbert import multiplicity, series_from_f
-from .simplicial import read_complex
+from .simplicial import MAX_VERTICES, complex_from_facets, read_facets
 from .verify import (
     VerificationReport,
     dumps_report,
@@ -55,18 +55,21 @@ def _load_input(path: str, n_cap: int):
     complex).  Returns (complex, source_kind, chordal_flag_or_None)."""
     suffix = Path(path).suffix
     if suffix == ".cplx":
-        source = read_complex(path)
-    elif suffix == ".graph":
-        source = read_graph(path)
-    else:
+        facets = read_facets(path)
+        # refused before the complex is built, whose antichain test is
+        # quadratic in the facets; over MAX_VERTICES it refuses itself
+        n = len({t for fac in facets for t in fac})
+        if n_cap < n <= MAX_VERTICES:
+            raise TooManyVerticesError(f"{n} vertices exceeds --n-cap {n_cap}")
+        return complex_from_facets(facets), "complex", None
+    if suffix != ".graph":
         raise ParseError(path, 1, f"unrecognized input extension {suffix!r} (want .cplx or .graph)")
+    graph = read_graph(path)
     # a graph is refused before its clique complex, which can be exponential in n
-    if source.n > n_cap:
-        raise TooManyVerticesError(f"{source.n} vertices exceeds --n-cap {n_cap}")
-    if suffix == ".cplx":
-        return source, "complex", None
-    chordal = is_chordal(source)[0]
-    return clique_complex(source), "graph", chordal
+    if graph.n > n_cap:
+        raise TooManyVerticesError(f"{graph.n} vertices exceeds --n-cap {n_cap}")
+    chordal = is_chordal(graph)[0]
+    return clique_complex(graph), "graph", chordal
 
 
 def betti_triangle(table: BettiTable) -> str:

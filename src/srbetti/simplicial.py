@@ -32,32 +32,11 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _maximal_masks(masks: Sequence[int]) -> tuple[int, ...]:
-    """Inclusion-maximal elements of distinct masks, in the given order.
-
-    Bit k of containing[1 << v] says that masks[k] contains vertex v.  The
-    masks containing m are the intersection of these over the vertices v
-    of m, so m is maximal exactly when that is m's own bit.
-    """
-    containing: dict[int, int] = {}
-    for k, m in enumerate(masks):
-        rest = m
-        while rest:
-            low = rest & -rest
-            containing[low] = containing.get(low, 0) | 1 << k
-            rest ^= low
-    every = (1 << len(masks)) - 1
-    out = []
-    for k, m in enumerate(masks):
-        supersets = every
-        rest = m
-        while rest:
-            low = rest & -rest
-            supersets &= containing[low]
-            rest ^= low
-        if supersets == 1 << k:
-            out.append(m)
-    return tuple(out)
+def _maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
+    """Inclusion-maximal elements of a set of masks, sorted ascending."""
+    uniq = set(masks)
+    out = [m for m in uniq if not any(m != o and m & o == m for o in uniq)]
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -97,8 +76,9 @@ class Complex:
         if cover != full:
             missing = [self.labels[v] for v in range(n) if not (cover >> v) & 1]
             raise ValueError(f"vertices in no facet (every singleton must be a face): {missing}")
-        if _maximal_masks(self.facets) != self.facets:
-            raise ValueError("facets must form an antichain")
+        for f in self.facets:
+            if any(f != o and f & o == f for o in self.facets):
+                raise ValueError("facets must form an antichain")
 
     @property
     def n(self) -> int:
@@ -153,7 +133,7 @@ def complex_from_facets(facets: Iterable[Iterable[str]]) -> Complex:
         for t in fac:
             m |= 1 << index[t]
         masks.append(m)
-    return Complex(labels, _maximal_masks(sorted(set(masks))))
+    return Complex(labels, _maximal_masks(masks))
 
 
 def masks_by_card(facets: Sequence[int]) -> list[list[int]]:
@@ -260,7 +240,7 @@ def induced_subcomplex(c: Complex, w: Iterable[str]) -> Complex:
     positions = _bits(wmask)
     facets = tuple(
         sum(((m >> pos) & 1) << k for k, pos in enumerate(positions))
-        for m in _maximal_masks(sorted({f & wmask for f in c.facets}))
+        for m in _maximal_masks(f & wmask for f in c.facets)
     )
     return Complex(tuple(c.labels[p] for p in positions), facets)
 
@@ -305,8 +285,9 @@ def write_complex(c: Complex, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_complex(path) -> Complex:
-    """Parse a .cplx facet file: '#' lines are comments, other lines are facets."""
+def read_facets(path) -> list[list[str]]:
+    """The facet token lists of a .cplx file: '#' lines are comments, other
+    lines are facets."""
     facets = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -314,4 +295,9 @@ def read_complex(path) -> Complex:
             if not line or line.startswith("#"):
                 continue
             facets.append(line.split())
-    return complex_from_facets(facets)
+    return facets
+
+
+def read_complex(path) -> Complex:
+    """Parse a .cplx facet file (see read_facets) into a complex."""
+    return complex_from_facets(read_facets(path))

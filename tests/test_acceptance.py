@@ -10,7 +10,7 @@ import time
 import pytest
 
 from helpers import bumped_table
-from test_homology import composes_to_zero, reduced_betti
+from sweep_helpers import composes_to_zero, reduced_betti
 from srbetti import (
     GF_DEFAULT,
     FieldSpec,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -91,22 +92,34 @@ def test_analyze_respects_n_cap(tmp_path, capsys):
     assert "exceeds" in err
 
 
-def test_oversized_graph_refused_before_its_clique_complex(tmp_path, capsys, monkeypatch):
+def test_oversized_input_refused_before_its_complex_is_built(tmp_path, capsys, monkeypatch):
     # the complete 8-partite graph K_{3,...,3} has 3^8 maximal cliques: its
-    # clique complex takes seconds to build, and is never needed
+    # clique complex takes seconds to build, and is never needed; as a
+    # .cplx of those cliques, the pairwise antichain test would take seconds
     labels = [f"v{i:02d}" for i in range(24)]
-    f = tmp_path / "k8x3.graph"
+    graph = tmp_path / "k8x3.graph"
     edges = [f"{labels[a]} {labels[b]}" for a in range(24) for b in range(a + 1, 24) if a // 3 != b // 3]
-    f.write_text("vertices " + " ".join(labels) + "\n" + "\n".join(edges) + "\n")
+    graph.write_text("vertices " + " ".join(labels) + "\n" + "\n".join(edges) + "\n")
+    cplx = tmp_path / "k8x3.cplx"
+    cliques = product(*(labels[3 * part:3 * part + 3] for part in range(8)))
+    cplx.write_text("\n".join(" ".join(c) for c in cliques) + "\n")
 
     def refuse(_):
-        raise AssertionError("oversized graph reached the clique-complex stage")
+        raise AssertionError("oversized input reached the complex-building stage")
 
     monkeypatch.setattr(cli, "is_chordal", refuse)
     monkeypatch.setattr(cli, "clique_complex", refuse)
-    for argv in (["analyze", str(f)], ["verify", str(f)]):
-        code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (2, "", "srbetti: error: 24 vertices exceeds --n-cap 20\n"), argv
+    monkeypatch.setattr(cli, "complex_from_facets", refuse)
+    for f in (graph, cplx):
+        for argv in (["analyze", str(f)], ["verify", str(f)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", "srbetti: error: 24 vertices exceeds --n-cap 20\n"), argv
+    # past the 64-bit face representation a .cplx still refuses itself
+    monkeypatch.undo()
+    wide = tmp_path / "wide.cplx"
+    wide.write_text(" ".join(f"v{i}" for i in range(65)) + "\n")
+    code, out, err = run(capsys, "analyze", str(wide), "--n-cap", "10")
+    assert (code, out, err) == (2, "", "srbetti: error: 65 vertices exceeds the 64-bit face representation\n")
 
 
 def test_gen_chordal_writes_deterministic_chordal_file(tmp_path, capsys):

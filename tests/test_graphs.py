@@ -1,7 +1,6 @@
 """Graphs: complement, chordality with witness, cliques, generator, file IO."""
 
 import random
-from itertools import product
 
 import pytest
 
@@ -120,17 +119,6 @@ def test_clique_complex_isolated_vertices():
     g = graph_from_edges([("a", "b")], vertices=["a", "b", "z"])
     c = clique_complex(g)
     assert c.facets == (0b011, 0b100)
-
-
-def test_clique_complex_of_complete_multipartite_graph():
-    # K_{3,...,3} with 8 parts: a maximal clique picks one vertex per part,
-    # so there are 3^8 = 6,561 facets, too many for a pairwise antichain test
-    labels = [f"v{k:02d}" for k in range(24)]
-    edges = [(a, b) for i, a in enumerate(labels) for j, b in enumerate(labels) if i // 3 < j // 3]
-    c = clique_complex(graph_from_edges(edges))
-    expected = {sum(1 << (3 * part + k) for part, k in enumerate(pick)) for pick in product(range(3), repeat=8)}
-    assert len(c.facets) == 6561
-    assert c.facets == tuple(sorted(expected))
 
 
 def test_flag_property_and_edge_ideal_of_complement():

@@ -2,45 +2,12 @@
 dense full-chain-complex oracle of the test helpers."""
 
 import random
-from collections import Counter
 from itertools import combinations
 
 from helpers import bits, brute_face_masks, brute_reduced_dims, cross_polytope, random_complex, suspension
+from sweep_helpers import boundary_rows, composes_to_zero, reduced_betti
 from srbetti import GF_DEFAULT, complex_from_facets, f_vector, fixture_path, induced_subcomplex, read_complex
-from srbetti.homology import _boundary_rows, reduced_dims_from_facets, torsion_shift
-from srbetti.simplicial import masks_by_card
-
-
-def boundary_rows(c, i):
-    """The boundary map from (i+1)- to i-vertex faces of c, as the sweep
-    ranks it: one sparse row per (i+1)-vertex face, over both groups sorted
-    by mask.  i = 0 is the augmentation."""
-    groups = masks_by_card(c.facets)
-    return _boundary_rows(sorted(groups[i]), sorted(groups[i + 1]))
-
-
-def composes_to_zero(c):
-    """Every composition of two consecutive boundary maps vanishes over Z."""
-    for i in range(c.dim):
-        lower = boundary_rows(c, i)
-        for row in boundary_rows(c, i + 1):
-            total = Counter()
-            for k, v in row.items():
-                for j, w in lower[k].items():
-                    total[j] += v * w
-            if any(total.values()):
-                return False
-    return True
-
-
-def reduced_betti(c, p=None):
-    """(b_{-1}, ..., b_dim) of c over GF(p), or over Q for p None, through
-    the sweep's path: integral homology, then universal coefficients."""
-    dims, torsion = reduced_dims_from_facets(c.facets)
-    out = list(dims)
-    for k in torsion_shift(torsion, p):
-        out[k] += 1
-    return out
+from srbetti.homology import reduced_dims_from_facets, torsion_shift
 
 
 def checked_betti(c, p=None):

@@ -34,23 +34,6 @@ def test_dominated_facet_dropped():
     assert c.facets == (0b11,)
 
 
-def test_maximal_facets_brute_force():
-    # exactly the facets that no other facet contains are kept, and a
-    # complex given one facet inside another is refused
-    rnd = random.Random(1001)
-    for _ in range(300):
-        facets = [frozenset(rnd.sample("abcdefg", rnd.randint(0, 7))) for _ in range(rnd.randint(1, 10))]
-        if not any(facets):
-            continue
-        c = complex_from_facets([sorted(f) for f in facets])
-        kept = {f for f in facets if f and not any(f < g for g in facets)}
-        assert {frozenset(c.tokens_of(m)) for m in c.facets} == kept
-        big = max(c.facets, key=int.bit_count)
-        if big.bit_count() > 1:
-            with pytest.raises(ValueError, match="antichain"):
-                Complex(c.labels, tuple(sorted(c.facets + (big & (big - 1),))))
-
-
 def test_empty_input_rejected():
     with pytest.raises(EmptyInputError):
         complex_from_facets([])
