@@ -43,13 +43,7 @@ from .graphs import (
     read_graph,
     write_graph,
 )
-from .hilbert import (
-    HilbertSeries,
-    IntPolynomial,
-    multiplicity,
-    series_from_f,
-    verify_series_identity,
-)
+from .hilbert import multiplicity, series_from_f, verify_series_identity
 from .simplicial import (
     MAX_VERTICES,
     Complex,

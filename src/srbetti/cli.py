@@ -94,6 +94,29 @@ def betti_triangle(table: BettiTable) -> str:
     return "\n".join(lines)
 
 
+def polynomial_text(coeffs: tuple[int, ...]) -> str:
+    """A polynomial in z from its coefficients, lowest degree first: "1 - 2z^2 + z^3"."""
+    text = ""
+    for k, a in enumerate(coeffs):
+        if a:
+            mag = "" if abs(a) == 1 and k else str(abs(a))
+            body = mag + ("" if k == 0 else "z" if k == 1 else f"z^{k}")
+            sign = "-" if a < 0 else "+"
+            text += f" {sign} {body}" if text else ("-" + body if a < 0 else body)
+    return text or "0"
+
+
+def series_text(numerator: tuple[int, ...], pole_order: int) -> str:
+    """numerator / (1-z)^pole_order, the numerator parenthesized unless a constant."""
+    num = polynomial_text(numerator)
+    if len(numerator) > 1:
+        num = f"({num})"
+    if pole_order == 0:
+        return num
+    den = "(1-z)" if pole_order == 1 else f"(1-z)^{pole_order}"
+    return f"{num} / {den}"
+
+
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -106,11 +129,9 @@ def report_text(rep: VerificationReport, source: dict) -> str:
     lines.append(f"field: {rep.field}")
     lines.append(f"f-vector: ({', '.join(map(str, rep.f.entries))})")
     lines.append(f"h-vector: ({', '.join(map(str, rep.h.entries))})")
-    series = series_from_f(rep.f)
-    lines.append(f"hilbert series: {series}")
+    lines.append(f"hilbert series: {series_text(*series_from_f(rep.f))}")
     checks = rep.checks()
-    mc = rep.multiplicity_check
-    lines.append(f"multiplicity: {mc.h_sum} (= f_(d-1) = {mc.f_top}: {_yesno(checks['multiplicity'])})")
+    lines.append(f"multiplicity: {multiplicity(rep.h)} (= f_(d-1) = {rep.f.entries[-1]}: {_yesno(checks['multiplicity'])})")
     lines.append(f"betti table over {rep.field}:")
     lines.append(betti_triangle(rep.table))
     lines.append(f"pdim: {rep.pdim}, codim: {rep.codim} (pdim >= codim: {_yesno(checks['pdim_codim'])})")
@@ -131,7 +152,7 @@ def report_text(rep: VerificationReport, source: dict) -> str:
         if rep.formula_betti is not None:
             lines.append(f"formula betti: ({', '.join(map(str, rep.formula_betti))})")
         lines.append(f"formula match: {_yesno(checks['theorem_formula'])}")
-        lines.append(f"series identity residual: {rep.series_residual}")
+        lines.append(f"series identity residual: {polynomial_text(rep.series_residual)}")
         lines.append(f"lower bound beta_i >= C(p,i): {_yesno(checks['lower_bound'])}")
         if rep.relation_residuals is not None:
             shown = ", ".join(map(str, rep.relation_residuals)) or "none emitted"
@@ -150,11 +171,8 @@ def cmd_analyze(args) -> int:
     source = {"path": args.path, "kind": kind, "chordal": chordal}
     if args.format == "json":
         doc = rep.to_json_dict()
-        series = series_from_f(rep.f)
-        doc["hilbert_series"] = {
-            "numerator": [str(a) for a in series.numerator.coeffs],
-            "pole_order": series.pole_order,
-        }
+        numerator, pole_order = series_from_f(rep.f)
+        doc["hilbert_series"] = {"numerator": [str(a) for a in numerator], "pole_order": pole_order}
         doc["multiplicity"] = str(multiplicity(rep.h))
         doc["source"] = source
         _emit(dumps_report(doc), args)
@@ -295,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"max vertices per corpus graph (default {CORPUS_DEFAULTS['n_max']})")
     p_ver.add_argument("--seed", type=int, help=f"corpus seed (default {CORPUS_DEFAULTS['seed']})")
     p_ver.add_argument("--exhaustive-froberg", action="store_true", default=None,
-                       help="also sweep all graphs on 6 vertices (about 8 s)")
+                       help="also sweep all graphs on 6 vertices (about 9 s)")
     report_options(p_ver)
     p_ver.set_defaults(func=cmd_verify)
     return parser

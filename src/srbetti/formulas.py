@@ -1,7 +1,8 @@
 """Closed-form Betti numbers and h-vector relations for pure resolutions.
 
-Both read coefficients of N(z) = (1-z)^(n-d) h(z) (`hilbert.h_numerator`),
-which equals the K-polynomial 1 + sum_i (-1)^(i+1) beta_i z^(d_i) of a pure
+Both read coefficients of N(z) = (1-z)^(n-d) h(z), the coefficient tuple
+`hilbert.h_numerator` returns; an index outside the tuple reads 0.  N equals
+the K-polynomial 1 + sum_i (-1)^(i+1) beta_i z^(d_i) of a pure
 resolution.  Given its shape (degrees), beta_i = (-1)^(i+1) [z^(d_i)] N; for
 a t-linear shape of length p+1, N has degree at most p+t, so the vanishing
 of [z^j] N for every j > p+t is a system of linear relations on the h-vector.
@@ -15,10 +16,14 @@ from math import comb
 
 from .betti import classify, graded_betti
 from .errors import NonPositiveResultError, NotChordalError
-from .exactla import GF_DEFAULT, FieldSpec
 from .graphs import Graph, clique_complex, is_chordal
 from .hilbert import h_numerator
 from .simplicial import HVector, f_vector, h_vector
+
+
+def _coeff(poly: tuple[int, ...], k: int) -> int:
+    """[z^k] of a coefficient tuple; zero outside it, so a negative k never wraps."""
+    return poly[k] if 0 <= k < len(poly) else 0
 
 
 def betti_from_h(h: HVector, n: int, d: int, degrees: tuple[int, ...]) -> tuple[int, ...]:
@@ -36,7 +41,7 @@ def betti_from_h(h: HVector, n: int, d: int, degrees: tuple[int, ...]) -> tuple[
     num = h_numerator(h, n, d)
     out = []
     for i, di in enumerate(degrees):
-        s = num.coeff(di) if i % 2 else -num.coeff(di)
+        s = _coeff(num, di) if i % 2 else -_coeff(num, di)
         if s <= 0:
             raise NonPositiveResultError(
                 f"beta_{i} = {s} <= 0 for degrees {degrees}; inconsistent degree data"
@@ -53,10 +58,10 @@ def h_relations(h: HVector, n: int, d: int, p: int, t: int) -> tuple[int, ...]:
     Nonzero residuals are returned as data, not raised as errors.
     """
     num = h_numerator(h, n, d)
-    return tuple(num.coeff(j) for j in range(p + t + 1, n + 1))
+    return tuple(_coeff(num, j) for j in range(p + t + 1, n + 1))
 
 
-def chordal_h_relations(g: Graph, field: FieldSpec = GF_DEFAULT) -> tuple[int, ...]:
+def chordal_h_relations(g: Graph) -> tuple[int, ...]:
     """The linear-relation residuals for the clique complex of a chordal graph.
 
     Builds the clique complex, takes p from the shape of its oracle table
@@ -65,13 +70,15 @@ def chordal_h_relations(g: Graph, field: FieldSpec = GF_DEFAULT) -> tuple[int, .
     chordal input.  A complete graph has zero ideal and no relations: the
     empty tuple is returned.  Raises NotChordalError for a non-chordal
     graph, and ValueError should a chordal graph's table be neither linear
-    nor trivial.
+    nor trivial.  The table is the same over every field: each induced
+    subcomplex of a chordal clique complex is a disjoint union of
+    contractible pieces, so it has no torsion.
     """
     ok, _ = is_chordal(g)
     if not ok:
         raise NotChordalError("clique-complex relations require a chordal graph")
     c = clique_complex(g)
-    shape = classify(graded_betti(c, field))
+    shape = classify(graded_betti(c))
     if shape.kind == "trivial":
         return ()
     if shape.kind != "linear":

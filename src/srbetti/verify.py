@@ -25,7 +25,7 @@ from .errors import NonPositiveResultError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
 from .formulas import betti_from_h, check_lower_bound, h_relations
 from .graphs import Graph, Xorshift64Star, _default_labels, clique_complex, cycle_graph, gen_chordal, is_chordal
-from .hilbert import IntPolynomial, verify_series_identity
+from .hilbert import verify_series_identity
 from .simplicial import Complex, FVector, HVector, f_vector, h_vector
 
 
@@ -59,32 +59,39 @@ def _verdict(outcomes: dict[str, bool | None]) -> bool:
 
 
 @dataclass(frozen=True)
-class MultiplicityCheck:
-    h_sum: int
-    f_top: int
-    equal: bool
-
-
-@dataclass(frozen=True)
 class VerificationReport:
-    """Everything computed for one complex, plus per-identity outcomes."""
+    """Everything computed for one complex, plus per-identity outcomes.
 
-    n: int
+    Stores only what its table, f and h do not determine; n, the field,
+    pdim and codim are read from them."""
+
     facet_hash: str
-    field: FieldSpec
     f: FVector
     h: HVector
     table: BettiTable
     shape: ResolutionShape
-    pdim: int
-    codim: int
     formula_betti: tuple[int, ...] | None
     match: tuple[bool, ...] | None
-    multiplicity_check: MultiplicityCheck
-    series_residual: IntPolynomial | None
+    series_residual: tuple[int, ...] | None
     relation_residuals: tuple[int, ...] | None
     bound_verdicts: tuple[bool, ...] | None
     char_zero_agrees: bool | None
+
+    @property
+    def n(self) -> int:
+        return self.table.n
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.table.field
+
+    @property
+    def pdim(self) -> int:
+        return self.table.pdim
+
+    @property
+    def codim(self) -> int:
+        return self.n - self.f.d
 
     def checks(self) -> dict[str, bool | None]:
         """Per-identity outcomes keyed in CHECK_NAMES order, None where the
@@ -94,8 +101,8 @@ class VerificationReport:
         relations = self.relation_residuals
         return {
             "theorem_formula": None if self.match is None else all(self.match),
-            "multiplicity": self.multiplicity_check.equal,
-            "series_identity": None if residual is None else residual.is_zero,
+            "multiplicity": self.h.total() == self.f.entries[-1],
+            "series_identity": None if residual is None else residual == (),
             "h_relations": None if relations is None else all(r == 0 for r in relations),
             "lower_bound": None if self.bound_verdicts is None else all(self.bound_verdicts),
             "froberg_linear": None,
@@ -136,11 +143,11 @@ class VerificationReport:
             "formula_betti": [str(b) for b in self.formula_betti] if self.formula_betti is not None else None,
             "match": list(self.match) if self.match is not None else None,
             "multiplicity_check": {
-                "h_sum": str(self.multiplicity_check.h_sum),
-                "f_top": str(self.multiplicity_check.f_top),
-                "equal": self.multiplicity_check.equal,
+                "h_sum": str(self.h.total()),
+                "f_top": str(self.f.entries[-1]),
+                "equal": self.checks()["multiplicity"],
             },
-            "series_residual": [str(a) for a in self.series_residual.coeffs] if self.series_residual is not None else None,
+            "series_residual": [str(a) for a in self.series_residual] if self.series_residual is not None else None,
             "relation_residuals": [str(r) for r in self.relation_residuals] if self.relation_residuals is not None else None,
             "bound_verdicts": list(self.bound_verdicts) if self.bound_verdicts is not None else None,
             "char_zero_agrees": self.char_zero_agrees,
@@ -164,10 +171,6 @@ def verify_complex(
     h = h_vector(f)
     table = graded_betti(c, field, n_cap)
     shape = classify(table)
-    pdim = table.pdim
-    codim = c.n - f.d
-
-    mult = MultiplicityCheck(h.total(), f.entries[-1], h.total() == f.entries[-1])
 
     formula = None
     match = None
@@ -190,18 +193,13 @@ def verify_complex(
         char_zero = table.over(QQ).cells == table.cells
 
     return VerificationReport(
-        n=c.n,
         facet_hash=fingerprint(c),
-        field=field,
         f=f,
         h=h,
         table=table,
         shape=shape,
-        pdim=pdim,
-        codim=codim,
         formula_betti=formula,
         match=match,
-        multiplicity_check=mult,
         series_residual=residual,
         relation_residuals=relations,
         bound_verdicts=bounds,
@@ -326,7 +324,7 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
 
     For every edge set: the clique complex's Betti table classifies linear
     (trivial counting as vacuously linear, the zero-ideal case) iff the graph
-    is chordal.  2^C(n,2) graphs; n = 6 takes about 8 s from a cold cache
+    is chordal.  2^C(n,2) graphs; n = 6 takes about 9 s from a cold cache
     (shared 2-vCPU Xeon VM, Python 3.11.7) and is the strongest acceptance
     check in the suite.
     """

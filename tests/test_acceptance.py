@@ -16,15 +16,12 @@ from srbetti import (
     FieldSpec,
     betti_from_h,
     chordal_h_relations,
-    classify,
     clique_complex,
     complex_from_facets,
-    f_vector,
     fixture_path,
     froberg_exhaustive,
     graded_betti,
     graph_from_edges,
-    h_vector,
     read_complex,
     verify_complex,
     verify_series_identity,
@@ -71,8 +68,7 @@ def test_criterion_1_formula_matches_oracle(corpus):
 def test_criterion_2_multiplicity(corpus):
     _, _, reports = corpus
     for rep in reports:
-        mc = rep.multiplicity_check
-        assert mc.equal and mc.h_sum == mc.f_top
+        assert rep.h.total() == rep.f.entries[-1]
     print(f"ACCEPTANCE 2 multiplicity = f_(d-1): PASS ({len(reports)}/{len(reports)})")
 
 
@@ -83,10 +79,10 @@ def test_criterion_3_series_identity_and_mutation(corpus):
         if not rep.shape.is_pure:
             continue
         checked += 1
-        assert rep.series_residual.is_zero
+        assert rep.series_residual == ()
         for k in range(len(rep.table.cells)):
             residual = verify_series_identity(rep.h, c.n, rep.f.d, bumped_table(rep.table, k))
-            assert not residual.is_zero, (c.facets, k)
+            assert residual != (), (c.facets, k)
     print(f"ACCEPTANCE 3 series identity + mutation: PASS ({checked} pure cases)")
 
 

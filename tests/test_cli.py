@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from srbetti import DATA_DIR, cli, fixture_path, is_chordal, read_graph
-from srbetti.cli import build_parser, main
+from srbetti.cli import build_parser, main, polynomial_text, series_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -31,6 +31,16 @@ def test_analyze_c4_text(capsys):
     assert "formula match: yes" in out
     # triangle rows: the generators and the relation
     assert "total: 1 2 1" in out
+
+
+def test_polynomial_and_series_text():
+    assert polynomial_text((1, 2, 1)) == "1 + 2z + z^2"
+    assert polynomial_text((1, 0, -2, 1)) == "1 - 2z^2 + z^3"
+    assert polynomial_text(()) == "0"
+    assert polynomial_text((0, -3)) == "-3z"
+    assert series_text((1,), 3) == "1 / (1-z)^3"
+    assert series_text((1, 1), 1) == "(1 + z) / (1-z)"
+    assert series_text((1, 2, 1), 0) == "(1 + 2z + z^2)"
 
 
 def test_analyze_k3_graph(capsys):

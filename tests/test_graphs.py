@@ -12,7 +12,6 @@ from srbetti import (
     clique_complex,
     complement,
     complete_graph,
-    complement as graph_complement,
     cycle_graph,
     f_vector,
     gen_chordal,
@@ -100,10 +99,12 @@ def test_elimination_order_is_verified_witness():
 
 
 def test_maximal_cliques_brute_force():
+    # every labeled graph on at most 5 vertices, then random ones on up to 8
     rnd = random.Random(4004)
-    for _ in range(80):
-        g = random_graph(rnd, rnd.randint(1, 8), p=rnd.uniform(0.1, 0.9))
-        assert set(maximal_cliques(g.adj)) == brute_maximal_cliques(g)
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    graphs += [random_graph(rnd, rnd.randint(1, 8), p=rnd.uniform(0.1, 0.9)) for _ in range(80)]
+    for g in graphs:
+        assert set(maximal_cliques(g.adj)) == brute_maximal_cliques(g), g.adj
 
 
 def test_clique_complex_examples():

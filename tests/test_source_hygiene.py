@@ -1,14 +1,21 @@
-"""Leftovers of deleted code: imports a module no longer uses, private
-module-level names that nothing in the package refers to any more, and
-exception classes that nothing raises.  Also the independence of the test
-oracles from the code they check."""
+"""Leftovers of deleted code: imports that a module of the package or of
+the tests no longer uses, private module-level names that nothing in the
+package refers to any more, and exception classes that nothing raises.
+Also the independence of the test oracles from the code they check."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "srbetti"
-HELPERS = Path(__file__).resolve().parent / "helpers.py"
-TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "srbetti"
+HELPERS = TESTS / "helpers.py"
+
+
+def parse_all(directory: Path) -> dict[str, ast.AST]:
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(directory.glob("*.py"))}
+
+
+TREES = parse_all(PACKAGE)
 
 
 def used_names(tree: ast.AST) -> set[str]:
@@ -23,11 +30,11 @@ def used_names(tree: ast.AST) -> set[str]:
 
 
 def test_no_unused_imports():
-    # __init__ imports to re-export
+    # the package's __init__ imports to re-export
+    trees = {f"srbetti/{name}": tree for name, tree in TREES.items() if name != "__init__.py"}
+    trees |= {f"tests/{name}": tree for name, tree in parse_all(TESTS).items()}
     unused = []
-    for name, tree in TREES.items():
-        if name == "__init__.py":
-            continue
+    for name, tree in trees.items():
         used = used_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):

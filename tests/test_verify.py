@@ -11,7 +11,6 @@ from srbetti import (
     clique_complex,
     complete_graph,
     complex_from_facets,
-    cycle_graph,
     fingerprint,
     fixture_path,
     read_complex,
@@ -31,10 +30,9 @@ def test_report_c4():
     rep = verify_complex(C4)
     assert rep.shape.kind == "pure"
     assert rep.match == (True, True)
-    assert rep.multiplicity_check.h_sum == 4
-    assert rep.multiplicity_check.f_top == 4
-    assert rep.multiplicity_check.equal
-    assert rep.series_residual.is_zero
+    assert rep.h.total() == rep.f.entries[-1] == 4
+    assert rep.checks()["multiplicity"]
+    assert rep.series_residual == ()
     assert rep.bound_verdicts == (True, True)
     assert rep.relation_residuals is None  # pure but not linear
     assert rep.pdim == 2 and rep.codim == 2
@@ -47,9 +45,8 @@ def test_report_full_simplex():
     assert rep.shape.kind == "trivial"
     assert rep.shape.betti is None and rep.formula_betti is None
     assert rep.series_residual is None and rep.bound_verdicts is None
-    assert rep.multiplicity_check.h_sum == 1
-    assert rep.multiplicity_check.f_top == 1
-    assert rep.multiplicity_check.equal
+    assert rep.h.total() == rep.f.entries[-1] == 1
+    assert rep.checks()["multiplicity"]
     assert rep.all_identities_hold()
 
 
@@ -59,7 +56,7 @@ def test_report_general_shape():
     assert rep.shape.betti is None
     assert rep.formula_betti is None and rep.match is None
     assert rep.series_residual is None
-    assert rep.multiplicity_check.equal
+    assert rep.checks()["multiplicity"]
     assert rep.all_identities_hold()
 
 
