@@ -32,7 +32,6 @@ from .graphs import (
     Graph,
     Xorshift64Star,
     clique_complex,
-    complement,
     complete_graph,
     cycle_graph,
     gen_chordal,
@@ -50,10 +49,8 @@ from .simplicial import (
     FVector,
     HVector,
     complex_from_facets,
-    f_from_h,
     f_vector,
     h_vector,
-    induced_subcomplex,
     minimal_non_faces,
     read_complex,
     write_complex,

@@ -69,12 +69,6 @@ class BettiTable:
         cells = tuple(sorted((i, j, v) for (i, j), v in acc.items() if v))
         return BettiTable(cells, self.n, field, self.torsion)
 
-    def entry(self, i: int, j: int) -> int:
-        for a, b, v in self.cells:
-            if a == i and b == j:
-                return v
-        return 0
-
     @property
     def pdim(self) -> int:
         """Projective dimension: the largest homological degree present."""

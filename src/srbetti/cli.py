@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .betti import DEFAULT_VERTEX_CAP, BettiTable
-from .errors import EmptyInputError, ParseError, TooManyVerticesError
-from .exactla import FieldSpec
+from .errors import ParseError, TooManyVerticesError
+from .exactla import QQ, FieldSpec
 from .graphs import gen_chordal, is_chordal, clique_complex, read_graph, write_graph
 from .hilbert import multiplicity, series_from_f
 from .simplicial import MAX_VERTICES, complex_from_facets, read_facets
@@ -32,7 +32,7 @@ DEFAULT_FIELD = "32003"
 
 def _parse_field(text: str) -> FieldSpec:
     if text.strip().upper() == "Q":
-        return FieldSpec.rationals()
+        return QQ
     try:
         p = int(text)
     except ValueError:
@@ -325,7 +325,7 @@ def main(argv=None) -> int:
         if not 1 <= args.n_cap <= 64:
             raise ValueError("--n-cap must be between 1 and 64")
         return args.func(args)
-    except (ParseError, EmptyInputError, TooManyVerticesError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"srbetti: error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,14 +46,6 @@ class FieldSpec:
     def prime(cls, p: int) -> "FieldSpec":
         return cls(p)
 
-    @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(None)
-
-    @property
-    def characteristic(self) -> int:
-        return 0 if self.p is None else self.p
-
     def __str__(self) -> str:
         return "Q" if self.p is None else f"GF({self.p})"
 

@@ -1,4 +1,4 @@
-"""Simple graphs with bitset adjacency: complements, chordality, cliques.
+"""Simple graphs with bitset adjacency: chordality, cliques, a seeded generator.
 
 Chordality is decided by maximum-cardinality search followed by explicit
 verification of the produced elimination ordering, so a positive answer
@@ -35,7 +35,6 @@ class Xorshift64Star:
       next_u64  state ^= state >> 12; state ^= state << 25; state ^= state >> 27;
                 return state * 0x2545F4914F6CDD1D
       below(m)  next_u64() % m        (modulo reduction, documented bias accepted)
-      unit()    next_u64() >> 11, scaled by 2^-53
     """
 
     __slots__ = ("state",)
@@ -59,9 +58,6 @@ class Xorshift64Star:
         if m <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % m
-
-    def unit(self) -> float:
-        return (self.next_u64() >> 11) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -142,13 +138,6 @@ def complete_graph(n: int) -> Graph:
     return graph_from_edges(
         [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)], vertices=labels
     )
-
-
-def complement(g: Graph) -> Graph:
-    """Edge complement within all unordered pairs; an involution."""
-    full = (1 << g.n) - 1
-    adj = tuple((full & ~g.adj[v]) & ~(1 << v) for v in range(g.n))
-    return Graph(g.labels, adj)
 
 
 def is_chordal(g: Graph) -> tuple[bool, tuple[str, ...] | None]:

@@ -5,9 +5,11 @@ derived quantity (face masks, f-vectors, minimal non-faces) is deterministic
 under reordering of the input.  A face is an int whose set bits select
 vertices; the empty face is 0.
 
-The complex whose only face is the empty face is representable internally
-(labels=(), facets=(0,)); it arises from restriction to the empty vertex set
-but is never produced by `complex_from_facets`.
+The complex whose only face is the empty face is representable
+(labels=(), facets=(0,)) but is never produced by `complex_from_facets`;
+tests build it directly.  The sweep in `betti` restricts by the mask set
+{f & w} and never builds a Complex: at W = {} that set is {0}, the empty
+complex a homology miss is handed.
 """
 
 from __future__ import annotations
@@ -89,20 +91,8 @@ class Complex:
         """Dimension: one less than the largest facet cardinality (-1 for the empty complex)."""
         return max(f.bit_count() for f in self.facets) - 1
 
-    def mask_of(self, tokens: Iterable[str]) -> int:
-        index = {t: k for k, t in enumerate(self.labels)}
-        mask = 0
-        for t in tokens:
-            if t not in index:
-                raise ValueError(f"unknown vertex label {t!r}")
-            mask |= 1 << index[t]
-        return mask
-
     def tokens_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[v] for v in _bits(mask))
-
-    def is_face(self, mask: int) -> bool:
-        return any(mask & f == mask for f in self.facets)
 
 
 def complex_from_facets(facets: Iterable[Iterable[str]]) -> Complex:
@@ -173,14 +163,10 @@ class FVector:
         """Krull dimension of the face ring: dim(complex) + 1."""
         return len(self.entries) - 1
 
-    def get(self, i: int) -> int:
-        """f_i, with i from -1 to d-1."""
-        return self.entries[i + 1]
-
 
 @dataclass(frozen=True)
 class HVector:
-    """The sequence (h_0, ..., h_d); indices outside the range read as 0."""
+    """The sequence (h_0, ..., h_d)."""
 
     entries: tuple[int, ...]
 
@@ -191,11 +177,6 @@ class HVector:
     @property
     def d(self) -> int:
         return len(self.entries) - 1
-
-    def get(self, j: int) -> int:
-        if 0 <= j < len(self.entries):
-            return self.entries[j]
-        return 0
 
     def total(self) -> int:
         return sum(self.entries)
@@ -217,32 +198,6 @@ def h_vector(f: FVector) -> HVector:
         for j in range(d + 1)
     )
     return HVector(ent)
-
-
-def f_from_h(h: HVector, d: int | None = None) -> FVector:
-    """Inverse transform f_{j-1} = sum_i C(d-i, j-i) h_i."""
-    if d is None:
-        d = h.d
-    ent = tuple(
-        sum(comb(d - i, j - i) * h.get(i) for i in range(j + 1)) for j in range(d + 1)
-    )
-    return FVector(ent)
-
-
-def induced_subcomplex(c: Complex, w: Iterable[str]) -> Complex:
-    """Restriction of c to a subset of its vertex labels.
-
-    Faces of the result are exactly the faces of c contained in w, relabeled
-    so that the k-th vertex of w is bit k; relabeling keeps the facets
-    ascending.  The empty label set yields the empty complex.
-    """
-    wmask = c.mask_of(w)
-    positions = _bits(wmask)
-    facets = tuple(
-        sum(((m >> pos) & 1) << k for k, pos in enumerate(positions))
-        for m in _maximal_masks(f & wmask for f in c.facets)
-    )
-    return Complex(tuple(c.labels[p] for p in positions), facets)
 
 
 def minimal_non_faces(c: Complex) -> list[tuple[str, ...]]:

@@ -156,7 +156,7 @@ def count_monomials(c: Complex, s: int) -> int:
         support = 0
         for v in combo:
             support |= 1 << v
-        if c.is_face(support):
+        if any(support & f == support for f in c.facets):
             count += 1
     return count
 

@@ -21,9 +21,9 @@ def transposed(dense):
 
 
 def test_field_validation():
-    assert FieldSpec.prime(32003).characteristic == 32003
-    assert FieldSpec.prime(2).characteristic == 2
-    assert FieldSpec.rationals().characteristic == 0
+    assert FieldSpec.prime(32003).p == 32003
+    assert FieldSpec.prime(2).p == 2
+    assert QQ.p is None
     assert str(QQ) == "Q"
     assert str(GF_DEFAULT) == "GF(32003)"
     for bad in (1, 0, -7, 4, 32004, 1 << 31):

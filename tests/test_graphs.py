@@ -1,6 +1,7 @@
-"""Graphs: complement, chordality with witness, cliques, generator, file IO."""
+"""Graphs: chordality with witness, cliques, generator, file IO."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,7 +11,6 @@ from srbetti import (
     ParseError,
     Xorshift64Star,
     clique_complex,
-    complement,
     complete_graph,
     cycle_graph,
     f_vector,
@@ -36,20 +36,6 @@ def all_graphs(n):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
         yield Graph(labels, tuple(adj))
-
-
-def test_complement_examples():
-    k3 = complete_graph(3)
-    assert complement(k3).edges() == []
-    c4 = cycle_graph(4)
-    assert sorted(complement(c4).edges()) == [("1", "3"), ("2", "4")]
-
-
-def test_complement_involution():
-    rnd = random.Random(4001)
-    for _ in range(40):
-        g = random_graph(rnd, rnd.randint(1, 9))
-        assert complement(complement(g)) == g
 
 
 def test_chordal_families():
@@ -129,7 +115,7 @@ def test_flag_property_and_edge_ideal_of_complement():
         g = random_graph(rnd, rnd.randint(1, 8))
         mnf = {frozenset(t) for t in minimal_non_faces(clique_complex(g))}
         assert all(len(s) == 2 for s in mnf)
-        assert mnf == {frozenset(e) for e in complement(g).edges()}
+        assert mnf == {frozenset(e) for e in set(combinations(g.labels, 2)) - set(g.edges())}
 
 
 def test_gen_chordal_single_vertex_and_complete():
@@ -165,8 +151,6 @@ def test_rng_contract_pins():
     assert r0.next_u64() == 0x7BBCB40D550682D0
     r = Xorshift64Star(42)
     assert [r.below(100) for _ in range(8)] == [42, 23, 59, 63, 2, 43, 91, 19]
-    u = Xorshift64Star(7).unit()
-    assert 0.0 <= u < 1.0
 
 
 def test_graph_file_round_trip(tmp_path):

@@ -6,7 +6,7 @@ from itertools import combinations
 
 from helpers import bits, brute_face_masks, brute_reduced_dims, cross_polytope, random_complex, suspension
 from sweep_helpers import boundary_rows, composes_to_zero, reduced_betti
-from srbetti import GF_DEFAULT, complex_from_facets, f_vector, fixture_path, induced_subcomplex, read_complex
+from srbetti import GF_DEFAULT, Complex, complex_from_facets, f_vector, fixture_path, read_complex
 from srbetti.homology import reduced_dims_from_facets, torsion_shift
 
 
@@ -57,8 +57,7 @@ def test_homology_examples():
 
 def test_empty_complex_degree_minus_one():
     c4 = complex_from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]])
-    empty = induced_subcomplex(c4, [])
-    assert checked_betti(empty, GF_DEFAULT.p) == [1]
+    assert checked_betti(Complex((), (0,)), GF_DEFAULT.p) == [1]
     # any complex with a vertex has nothing in degree -1
     assert checked_betti(c4, GF_DEFAULT.p)[0] == 0
 
@@ -74,7 +73,7 @@ def test_euler_identity():
         c = random_complex(rnd)
         f = f_vector(c)
         b = checked_betti(c, GF_DEFAULT.p)
-        lhs = sum((-1) ** i * f.get(i) for i in range(0, f.d)) - 1
+        lhs = sum((-1) ** i * f.entries[i + 1] for i in range(0, f.d)) - 1
         rhs = sum((-1) ** i * b[i + 1] for i in range(0, f.d)) - b[0]
         assert lhs == rhs
 

@@ -87,3 +87,22 @@ def test_oracles_import_only_constructors():
             imported |= {alias.name for alias in node.names if alias.name.split(".")[0] == "srbetti"}
     expected = {"BettiTable", "Complex", "Graph", "complex_from_facets", "graph_from_edges"}
     assert imported == {f"srbetti.{name}" for name in expected}
+
+
+def test_oracles_read_no_methods_of_checked_classes():
+    # a method or property of a checked class is srbetti code; the oracles
+    # read only fields, and n, which is the length of a field
+    checked = {"Complex", "Graph", "BettiTable", "FVector", "HVector", "ResolutionShape"}
+    methods = set()
+    for tree in TREES.values():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in checked:
+                methods |= {
+                    item.name
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                }
+    assert "tokens_of" in methods and "n" in methods
+    helpers = ast.parse(HELPERS.read_text(), str(HELPERS))
+    read = {node.attr for node in ast.walk(helpers) if isinstance(node, ast.Attribute)}
+    assert sorted(read & (methods - {"n"})) == []

@@ -6,6 +6,7 @@ import pytest
 
 from srbetti import (
     GF_DEFAULT,
+    QQ,
     FieldSpec,
     TooManyVerticesError,
     clique_complex,
@@ -152,7 +153,7 @@ def test_projective_plane_field_dependence_flagged():
     # the verdict is the check table with char_zero left out, on every shape
     cases = {
         "general": rep2,
-        "pure": verify_complex(read_complex(fixture_path("c4.cplx")), FieldSpec.rationals()),
+        "pure": verify_complex(read_complex(fixture_path("c4.cplx")), QQ),
         "linear": verify_complex(clique_complex(read_graph(fixture_path("p3.graph")))),
         "trivial": verify_complex(clique_complex(read_graph(fixture_path("k3.graph")))),
     }
@@ -168,5 +169,5 @@ def test_projective_plane_field_dependence_flagged():
 
 
 def test_rationals_report_has_no_char_zero_section():
-    rep = verify_complex(C4, FieldSpec.rationals())
+    rep = verify_complex(C4, QQ)
     assert rep.char_zero_agrees is None
