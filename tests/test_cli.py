@@ -102,6 +102,17 @@ def test_analyze_respects_n_cap(tmp_path, capsys):
     assert "exceeds" in err
 
 
+def test_every_input_error_is_one_stderr_line_and_exit_two(tmp_path, capsys):
+    # ParseError, EmptyInputError, TooManyVerticesError and OSError alike
+    (tmp_path / "bad.graph").write_text("this is not an edge line\n")
+    (tmp_path / "empty.cplx").write_text("# no facets\n")
+    (tmp_path / "wide.cplx").write_text(" ".join(f"v{i}" for i in range(65)) + "\n")
+    for name in ("bad.graph", "empty.cplx", "wide.cplx", "missing.cplx"):
+        code, out, err = run(capsys, "analyze", str(tmp_path / name))
+        assert code == 2 and out == ""
+        assert err.startswith("srbetti: error: ") and err.count("\n") == 1
+
+
 def test_oversized_input_refused_before_its_complex_is_built(tmp_path, capsys, monkeypatch):
     # the complete 8-partite graph K_{3,...,3} has 3^8 maximal cliques: its
     # clique complex takes seconds to build, and is never needed; as a

@@ -1,4 +1,4 @@
-"""Graphs: chordality with witness, cliques, generator, file IO."""
+"""Graphs: complement, chordality with witness, cliques, generator, file IO."""
 
 import random
 from itertools import combinations
@@ -36,6 +36,26 @@ def all_graphs(n):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
         yield Graph(labels, tuple(adj))
+
+
+def non_edges(g):
+    return set(combinations(g.labels, 2)) - set(g.edges())
+
+
+def test_complement_examples():
+    # the complement's edges are the minimal non-faces of the clique complex
+    assert non_edges(complete_graph(3)) == set()
+    assert minimal_non_faces(clique_complex(complete_graph(3))) == []
+    assert sorted(non_edges(cycle_graph(4))) == [("1", "3"), ("2", "4")]
+    assert minimal_non_faces(clique_complex(cycle_graph(4))) == [("1", "3"), ("2", "4")]
+
+
+def test_complement_involution():
+    rnd = random.Random(4001)
+    for _ in range(40):
+        g = random_graph(rnd, rnd.randint(1, 9))
+        co = graph_from_edges(non_edges(g), vertices=g.labels)
+        assert graph_from_edges(non_edges(co), vertices=co.labels) == g
 
 
 def test_chordal_families():
@@ -115,7 +135,7 @@ def test_flag_property_and_edge_ideal_of_complement():
         g = random_graph(rnd, rnd.randint(1, 8))
         mnf = {frozenset(t) for t in minimal_non_faces(clique_complex(g))}
         assert all(len(s) == 2 for s in mnf)
-        assert mnf == {frozenset(e) for e in set(combinations(g.labels, 2)) - set(g.edges())}
+        assert mnf == {frozenset(e) for e in non_edges(g)}
 
 
 def test_gen_chordal_single_vertex_and_complete():

@@ -1,6 +1,7 @@
-"""Complex construction, f/h-vectors, minimal non-faces, file IO."""
+"""Complex construction, f/h-vectors, restrictions, minimal non-faces, file IO."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ from helpers import brute_face_masks, brute_minimal_non_faces, h_by_expansion, r
 from srbetti import (
     Complex,
     EmptyInputError,
+    FVector,
     TooManyVerticesError,
     complex_from_facets,
     f_vector,
@@ -16,6 +18,8 @@ from srbetti import (
     read_complex,
     write_complex,
 )
+from srbetti.homology import reduced_dims_from_facets
+from srbetti.simplicial import masks_by_card
 
 C4_FACETS = [["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]]
 
@@ -84,6 +88,16 @@ def test_h_sum_is_top_f():
         assert h_vector(f).total() == f.entries[-1]
 
 
+def test_f_h_round_trip():
+    # h determines f: f_{i-1} = sum_{j <= i} C(d - j, i - j) h_j
+    rnd = random.Random(1003)
+    for _ in range(150):
+        f = f_vector(random_complex(rnd))
+        h = h_vector(f).entries
+        back = tuple(sum(comb(f.d - j, i - j) * h[j] for j in range(i + 1)) for i in range(f.d + 1))
+        assert FVector(back) == f
+
+
 def test_faces_match_brute_force():
     rnd = random.Random(1004)
     for _ in range(50):
@@ -123,6 +137,44 @@ def test_minimal_non_faces_characterize_faces():
             contains = any(mask & m == m for m in non_faces)
             assert (mask in faces) == (not contains)
         assert all(m.bit_count() >= 2 for m in non_faces)
+
+
+def faces_of(masks):
+    """Every face spanned by a mask set, as the sweep enumerates them."""
+    return {m for group in masks_by_card(masks) for m in group}
+
+
+def test_induced_subcomplex_examples():
+    # the sweep restricts to W by the mask set {f & w}; its homology is the
+    # restriction's
+    c4 = complex_from_facets(C4_FACETS)
+    two_points = {f & 0b0101 for f in c4.facets}
+    assert faces_of(two_points) == {0, 0b0001, 0b0100}
+    assert reduced_dims_from_facets(two_points)[0] == (0, 1)
+    edge = {f & 0b0011 for f in c4.facets}
+    assert faces_of(edge) == {0, 0b01, 0b10, 0b11}
+    assert reduced_dims_from_facets(edge)[0] == (0, 0, 0)
+    empty = {f & 0 for f in c4.facets}
+    assert empty == {0} and faces_of(empty) == {0}
+    assert reduced_dims_from_facets(empty)[0] == (1,)
+
+
+def test_induced_full_vertex_set_is_identity():
+    rnd = random.Random(1007)
+    for _ in range(50):
+        c = random_complex(rnd)
+        full = (1 << c.n) - 1
+        restricted = masks_by_card({f & full for f in c.facets})
+        assert FVector(tuple(len(g) for g in restricted)) == f_vector(c)
+
+
+def test_induced_faces_are_restricted_faces():
+    rnd = random.Random(1008)
+    for _ in range(40):
+        c = random_complex(rnd, max_n=6)
+        w = sum(1 << v for v in range(c.n) if rnd.random() < 0.5)
+        expected = {m for m in brute_face_masks(c) if m & w == m}
+        assert faces_of({f & w for f in c.facets}) == expected
 
 
 def test_cplx_round_trip(tmp_path):
