@@ -10,16 +10,23 @@ what the subset formula for graded Betti numbers consumes.
 
 `reduced_dims_from_facets` takes any collection of face masks whose
 down-closure is the complex; they need not form an antichain or use the
-lowest bits.  It eliminates only the faces outside the star of one vertex
-v.  st(v) is a cone, so its augmented chain complex is a free, acyclic
-subcomplex, and the long exact sequence of the pair gives
-H(complex; Z) = H(complex / st(v)).  The quotient is free, so the pair's
-sequence stays exact after tensoring with GF(p), where the cone is still
-acyclic: the Betti numbers over Q and over every GF(p), and so the
-torsion (each map's invariant factors > 1), are those of the full complex.
-The quotient's basis is the faces F with F + v not a face, and its
-boundary drops the faces of the star.  The order of the faces within a
-dimension does not affect any result.
+lowest bits.  It keeps the inclusion-maximal masks only, and eliminates
+only the faces outside the star of one vertex v.  st(v) is a cone, so its
+augmented chain complex is a free, acyclic subcomplex, and the long exact
+sequence of the pair gives H(complex; Z) = H(complex / st(v)).  The
+quotient is free, so the pair's sequence stays exact after tensoring with
+GF(p), where the cone is still acyclic: the Betti numbers over Q and over
+every GF(p), and so the torsion (each map's invariant factors > 1), are
+those of the full complex, whichever vertex v is.  The apex is therefore
+chosen for speed: the vertex with the largest star, scored by the sum of
+2^(|m|-1) over the maximal masks m through it (the faces through it,
+counted per mask), ties to the lowest vertex.  The quotient's basis is the
+faces F with F + v not a face: the faces of the v-free maximal masks that
+lie in no link mask m - v (m through v).  A maximal v-free mask never lies
+wholly in a link mask, which would put it inside m, so every one is
+enumerated and its faces are tested against the link masks.  A boundary
+map with an empty side has rank 0 and is not eliminated.  The order of the
+faces within a dimension does not affect any result.
 """
 
 from __future__ import annotations
@@ -59,42 +66,60 @@ def reduced_dims_from_facets(facets: Iterable[int]) -> tuple[tuple[int, ...], tu
     i (from i-faces to (i-1)-faces; 0 is the augmentation).
 
     `facets` may be any nonempty collection of masks whose down-closure is
-    the complex, in any order; (0,) is the empty complex.  Computed on the
-    quotient by the star of the apex v, the lowest vertex of a largest mask
-    (a choice that affects speed only).  Every face outside st(v) lies in a
-    mask without v, so only those masks are enumerated.  The dims have
-    length (largest mask cardinality) + 1, star masks included.
+    the complex, in any order; (0,) is the empty complex.  The dims have
+    length (largest mask cardinality) + 1, whether or not the apex lies in
+    a largest mask.  Computed on the quotient by the star of the apex v,
+    over the maximal masks only; v is the vertex of largest star, ties to
+    the lowest (see the module docstring: the choice affects speed only).
     """
-    facets = list(facets)
-    big = max(facets, key=int.bit_count)
-    top = big.bit_count()
+    masks = sorted(set(facets), key=int.bit_count, reverse=True)
+    top = masks[0].bit_count()
     if not top:
         return (1,), ()
-    v = big & -big
-    star = set()  # the v-free faces of st(v)
-    for g in facets:
-        if g & v:
-            g ^= v
-            sub = g
-            while sub:
-                star.add(sub)
-                sub = (sub - 1) & g
+    maximal: list[int] = []
+    union = 0
+    for m in masks:
+        for k in maximal:
+            if m & k == m:
+                break
+        else:
+            maximal.append(m)
+            union |= m
+    weighted = [(m, 1 << (m.bit_count() - 1)) for m in maximal]
+    best = 0
+    rest = union
+    while rest:  # ascending, so a tie keeps the lower vertex
+        low = rest & -rest
+        score = 0
+        for m, w in weighted:
+            if m & low:
+                score += w
+        if score > best:
+            best, v = score, low
+        rest ^= low
+    link = [m ^ v for m in maximal if m & v]
     outside = set()
-    for g in facets:
-        if not g & v:
-            sub = g
-            while sub:
-                if sub not in star:
-                    outside.add(sub)
-                sub = (sub - 1) & g
+    for g in maximal:
+        if g & v:
+            continue
+        cover = [g & h for h in link]
+        sub = g
+        while sub:
+            for c in cover:
+                if sub & c == sub:
+                    break
+            else:
+                outside.add(sub)
+            sub = (sub - 1) & g
     groups: list[list[int]] = [[] for _ in range(top + 1)]
     for m in outside:
         groups[m.bit_count()].append(m)
     ranks = [0] * (top + 1)  # ranks[i]: the map from (i+1)- to i-vertex faces
     torsion = []
     for i in range(top):
-        ranks[i], factors = integral_rank(_boundary_rows(groups[i], groups[i + 1]))
-        torsion.extend((i, t) for t in factors)
+        if groups[i] and groups[i + 1]:
+            ranks[i], factors = integral_rank(_boundary_rows(groups[i], groups[i + 1]))
+            torsion.extend((i, t) for t in factors)
     # the empty face lies in st(v), so groups[0] is empty and b_{-1} = 0
     dims = [len(g) - r - s for g, r, s in zip(groups, [0] + ranks, ranks)]
     return tuple(dims), tuple(torsion)

@@ -324,7 +324,7 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
 
     For every edge set: the clique complex's Betti table classifies linear
     (trivial counting as vacuously linear, the zero-ideal case) iff the graph
-    is chordal.  2^C(n,2) graphs; n = 6 takes about 9 s from a cold cache
+    is chordal.  2^C(n,2) graphs; n = 6 takes about 5 s from a cold cache
     (shared 2-vCPU Xeon VM, Python 3.11.7) and is the strongest acceptance
     check in the suite.
     """

@@ -6,7 +6,8 @@ from itertools import combinations
 
 from helpers import bits, brute_face_masks, brute_reduced_dims, cross_polytope, random_complex, suspension
 from sweep_helpers import boundary_rows, composes_to_zero, reduced_betti
-from srbetti import GF_DEFAULT, Complex, complex_from_facets, f_vector, fixture_path, read_complex
+from srbetti import GF_DEFAULT, Complex, complex_from_facets, f_vector, fixture_path, graded_betti, read_complex
+from srbetti import homology
 from srbetti.homology import reduced_dims_from_facets, torsion_shift
 
 
@@ -89,10 +90,21 @@ def test_projective_plane_homology_by_field():
 def miss_inputs():
     """(n, masks) as the sweep hands them to a miss: {f & w} for vertex
     subsets W, neither relabeled nor an antichain; plus the empty complex,
-    a full simplex with dominated masks and a cone over C4."""
+    a full simplex with dominated masks, a cone over C4 and the cases
+    below that the choice of apex and the link test must get right."""
     rnd = random.Random(3003)
     rp2 = read_complex(fixture_path("rp2.cplx"))
     out = [(1, (0,)), (4, (0b1111, 0b0011, 0)), (5, (0b10011, 0b10110, 0b11100, 0b11001))]
+    # a solid tetrahedron 0123 and a hollow one 4567: a vertex of the
+    # hollow one scores 3 * 4 = 12 against 8, so the apex lies in no
+    # largest mask, and the dims must still run to the solid one's size
+    out.append((8, (0b1111, *(0b11110000 ^ (1 << v) for v in range(4, 8)))))
+    # a cone from vertex 0, the apex, over the boundary of the triangle 123,
+    # with the path 1-4-3 attached: the input masks 12 and 23 lie inside the
+    # link of 0, and the path's edges meet the link in one vertex each
+    out.append((5, (0b0111, 0b1101, 0b1011, 0b0110, 0b1100, 0b10010, 0b11000)))
+    # duplicate and dominated masks around a triangle and a point; a lone vertex
+    out += [(4, (0b111, 0b111, 0b011, 0b110, 0b1000, 0b1000, 0b1, 0)), (1, (0b1,)), (3, (0b100,))]
     complexes = [rp2, suspension(rp2)] + [cross_polytope(r) for r in (2, 3, 4)]
     complexes += [random_complex(rnd, max_n=7, max_facets=10, max_size=4) for _ in range(30)]
     for c in complexes:
@@ -123,3 +135,22 @@ def test_quotient_matches_full_chain_complex_oracle():
             moved = [sum(1 << perm[v] for v in bits(m)) for m in masks]
             assert reduced_dims_from_facets(moved) == (dims, torsion), masks
     assert with_torsion >= 2
+
+
+def test_elimination_work_on_general_complexes(monkeypatch):
+    # rows x columns of every matrix the misses hand to integral_rank, over
+    # seeded 10-vertex complexes with 20 facets of 3 to 6 vertices each.  A
+    # count, not a time: an apex or quotient that keeps more faces raises it
+    cells = []
+    real = homology._boundary_rows
+
+    def counted(lower, upper):
+        cells.append(len(lower) * len(upper))
+        return real(lower, upper)
+
+    monkeypatch.setattr(homology, "_boundary_rows", counted)
+    for seed in range(5):
+        rnd = random.Random(seed)
+        facets = [[f"v{v}" for v in rnd.sample(range(10), rnd.randint(3, 6))] for _ in range(20)]
+        graded_betti(complex_from_facets(facets))
+    assert sum(cells) == 30938, sum(cells)
