@@ -15,6 +15,15 @@ restriction and determine it.  Two optimizations, neither affecting results:
     handed the facets intersected with W, neither relabeled nor reduced to
     the maximal ones, since homology depends on neither.
 
+The loop is one resumable sweep, `_Sweep`, with two callers.
+`graded_betti` runs it over all of [0, 2^n).  The Froberg sweep
+(verify.froberg_exhaustive) runs it once over [0, 2^(n-1)) for each graph
+on the first n-1 vertices, then copies that state and resumes it over
+[2^(n-1), 2^n) for each neighbour set of the last vertex: a W without the
+last vertex restricts every extension of the graph alike (the prefix
+argument), so those 2^(n-1) subsets are swept once per base graph, not
+once per graph.
+
 Homology is integral: the sweep adds up the table over Q and keeps the
 torsion of the few restrictions that have any, from which the table over
 every GF(p) follows, so one sweep serves every field.
@@ -84,6 +93,73 @@ class BettiTable:
         return {(a, b): v for a, b, v in self.cells}
 
 
+class _Sweep:
+    """The subset sweep, resumable: its state after visiting W in [0, stop).
+
+    The state is the minimal non-faces met so far (`gens`, with `below`,
+    each generator's masks of the bits below its vertices), the table over
+    Q and the torsion list.  Every subset of W is numerically <= W, so a
+    sweep over [0, 2^n) may stop at any point and be copied and resumed with
+    another complex, provided both complexes restrict alike to each W
+    already visited.
+    """
+
+    __slots__ = ("gens", "below", "acc", "torsions")
+
+    def __init__(self, gens=(), below=(), acc=(), torsions=()):
+        self.gens: list[int] = list(gens)
+        self.below: dict[int, list[int]] = dict(below)
+        self.acc: dict[tuple[int, int], int] = dict(acc)  # the table over Q
+        self.torsions: list[tuple[int, tuple[tuple[int, int], ...]]] = list(torsions)
+
+    def copy(self) -> "_Sweep":
+        return _Sweep(self.gens, self.below, self.acc, self.torsions)
+
+    def run(self, facets, start: int, stop: int) -> None:
+        """Visit W = start ... stop-1 of the complex with these facets."""
+        gens, below, acc, torsions = self.gens, self.below, self.acc, self.torsions
+        for w in range(start, stop):
+            inside = [g for g in gens if g & w == g]
+            if not inside:
+                for f in facets:
+                    if w & f == w:
+                        break
+                else:  # w is in no facet, but every proper subset of w is a face
+                    gens.append(w)
+                    below[w] = [(1 << v) - 1 for v in _bits(w)]
+                    inside = [w]
+            union = 0
+            for g in inside:
+                union |= g
+            if union != w:
+                continue  # a vertex of w in no minimal non-face is an apex: a cone
+            j = w.bit_count()
+            packed = 0
+            for g in inside:
+                # compact g to w: vertex v of g becomes bit (number of w's vertices below v)
+                packed <<= j
+                for m in below[g]:
+                    packed |= 1 << (w & m).bit_count()
+            key = packed << 7 | j  # j <= 64 fits in 7 bits
+            hom = _HOM_CACHE.get(key)
+            if hom is None:
+                hom = reduced_dims_from_facets({f & w for f in facets})
+                if len(_HOM_CACHE) < _HOM_CACHE_LIMIT:
+                    _HOM_CACHE[key] = hom
+            dims, torsion = hom
+            if torsion:
+                torsions.append((j, torsion))
+            for r_idx, b in enumerate(dims):
+                if b:
+                    # reduced degree r = r_idx - 1 contributes at i = j - r - 1
+                    acc[(j - r_idx, j)] = acc.get((j - r_idx, j), 0) + b
+
+    def table(self, n: int, field: FieldSpec) -> BettiTable:
+        """The table of a sweep that has visited all 2^n subsets."""
+        cells = tuple(sorted((i, j, v) for (i, j), v in self.acc.items()))
+        return BettiTable(cells, n, QQ, tuple(self.torsions)).over(field)
+
+
 def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT_VERTEX_CAP) -> BettiTable:
     """Exact graded Betti numbers of the face ring of c over the field.
 
@@ -93,50 +169,9 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
     """
     if c.n > n_cap:
         raise TooManyVerticesError(f"{c.n} vertices exceeds the sweep cap {n_cap}")
-    acc: dict[tuple[int, int], int] = {}  # the table over Q
-    torsions = []
-    facets = c.facets
-    # Minimal non-faces met so far.  Every subset of w is numerically <= w,
-    # so each one inside w was met before w; the list stays ascending.
-    gens: list[int] = []
-    below: dict[int, list[int]] = {}  # generator -> mask of the bits below each of its vertices
-    for w in range(1 << c.n):
-        inside = [g for g in gens if g & w == g]
-        if not inside:
-            for f in facets:
-                if w & f == w:
-                    break
-            else:  # w is in no facet, but every proper subset of w is a face
-                gens.append(w)
-                below[w] = [(1 << v) - 1 for v in _bits(w)]
-                inside = [w]
-        union = 0
-        for g in inside:
-            union |= g
-        if union != w:
-            continue  # a vertex of w in no minimal non-face is an apex: a cone
-        j = w.bit_count()
-        packed = 0
-        for g in inside:
-            # compact g to w: vertex v of g becomes bit (number of w's vertices below v)
-            packed <<= j
-            for m in below[g]:
-                packed |= 1 << (w & m).bit_count()
-        key = packed << 7 | j  # j <= 64 fits in 7 bits
-        hom = _HOM_CACHE.get(key)
-        if hom is None:
-            hom = reduced_dims_from_facets({f & w for f in facets})
-            if len(_HOM_CACHE) < _HOM_CACHE_LIMIT:
-                _HOM_CACHE[key] = hom
-        dims, torsion = hom
-        if torsion:
-            torsions.append((j, torsion))
-        for r_idx, b in enumerate(dims):
-            if b:
-                # reduced degree r = r_idx - 1 contributes at i = j - r - 1
-                acc[(j - r_idx, j)] = acc.get((j - r_idx, j), 0) + b
-    cells = tuple(sorted((i, j, v) for (i, j), v in acc.items()))
-    return BettiTable(cells, c.n, QQ, tuple(torsions)).over(field)
+    sweep = _Sweep()
+    sweep.run(c.facets, 0, 1 << c.n)
+    return sweep.table(c.n, field)
 
 
 @dataclass(frozen=True)

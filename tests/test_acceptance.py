@@ -115,10 +115,13 @@ def test_criterion_5_lower_bound(corpus):
 
 
 def test_criterion_6_exhaustive_linearity_chordality_sweep():
+    start = time.monotonic()
     result = froberg_exhaustive(6)
+    elapsed = time.monotonic() - start
     assert result.checked == 32768
     assert result.mismatches == ()
-    print("ACCEPTANCE 6 exhaustive 6-vertex sweep: PASS (32768 graphs, 0 exceptions)")
+    assert elapsed < 60.0
+    print(f"ACCEPTANCE 6 exhaustive 6-vertex sweep: PASS (32768 graphs, 0 exceptions, {elapsed:.2f}s)")
 
 
 def test_criterion_7_homology_oracle_sanity(corpus):

@@ -1,6 +1,7 @@
 """Verification reports, the seeded corpus, and determinism."""
 
 import json
+import random
 
 import pytest
 
@@ -14,12 +15,16 @@ from srbetti import (
     complex_from_facets,
     fingerprint,
     fixture_path,
+    froberg_exhaustive,
+    graded_betti,
+    graph_from_edges,
     read_complex,
     read_graph,
     verify_chordal_corpus,
     verify_complex,
 )
-from srbetti.verify import CHECK_NAMES, corpus_graphs, dumps_report
+from srbetti import verify
+from srbetti.verify import CHECK_NAMES, _prefix_sweep, _resumed_table, corpus_graphs, dumps_report
 
 C4 = complex_from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]])
 MIXED = complex_from_facets(
@@ -171,3 +176,60 @@ def test_projective_plane_field_dependence_flagged():
 def test_rationals_report_has_no_char_zero_section():
     rep = verify_complex(C4, QQ)
     assert rep.char_zero_agrees is None
+
+
+# The Froberg sweep resumes one prefix sweep per graph on the first n-1
+# vertices for every neighbour set of the last vertex.
+
+
+def _pairs(n):
+    """Vertex pairs in the sweep's edge-mask bit order."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _graph_of_mask(n, mask):
+    labels = [str(v + 1) for v in range(n)]
+    edges = [(labels[i], labels[j]) for b, (i, j) in enumerate(_pairs(n)) if (mask >> b) & 1]
+    return graph_from_edges(edges, vertices=labels)
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(2), QQ])
+def test_resumed_sweep_tables_equal_graded_betti(field):
+    graphs = [_graph_of_mask(n, mask) for n in range(1, 6) for mask in range(1 << len(_pairs(n)))]
+    graphs += [_graph_of_mask(6, mask) for mask in random.Random(1515).sample(range(1 << 15), 500)]
+    for g in graphs:
+        last = 1 << (g.n - 1)
+        prefix = _prefix_sweep([row & (last - 1) for row in g.adj[:-1]])
+        c = clique_complex(g)
+        # the whole table, torsion included
+        assert _resumed_table(prefix, c, field) == graded_betti(c, field), g.adj
+
+
+def test_froberg_mismatches_are_edge_masks(monkeypatch):
+    real = verify.is_chordal
+    monkeypatch.setattr(verify, "is_chordal", lambda g: (not real(g)[0], None))
+    result = froberg_exhaustive(4)
+    assert result.checked == 64
+    assert result.mismatches == tuple(range(64))
+
+
+@pytest.mark.parametrize("path", [("1", "2", "3"), ("2", "3", "4"), ("1", "4", "3")])
+def test_froberg_reports_the_edge_mask_of_one_mismatch(monkeypatch, path):
+    # only base edges, one base edge and one edge of the last vertex, and
+    # only edges of the last vertex
+    edges = sorted(tuple(sorted(e)) for e in zip(path, path[1:]))
+    real = verify.is_chordal
+
+    def flipped(g):
+        chordal, peo = real(g)
+        return (not chordal, None) if sorted(g.edges()) == edges else (chordal, peo)
+
+    monkeypatch.setattr(verify, "is_chordal", flipped)
+    labelled = [(str(i + 1), str(j + 1)) for i, j in _pairs(4)]
+    assert froberg_exhaustive(4).mismatches == (sum(1 << labelled.index(e) for e in edges),)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_froberg_refuses_fewer_than_one_vertex(n):
+    with pytest.raises(ValueError, match="at least 1 vertex"):
+        froberg_exhaustive(n)
