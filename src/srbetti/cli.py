@@ -68,7 +68,7 @@ def _load_input(path: str, n_cap: int):
     # a graph is refused before its clique complex, which can be exponential in n
     if graph.n > n_cap:
         raise TooManyVerticesError(f"{graph.n} vertices exceeds --n-cap {n_cap}")
-    chordal = is_chordal(graph)[0]
+    chordal = is_chordal(graph.adj)[0]
     return clique_complex(graph), "graph", chordal
 
 
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"max vertices per corpus graph (default {CORPUS_DEFAULTS['n_max']})")
     p_ver.add_argument("--seed", type=int, help=f"corpus seed (default {CORPUS_DEFAULTS['seed']})")
     p_ver.add_argument("--exhaustive-froberg", action="store_true", default=None,
-                       help="also sweep all graphs on 6 vertices (about 3 s)")
+                       help="also sweep all graphs on 6 vertices (about 2.5 s)")
     report_options(p_ver)
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -74,7 +74,7 @@ def chordal_h_relations(g: Graph) -> tuple[int, ...]:
     subcomplex of a chordal clique complex is a disjoint union of
     contractible pieces, so it has no torsion.
     """
-    ok, _ = is_chordal(g)
+    ok, _ = is_chordal(g.adj)
     if not ok:
         raise NotChordalError("clique-complex relations require a chordal graph")
     c = clique_complex(g)

@@ -1,11 +1,14 @@
 """Simple graphs with bitset adjacency: chordality, cliques, a seeded generator.
 
-Chordality is decided by maximum-cardinality search followed by explicit
-verification of the produced elimination ordering, so a positive answer
-always carries a checked witness.  Clique enumeration is Bron-Kerbosch with
-Tomita's pivot, worst case O(3^(n/3)) (Tomita, Tanaka and Takahashi 2006);
-facet output is canonicalized by sorting, so results do not depend on
-traversal order.
+The graph algorithms take the adjacency masks `adj` (adj[v] is the
+neighbour bitmask of vertex v), not a `Graph`, so a caller that builds
+masks itself, such as the Froberg sweep, needs no `Graph`.  Chordality is
+decided by maximum-cardinality search followed by explicit verification of
+the produced elimination ordering, so a positive answer always carries a
+checked witness, an order of vertex indices.  Clique enumeration is
+Bron-Kerbosch with Tomita's pivot, worst case O(3^(n/3)) (Tomita, Tanaka
+and Takahashi 2006); facet output is canonicalized by sorting, so results
+do not depend on traversal order.
 
 The seeded generator is built on a fixed xorshift64* contract (documented on
 Xorshift64Star) so corpora are bit-reproducible across implementations.
@@ -140,17 +143,16 @@ def complete_graph(n: int) -> Graph:
     )
 
 
-def is_chordal(g: Graph) -> tuple[bool, tuple[str, ...] | None]:
-    """Chordality test with a verified perfect-elimination-order witness.
+def is_chordal(adj: Sequence[int]) -> tuple[bool, tuple[int, ...] | None]:
+    """Chordality test of the graph with adjacency masks adj, with a verified
+    perfect elimination order of its vertex indices as witness.
 
     Runs maximum-cardinality search (ties broken by smallest index) and then
     checks directly that each vertex's later neighbors in the candidate
     elimination order form a clique; MCS yields such an order iff the graph
     is chordal, and the explicit check doubles as a self-test.
     """
-    n = g.n
-    if n == 0:
-        return True, ()
+    n = len(adj)
     weight = [0] * n
     numbered = 0
     selection: list[int] = []
@@ -161,20 +163,19 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[str, ...] | None]:
                 best = u
         selection.append(best)
         numbered |= 1 << best
-        for u in _bits(g.adj[best]):
+        for u in _bits(adj[best]):
             if not (numbered >> u) & 1:
                 weight[u] += 1
     # selection reversed is the candidate PEO; walking the selection forward,
     # `seen` is exactly the set of vertices later in that elimination order.
     seen = 0
     for v in selection:
-        later = g.adj[v] & seen
+        later = adj[v] & seen
         for u in _bits(later):
-            if later & ~g.adj[u] & ~(1 << u):
+            if later & ~adj[u] & ~(1 << u):
                 return False, None
         seen |= 1 << v
-    elim = tuple(g.labels[v] for v in reversed(selection))
-    return True, elim
+    return True, tuple(reversed(selection))
 
 
 def maximal_cliques(adj: Sequence[int]) -> list[int]:
@@ -256,7 +257,7 @@ def write_graph(g: Graph, path) -> None:
 
 def read_graph(path) -> Graph:
     """Parse a .graph file: '#' comment lines, optional vertex header, edge lines."""
-    vertices: list[str] | None = None
+    vertices: set[str] | None = None
     edges: list[tuple[str, str]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -269,7 +270,7 @@ def read_graph(path) -> Graph:
                     raise ParseError(path, lineno, "duplicate vertex header")
                 if edges:
                     raise ParseError(path, lineno, "vertex header must precede edges")
-                vertices = parts[1:]
+                vertices = set(parts[1:])
                 continue
             if len(parts) != 2:
                 raise ParseError(path, lineno, f"expected 'u v', got {line!r}")

@@ -45,11 +45,30 @@ def cross_polytope(r: int) -> Complex:
     return complex_from_facets(facets)
 
 
+def join(c1: Complex, c2: Complex) -> Complex:
+    """The join of complexes on disjoint label sets: its faces are the
+    unions of a face of c1 and a face of c2, so its facets are the unions
+    of a facet of each."""
+    if set(c1.labels) & set(c2.labels):
+        raise ValueError("the factors of a join share a vertex label")
+    faces1, faces2 = ([[c.labels[v] for v in bits(f)] for f in c.facets] for c in (c1, c2))
+    return complex_from_facets([f + g for f in faces1 for g in faces2])
+
+
 def suspension(c: Complex) -> Complex:
-    """Two cone points over c: homology shifts up one degree, so rp2's
-    torsion moves from the boundary map 2 to 3."""
-    faces = [[c.labels[v] for v in range(c.n) if (f >> v) & 1] for f in c.facets]
-    return complex_from_facets([f + [apex] for f in faces for apex in ("north", "south")])
+    """The join with two points "north" and "south": homology shifts up one
+    degree, so rp2's torsion moves from the boundary map 2 to 3."""
+    return join(c, complex_from_facets([["north"], ["south"]]))
+
+
+def betti_product(t1: BettiTable, t2: BettiTable) -> dict[tuple[int, int], int]:
+    """The coefficients of B_1(s, t) * B_2(s, t), keyed (i, j), where a
+    table's Betti polynomial is B(s, t) = sum of beta_{i,j} s^i t^j."""
+    out: dict[tuple[int, int], int] = {}
+    for i1, j1, v1 in t1.cells:
+        for i2, j2, v2 in t2.cells:
+            out[i1 + i2, j1 + j2] = out.get((i1 + i2, j1 + j2), 0) + v1 * v2
+    return out
 
 
 def bumped_table(table: BettiTable, k: int) -> BettiTable:

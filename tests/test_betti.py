@@ -6,7 +6,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from helpers import brute_betti, cross_polytope, random_complex, suspension
+from helpers import (
+    betti_product,
+    bits,
+    brute_betti,
+    bumped_table,
+    cross_polytope,
+    join,
+    random_complex,
+    suspension,
+)
 from srbetti import (
     GF_DEFAULT,
     QQ,
@@ -186,6 +195,37 @@ def test_tables_match_brute_force_hochster():
         assert graded_betti(c, QQ).as_dict() == brute_betti(c), c.facets
 
 
+def primed(c):
+    """c with a prime on every label, to join it with a complex on the same labels."""
+    return complex_from_facets([[c.labels[v] + "'" for v in bits(f)] for f in c.facets])
+
+
+def test_join_multiplies_betti_polynomials():
+    # k[D * G] = k[D] (x) k[G] over every field k, and the tensor product of
+    # minimal resolutions is minimal: B_{D*G}(s, t) = B_D(s, t) B_G(s, t).
+    # rp2 and its suspension carry 2-torsion into the joins, and the random
+    # pairs give general shapes; at most 14 vertices are joined
+    rnd = random.Random(6007)
+    pairs = [(RP2, primed(RP2)), (RP2, primed(suspension(RP2)))]
+    pairs += [(suspension(RP2), primed(C4)), (TRI, primed(MIXED))]
+    pairs += [(RP2, random_complex(rnd, max_n=6, max_size=3)) for _ in range(4)]
+    pairs += [(random_complex(rnd), primed(random_complex(rnd, max_size=4))) for _ in range(16)]
+    fields = (QQ, FieldSpec.prime(2), FieldSpec.prime(3))
+    torsion = 0
+    for c1, c2 in pairs:
+        joined = join(c1, c2)
+        assert joined.n == c1.n + c2.n <= 14
+        tables = {}
+        for field in fields:
+            t1, t2, tables[field] = (graded_betti(c, field) for c in (c1, c2, joined))
+            assert tables[field].as_dict() == betti_product(t1, t2), (c1.facets, c2.facets, field)
+            # one cell more in a factor's table breaks the product
+            k = rnd.randrange(len(t1.cells))
+            assert tables[field].as_dict() != betti_product(bumped_table(t1, k), t2)
+        torsion += tables[QQ].cells != tables[fields[1]].cells
+    assert torsion >= 2
+
+
 def count_misses(monkeypatch) -> list:
     """Record the facets of every homology-cache miss of the sweep."""
     calls = []
@@ -264,7 +304,7 @@ def test_threads_share_one_cold_cache():
     # another thread just wrote sees the torsion with the Betti numbers.  A
     # tiny switch interval makes the threads interleave inside the sweep
     field = FieldSpec.prime(2)
-    complexes = [RP2, suspension(RP2), suspension(suspension(RP2))]
+    complexes = [RP2, suspension(RP2), suspension(primed(suspension(RP2)))]
     cold = {}
     for c in complexes:
         clear_homology_cache()

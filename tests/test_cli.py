@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import product
 from pathlib import Path
 
@@ -143,6 +144,19 @@ def test_oversized_input_refused_before_its_complex_is_built(tmp_path, capsys, m
     assert (code, out, err) == (2, "", "srbetti: error: 65 vertices exceeds the 64-bit face representation\n")
 
 
+def test_large_graph_file_refused_in_time(tmp_path, capsys):
+    # 100,000 edges checked against a 10,000-label header: a linear scan of
+    # the header per edge took about 9 s before --n-cap was compared
+    labels = [f"v{i}" for i in range(10000)]
+    f = tmp_path / "circulant.graph"
+    edges = [f"{labels[a]} {labels[(a + d) % 10000]}" for a in range(10000) for d in range(1, 11)]
+    f.write_text("vertices " + " ".join(labels) + "\n" + "\n".join(edges) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", str(f))
+    assert time.perf_counter() - start < 3.0
+    assert (code, out, err) == (2, "", "srbetti: error: 10000 vertices exceeds --n-cap 20\n")
+
+
 def test_gen_chordal_writes_deterministic_chordal_file(tmp_path, capsys):
     out1 = tmp_path / "a.graph"
     out2 = tmp_path / "b.graph"
@@ -151,7 +165,7 @@ def test_gen_chordal_writes_deterministic_chordal_file(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     g = read_graph(out1)
     assert g.n == 8
-    assert is_chordal(g)[0]
+    assert is_chordal(g.adj)[0]
 
 
 def test_gen_chordal_k3(capsys):

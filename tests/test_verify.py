@@ -8,7 +8,9 @@ import pytest
 from srbetti import (
     GF_DEFAULT,
     QQ,
+    Complex,
     FieldSpec,
+    Graph,
     TooManyVerticesError,
     clique_complex,
     complete_graph,
@@ -202,12 +204,12 @@ def test_resumed_sweep_tables_equal_graded_betti(field):
         prefix = _prefix_sweep([row & (last - 1) for row in g.adj[:-1]])
         c = clique_complex(g)
         # the whole table, torsion included
-        assert _resumed_table(prefix, c, field) == graded_betti(c, field), g.adj
+        assert _resumed_table(prefix, c.facets, c.n, field) == graded_betti(c, field), g.adj
 
 
 def test_froberg_mismatches_are_edge_masks(monkeypatch):
     real = verify.is_chordal
-    monkeypatch.setattr(verify, "is_chordal", lambda g: (not real(g)[0], None))
+    monkeypatch.setattr(verify, "is_chordal", lambda adj: (not real(adj)[0], None))
     result = froberg_exhaustive(4)
     assert result.checked == 64
     assert result.mismatches == tuple(range(64))
@@ -220,13 +222,26 @@ def test_froberg_reports_the_edge_mask_of_one_mismatch(monkeypatch, path):
     edges = sorted(tuple(sorted(e)) for e in zip(path, path[1:]))
     real = verify.is_chordal
 
-    def flipped(g):
-        chordal, peo = real(g)
-        return (not chordal, None) if sorted(g.edges()) == edges else (chordal, peo)
+    def flipped(adj):
+        chordal, peo = real(adj)
+        adj_edges = [(str(i + 1), str(j + 1)) for i, j in _pairs(len(adj)) if (adj[i] >> j) & 1]
+        return (not chordal, None) if adj_edges == edges else (chordal, peo)
 
     monkeypatch.setattr(verify, "is_chordal", flipped)
     labelled = [(str(i + 1), str(j + 1)) for i, j in _pairs(4)]
     assert froberg_exhaustive(4).mismatches == (sum(1 << labelled.index(e) for e in edges),)
+
+
+def test_froberg_sweep_builds_no_graph_or_complex(monkeypatch):
+    # every graph of the sweep and its clique complex are masks built
+    # correctly by construction, so no validated object is built for them
+    def refuse(self):
+        raise AssertionError("the Froberg sweep built a Graph or a Complex")
+
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    monkeypatch.setattr(Complex, "__post_init__", refuse)
+    result = froberg_exhaustive(5)
+    assert (result.checked, result.mismatches) == (1024, ())
 
 
 @pytest.mark.parametrize("n", [0, -1])
