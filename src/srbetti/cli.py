@@ -16,7 +16,7 @@ from pathlib import Path
 from .betti import DEFAULT_VERTEX_CAP, BettiTable
 from .errors import ParseError, TooManyVerticesError
 from .exactla import QQ, FieldSpec
-from .graphs import gen_chordal, is_chordal, clique_complex, read_graph, write_graph
+from .graphs import gen_chordal, graph_from_edges, is_chordal, clique_complex, read_edges, write_graph
 from .hilbert import multiplicity, series_from_f
 from .simplicial import MAX_VERTICES, complex_from_facets, read_facets
 from .verify import (
@@ -64,10 +64,13 @@ def _load_input(path: str, n_cap: int):
         return complex_from_facets(facets), "complex", None
     if suffix != ".graph":
         raise ParseError(path, 1, f"unrecognized input extension {suffix!r} (want .cplx or .graph)")
-    graph = read_graph(path)
-    # a graph is refused before its clique complex, which can be exponential in n
-    if graph.n > n_cap:
-        raise TooManyVerticesError(f"{graph.n} vertices exceeds --n-cap {n_cap}")
+    edges, vertices = read_edges(path)
+    # a graph is refused before its adjacency masks, O(n^2) bits, and its
+    # clique complex, which can be exponential in n
+    n = len(set(vertices or ()).union(*edges))
+    if n > n_cap:
+        raise TooManyVerticesError(f"{n} vertices exceeds --n-cap {n_cap}")
+    graph = graph_from_edges(edges, vertices)
     chordal = is_chordal(graph.adj)[0]
     return clique_complex(graph), "graph", chordal
 
@@ -284,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--n-cap", type=int, default=DEFAULT_VERTEX_CAP,
-                       help=f"vertex cap for the subset sweep (default {DEFAULT_VERTEX_CAP}, max 64)")
+                       help=f"vertex cap for the subset sweep (default {DEFAULT_VERTEX_CAP}, max {MAX_VERTICES})")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     def report_options(p: argparse.ArgumentParser) -> None:
@@ -322,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not 1 <= args.n_cap <= 64:
-            raise ValueError("--n-cap must be between 1 and 64")
+        if not 1 <= args.n_cap <= MAX_VERTICES:
+            raise ValueError(f"--n-cap must be between 1 and {MAX_VERTICES}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"srbetti: error: {exc}", file=sys.stderr)

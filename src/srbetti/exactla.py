@@ -5,9 +5,10 @@ over Q and the invariant factors, and the rank over GF(p) is the rank over
 Q less the factors divisible by p.  Everything is integer arithmetic; there
 is no floating point.  Matrices are expected to be small and sparse
 (boundary matrices with +-1 entries), so elimination keeps rows as dicts
-and picks pivots in the sparsest column.  Where no +-1 pivot is left it
-takes Smith normal form steps, as Dumas, Heckenbach, Saunders and Welker
-(2003) do for simplicial homology.
+and pivots on a +-1 in the sparsest column.  Where that column has none
+it pivots on an entry of least absolute value: a +-1 elsewhere if one is
+left, else a Smith normal form step, as Dumas, Heckenbach, Saunders and
+Welker (2003) take for simplicial homology.
 """
 
 from __future__ import annotations
@@ -70,10 +71,11 @@ def integral_rank(rows: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
     consumed.
 
     One elimination by unimodular steps, so no fraction appears.  It pivots
-    on an entry +-1 where it can: in the sparsest column that has one, on
-    its shortest row.  Clearing that column also clears the pivot row, so
-    the step holds over every field at once.  Only when no unit entry is
-    left does it pivot on an entry of least absolute value, a Smith step.
+    in the sparsest column, on its shortest row with an entry +-1.  When
+    that column has no +-1 it pivots on the first entry of least absolute
+    value in row order: a +-1 if one is left anywhere, else a Smith step.
+    A +-1 pivot is a unit step: clearing its column also clears its row,
+    so the step holds over every field at once.
     """
     rnk = 0
     factors = []
@@ -83,14 +85,9 @@ def integral_rank(rows: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
         pivot_col = min(counts, key=counts.get)
         best = _unit_row(active, pivot_col)
         if best is None:  # rare: the sparsest column has no unit entry
-            units = {c for r in active for c, v in r.items() if v == 1 or v == -1}
-            if units:
-                pivot_col = min(units, key=counts.get)
-                best = _unit_row(active, pivot_col)
-            else:
-                best, pivot_col = min(
-                    ((i, c) for i, r in enumerate(active) for c in r), key=lambda ic: abs(active[ic[0]][ic[1]])
-                )
+            best, pivot_col = min(
+                ((i, c) for i, r in enumerate(active) for c in r), key=lambda ic: abs(active[ic[0]][ic[1]])
+            )
         piv = active.pop(best)
         a = piv[pivot_col]
         nxt = []

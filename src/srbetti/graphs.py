@@ -255,8 +255,9 @@ def write_graph(g: Graph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_graph(path) -> Graph:
-    """Parse a .graph file: '#' comment lines, optional vertex header, edge lines."""
+def read_edges(path) -> tuple[list[tuple[str, str]], set[str] | None]:
+    """The edges and the vertex header (None if absent) of a .graph file:
+    '#' comment lines, optional vertex header, edge lines."""
     vertices: set[str] | None = None
     edges: list[tuple[str, str]] = []
     with open(path, encoding="utf-8") as fh:
@@ -282,4 +283,9 @@ def read_graph(path) -> Graph:
             edges.append((u, v))
     if vertices is None and not edges:
         raise ParseError(path, 1, "no vertices or edges found")
-    return graph_from_edges(edges, vertices=vertices)
+    return edges, vertices
+
+
+def read_graph(path) -> Graph:
+    """Parse a .graph file (see read_edges) into a graph."""
+    return graph_from_edges(*read_edges(path))

@@ -34,7 +34,7 @@ def series_from_f(f: FVector) -> tuple[tuple[int, ...], int]:
 
 def multiplicity(h: HVector) -> int:
     """The degree of the face ring, h(1): the sum of h."""
-    return h.total()
+    return sum(h.entries)
 
 
 def h_numerator(h: HVector, n: int, d: int) -> tuple[int, ...]:

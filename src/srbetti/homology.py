@@ -10,7 +10,8 @@ what the subset formula for graded Betti numbers consumes.
 
 `reduced_dims_from_facets` takes any collection of face masks whose
 down-closure is the complex; they need not form an antichain or use the
-lowest bits.  It keeps the inclusion-maximal masks only, and eliminates
+lowest bits.  It keeps the inclusion-maximal masks only (as
+`simplicial._maximal_masks` gives them, largest first), and eliminates
 only the faces outside the star of one vertex v.  st(v) is a cone, so its
 augmented chain complex is a free, acyclic subcomplex, and the long exact
 sequence of the pair gives H(complex; Z) = H(complex / st(v)).  The
@@ -34,6 +35,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .exactla import integral_rank
+from .simplicial import _maximal_masks
 
 
 def _boundary_rows(lower: Sequence[int], upper: Sequence[int]) -> list[dict[int, int]]:
@@ -72,19 +74,13 @@ def reduced_dims_from_facets(facets: Iterable[int]) -> tuple[tuple[int, ...], tu
     over the maximal masks only; v is the vertex of largest star, ties to
     the lowest (see the module docstring: the choice affects speed only).
     """
-    masks = sorted(set(facets), key=int.bit_count, reverse=True)
-    top = masks[0].bit_count()
+    maximal = _maximal_masks(facets)
+    top = maximal[0].bit_count()
     if not top:
         return (1,), ()
-    maximal: list[int] = []
     union = 0
-    for m in masks:
-        for k in maximal:
-            if m & k == m:
-                break
-        else:
-            maximal.append(m)
-            union |= m
+    for m in maximal:
+        union |= m
     weighted = [(m, 1 << (m.bit_count() - 1)) for m in maximal]
     best = 0
     rest = union

@@ -34,11 +34,18 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    """Inclusion-maximal elements of a set of masks, sorted ascending."""
-    uniq = set(masks)
-    out = [m for m in uniq if not any(m != o and m & o == m for o in uniq)]
-    return tuple(sorted(out))
+def _maximal_masks(masks: Iterable[int]) -> list[int]:
+    """Inclusion-maximal elements of a set of masks, largest first: the
+    distinct masks by descending cardinality, each kept unless it lies
+    inside one kept before it."""
+    out: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        for k in out:
+            if m & k == m:
+                break
+        else:
+            out.append(m)
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,9 +85,8 @@ class Complex:
         if cover != full:
             missing = [self.labels[v] for v in range(n) if not (cover >> v) & 1]
             raise ValueError(f"vertices in no facet (every singleton must be a face): {missing}")
-        for f in self.facets:
-            if any(f != o and f & o == f for o in self.facets):
-                raise ValueError("facets must form an antichain")
+        if len(_maximal_masks(self.facets)) != len(self.facets):
+            raise ValueError("facets must form an antichain")
 
     @property
     def n(self) -> int:
@@ -123,7 +129,7 @@ def complex_from_facets(facets: Iterable[Iterable[str]]) -> Complex:
         for t in fac:
             m |= 1 << index[t]
         masks.append(m)
-    return Complex(labels, _maximal_masks(masks))
+    return Complex(labels, tuple(sorted(_maximal_masks(masks))))
 
 
 def masks_by_card(facets: Sequence[int]) -> list[list[int]]:
@@ -173,13 +179,6 @@ class HVector:
     def __post_init__(self):
         if not self.entries or self.entries[0] != 1:
             raise ValueError("h-vector must start with h_0 = 1")
-
-    @property
-    def d(self) -> int:
-        return len(self.entries) - 1
-
-    def total(self) -> int:
-        return sum(self.entries)
 
 
 def f_vector(c: Complex) -> FVector:

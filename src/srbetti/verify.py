@@ -33,8 +33,8 @@ from .graphs import (
     is_chordal,
     maximal_cliques,
 )
-from .hilbert import verify_series_identity
-from .simplicial import Complex, FVector, HVector, _bits, f_vector, h_vector
+from .hilbert import multiplicity, verify_series_identity
+from .simplicial import Complex, FVector, HVector, f_vector, h_vector
 
 
 def fingerprint(c: Complex) -> str:
@@ -109,7 +109,7 @@ class VerificationReport:
         relations = self.relation_residuals
         return {
             "theorem_formula": None if self.match is None else all(self.match),
-            "multiplicity": self.h.total() == self.f.entries[-1],
+            "multiplicity": multiplicity(self.h) == self.f.entries[-1],
             "series_identity": None if residual is None else residual == (),
             "h_relations": None if relations is None else all(r == 0 for r in relations),
             "lower_bound": None if self.bound_verdicts is None else all(self.bound_verdicts),
@@ -151,7 +151,7 @@ class VerificationReport:
             "formula_betti": [str(b) for b in self.formula_betti] if self.formula_betti is not None else None,
             "match": list(self.match) if self.match is not None else None,
             "multiplicity_check": {
-                "h_sum": str(self.h.total()),
+                "h_sum": str(multiplicity(self.h)),
                 "f_top": str(self.f.entries[-1]),
                 "equal": self.checks()["multiplicity"],
             },
@@ -368,19 +368,17 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     if n < 1:
         raise ValueError(f"the Froberg sweep needs at least 1 vertex, got n = {n}")
     k = n - 1  # vertices of a base graph
-    bit = {pair: b for b, pair in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     base_pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     last = 1 << k
     mismatches = []
     checked = 0
     for base_mask in range(1 << len(base_pairs)):
         base = [0] * k
-        base_edges = 0  # the base's edges as bits of an n-vertex edge mask
         for b, (i, j) in enumerate(base_pairs):
             if (base_mask >> b) & 1:
                 base[i] |= 1 << j
                 base[j] |= 1 << i
-                base_edges |= 1 << bit[i, j]
         prefix = _prefix_sweep(base)
         for nbrs in range(last):
             adj = [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)]
@@ -388,7 +386,7 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
             chordal, _ = is_chordal(adj)
             linear = classify(_resumed_table(prefix, maximal_cliques(adj), n, field)).is_linear_or_trivial
             if linear != chordal:
-                mismatches.append(base_edges | sum(1 << bit[v, k] for v in _bits(nbrs)))
+                mismatches.append(sum(1 << b for b, (i, j) in enumerate(pairs) if (adj[i] >> j) & 1))
             checked += 1
     return SweepResult(n, checked, tuple(sorted(mismatches)))
 

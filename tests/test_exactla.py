@@ -99,6 +99,9 @@ FIXED_SMITH = [
     ([[-2, 4], [4, -2]], (2, (2, 6))),  # negative pivots
     ([[2, 0, 1], [0, 2, 1]], (2, (2,))),  # a unit step, then a non-unit block
     ([[2, 0], [0, 3]], (2, (6,))),  # 2 does not divide 3: factors 1 and 6
+    # the sparsest column (0) has no unit; the first unit in row order, in
+    # column 1 (3 entries), is the pivot, though column 2 (2 entries) has one
+    ([[0, 1, 0], [2, 3, 1], [0, 2, 5]], (3, (10,))),
 ]
 
 

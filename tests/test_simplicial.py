@@ -15,11 +15,12 @@ from srbetti import (
     f_vector,
     h_vector,
     minimal_non_faces,
+    multiplicity,
     read_complex,
     write_complex,
 )
 from srbetti.homology import reduced_dims_from_facets
-from srbetti.simplicial import masks_by_card
+from srbetti.simplicial import _maximal_masks, masks_by_card
 
 C4_FACETS = [["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]]
 
@@ -85,7 +86,7 @@ def test_h_sum_is_top_f():
     for _ in range(150):
         c = random_complex(rnd)
         f = f_vector(c)
-        assert h_vector(f).total() == f.entries[-1]
+        assert multiplicity(h_vector(f)) == f.entries[-1]
 
 
 def test_f_h_round_trip():
@@ -199,3 +200,51 @@ def test_direct_complex_validation():
         Complex(("a", "b"), (0b01, 0b11))  # not an antichain
     with pytest.raises(ValueError):
         Complex(("b", "a"), (0b11,))  # labels unsorted
+
+
+def brute_maximal(masks):
+    """The masks that lie in no other mask of the list."""
+    return {m for m in masks if all(o == m or m | o != o for o in masks)}
+
+
+def random_mask_list(rnd, n):
+    """Random masks on n bits with duplicates, nested masks and sometimes 0."""
+    masks = [rnd.getrandbits(n) for _ in range(rnd.randint(1, 8))]
+    masks += [m & rnd.getrandbits(n) for m in rnd.choices(masks, k=rnd.randint(0, 4))]
+    masks += rnd.choices(masks, k=rnd.randint(0, 3))
+    rnd.shuffle(masks)
+    return masks
+
+
+def test_maximal_masks_against_brute_force():
+    rnd = random.Random(2005)
+    for _ in range(500):
+        masks = random_mask_list(rnd, rnd.randint(0, 6))
+        out = _maximal_masks(masks)
+        assert len(out) == len(set(out))
+        assert set(out) == brute_maximal(masks), masks
+        sizes = [m.bit_count() for m in out]
+        assert sizes == sorted(sizes, reverse=True)
+    assert _maximal_masks([0, 0]) == [0]
+
+
+def test_complex_raises_antichain_exactly_on_non_antichains():
+    rnd = random.Random(2006)
+    seen = {True: 0, False: 0}
+    for _ in range(500):
+        facets = tuple(sorted(set(random_mask_list(rnd, rnd.randint(0, 6)))))
+        cover = 0
+        for f in facets:
+            cover |= f
+        n = cover.bit_length()
+        if cover != (1 << n) - 1:
+            continue
+        labels = tuple(f"v{i}" for i in range(n))
+        antichain = len(brute_maximal(facets)) == len(facets)
+        seen[antichain] += 1
+        if antichain:
+            assert Complex(labels, facets).facets == facets
+        else:
+            with pytest.raises(ValueError, match="antichain"):
+                Complex(labels, facets)
+    assert min(seen.values()) > 50, seen
