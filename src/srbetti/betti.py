@@ -17,12 +17,15 @@ restriction and determine it.  Two optimizations, neither affecting results:
 
 The loop is one resumable sweep, `_Sweep`, with two callers.
 `graded_betti` runs it over all of [0, 2^n).  The Froberg sweep
-(verify.froberg_exhaustive) runs it once over [0, 2^(n-1)) for each graph
-on the first n-1 vertices, then copies that state and resumes it over
-[2^(n-1), 2^n) for each neighbour set of the last vertex: a W without the
-last vertex restricts every extension of the graph alike (the prefix
-argument), so those 2^(n-1) subsets are swept once per base graph, not
-once per graph.
+(verify._extension_tables) runs it once over [0, 2^(n-1)) for each graph
+on the first n-1 vertices: a W without the last vertex v restricts every
+extension of the graph alike, so those subsets are swept once per base
+graph.  It then starts one sweep per neighbour set N of v from that state
+and steps them in lockstep over the W through v, one W at a time: W
+restricts extension N as it restricts extension N & W, so each W is
+visited once per distinct N & W and the visit's findings go to every N
+that shares it.  That is 3^(n-1) visits through v per base graph, not
+4^(n-1).
 
 Homology is integral: the sweep adds up the table over Q and keeps the
 torsion of the few restrictions that have any, from which the table over
@@ -98,22 +101,20 @@ class _Sweep:
 
     The state is the minimal non-faces met so far (`gens`, with `below`,
     each generator's masks of the bits below its vertices), the table over
-    Q and the torsion list.  Every subset of W is numerically <= W, so a
-    sweep over [0, 2^n) may stop at any point and be copied and resumed with
-    another complex, provided both complexes restrict alike to each W
-    already visited.
+    Q and the torsion list.  Every subset of W is numerically <= W, and a
+    visit to W reads only the minimal non-faces inside W, so a sweep over
+    [0, 2^n) may stop at any point and go on with another complex, provided
+    both complexes restrict alike to each W already visited.
     """
 
     __slots__ = ("gens", "below", "acc", "torsions")
 
-    def __init__(self, gens=(), below=(), acc=(), torsions=()):
+    def __init__(self, gens=(), below=None, acc=(), torsions=()):
         self.gens: list[int] = list(gens)
-        self.below: dict[int, list[int]] = dict(below)
+        # below[g] depends on g alone, so sweeps may share one dict
+        self.below: dict[int, list[int]] = {} if below is None else below
         self.acc: dict[tuple[int, int], int] = dict(acc)  # the table over Q
         self.torsions: list[tuple[int, tuple[tuple[int, int], ...]]] = list(torsions)
-
-    def copy(self) -> "_Sweep":
-        return _Sweep(self.gens, self.below, self.acc, self.torsions)
 
     def run(self, facets, start: int, stop: int) -> None:
         """Visit W = start ... stop-1 of the complex with these facets."""

@@ -26,8 +26,9 @@ from srbetti import (
     verify_chordal_corpus,
     verify_complex,
 )
-from srbetti import verify
-from srbetti.verify import CHECK_NAMES, _prefix_sweep, _resumed_table, corpus_graphs, dumps_report
+from srbetti import betti, verify
+from srbetti.betti import _Sweep
+from srbetti.verify import CHECK_NAMES, _extension_tables, corpus_graphs, dumps_report
 
 C4 = complex_from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]])
 MIXED = complex_from_facets(
@@ -181,8 +182,8 @@ def test_rationals_report_has_no_char_zero_section():
     assert rep.char_zero_agrees is None
 
 
-# The Froberg sweep resumes one prefix sweep per graph on the first n-1
-# vertices for every neighbour set of the last vertex.
+# The Froberg sweep steps the extensions of each graph on the first n-1
+# vertices, one per neighbour set of the last vertex, in lockstep.
 
 
 def _pairs(n):
@@ -196,16 +197,70 @@ def _graph_of_mask(n, mask):
     return graph_from_edges(edges, vertices=labels)
 
 
+def _complex_of_adj(adj):
+    return clique_complex(Graph(tuple(str(v + 1) for v in range(len(adj))), tuple(adj)))
+
+
+def _all_extension_tables(n, field):
+    """(adjacency, table) of every graph on n labeled vertices, by base."""
+    for mask in range(1 << len(_pairs(n - 1))):
+        yield from _extension_tables(list(_graph_of_mask(n - 1, mask).adj), field)
+
+
 @pytest.mark.parametrize("field", [FieldSpec.prime(2), QQ])
-def test_resumed_sweep_tables_equal_graded_betti(field):
-    graphs = [_graph_of_mask(n, mask) for n in range(1, 6) for mask in range(1 << len(_pairs(n)))]
-    graphs += [_graph_of_mask(6, mask) for mask in random.Random(1515).sample(range(1 << 15), 500)]
-    for g in graphs:
-        last = 1 << (g.n - 1)
-        prefix = _prefix_sweep([row & (last - 1) for row in g.adj[:-1]])
-        c = clique_complex(g)
-        # the whole table, torsion included
-        assert _resumed_table(prefix, c.facets, c.n, field) == graded_betti(c, field), g.adj
+def test_extension_tables_equal_graded_betti(field):
+    for n in range(1, 6):
+        tables = list(_all_extension_tables(n, field))
+        assert len(tables) == 1 << len(_pairs(n))
+        for adj, table in tables:
+            # the whole table, torsion included
+            assert table == graded_betti(_complex_of_adj(adj), field), adj
+    by_base = {}
+    for mask in random.Random(1515).sample(range(1 << 15), 500):
+        g = _graph_of_mask(6, mask)
+        by_base.setdefault(tuple(row & 31 for row in g.adj[:-1]), []).append(g)
+    for base, graphs in by_base.items():
+        tables = _extension_tables(list(base), field)
+        for g in graphs:
+            adj, table = tables[g.adj[-1]]
+            assert adj == list(g.adj)
+            assert table == graded_betti(clique_complex(g), field), g.adj
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(2), QQ])
+def test_extension_tables_carry_torsion(monkeypatch, field):
+    # no flag complex on <= 6 vertices has torsion, so fake a factor 2 of
+    # the boundary map from edges to vertices on every restriction with
+    # b_1 > 0, in a cache of its own
+    real = betti.reduced_dims_from_facets
+
+    def with_fake_torsion(facets):
+        dims, torsion = real(facets)
+        return dims, torsion + ((1, 2),) if len(dims) > 2 and dims[2] else torsion
+
+    monkeypatch.setattr(betti, "reduced_dims_from_facets", with_fake_torsion)
+    monkeypatch.setattr(betti, "_HOM_CACHE", {})
+    with_torsion = 0
+    for n in range(1, 6):
+        for adj, table in _all_extension_tables(n, field):
+            assert table == graded_betti(_complex_of_adj(adj), field), adj
+            with_torsion += bool(table.torsion)
+    assert with_torsion == 205
+
+
+def test_froberg_sweep_visits(monkeypatch):
+    visited = []
+    real = _Sweep.run
+
+    def counting(self, facets, start, stop):
+        visited.append(stop - start)
+        real(self, facets, start, stop)
+
+    monkeypatch.setattr(_Sweep, "run", counting)
+    assert froberg_exhaustive(5).passed
+    # per graph on 4 vertices: its 2^4 subsets, then each subset W of them
+    # with vertex 4 once per neighbour set of vertex 4 inside W, 3^4 in all
+    assert sum(visited) == 2 ** 6 * (2 ** 4 + 3 ** 4) == 6208
 
 
 def test_froberg_mismatches_are_edge_masks(monkeypatch):
