@@ -7,13 +7,25 @@ dimensions, so accumulation order cannot matter.
 
 The sweep visits W in ascending order, collecting the minimal non-faces of
 the complex on the way; those inside W are the minimal non-faces of the
-restriction and determine it.  Two optimizations, neither affecting results:
+restriction and determine it.  Three optimizations, none affecting results:
   - W is skipped when those non-faces do not cover it: an uncovered vertex
     is an apex, and cones are contractible and contribute nothing;
-  - homology of a restriction is cached on those non-faces relabeled to W,
-    since isomorphic restrictions recur massively across sweeps; a miss is
-    handed the facets intersected with W, neither relabeled nor reduced to
-    the maximal ones, since homology depends on neither.
+  - homology of a restriction is cached on those non-faces relabeled to W
+    (`_key`), since isomorphic restrictions recur massively across sweeps;
+  - a miss reduces {f & W} to its maximal masks and looks for the lowest
+    vertex u of W whose link is a cone: another vertex of W lies in every
+    maximal mask through u.  Then Delta_W strong-collapses onto
+    Delta_(W-u) (Barmak and Minian 2012, "Strong homotopy types, nerves
+    and collapses"), so the two are homotopy equivalent and have the same
+    integral homology, torsion included.  W - u < W, so the ascending sweep
+    has visited it: it is a cone, and Delta_W is acyclic, or its entry is
+    in the cache under its own key, the non-faces inside W that avoid u
+    relabeled to W - u.  Only when no vertex qualifies, or that entry is
+    absent (the cache is capped or was cleared), is the homology computed,
+    from the maximal masks, neither relabeled nor reduced further.
+A cache lookup therefore ends in one of three ways: a hit, a collapse
+onto a smaller restriction's entry, or a computed elimination.  Only the
+last calls `reduced_dims_from_facets`.
 
 The loop is one resumable sweep, `_Sweep`, with two callers.
 `graded_betti` runs it over all of [0, 2^n).  The Froberg sweep
@@ -25,7 +37,8 @@ and steps them in lockstep over the W through v, one W at a time: W
 restricts extension N as it restricts extension N & W, so each W is
 visited once per distinct N & W and the visit's findings go to every N
 that shares it.  That is 3^(n-1) visits through v per base graph, not
-4^(n-1).
+4^(n-1).  The W - u a miss collapses onto is visited before W there too:
+in the base graph's sweep if u is v, else in the sweep of N & (W - u).
 
 Homology is integral: the sweep adds up the table over Q and keeps the
 torsion of the few restrictions that have any, from which the table over
@@ -33,7 +46,9 @@ every GF(p) follows, so one sweep serves every field.
 
 `_HOM_CACHE` is process-wide: its key is one int, the packed non-faces
 shifted past |W|, and its value a miss's (Betti numbers over Q, torsion) in
-one write, so a reader sees a whole entry or none.  It stops inserting at
+one write, so a reader sees a whole entry or none.  A collapsed miss stores
+the entry it collapsed onto, whose Betti numbers may stop at a lower degree,
+or no Betti numbers at all for an acyclic one.  It stops inserting at
 `_HOM_CACHE_LIMIT` entries.
 """
 
@@ -44,7 +59,7 @@ from dataclasses import dataclass
 from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
 from .homology import reduced_dims_from_facets, torsion_shift
-from .simplicial import Complex, _bits
+from .simplicial import Complex, _bits, _maximal_masks
 
 DEFAULT_VERTEX_CAP = 20
 
@@ -96,6 +111,66 @@ class BettiTable:
         return {(a, b): v for a, b, v in self.cells}
 
 
+_ACYCLIC: tuple[tuple[int, ...], tuple[tuple[int, int], ...]] = ((), ())  # no homology, no torsion
+
+
+def _key(inside: list[int], w: int, below: dict[int, list[int]]) -> int | None:
+    """The cache key of the restriction to w, from the minimal non-faces
+    inside w in the order the sweep found them: those non-faces relabeled
+    to w and packed, shifted past |w|.  None when they do not cover w: a
+    vertex of w in none of them is an apex, and the restriction a cone."""
+    union = 0
+    for g in inside:
+        union |= g
+    if union != w:
+        return None
+    j = w.bit_count()
+    packed = 0
+    for g in inside:
+        # compact g to w: vertex v of g becomes bit (number of w's vertices below v)
+        packed <<= j
+        for m in below[g]:
+            packed |= 1 << (w & m).bit_count()
+    return packed << 7 | j  # j <= 64 fits in 7 bits
+
+
+def _dominated(maximal: list[int], w: int) -> int:
+    """The lowest vertex u of w (as a bit) for which another vertex of w
+    lies in every maximal mask through u, that is, whose link is a cone;
+    0 if there is none."""
+    rest = w
+    while rest:
+        u = rest & -rest
+        common = w ^ u
+        for m in maximal:
+            if m & u:
+                common &= m
+        if common:
+            return u
+        rest ^= u
+    return 0
+
+
+def _miss(masks, w: int, inside: list[int], below: dict[int, list[int]]):
+    """The homology of the restriction to w, which the cache lacks.
+
+    When the link of a vertex u is a cone, the restriction strong-collapses
+    onto the restriction to w - u, which the ascending sweep has visited
+    before w: its homology is zero if w - u is a cone, else the cache entry
+    under w - u's key.  Otherwise, or when that entry is absent (the cache
+    is capped or was cleared), it is computed."""
+    maximal = _maximal_masks({f & w for f in masks})
+    u = _dominated(maximal, w)
+    if u:
+        key = _key([g for g in inside if not g & u], w ^ u, below)
+        if key is None:
+            return _ACYCLIC
+        hom = _HOM_CACHE.get(key)
+        if hom is not None:
+            return hom
+    return reduced_dims_from_facets(maximal)
+
+
 class _Sweep:
     """The subset sweep, resumable: its state after visiting W in [0, stop).
 
@@ -116,38 +191,30 @@ class _Sweep:
         self.acc: dict[tuple[int, int], int] = dict(acc)  # the table over Q
         self.torsions: list[tuple[int, tuple[tuple[int, int], ...]]] = list(torsions)
 
-    def run(self, facets, start: int, stop: int) -> None:
-        """Visit W = start ... stop-1 of the complex with these facets."""
+    def run(self, masks, start: int, stop: int) -> None:
+        """Visit W = start ... stop-1 of the complex that is the down-closure
+        of these face masks (its facets, or any masks that span it)."""
         gens, below, acc, torsions = self.gens, self.below, self.acc, self.torsions
         for w in range(start, stop):
             inside = [g for g in gens if g & w == g]
             if not inside:
-                for f in facets:
+                for f in masks:
                     if w & f == w:
                         break
-                else:  # w is in no facet, but every proper subset of w is a face
+                else:  # w is in no face, but every proper subset of w is one
                     gens.append(w)
                     below[w] = [(1 << v) - 1 for v in _bits(w)]
                     inside = [w]
-            union = 0
-            for g in inside:
-                union |= g
-            if union != w:
+            key = _key(inside, w, below)
+            if key is None:
                 continue  # a vertex of w in no minimal non-face is an apex: a cone
-            j = w.bit_count()
-            packed = 0
-            for g in inside:
-                # compact g to w: vertex v of g becomes bit (number of w's vertices below v)
-                packed <<= j
-                for m in below[g]:
-                    packed |= 1 << (w & m).bit_count()
-            key = packed << 7 | j  # j <= 64 fits in 7 bits
             hom = _HOM_CACHE.get(key)
             if hom is None:
-                hom = reduced_dims_from_facets({f & w for f in facets})
+                hom = _miss(masks, w, inside, below)
                 if len(_HOM_CACHE) < _HOM_CACHE_LIMIT:
                     _HOM_CACHE[key] = hom
             dims, torsion = hom
+            j = w.bit_count()
             if torsion:
                 torsions.append((j, torsion))
             for r_idx, b in enumerate(dims):

@@ -338,6 +338,18 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+def _extension_masks(cliques: list[int], nbrs: int, last: int) -> list[int]:
+    """Masks whose down-closure is the clique complex of a graph with
+    maximal cliques `cliques`, extended by the vertex with bit `last` and
+    neighbour set nbrs: C & N plus the new vertex for each C, then the
+    cliques C.  A clique through the new vertex is a clique inside N plus
+    that vertex, and every clique inside N lies in some C & N.  Not all of
+    the masks are maximal, which neither the sweep nor a miss needs; the
+    masks through the new vertex come first, since the sweep tests the W
+    through it against the masks in order."""
+    return [c & nbrs | last for c in cliques] + cliques
+
+
 def _extension_tables(base: list[int], field: FieldSpec) -> list[tuple[list[int], BettiTable]]:
     """Each extension of the graph with adjacency base on k vertices by a
     vertex k, as (its adjacency masks, the Betti table of its clique
@@ -356,14 +368,15 @@ def _extension_tables(base: list[int], field: FieldSpec) -> list[tuple[list[int]
     """
     k = len(base)
     last = 1 << k
+    cliques = maximal_cliques(base) if base else [0]
     prefix = _Sweep()
-    prefix.run(maximal_cliques(base) if base else (0,), 0, last)
+    prefix.run(cliques, 0, last)
     adjs = []
     for nbrs in range(last):
         adj = [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)]
         adj.append(nbrs)
         adjs.append(adj)
-    facets = [maximal_cliques(adj) for adj in adjs]
+    masks = [_extension_masks(cliques, nbrs, last) for nbrs in range(last)]
     # sweeps[N] finds extension N's minimal non-faces and holds the cells
     # and torsion of its current visit only; totals[N] sums its table
     sweeps = [_Sweep(prefix.gens, prefix.below) for _ in range(last)]
@@ -373,7 +386,7 @@ def _extension_tables(base: list[int], field: FieldSpec) -> list[tuple[list[int]
         for nbrs in _submasks(sub):
             sweep = sweeps[nbrs]
             found = len(sweep.gens)
-            sweep.run(facets[nbrs], w, w + 1)
+            sweep.run(masks[nbrs], w, w + 1)
             new = len(sweep.gens) > found  # w is a minimal non-face
             if not (new or sweep.acc or sweep.torsions):
                 continue
@@ -396,7 +409,7 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
 
     For every edge set: the clique complex's Betti table classifies linear
     (trivial counting as vacuously linear, the zero-ideal case) iff the graph
-    is chordal.  2^C(n,2) graphs; n = 6 takes about 4 s from a cold cache
+    is chordal.  2^C(n,2) graphs; n = 6 takes about 3 s from a cold cache
     (shared 2-vCPU Xeon VM, Python 3.11.7) and is the strongest acceptance
     check in the suite.
 
@@ -406,9 +419,11 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     and 3^(n-1) visits through it, not 2^(n-1) for each of its 2^(n-1)
     graphs.  Every graph still gets its own chordality witness and a table
     summed over all 2^n subsets.  A graph is only its adjacency masks:
-    chordality and the maximal cliques are read from them, and no `Graph`
-    or `Complex` is built.  Mismatches are edge masks in the bit order of the pairs
-    (i, j), i < j, in lexicographic order, sorted ascending.
+    chordality is read from them, the masks spanning each extension's
+    clique complex from the base graph's maximal cliques
+    (`_extension_masks`), and no `Graph` or `Complex` is built.
+    Mismatches are edge masks in the bit order of the pairs (i, j), i < j,
+    in lexicographic order, sorted ascending.
     """
     if n < 1:
         raise ValueError(f"the Froberg sweep needs at least 1 vertex, got n = {n}")

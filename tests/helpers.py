@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from srbetti import BettiTable, Complex, Graph, complex_from_facets, graph_from_edges
 
@@ -59,6 +60,30 @@ def suspension(c: Complex) -> Complex:
     """The join with two points "north" and "south": homology shifts up one
     degree, so rp2's torsion moves from the boundary map 2 to 3."""
     return join(c, complex_from_facets([["north"], ["south"]]))
+
+
+def alexander_dual(c: Complex) -> tuple[Complex, int]:
+    """The Alexander dual of c, whose faces are the complements of the
+    non-faces of c, and the number of vertices of c that lie in every
+    minimal non-face of c.
+
+    The facets of the dual are the complements of the minimal non-faces,
+    so those vertices lie in no face of the dual: the dual is built on the
+    other vertices, and each of them adds a variable x with x in the face
+    ideal, a factor k[x]/(x) of the face ring over all of c's vertices,
+    whose Betti polynomial is 1 + s t (see `koszul_table`)."""
+    non_faces = brute_minimal_non_faces(c)
+    everywhere = frozenset(c.labels).intersection(*non_faces)
+    facets = [sorted(set(c.labels) - nf) for nf in non_faces]
+    if not any(facets):  # c is the boundary of its simplex; the dual is {empty face}
+        return Complex((), (0,)), len(everywhere)
+    return complex_from_facets(facets), len(everywhere)
+
+
+def koszul_table(k: int, field) -> BettiTable:
+    """The table of k[x_1..x_k]/(x_1..x_k), resolved by the Koszul complex:
+    Betti polynomial (1 + s t)^k."""
+    return BettiTable(tuple((i, i, comb(k, i)) for i in range(k + 1)), k, field)
 
 
 def betti_product(t1: BettiTable, t2: BettiTable) -> dict[tuple[int, int], int]:
@@ -130,6 +155,20 @@ def brute_betti(c: Complex, p: int | None = None) -> dict[tuple[int, int], int]:
             if dim:
                 table[(j - k, j)] = table.get((j - k, j), 0) + dim
     return table
+
+
+def brute_dominated_vertices(faces: set[int], w: int) -> set[int]:
+    """The vertices u of w (as bits) whose link in the restriction to w is
+    a cone: some other vertex u' of w has F + u' a face for every face F
+    through u inside w."""
+    out = set()
+    for u in bits(w):
+        through = [f for f in faces if f & w == f and (f >> u) & 1]
+        for other in bits(w):
+            if other != u and all(f | 1 << other in faces for f in through):
+                out.add(1 << u)
+                break
+    return out
 
 
 def brute_minimal_non_faces(c: Complex) -> set[frozenset[str]]:

@@ -7,12 +7,17 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from helpers import (
+    alexander_dual,
     betti_product,
     bits,
     brute_betti,
+    brute_dominated_vertices,
+    brute_face_masks,
+    brute_reduced_dims,
     bumped_table,
     cross_polytope,
     join,
+    koszul_table,
     random_complex,
     suspension,
 )
@@ -35,6 +40,7 @@ from srbetti import (
 )
 from srbetti import betti
 from srbetti.betti import clear_homology_cache
+from srbetti.simplicial import _maximal_masks
 from srbetti.verify import corpus_graphs, froberg_exhaustive, verify_complex
 
 C4 = complex_from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]])
@@ -226,6 +232,60 @@ def test_join_multiplies_betti_polynomials():
     assert torsion >= 2
 
 
+def dual_betti(c, field) -> dict[tuple[int, int], int]:
+    """The Betti numbers of the face ring of c's Alexander dual over all of
+    c's vertices, a vertex of c in no face of the dual adding 1 + s t."""
+    dual, missing = alexander_dual(c)
+    return betti_product(graded_betti(dual, field), koszul_table(missing, field))
+
+
+def terai(table, dual) -> bool:
+    """pd(S/I_Delta) = reg(I_dual), where reg(I) = max(j - i) over the
+    cells beta_{i,j}(I) = beta_{i+1,j}(S/I)."""
+    return table.pdim == max(j - i + 1 for (i, j), v in dual.items() if i and v)
+
+
+def eagon_reiner(table, dual, n, dual_dim) -> bool:
+    """I_Delta has a linear resolution iff S/I_dual is Cohen-Macaulay:
+    pdim = codim = n - (dim dual + 1)."""
+    pdim = max(i for (i, _), v in dual.items() if v)
+    return (classify(table).kind == "linear") == (pdim == n - dual_dim - 1)
+
+
+def test_alexander_duality_identities():
+    # Terai (1999): pd(S/I_Delta) = reg(I_dual); Eagon and Reiner (1998):
+    # I_Delta is linear iff S/I_dual is Cohen-Macaulay.  Each holds over
+    # every field, so the GF(2) tables of rp2, its suspension and their
+    # duals must carry the torsion: with the dual's table over Q instead,
+    # Eagon-Reiner fails on rp2.  Swapping the dual for the complex itself
+    # must break each identity somewhere.  The small draws give duals with
+    # missing vertices and linear ideals; the 9- to 12-vertex ones are of
+    # general shape, past the brute-force oracles' size
+    rnd = random.Random(6014)
+    complexes = [RP2, suspension(RP2), TRI, MIXED]
+    complexes += [random_complex(rnd, max_n=6, max_facets=4, max_size=3) for _ in range(16)]
+    for n in (9, 10, 11, 12) * 3:
+        facets = [rnd.sample(range(n), rnd.randint(2, 4)) for _ in range(rnd.randint(n // 2, 2 * n))]
+        complexes.append(complex_from_facets([[f"v{v}" for v in f] for f in facets]))
+    fields = (QQ, FieldSpec.prime(2))
+    linear = missing = 0
+    swapped = [0, 0]
+    for c in complexes:
+        dual, m = alexander_dual(c)
+        missing += m > 0
+        for field in fields:
+            table, cells = graded_betti(c, field), dual_betti(c, field)
+            assert terai(table, cells), (c.facets, field)
+            assert eagon_reiner(table, cells, c.n, dual.dim), (c.facets, field)
+            linear += classify(table).kind == "linear"
+            own = table.as_dict()
+            swapped[0] += not terai(table, own)
+            swapped[1] += not eagon_reiner(table, own, c.n, c.dim)
+    assert all(swapped) and missing and linear
+    table = graded_betti(RP2, fields[1])
+    assert not eagon_reiner(table, dual_betti(RP2, QQ), RP2.n, alexander_dual(RP2)[0].dim)
+
+
 def count_misses(monkeypatch) -> list:
     """Record the facets of every homology-cache miss of the sweep."""
     calls = []
@@ -255,11 +315,15 @@ def test_tables_match_brute_force_mod_p(p):
 def test_cache_misses_once_per_distinct_restriction(monkeypatch):
     calls = count_misses(monkeypatch)
     assert froberg_exhaustive(5).passed
-    # the distinct non-cone restrictions of all graphs on 5 vertices
-    assert len(calls) == 815
+    # one entry per distinct non-cone restriction of the graphs on 5
+    # vertices; all but 45 of them collapse onto a smaller restriction
+    # whose entry the sweep already holds, and are not eliminated
+    assert len(betti._HOM_CACHE) == 815
+    assert len(calls) == 45
     calls.clear()
     assert froberg_exhaustive(5).passed
     assert calls == []
+    assert len(betti._HOM_CACHE) == 815
 
 
 def test_one_sweep_serves_every_field(monkeypatch):
@@ -322,19 +386,56 @@ def test_threads_share_one_cold_cache():
 
 
 def test_misses_past_the_cache_cap_keep_their_torsion(monkeypatch):
-    # with room for two entries, the torsion of rp2 and its suspension comes
-    # from misses the cache does not keep, and still reaches the table
-    complexes = [RP2, suspension(RP2)]
-    fields = (FieldSpec.prime(2), QQ)
+    # with room for no entry or for two, the torsion of rp2 and its
+    # suspension comes from misses the cache does not keep, and a miss
+    # that collapses onto a smaller restriction the cache lacks is
+    # eliminated instead; every table still equals the uncapped one
+    rnd = random.Random(6012)
+    complexes = [RP2, suspension(RP2), join(RP2, primed(TRI))]
+    complexes += [join(random_complex(rnd, max_n=5), primed(random_complex(rnd, max_n=5))) for _ in range(4)]
+    complexes += [random_complex(rnd, max_n=8, max_facets=10, max_size=4) for _ in range(12)]
+    fields = (FieldSpec.prime(2), FieldSpec.prime(3), QQ)
+    calls = count_misses(monkeypatch)
     uncapped = {(c, field): graded_betti(c, field) for c in complexes for field in fields}
-    clear_homology_cache()
-    monkeypatch.setattr(betti, "_HOM_CACHE_LIMIT", 2)
-    for c in complexes:
-        for field in fields:
-            assert graded_betti(c, field) == uncapped[c, field], (c.facets, field)
-            assert len(betti._HOM_CACHE) <= 2
+    computed = len(calls)
+    for limit in (0, 2):
+        clear_homology_cache()
+        calls.clear()
+        monkeypatch.setattr(betti, "_HOM_CACHE_LIMIT", limit)
+        for c in complexes:
+            for field in fields:
+                # the whole table, torsion included
+                assert graded_betti(c, field) == uncapped[c, field], (c.facets, field, limit)
+                assert len(betti._HOM_CACHE) <= limit
+        assert len(calls) > computed
     assert all(not torsion for _, torsion in betti._HOM_CACHE.values())
-    assert uncapped[RP2, fields[0]] != uncapped[RP2, fields[1]]
+    assert uncapped[RP2, fields[0]] != uncapped[RP2, fields[2]]
+    assert sum(bool(t.torsion) for t in uncapped.values()) >= 9
+
+
+def test_dominated_vertex_matches_brute_force():
+    # a miss collapses W onto W - u for the lowest vertex u whose link is
+    # a cone; the oracle tests the cone on the faces, and Delta_W and
+    # Delta_(W-u) must have the same homology over Q, GF(2) and GF(3)
+    rnd = random.Random(6013)
+    complexes = [C4, TRI, MIXED, RP2, cross_polytope(3)]
+    complexes += [random_complex(rnd, max_n=7, max_facets=8, max_size=rnd.choice([2, 3, 4])) for _ in range(40)]
+    outcomes = set()
+    for c in complexes:
+        faces = brute_face_masks(c)
+        full = (1 << c.n) - 1
+        for w in [full] + rnd.sample(range(1, full), min(6, full - 1)):
+            qualifying = brute_dominated_vertices(faces, w)
+            u = betti._dominated(_maximal_masks({f & w for f in c.facets}), w)
+            assert u == min(qualifying, default=0), (c.facets, w)
+            outcomes.add(bool(u))
+            for u in qualifying:
+                whole = {f for f in faces if f & w == f}
+                rest = {f for f in whole if not f & u}
+                for p in (None, 2, 3):
+                    a, b = brute_reduced_dims(whole, p), brute_reduced_dims(rest, p)
+                    assert a[: len(b)] == b and not any(a[len(b) :]), (c.facets, w, u, p)
+    assert outcomes == {True, False}
 
 
 def test_first_syzygies_count_minimal_non_faces():

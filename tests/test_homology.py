@@ -140,7 +140,9 @@ def test_quotient_matches_full_chain_complex_oracle():
 def test_elimination_work_on_general_complexes(monkeypatch):
     # rows x columns of every matrix the misses hand to integral_rank, over
     # seeded 10-vertex complexes with 20 facets of 3 to 6 vertices each.  A
-    # count, not a time: an apex or quotient that keeps more faces raises it
+    # count, not a time: an apex or quotient that keeps more faces raises
+    # it, and so does eliminating a miss that collapses onto a restriction
+    # the cache holds
     cells = []
     real = homology._boundary_rows
 
@@ -153,4 +155,4 @@ def test_elimination_work_on_general_complexes(monkeypatch):
         rnd = random.Random(seed)
         facets = [[f"v{v}" for v in rnd.sample(range(10), rnd.randint(3, 6))] for _ in range(20)]
         graded_betti(complex_from_facets(facets))
-    assert sum(cells) == 30938, sum(cells)
+    assert sum(cells) == 21972, sum(cells)

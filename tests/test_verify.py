@@ -28,7 +28,9 @@ from srbetti import (
 )
 from srbetti import betti, verify
 from srbetti.betti import _Sweep
-from srbetti.verify import CHECK_NAMES, _extension_tables, corpus_graphs, dumps_report
+from srbetti.graphs import maximal_cliques
+from srbetti.simplicial import _maximal_masks
+from srbetti.verify import CHECK_NAMES, _extension_masks, _extension_tables, corpus_graphs, dumps_report
 
 C4 = complex_from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]])
 MIXED = complex_from_facets(
@@ -225,6 +227,20 @@ def test_extension_tables_equal_graded_betti(field):
             adj, table = tables[g.adj[-1]]
             assert adj == list(g.adj)
             assert table == graded_betti(clique_complex(g), field), g.adj
+
+
+def test_extension_masks_reduce_to_the_maximal_cliques():
+    # the masks an extension is swept with, derived from its base graph's
+    # maximal cliques, span its clique complex: their maximal ones are its
+    # maximal cliques
+    graphs = [_graph_of_mask(n, mask) for n in range(1, 6) for mask in range(1 << len(_pairs(n)))]
+    graphs += [_graph_of_mask(6, mask) for mask in random.Random(1516).sample(range(1 << 15), 500)]
+    for g in graphs:
+        last = 1 << (g.n - 1)
+        base = [row & (last - 1) for row in g.adj[:-1]]
+        cliques = maximal_cliques(base) if base else [0]
+        derived = _extension_masks(cliques, g.adj[-1], last)
+        assert set(_maximal_masks(derived)) == set(maximal_cliques(g.adj)), g.adj
 
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(2), QQ])
