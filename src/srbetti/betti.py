@@ -27,18 +27,20 @@ A cache lookup therefore ends in one of three ways: a hit, a collapse
 onto a smaller restriction's entry, or a computed elimination.  Only the
 last calls `reduced_dims_from_facets`.
 
-The loop is one resumable sweep, `_Sweep`, with two callers.
-`graded_betti` runs it over all of [0, 2^n).  The Froberg sweep
-(verify._extension_tables) runs it once over [0, 2^(n-1)) for each graph
-on the first n-1 vertices: a W without the last vertex v restricts every
-extension of the graph alike, so those subsets are swept once per base
-graph.  It then starts one sweep per neighbour set N of v from that state
-and steps them in lockstep over the W through v, one W at a time: W
-restricts extension N as it restricts extension N & W, so each W is
-visited once per distinct N & W and the visit's findings go to every N
-that shares it.  That is 3^(n-1) visits through v per base graph, not
-4^(n-1).  The W - u a miss collapses onto is visited before W there too:
-in the base graph's sweep if u is v, else in the sweep of N & (W - u).
+`graded_betti` runs the sweep, `_Sweep`, over all of [0, 2^n).  The
+Froberg sweep (verify.froberg_exhaustive) takes the extensions of each
+graph on the first n-1 vertices by a last vertex v together, in
+`_extension_tables`.  A W without v restricts every extension alike, so
+`_Sweep` runs once per base graph, over [0, 2^(n-1)).  A W through v
+restricts extension N as it restricts extension N' = N & W, and the
+minimal non-faces inside W are the base graph's, then the non-edges
+{x, v}.  So the key of each (W, N') is assembled from a base part packed
+once per W and one slot per x in W - N', cones are never looked up, and
+the entry goes to every N that shares N'.  On the graphs on 6 vertices
+that is 32,768 subsets without v and 166,969 lookups through it, out of
+3^5 pairs (W, N') per base graph.  The W - u a miss collapses onto is
+looked up before W there too: in the base graph's sweep if u is v, else
+as the pair (W - u, N' - u).
 
 Homology is integral: the sweep adds up the table over Q and keeps the
 torsion of the few restrictions that have any, from which the table over
@@ -114,16 +116,9 @@ class BettiTable:
 _ACYCLIC: tuple[tuple[int, ...], tuple[tuple[int, int], ...]] = ((), ())  # no homology, no torsion
 
 
-def _key(inside: list[int], w: int, below: dict[int, list[int]]) -> int | None:
-    """The cache key of the restriction to w, from the minimal non-faces
-    inside w in the order the sweep found them: those non-faces relabeled
-    to w and packed, shifted past |w|.  None when they do not cover w: a
-    vertex of w in none of them is an apex, and the restriction a cone."""
-    union = 0
-    for g in inside:
-        union |= g
-    if union != w:
-        return None
+def _packed(inside: list[int], w: int, below: dict[int, list[int]]) -> int:
+    """These non-faces inside w relabeled to w, one |w|-bit slot each, the
+    first one highest."""
     j = w.bit_count()
     packed = 0
     for g in inside:
@@ -131,7 +126,20 @@ def _key(inside: list[int], w: int, below: dict[int, list[int]]) -> int | None:
         packed <<= j
         for m in below[g]:
             packed |= 1 << (w & m).bit_count()
-    return packed << 7 | j  # j <= 64 fits in 7 bits
+    return packed
+
+
+def _key(inside: list[int], w: int, below: dict[int, list[int]]) -> int | None:
+    """The cache key of the restriction to w, from the minimal non-faces
+    inside w in the order the sweep found them: those non-faces packed,
+    shifted past |w|.  None when they do not cover w: a vertex of w in
+    none of them is an apex, and the restriction a cone."""
+    union = 0
+    for g in inside:
+        union |= g
+    if union != w:
+        return None
+    return _packed(inside, w, below) << 7 | w.bit_count()  # |w| <= 64 fits in 7 bits
 
 
 def _dominated(maximal: list[int], w: int) -> int:
@@ -151,8 +159,9 @@ def _dominated(maximal: list[int], w: int) -> int:
     return 0
 
 
-def _miss(masks, w: int, inside: list[int], below: dict[int, list[int]]):
-    """The homology of the restriction to w, which the cache lacks.
+def _miss(key: int, masks, w: int, inside: list[int], below: dict[int, list[int]]):
+    """The homology of the restriction to w, which the cache lacks under
+    key; stored there unless the cache is full.
 
     When the link of a vertex u is a cone, the restriction strong-collapses
     onto the restriction to w - u, which the ascending sweep has visited
@@ -161,41 +170,34 @@ def _miss(masks, w: int, inside: list[int], below: dict[int, list[int]]):
     is capped or was cleared), it is computed."""
     maximal = _maximal_masks({f & w for f in masks})
     u = _dominated(maximal, w)
+    hom = None
     if u:
-        key = _key([g for g in inside if not g & u], w ^ u, below)
-        if key is None:
-            return _ACYCLIC
-        hom = _HOM_CACHE.get(key)
-        if hom is not None:
-            return hom
-    return reduced_dims_from_facets(maximal)
+        collapsed = _key([g for g in inside if not g & u], w ^ u, below)
+        hom = _ACYCLIC if collapsed is None else _HOM_CACHE.get(collapsed)
+    if hom is None:
+        hom = reduced_dims_from_facets(maximal)
+    if len(_HOM_CACHE) < _HOM_CACHE_LIMIT:
+        _HOM_CACHE[key] = hom
+    return hom
 
 
 class _Sweep:
-    """The subset sweep, resumable: its state after visiting W in [0, stop).
-
-    The state is the minimal non-faces met so far (`gens`, with `below`,
-    each generator's masks of the bits below its vertices), the table over
-    Q and the torsion list.  Every subset of W is numerically <= W, and a
-    visit to W reads only the minimal non-faces inside W, so a sweep over
-    [0, 2^n) may stop at any point and go on with another complex, provided
-    both complexes restrict alike to each W already visited.
-    """
+    """The subset sweep's state after visiting W = 0 ... stop-1: the minimal
+    non-faces met (`gens`, in the order found, with `below`, each one's
+    masks of the bits below its vertices), the table over Q and the torsion
+    list."""
 
     __slots__ = ("gens", "below", "acc", "torsions")
 
-    def __init__(self, gens=(), below=None, acc=(), torsions=()):
-        self.gens: list[int] = list(gens)
-        # below[g] depends on g alone, so sweeps may share one dict
-        self.below: dict[int, list[int]] = {} if below is None else below
-        self.acc: dict[tuple[int, int], int] = dict(acc)  # the table over Q
-        self.torsions: list[tuple[int, tuple[tuple[int, int], ...]]] = list(torsions)
-
-    def run(self, masks, start: int, stop: int) -> None:
-        """Visit W = start ... stop-1 of the complex that is the down-closure
-        of these face masks (its facets, or any masks that span it)."""
+    def __init__(self, masks, stop: int):
+        """Sweep the complex that is the down-closure of these face masks
+        (its facets, or any masks that span it)."""
+        self.gens: list[int] = []
+        self.below: dict[int, list[int]] = {}
+        self.acc: dict[tuple[int, int], int] = {}
+        self.torsions: list[tuple[int, tuple[tuple[int, int], ...]]] = []
         gens, below, acc, torsions = self.gens, self.below, self.acc, self.torsions
-        for w in range(start, stop):
+        for w in range(stop):
             inside = [g for g in gens if g & w == g]
             if not inside:
                 for f in masks:
@@ -210,9 +212,7 @@ class _Sweep:
                 continue  # a vertex of w in no minimal non-face is an apex: a cone
             hom = _HOM_CACHE.get(key)
             if hom is None:
-                hom = _miss(masks, w, inside, below)
-                if len(_HOM_CACHE) < _HOM_CACHE_LIMIT:
-                    _HOM_CACHE[key] = hom
+                hom = _miss(key, masks, w, inside, below)
             dims, torsion = hom
             j = w.bit_count()
             if torsion:
@@ -222,10 +222,12 @@ class _Sweep:
                     # reduced degree r = r_idx - 1 contributes at i = j - r - 1
                     acc[(j - r_idx, j)] = acc.get((j - r_idx, j), 0) + b
 
-    def table(self, n: int, field: FieldSpec) -> BettiTable:
-        """The table of a sweep that has visited all 2^n subsets."""
-        cells = tuple(sorted((i, j, v) for (i, j), v in self.acc.items()))
-        return BettiTable(cells, n, QQ, tuple(self.torsions)).over(field)
+
+def _table(acc: dict[tuple[int, int], int], torsions: list, n: int, field: FieldSpec) -> BettiTable:
+    """The table over the field of a complex on n vertices, from its table
+    over Q and its torsion list summed over all 2^n subsets."""
+    cells = tuple(sorted((i, j, v) for (i, j), v in acc.items()))
+    return BettiTable(cells, n, QQ, tuple(torsions)).over(field)
 
 
 def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT_VERTEX_CAP) -> BettiTable:
@@ -237,9 +239,91 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
     """
     if c.n > n_cap:
         raise TooManyVerticesError(f"{c.n} vertices exceeds the sweep cap {n_cap}")
-    sweep = _Sweep()
-    sweep.run(c.facets, 0, 1 << c.n)
-    return sweep.table(c.n, field)
+    sweep = _Sweep(c.facets, 1 << c.n)
+    return _table(sweep.acc, sweep.torsions, c.n, field)
+
+
+def _submasks(mask: int):
+    """Every submask of mask, mask itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _extension_masks(cliques: list[int], nbrs: int, last: int) -> list[int]:
+    """Masks whose down-closure is the clique complex of a graph with
+    maximal cliques `cliques`, extended by the vertex with bit `last` and
+    neighbour set nbrs: C & N plus the new vertex for each C, then the
+    cliques C.  A clique through the new vertex is a clique inside N plus
+    that vertex, and every clique inside N lies in some C & N.  Not all of
+    the masks are maximal, which a miss does not need."""
+    return [c & nbrs | last for c in cliques] + cliques
+
+
+def _extension_tables(cliques: list[int], k: int, field: FieldSpec) -> list[BettiTable]:
+    """The Betti table of the clique complex of each extension of a graph
+    on k vertices, with maximal cliques `cliques` ([0] for k = 0), by a
+    vertex v = k, indexed by v's neighbour set N.
+
+    The base graph is swept once over its 2^k subsets W, which restrict
+    every extension alike.  W + v restricts extension N as it restricts
+    extension N' = N & W, so each (W, N') is looked up once and its
+    homology goes to every N with N & W = N'.  Its minimal non-faces are
+    the base graph's inside W, as the base sweep found them, then the
+    non-edges {x, v} for x in W - N', in ascending order: the order a sweep
+    of the extension finds them.  So its cache key is the base part, packed
+    once per W, followed by one slot per x; it is a cone, and skipped, when
+    N' = W (v is an apex) or N' has a vertex in no base non-face.
+    """
+    last = 1 << k
+    base = _Sweep(cliques, last)
+    gens = base.gens
+    below = dict(base.below)
+    for x in range(k):
+        below[1 << x | last] = [(1 << x) - 1, last - 1]
+    accs = [dict(base.acc) for _ in range(last)]
+    torsions = [list(base.torsions) for _ in range(last)]
+    for sub in range(last):
+        inside = [g for g in gens if g & sub == g]
+        union = 0
+        for g in inside:
+            union |= g
+        w = sub | last
+        j = sub.bit_count() + 1
+        packed = _packed(inside, w, below)
+        # the slot _packed gives the non-edge {x, v}: x's rank in sub, and v's
+        top = 1 << (j - 1)
+        slots = {1 << x: 1 << r | top for r, x in enumerate(_bits(sub))}
+        others = list(_submasks((last - 1) ^ sub))
+        for nbrs in _submasks(sub & union):
+            missing = sub ^ nbrs
+            if not missing:
+                continue  # v is an apex
+            key = packed
+            rest = missing
+            while rest:
+                x = rest & -rest
+                key = key << j | slots[x]
+                rest ^= x
+            key = key << 7 | j
+            hom = _HOM_CACHE.get(key)
+            if hom is None:
+                new = [1 << x | last for x in _bits(missing)]
+                hom = _miss(key, _extension_masks(cliques, nbrs, last), w, inside + new, below)
+            dims, torsion = hom
+            for r_idx, b in enumerate(dims):
+                if b:
+                    cell = (j - r_idx, j)
+                    for other in others:
+                        acc = accs[nbrs | other]
+                        acc[cell] = acc.get(cell, 0) + b
+            if torsion:
+                for other in others:
+                    torsions[nbrs | other].append((j, torsion))
+    return [_table(acc, t, k + 1, field) for acc, t in zip(accs, torsions)]
 
 
 @dataclass(frozen=True)

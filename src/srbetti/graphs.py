@@ -154,26 +154,34 @@ def is_chordal(adj: Sequence[int]) -> tuple[bool, tuple[int, ...] | None]:
     """
     n = len(adj)
     weight = [0] * n
-    numbered = 0
+    unnumbered = (1 << n) - 1
     selection: list[int] = []
     for _ in range(n):
-        best = -1
-        for u in range(n):
-            if not (numbered >> u) & 1 and (best < 0 or weight[u] > weight[best]):
-                best = u
+        best = top = -1
+        rest = unnumbered
+        while rest:  # ascending, so a tie keeps the smallest index
+            low = rest & -rest
+            u = low.bit_length() - 1
+            if weight[u] > top:
+                best, top = u, weight[u]
+            rest ^= low
         selection.append(best)
-        numbered |= 1 << best
-        for u in _bits(adj[best]):
-            if not (numbered >> u) & 1:
-                weight[u] += 1
+        unnumbered ^= 1 << best
+        rest = adj[best] & unnumbered
+        while rest:
+            low = rest & -rest
+            weight[low.bit_length() - 1] += 1
+            rest ^= low
     # selection reversed is the candidate PEO; walking the selection forward,
     # `seen` is exactly the set of vertices later in that elimination order.
     seen = 0
     for v in selection:
-        later = adj[v] & seen
-        for u in _bits(later):
-            if later & ~adj[u] & ~(1 << u):
+        later = rest = adj[v] & seen
+        while rest:
+            low = rest & -rest
+            if later & ~adj[low.bit_length() - 1] & ~low:
                 return False, None
+            rest ^= low
         seen |= 1 << v
     return True, tuple(reversed(selection))
 

@@ -19,7 +19,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .betti import BettiTable, ResolutionShape, _Sweep, classify, graded_betti
+from .betti import BettiTable, ResolutionShape, _extension_tables, classify, graded_betti
 from .betti import DEFAULT_VERTEX_CAP
 from .errors import NonPositiveResultError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
@@ -328,106 +328,31 @@ class SweepResult:
         }
 
 
-def _submasks(mask: int):
-    """Every submask of mask, mask itself first and 0 last."""
-    sub = mask
-    while True:
-        yield sub
-        if not sub:
-            return
-        sub = (sub - 1) & mask
-
-
-def _extension_masks(cliques: list[int], nbrs: int, last: int) -> list[int]:
-    """Masks whose down-closure is the clique complex of a graph with
-    maximal cliques `cliques`, extended by the vertex with bit `last` and
-    neighbour set nbrs: C & N plus the new vertex for each C, then the
-    cliques C.  A clique through the new vertex is a clique inside N plus
-    that vertex, and every clique inside N lies in some C & N.  Not all of
-    the masks are maximal, which neither the sweep nor a miss needs; the
-    masks through the new vertex come first, since the sweep tests the W
-    through it against the masks in order."""
-    return [c & nbrs | last for c in cliques] + cliques
-
-
-def _extension_tables(base: list[int], field: FieldSpec) -> list[tuple[list[int], BettiTable]]:
-    """Each extension of the graph with adjacency base on k vertices by a
-    vertex k, as (its adjacency masks, the Betti table of its clique
-    complex), indexed by the neighbour set N of vertex k.
-
-    A subset W of the base's vertices restricts every extension to the
-    clique complex of the base graph on W, so those subsets are swept once.
-    W + k restricts extension N exactly as it restricts extension N & W, so
-    for each W in ascending order, W + k is visited once for each N' in W,
-    by the sweep of extension N', and what the visit finds (a minimal
-    non-face, cells, torsion) goes to every extension N with N & W = N'.
-    That is 3^k visits through vertex k, not 4^k, and each sweep still
-    holds its extension's minimal non-faces in the order a whole sweep
-    finds them, so each table sums all 2^(k+1) subsets as `graded_betti`
-    sums them, down to the homology cache keys.
-    """
-    k = len(base)
-    last = 1 << k
-    cliques = maximal_cliques(base) if base else [0]
-    prefix = _Sweep()
-    prefix.run(cliques, 0, last)
-    adjs = []
-    for nbrs in range(last):
-        adj = [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)]
-        adj.append(nbrs)
-        adjs.append(adj)
-    masks = [_extension_masks(cliques, nbrs, last) for nbrs in range(last)]
-    # sweeps[N] finds extension N's minimal non-faces and holds the cells
-    # and torsion of its current visit only; totals[N] sums its table
-    sweeps = [_Sweep(prefix.gens, prefix.below) for _ in range(last)]
-    totals = [_Sweep(acc=prefix.acc, torsions=prefix.torsions) for _ in range(last)]
-    for sub in range(last):
-        w = sub | last
-        for nbrs in _submasks(sub):
-            sweep = sweeps[nbrs]
-            found = len(sweep.gens)
-            sweep.run(masks[nbrs], w, w + 1)
-            new = len(sweep.gens) > found  # w is a minimal non-face
-            if not (new or sweep.acc or sweep.torsions):
-                continue
-            cells = sweep.acc.items()
-            for other in _submasks((last - 1) ^ sub):
-                if new and other:
-                    sweeps[nbrs | other].gens.append(w)
-                total = totals[nbrs | other]
-                acc = total.acc
-                for cell, b in cells:
-                    acc[cell] = acc.get(cell, 0) + b
-                total.torsions += sweep.torsions
-            sweep.acc.clear()
-            sweep.torsions.clear()
-    return [(adj, total.table(k + 1, field)) for adj, total in zip(adjs, totals)]
-
-
 def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult:
     """Two-sided linearity/chordality sweep over ALL graphs on n labeled vertices.
 
     For every edge set: the clique complex's Betti table classifies linear
     (trivial counting as vacuously linear, the zero-ideal case) iff the graph
-    is chordal.  2^C(n,2) graphs; n = 6 takes about 3 s from a cold cache
-    (shared 2-vCPU Xeon VM, Python 3.11.7) and is the strongest acceptance
-    check in the suite.
+    is chordal.  2^C(n,2) graphs; n = 6 takes about 2 s from a cold cache
+    (1.5-2.0 s on a shared 2-vCPU Xeon VM, Python 3.11.7) and is the
+    strongest acceptance check in the suite.
 
     Each graph is a base graph on vertices 0..n-2 plus a neighbour set of
     vertex n-1, and the 2^(n-1) extensions of a base are swept together
-    (`_extension_tables`): per base, 2^(n-1) subsets without vertex n-1
-    and 3^(n-1) visits through it, not 2^(n-1) for each of its 2^(n-1)
-    graphs.  Every graph still gets its own chordality witness and a table
-    summed over all 2^n subsets.  A graph is only its adjacency masks:
-    chordality is read from them, the masks spanning each extension's
-    clique complex from the base graph's maximal cliques
-    (`_extension_masks`), and no `Graph` or `Complex` is built.
+    (`betti._extension_tables`): per base, 2^(n-1) subsets without vertex
+    n-1 and at most 3^(n-1) cache lookups through it (166,969 in all for
+    n = 6), not 2^(n-1) for each of its 2^(n-1) graphs.  Every graph still
+    gets its own chordality witness and a table summed over all 2^n
+    subsets.  A graph is only its adjacency masks: chordality is read from
+    them, each extension's clique complex from the base graph's maximal
+    cliques, and no `Graph` or `Complex` is built.
     Mismatches are edge masks in the bit order of the pairs (i, j), i < j,
     in lexicographic order, sorted ascending.
     """
     if n < 1:
         raise ValueError(f"the Froberg sweep needs at least 1 vertex, got n = {n}")
     k = n - 1  # vertices of a base graph
+    last = 1 << k
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     base_pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     mismatches = []
@@ -438,7 +363,9 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
             if (base_mask >> b) & 1:
                 base[i] |= 1 << j
                 base[j] |= 1 << i
-        for adj, table in _extension_tables(base, field):
+        cliques = maximal_cliques(base) if base else [0]
+        for nbrs, table in enumerate(_extension_tables(cliques, k, field)):
+            adj = [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)] + [nbrs]
             chordal, _ = is_chordal(adj)
             linear = classify(table).is_linear_or_trivial
             if linear != chordal:

@@ -39,7 +39,8 @@ from srbetti import (
     read_complex,
 )
 from srbetti import betti
-from srbetti.betti import clear_homology_cache
+from srbetti.betti import _extension_tables, clear_homology_cache
+from srbetti.graphs import maximal_cliques
 from srbetti.simplicial import _maximal_masks
 from srbetti.verify import corpus_graphs, froberg_exhaustive, verify_complex
 
@@ -385,19 +386,38 @@ def test_threads_share_one_cold_cache():
     assert tables == [cold[c] for c in jobs]
 
 
+def base_cliques(k):
+    """The maximal cliques of every graph on k labeled vertices, [0] for
+    k = 0, as the Froberg sweep hands them to `_extension_tables`."""
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    for mask in range(1 << len(pairs)):
+        adj = [0] * k
+        for b, (i, j) in enumerate(pairs):
+            if (mask >> b) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        yield maximal_cliques(adj) if adj else [0]
+
+
 def test_misses_past_the_cache_cap_keep_their_torsion(monkeypatch):
     # with room for no entry or for two, the torsion of rp2 and its
     # suspension comes from misses the cache does not keep, and a miss
     # that collapses onto a smaller restriction the cache lacks is
-    # eliminated instead; every table still equals the uncapped one
+    # eliminated instead; every table still equals the uncapped one.  The
+    # Froberg sweep's extensions of every graph on at most 4 vertices miss
+    # on every lookup at no room, so each miss collapses onto a cone, or
+    # not, by the non-faces the sweep lists for it
     rnd = random.Random(6012)
     complexes = [RP2, suspension(RP2), join(RP2, primed(TRI))]
     complexes += [join(random_complex(rnd, max_n=5), primed(random_complex(rnd, max_n=5))) for _ in range(4)]
     complexes += [random_complex(rnd, max_n=8, max_facets=10, max_size=4) for _ in range(12)]
     fields = (FieldSpec.prime(2), FieldSpec.prime(3), QQ)
+    bases = [(cliques, k) for k in range(5) for cliques in base_cliques(k)]
     calls = count_misses(monkeypatch)
     uncapped = {(c, field): graded_betti(c, field) for c in complexes for field in fields}
     computed = len(calls)
+    extensions = [_extension_tables(cliques, k, QQ) for cliques, k in bases]
+    extension_calls = len(calls) - computed
     for limit in (0, 2):
         clear_homology_cache()
         calls.clear()
@@ -409,6 +429,11 @@ def test_misses_past_the_cache_cap_keep_their_torsion(monkeypatch):
                 assert len(betti._HOM_CACHE) <= limit
         assert len(calls) > computed
     assert all(not torsion for _, torsion in betti._HOM_CACHE.values())
+    clear_homology_cache()
+    calls.clear()
+    monkeypatch.setattr(betti, "_HOM_CACHE_LIMIT", 0)
+    assert [_extension_tables(cliques, k, QQ) for cliques, k in bases] == extensions
+    assert not betti._HOM_CACHE and len(calls) > extension_calls
     assert uncapped[RP2, fields[0]] != uncapped[RP2, fields[2]]
     assert sum(bool(t.torsion) for t in uncapped.values()) >= 9
 

@@ -103,6 +103,17 @@ def test_elimination_order_is_verified_witness():
     assert checked > 10
 
 
+def test_elimination_order_breaks_ties_by_smallest_index():
+    # triangles {0, 2, 4} and {1, 3, 5} joined by the edge 0-5.  The search
+    # numbers 0 first (every weight is 0), then 2 over 4 and 5, then 4; then
+    # 5, then 1 over 3, then 3.  The witness is that selection reversed
+    g = graph_from_edges(
+        [("4", "2"), ("4", "0"), ("2", "0"), ("0", "5"), ("5", "1"), ("5", "3"), ("1", "3")],
+        vertices=[str(v) for v in range(6)],
+    )
+    assert is_chordal(g.adj) == (True, (3, 1, 5, 4, 2, 0))
+
+
 def test_maximal_cliques_brute_force():
     # every labeled graph on at most 5 vertices, then random ones on up to 8
     rnd = random.Random(4004)

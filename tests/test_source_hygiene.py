@@ -1,7 +1,8 @@
 """Leftovers of deleted code: imports that a module of the package or of
 the tests no longer uses, private module-level names that nothing in the
 package refers to any more, and exception classes that nothing raises.
-Also the independence of the test oracles from the code they check."""
+Also the independence of the test oracles from the code they check, and
+the homology cache's confinement to `betti`."""
 
 import ast
 from pathlib import Path
@@ -62,6 +63,20 @@ def test_no_unreferenced_private_module_names():
                 if d.startswith("_") and not d.startswith("__") and d not in referenced:
                     unreferenced.append(f"{name}: {d}")
     assert unreferenced == []
+
+
+def test_cache_key_format_stays_in_betti():
+    # the homology cache, its key format and its miss belong to betti: a
+    # key another module packed could drift from `_key`'s unnoticed
+    private = {"_HOM_CACHE", "_HOM_CACHE_LIMIT", "_key", "_packed", "_miss"}
+    readers = []
+    for name, tree in TREES.items():
+        if name == "betti.py":
+            continue
+        names = used_names(tree)
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        readers += [f"{name}: {n}" for n in sorted(names & private)]
+    assert readers == []
 
 
 def test_every_exception_class_is_raised():

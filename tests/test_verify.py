@@ -27,10 +27,10 @@ from srbetti import (
     verify_complex,
 )
 from srbetti import betti, verify
-from srbetti.betti import _Sweep
+from srbetti.betti import _extension_masks, _extension_tables
 from srbetti.graphs import maximal_cliques
 from srbetti.simplicial import _maximal_masks
-from srbetti.verify import CHECK_NAMES, _extension_masks, _extension_tables, corpus_graphs, dumps_report
+from srbetti.verify import CHECK_NAMES, corpus_graphs, dumps_report
 
 C4 = complex_from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]])
 MIXED = complex_from_facets(
@@ -203,10 +203,20 @@ def _complex_of_adj(adj):
     return clique_complex(Graph(tuple(str(v + 1) for v in range(len(adj))), tuple(adj)))
 
 
+def _tables_by_neighbours(base, field):
+    """The extension tables of the graph with adjacency base, indexed by the
+    neighbour set of the new vertex."""
+    return _extension_tables(maximal_cliques(base) if base else [0], len(base), field)
+
+
 def _all_extension_tables(n, field):
     """(adjacency, table) of every graph on n labeled vertices, by base."""
+    last = 1 << (n - 1)
     for mask in range(1 << len(_pairs(n - 1))):
-        yield from _extension_tables(list(_graph_of_mask(n - 1, mask).adj), field)
+        base = _graph_of_mask(n - 1, mask).adj
+        for nbrs, table in enumerate(_tables_by_neighbours(base, field)):
+            adj = [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)] + [nbrs]
+            yield adj, table
 
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(2), QQ])
@@ -222,11 +232,9 @@ def test_extension_tables_equal_graded_betti(field):
         g = _graph_of_mask(6, mask)
         by_base.setdefault(tuple(row & 31 for row in g.adj[:-1]), []).append(g)
     for base, graphs in by_base.items():
-        tables = _extension_tables(list(base), field)
+        tables = _tables_by_neighbours(base, field)
         for g in graphs:
-            adj, table = tables[g.adj[-1]]
-            assert adj == list(g.adj)
-            assert table == graded_betti(clique_complex(g), field), g.adj
+            assert tables[g.adj[-1]] == graded_betti(clique_complex(g), field), g.adj
 
 
 def test_extension_masks_reduce_to_the_maximal_cliques():
@@ -265,18 +273,57 @@ def test_extension_tables_carry_torsion(monkeypatch, field):
 
 
 def test_froberg_sweep_visits(monkeypatch):
-    visited = []
-    real = _Sweep.run
+    # count the cache lookups of the restrictions the sweep visits, not the
+    # ones a miss makes for its collapse, and the base graphs' subsets apart
+    keys = []
 
-    def counting(self, facets, start, stop):
-        visited.append(stop - start)
-        real(self, facets, start, stop)
+    class Counting(dict):
+        def get(self, key, default=None):
+            keys.append(key)
+            return super().get(key, default)
 
-    monkeypatch.setattr(_Sweep, "run", counting)
+    def without_lookups(real):
+        def run(*args):
+            before = len(keys)
+            out = real(*args)
+            del keys[before:]
+            return out
+
+        return run
+
+    prefix = []
+    real_sweep = betti._Sweep.__init__
+
+    def sweep(self, masks, stop):
+        prefix.append(stop)
+        real_sweep(self, masks, stop)
+
+    monkeypatch.setattr(betti, "_HOM_CACHE", Counting())
+    monkeypatch.setattr(betti, "_miss", without_lookups(betti._miss))
+    monkeypatch.setattr(betti._Sweep, "__init__", without_lookups(sweep))
     assert froberg_exhaustive(5).passed
     # per graph on 4 vertices: its 2^4 subsets, then each subset W of them
-    # with vertex 4 once per neighbour set of vertex 4 inside W, 3^4 in all
-    assert sum(visited) == 2 ** 6 * (2 ** 4 + 3 ** 4) == 6208
+    # with vertex 4 once per neighbour set of vertex 4 inside W, 3^4 in
+    # all, less the cones, which are not looked up (5,184 visits through
+    # vertex 4 when each visit was a sweep step)
+    assert sum(prefix) == 2 ** 6 * 2 ** 4 == 1024
+    assert len(keys) == 3104
+
+
+def test_froberg_sweep_keys_are_the_sweep_keys(monkeypatch):
+    # the Froberg sweep assembles its keys through the last vertex instead
+    # of calling _key; a sweep of every graph on 5 vertices afterwards
+    # finds every restriction in the cache under the key it builds itself
+    assert froberg_exhaustive(5).passed
+    assert len(betti._HOM_CACHE) == 815
+
+    def refuse(*args):
+        raise AssertionError("a restriction the Froberg sweep visited missed the cache")
+
+    monkeypatch.setattr(betti, "_miss", refuse)
+    for mask in range(1 << len(_pairs(5))):
+        graded_betti(clique_complex(_graph_of_mask(5, mask)), QQ)
+    assert len(betti._HOM_CACHE) == 815
 
 
 def test_froberg_mismatches_are_edge_masks(monkeypatch):
