@@ -1,10 +1,10 @@
 """Betti tables, Hilbert series and h-vector identities of face rings.
 
 Everything is exact integer arithmetic over bitmask combinatorics, and all
-values are immutable.  The process-wide state is the homology cache and the
-CLI parser, neither of which changes a result.  A cache entry is one value
-written once, so two threads may compute the same miss, but no reader sees
-Betti numbers without their torsion.
+values are immutable.  The process-wide state is the cache of core
+homology in `betti` and the CLI parser, neither of which changes a result.
+A cache entry is one value written once, so two threads may compute the
+same core, but no reader sees Betti numbers without their torsion.
 """
 
 from .betti import (

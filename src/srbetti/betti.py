@@ -1,72 +1,56 @@
 """Graded Betti numbers of the face ring, by the subset homology formula.
 
 beta_{i,j} = sum over j-element vertex subsets W of the dimension of reduced
-homology in degree j-i-1 of the restriction of the complex to W.  This is
-the oracle everything else is checked against: it sums nonnegative homology
-dimensions, so accumulation order cannot matter.
+homology in degree j-i-1 of the restriction Delta_W of the complex to W.
+This is the oracle everything else is checked against: it sums nonnegative
+homology dimensions, so accumulation order cannot matter.
 
-The sweep visits W in ascending order, collecting the minimal non-faces of
-the complex on the way; those inside W are the minimal non-faces of the
-restriction and determine it.  Three optimizations, none affecting results:
-  - W is skipped when those non-faces do not cover it: an uncovered vertex
-    is an apex, and cones are contractible and contribute nothing;
-  - homology of a restriction is cached on those non-faces relabeled to W
-    (`_key`), since isomorphic restrictions recur massively across sweeps;
-  - a miss reduces {f & W} to its maximal masks and looks for the lowest
-    vertex u of W whose link is a cone: another vertex of W lies in every
-    maximal mask through u.  Then Delta_W strong-collapses onto
-    Delta_(W-u) (Barmak and Minian 2012, "Strong homotopy types, nerves
-    and collapses"), so the two are homotopy equivalent and have the same
-    integral homology, torsion included.  W - u < W, so the ascending sweep
-    has visited it: it is a cone, and Delta_W is acyclic, or its entry is
-    in the cache under its own key, the non-faces inside W that avoid u
-    relabeled to W - u.  Only when no vertex qualifies, or that entry is
-    absent (the cache is capped or was cleared), is the homology computed,
-    from the maximal masks, neither relabeled nor reduced further.
-A cache lookup therefore ends in one of three ways: a hit, a collapse
-onto a smaller restriction's entry, or a computed elimination.  Only the
-last calls `reduced_dims_from_facets`.
+The sweep visits W in ascending order and keeps res[W], the integral
+reduced homology of Delta_W (Betti numbers over Q and torsion), as an id
+into its list of distinct results.  For the lowest vertex u of W that
+qualifies (`_subset_results`), res[W] comes from res[W-u], visited before:
+  - u is isolated: res[W] is res[W-u] plus one in reduced degree 0;
+  - u is dominated, another vertex x lies in every maximal face of Delta_W
+    through u: its link is a cone, Delta_W strong-collapses onto Delta_(W-u)
+    (Barmak and Minian 2012, "Strong homotopy types, nerves and collapses")
+    and res[W] is res[W-u], torsion included.  On a flag complex N_W[u]
+    inside N_W[x] decides it; on any other, x must also pass a test on the
+    maximal masks of {f & W}, or on the minimal non-faces with 3 or more
+    vertices when they are fewer than the facets.
+A W with no such vertex, {} included, is a core; only cores are eliminated,
+on their maximal masks.  Every induced subgraph of a chordal graph has a
+simplicial vertex (Dirac), so a chordal clique complex has no core but {}.
+The table sums the (|W|, result) counts; torsion gives it over every GF(p).
 
-`graded_betti` runs the sweep, `_Sweep`, over all of [0, 2^n).  The
-Froberg sweep (verify.froberg_exhaustive) takes the extensions of each
-graph on the first n-1 vertices by a last vertex v together, in
-`_extension_tables`.  A W without v restricts every extension alike, so
-`_Sweep` runs once per base graph, over [0, 2^(n-1)).  A W through v
-restricts extension N as it restricts extension N' = N & W, and the
-minimal non-faces inside W are the base graph's, then the non-edges
-{x, v}.  So the key of each (W, N') is assembled from a base part packed
-once per W and one slot per x in W - N', cones are never looked up, and
-the entry goes to every N that shares N'.  On the graphs on 6 vertices
-that is 32,768 subsets without v and 166,969 lookups through it, out of
-3^5 pairs (W, N') per base graph.  The W - u a miss collapses onto is
-looked up before W there too: in the base graph's sweep if u is v, else
-as the pair (W - u, N' - u).
-
-Homology is integral: the sweep adds up the table over Q and keeps the
-torsion of the few restrictions that have any, from which the table over
-every GF(p) follows, so one sweep serves every field.
-
-`_HOM_CACHE` is process-wide: its key is one int, the packed non-faces
-shifted past |W|, and its value a miss's (Betti numbers over Q, torsion) in
-one write, so a reader sees a whole entry or none.  A collapsed miss stores
-the entry it collapsed onto, whose Betti numbers may stop at a lower degree,
-or no Betti numbers at all for an acyclic one.  It stops inserting at
-`_HOM_CACHE_LIMIT` entries.
+Cores recur across complexes, so their homology is cached process-wide in
+`_CORE_CACHE` (key `_core_key`, at most `_CORE_CACHE_LIMIT` entries).  An
+entry is one value written once, so a reader sees a whole entry or none;
+all else a sweep keeps is local to its call, so threads need no lock.  The
+Froberg sweep takes the extensions of a graph together (`_extension_tables`).
 """
 
 from __future__ import annotations
 
+import struct
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice, repeat
+from operator import and_, or_
 
 from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
+from .graphs import maximal_cliques
 from .homology import reduced_dims_from_facets, torsion_shift
-from .simplicial import Complex, _bits, _maximal_masks
+from .simplicial import Complex, _bits, _maximal_masks, masks_by_card, minimal_non_face_masks
 
 DEFAULT_VERTEX_CAP = 20
 
-_HOM_CACHE: dict[int, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
-_HOM_CACHE_LIMIT = 1 << 20
+_Homology = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]  # Betti numbers over Q from degree -1; torsion
+
+_CORE_CACHE: dict[int, _Homology] = {}
+_CORE_CACHE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -76,8 +60,8 @@ class BettiTable:
     i is the homological degree (0 for the ring itself, so the only i = 0
     cell is (0, 0, 1)), j the internal degree.  Absent cells are zero.
     `torsion` lists (|W|, torsion) for each restriction Delta_W with torsion
-    in its integral homology (see homology.reduced_dims_from_facets); it is
-    all the table over another field needs.
+    in its integral homology (see homology.reduced_dims_from_facets), in
+    ascending order of W; it is all the table over another field needs.
     """
 
     cells: tuple[tuple[int, int, int], ...]
@@ -113,120 +97,117 @@ class BettiTable:
         return {(a, b): v for a, b, v in self.cells}
 
 
-_ACYCLIC: tuple[tuple[int, ...], tuple[tuple[int, int], ...]] = ((), ())  # no homology, no torsion
-
-
-def _packed(inside: list[int], w: int, below: dict[int, list[int]]) -> int:
-    """These non-faces inside w relabeled to w, one |w|-bit slot each, the
-    first one highest."""
+def _core_key(maximal: list[int], w: int) -> int:
+    """The cache key of a core: its maximal masks relabeled to w (vertex v
+    becomes bit (number of w's vertices below v)), sorted and packed in
+    |w|-bit slots, then |w| in 7 bits."""
+    compact = [0] * len(maximal)
+    for r, v in enumerate(_bits(w)):
+        for i, m in enumerate(maximal):
+            if m >> v & 1:
+                compact[i] |= 1 << r
     j = w.bit_count()
-    packed = 0
-    for g in inside:
-        # compact g to w: vertex v of g becomes bit (number of w's vertices below v)
-        packed <<= j
-        for m in below[g]:
-            packed |= 1 << (w & m).bit_count()
-    return packed
+    key = 0
+    for m in sorted(compact):
+        key = key << j | m
+    return key << 7 | j  # |w| <= 64 fits in 7 bits
 
 
-def _key(inside: list[int], w: int, below: dict[int, list[int]]) -> int | None:
-    """The cache key of the restriction to w, from the minimal non-faces
-    inside w in the order the sweep found them: those non-faces packed,
-    shifted past |w|.  None when they do not cover w: a vertex of w in
-    none of them is an apex, and the restriction a cone."""
-    union = 0
-    for g in inside:
-        union |= g
-    if union != w:
-        return None
-    return _packed(inside, w, below) << 7 | w.bit_count()  # |w| <= 64 fits in 7 bits
+class _Results:
+    """The distinct results of one sweep, by id."""
+
+    def __init__(self):
+        self.values: list[_Homology] = []
+        self.ids: dict[_Homology, int] = {}
+        self.plus: dict[int, int] = {}  # by id: the id with one more isolated point
+
+    def id(self, hom: _Homology) -> int:
+        if hom not in self.ids:
+            self.ids[hom] = len(self.values)
+            self.values.append(hom)
+        return self.ids[hom]
+
+    def with_point(self, rid: int) -> int:
+        """One more in reduced degree 0; or, for the empty complex, a point."""
+        out = self.plus.get(rid)
+        if out is None:
+            dims, torsion = self.values[rid]
+            dims += (0,) * (2 - len(dims))
+            out = self.plus[rid] = self.id(((0, dims[1] + 1 - dims[0]) + dims[2:], torsion))
+        return out
+
+    def core(self, maximal: list[int], w: int) -> int:
+        """The homology of the core w with these maximal masks."""
+        key = _core_key(maximal, w)
+        hom = _CORE_CACHE.get(key)
+        if hom is None:
+            hom = reduced_dims_from_facets(maximal)
+            if len(_CORE_CACHE) < _CORE_CACHE_LIMIT:
+                _CORE_CACHE[key] = hom
+        return self.id(hom)
 
 
-def _dominated(maximal: list[int], w: int) -> int:
-    """The lowest vertex u of w (as a bit) for which another vertex of w
-    lies in every maximal mask through u, that is, whose link is a cone;
-    0 if there is none."""
-    rest = w
-    while rest:
-        u = rest & -rest
-        common = w ^ u
-        for m in maximal:
-            if m & u:
-                common &= m
-        if common:
-            return u
-        rest ^= u
-    return 0
+def _closed(masks, n: int) -> dict[int, int]:
+    """Each vertex's closed neighbourhood in the 1-skeleton, both as bits."""
+    return {1 << v: reduce(or_, [f for f in masks if f >> v & 1], 1 << v) for v in range(n)}
 
 
-def _miss(key: int, masks, w: int, inside: list[int], below: dict[int, list[int]]):
-    """The homology of the restriction to w, which the cache lacks under
-    key; stored there unless the cache is full.
-
-    When the link of a vertex u is a cone, the restriction strong-collapses
-    onto the restriction to w - u, which the ascending sweep has visited
-    before w: its homology is zero if w - u is a cone, else the cache entry
-    under w - u's key.  Otherwise, or when that entry is absent (the cache
-    is capped or was cleared), it is computed."""
-    maximal = _maximal_masks({f & w for f in masks})
-    u = _dominated(maximal, w)
-    hom = None
-    if u:
-        collapsed = _key([g for g in inside if not g & u], w ^ u, below)
-        hom = _ACYCLIC if collapsed is None else _HOM_CACHE.get(collapsed)
-    if hom is None:
-        hom = reduced_dims_from_facets(maximal)
-    if len(_HOM_CACHE) < _HOM_CACHE_LIMIT:
-        _HOM_CACHE[key] = hom
-    return hom
-
-
-class _Sweep:
-    """The subset sweep's state after visiting W = 0 ... stop-1: the minimal
-    non-faces met (`gens`, in the order found, with `below`, each one's
-    masks of the bits below its vertices), the table over Q and the torsion
-    list."""
-
-    __slots__ = ("gens", "below", "acc", "torsions")
-
-    def __init__(self, masks, stop: int):
-        """Sweep the complex that is the down-closure of these face masks
-        (its facets, or any masks that span it)."""
-        self.gens: list[int] = []
-        self.below: dict[int, list[int]] = {}
-        self.acc: dict[tuple[int, int], int] = {}
-        self.torsions: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-        gens, below, acc, torsions = self.gens, self.below, self.acc, self.torsions
-        for w in range(stop):
-            inside = [g for g in gens if g & w == g]
-            if not inside:
-                for f in masks:
-                    if w & f == w:
-                        break
-                else:  # w is in no face, but every proper subset of w is one
-                    gens.append(w)
-                    below[w] = [(1 << v) - 1 for v in _bits(w)]
-                    inside = [w]
-            key = _key(inside, w, below)
-            if key is None:
-                continue  # a vertex of w in no minimal non-face is an apex: a cone
-            hom = _HOM_CACHE.get(key)
-            if hom is None:
-                hom = _miss(key, masks, w, inside, below)
-            dims, torsion = hom
-            j = w.bit_count()
-            if torsion:
-                torsions.append((j, torsion))
-            for r_idx, b in enumerate(dims):
-                if b:
-                    # reduced degree r = r_idx - 1 contributes at i = j - r - 1
-                    acc[(j - r_idx, j)] = acc.get((j - r_idx, j), 0) + b
+def _subset_results(masks, n: int, results: _Results) -> array:
+    """res[W], as ids into results, for every W in [0, 2^n) of the complex
+    the masks span (module docstring)."""
+    closed = _closed(masks, n)
+    flag = maximal_cliques([closed[1 << v] ^ 1 << v for v in range(n)]) == sorted(masks)
+    # x dominates u iff N_W[u] lies in N_W[x] and, off flag complexes, x is in
+    # every facet of Delta_W through u.  ext[s] is the union of the facets over
+    # the face s.  Those facets are the traces t = f & W with ext[t] & W = t
+    # (by_facets); with fewer minimal non-faces t of 3 or more vertices, x
+    # fails iff one inside W has x and u in ext[t - x] (listed in blocked).
+    wide = [] if flag else list(islice((t for t in minimal_non_face_masks(masks, n) if t.bit_count() > 2), len(masks)))
+    by_facets = len(wide) == len(masks)
+    ext = {s: reduce(or_, [f for f in masks if f & s == s]) for g in masks_by_card(masks)[1:] for s in g} if wide else {}
+    through = {1 << v: [f for f in masks if f >> v & 1] for v in range(n)} if by_facets else {}
+    blocked: dict[int, list[int]] = {}
+    for t in wide if not by_facets else ():
+        for x in _bits(t):
+            for u in _bits(ext[t ^ 1 << x]):
+                blocked.setdefault(1 << u + n | 1 << x, []).append(t)
+    res = array("I", bytes(4 << n))
+    for w in range(len(res)):
+        rest = w
+        while rest:
+            u = rest & -rest
+            near = closed[u] & w
+            if near == u:
+                res[w] = results.with_point(res[w ^ u])
+                break
+            others = near ^ u
+            while others:
+                x = others & -others
+                if closed[x] & near == near and not (blocked and any(t & w == t for t in blocked.get(u << n | x, ()))):
+                    break
+                others ^= x
+            for f in through[u] if others and by_facets else ():
+                t = f & w
+                if ext[t] & w == t:  # a facet of Delta_W
+                    others &= t
+            if others:
+                res[w] = res[w ^ u]
+                break
+            rest ^= u
+        else:
+            res[w] = results.core(_maximal_masks(map(w.__and__, masks)), w)
+    return res
 
 
-def _table(acc: dict[tuple[int, int], int], torsions: list, n: int, field: FieldSpec) -> BettiTable:
-    """The table over the field of a complex on n vertices, from its table
-    over Q and its torsion list summed over all 2^n subsets."""
-    cells = tuple(sorted((i, j, v) for (i, j), v in acc.items()))
+def _torsions(sizes, ids, values: list[_Homology]) -> list:
+    """(|W|, torsion) for each W, in the order given, whose result has it."""
+    return [(j, values[rid][1]) for j, rid in zip(sizes, ids) if values[rid][1]]
+
+
+def _table(cells: tuple, torsions, n: int, field: FieldSpec) -> BettiTable:
+    """The table over the field, from its cells over Q and its torsion."""
+    if not torsions:  # the same table over every field
+        return BettiTable(cells, n, field)
     return BettiTable(cells, n, QQ, tuple(torsions)).over(field)
 
 
@@ -239,91 +220,109 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
     """
     if c.n > n_cap:
         raise TooManyVerticesError(f"{c.n} vertices exceeds the sweep cap {n_cap}")
-    sweep = _Sweep(c.facets, 1 << c.n)
-    return _table(sweep.acc, sweep.torsions, c.n, field)
-
-
-def _submasks(mask: int):
-    """Every submask of mask, mask itself first and 0 last."""
-    sub = mask
-    while True:
-        yield sub
-        if not sub:
-            return
-        sub = (sub - 1) & mask
+    results = _Results()
+    res = _subset_results(c.facets, c.n, results)
+    values = results.values
+    sizes = range(len(res))
+    acc: Counter = Counter()
+    for (j, rid), count in Counter(zip(map(int.bit_count, sizes), res)).items():
+        for r_idx, b in enumerate(values[rid][0]):  # reduced degree r_idx - 1 adds at i = j - r_idx
+            acc[j - r_idx, j] += b * count
+    torsions = _torsions(map(int.bit_count, sizes), res, values) if any(t for _, t in values) else ()
+    return _table(tuple(sorted((i, j, v) for (i, j), v in acc.items() if v)), torsions, c.n, field)
 
 
 def _extension_masks(cliques: list[int], nbrs: int, last: int) -> list[int]:
-    """Masks whose down-closure is the clique complex of a graph with
-    maximal cliques `cliques`, extended by the vertex with bit `last` and
-    neighbour set nbrs: C & N plus the new vertex for each C, then the
-    cliques C.  A clique through the new vertex is a clique inside N plus
-    that vertex, and every clique inside N lies in some C & N.  Not all of
-    the masks are maximal, which a miss does not need."""
+    """Masks spanning the clique complex of the graph with maximal cliques
+    `cliques` extended by vertex `last` with neighbours nbrs: C & N + last
+    for each C (a clique through `last` is one inside N plus `last`), and
+    the cliques C.  Not all of them are maximal."""
     return [c & nbrs | last for c in cliques] + cliques
+
+
+def _pair_results(cliques: list[int], k: int, base: array, results: _Results) -> array:
+    """The result of W + v in the extensions of the base graph by v = 1 << k
+    with neighbours N, at W << k | N & W: the rules of `_subset_results` on
+    the closed neighbourhoods of extension N' = N & W (the base's, plus v
+    for the vertices of N', and N' + v for v).  W - u + v is the pair
+    (W - u, N' - u), and W + v - v the base's W."""
+    closed = _closed(cliques, k)
+    last = 1 << k
+    pairs = array("I", bytes(4 << 2 * k))
+    with_point = results.with_point
+    for w in range(last):
+        for nbrs in range(w + 1):
+            if nbrs & ~w:
+                continue
+            rest = w  # the vertices of W, then v
+            while rest:
+                u = rest & -rest
+                near = closed[u] & w
+                if near == u and not u & nbrs:
+                    r = with_point(pairs[(w ^ u) << k | nbrs])
+                    break
+                # N[u] takes v when u is in N': then v dominates u, or an x in N' must
+                dominated = u & nbrs and near & nbrs == near
+                others = near & nbrs ^ u if u & nbrs else near ^ u
+                while others and not dominated:
+                    x = others & -others
+                    dominated = closed[x] & near == near
+                    others ^= x
+                if dominated:
+                    r = pairs[(w ^ u) << k | nbrs & ~u]
+                    break
+                rest ^= u
+            else:  # then v: isolated, or dominated by the lowest x left in N'
+                x = nbrs
+                while x and closed[x & -x] & nbrs != nbrs:
+                    x &= x - 1
+                if not nbrs:
+                    r = with_point(base[w])
+                elif x:
+                    r = base[w]
+                else:
+                    s = w | last
+                    r = results.core(_maximal_masks({m & s for m in _extension_masks(cliques, nbrs, last)}), s)
+            pairs[w << k | nbrs] = r
+    return pairs
 
 
 def _extension_tables(cliques: list[int], k: int, field: FieldSpec) -> list[BettiTable]:
     """The Betti table of the clique complex of each extension of a graph
-    on k vertices, with maximal cliques `cliques` ([0] for k = 0), by a
-    vertex v = k, indexed by v's neighbour set N.
-
-    The base graph is swept once over its 2^k subsets W, which restrict
-    every extension alike.  W + v restricts extension N as it restricts
-    extension N' = N & W, so each (W, N') is looked up once and its
-    homology goes to every N with N & W = N'.  Its minimal non-faces are
-    the base graph's inside W, as the base sweep found them, then the
-    non-edges {x, v} for x in W - N', in ascending order: the order a sweep
-    of the extension finds them.  So its cache key is the base part, packed
-    once per W, followed by one slot per x; it is a cone, and skipped, when
-    N' = W (v is an apex) or N' has a vertex in no base non-face.
-    """
+    on k vertices with maximal cliques `cliques` ([0] for k = 0) by a
+    vertex v = k, indexed by v's neighbour set N: the base's results plus,
+    for each W, the pair (W, N & W)'s.  Each sum packs cell (i, j) into
+    bits 64 (i (k + 2) + j) on: an entry counts at most the 3^(k+1) faces
+    of all restrictions, < 2^64 for any k a sweep can reach.  Extensions
+    with equal sums and torsion share one table."""
     last = 1 << k
-    base = _Sweep(cliques, last)
-    gens = base.gens
-    below = dict(base.below)
-    for x in range(k):
-        below[1 << x | last] = [(1 << x) - 1, last - 1]
-    accs = [dict(base.acc) for _ in range(last)]
-    torsions = [list(base.torsions) for _ in range(last)]
-    for sub in range(last):
-        inside = [g for g in gens if g & sub == g]
-        union = 0
-        for g in inside:
-            union |= g
-        w = sub | last
-        j = sub.bit_count() + 1
-        packed = _packed(inside, w, below)
-        # the slot _packed gives the non-edge {x, v}: x's rank in sub, and v's
-        top = 1 << (j - 1)
-        slots = {1 << x: 1 << r | top for r, x in enumerate(_bits(sub))}
-        others = list(_submasks((last - 1) ^ sub))
-        for nbrs in _submasks(sub & union):
-            missing = sub ^ nbrs
-            if not missing:
-                continue  # v is an apex
-            key = packed
-            rest = missing
-            while rest:
-                x = rest & -rest
-                key = key << j | slots[x]
-                rest ^= x
-            key = key << 7 | j
-            hom = _HOM_CACHE.get(key)
-            if hom is None:
-                new = [1 << x | last for x in _bits(missing)]
-                hom = _miss(key, _extension_masks(cliques, nbrs, last), w, inside + new, below)
-            dims, torsion = hom
-            for r_idx, b in enumerate(dims):
-                if b:
-                    cell = (j - r_idx, j)
-                    for other in others:
-                        acc = accs[nbrs | other]
-                        acc[cell] = acc.get(cell, 0) + b
-            if torsion:
-                for other in others:
-                    torsions[nbrs | other].append((j, torsion))
-    return [_table(acc, t, k + 1, field) for acc, t in zip(accs, torsions)]
+    size = k + 2  # i and j run over 0 ... k + 1
+    results = _Results()
+    values = results.values
+    base = _subset_results(cliques, k, results)
+    pairs = _pair_results(cliques, k, base, results)
+    # cells_at[j][rid]: the cells a result adds at |W| = j, packed, b_(r-1) at i = j - r
+    cells_at = [[sum(b << 64 * ((j - r) * size + j) for r, b in enumerate(dims) if r <= j) for dims, _ in values]
+                for j in range(size)]
+    base_sum = sum(map(list.__getitem__, [cells_at[w.bit_count()] for w in range(last)], base))
+    sizes = [w.bit_count() + 1 for w in range(last)]  # of W + v
+    pair_cells = [cells_at[j] for j in sizes]
+    shifted = [w << k for w in range(last)]
+    torsion = any(t for _, t in values)
+    base_torsions = _torsions(map(int.bit_count, range(last)), base, values) if torsion else []
+    shared: dict[tuple[int, tuple], BettiTable] = {}
+    out = []
+    for nbrs in range(last):
+        ids = list(map(pairs.__getitem__, map(or_, shifted, map(and_, range(last), repeat(nbrs)))))
+        total = base_sum + sum(map(list.__getitem__, pair_cells, ids))
+        torsions = tuple(base_torsions + _torsions(sizes, ids, values)) if torsion else ()
+        table = shared.get((total, torsions))
+        if table is None:
+            counts = struct.unpack(f"<{size * size}Q", total.to_bytes(8 * size * size, "little"))
+            cells = tuple((*divmod(cell, size), v) for cell, v in enumerate(counts) if v)
+            table = shared[total, torsions] = _table(cells, torsions, k + 1, field)
+        out.append(table)
+    return out
 
 
 @dataclass(frozen=True)
@@ -391,4 +390,4 @@ def classify(table: BettiTable) -> ResolutionShape:
 
 
 def clear_homology_cache() -> None:
-    _HOM_CACHE.clear()
+    _CORE_CACHE.clear()

@@ -10,9 +10,9 @@ what the subset formula for graded Betti numbers consumes.
 
 `reduced_dims_from_facets` takes any collection of face masks whose
 down-closure is the complex; they need not form an antichain or use the
-lowest bits.  It keeps the inclusion-maximal masks only (as
-`simplicial._maximal_masks` gives them, largest first), and eliminates
-only the faces outside the star of one vertex v.  st(v) is a cone, so its
+lowest bits.  It uses them as given (a mask inside another only repeats
+work; the sweep hands it a core's maximal masks) and eliminates only the
+faces outside the star of one vertex v.  st(v) is a cone, so its
 augmented chain complex is a free, acyclic subcomplex, and the long exact
 sequence of the pair gives H(complex; Z) = H(complex / st(v)).  The
 quotient is free, so the pair's sequence stays exact after tensoring with
@@ -20,14 +20,13 @@ GF(p), where the cone is still acyclic: the Betti numbers over Q and over
 every GF(p), and so the torsion (each map's invariant factors > 1), are
 those of the full complex, whichever vertex v is.  The apex is therefore
 chosen for speed: the vertex with the largest star, scored by the sum of
-2^(|m|-1) over the maximal masks m through it (the faces through it,
-counted per mask), ties to the lowest vertex.  The quotient's basis is the
-faces F with F + v not a face: the faces of the v-free maximal masks that
-lie in no link mask m - v (m through v).  A maximal v-free mask never lies
-wholly in a link mask, which would put it inside m, so every one is
-enumerated and its faces are tested against the link masks.  A boundary
-map with an empty side has rank 0 and is not eliminated.  The order of the
-faces within a dimension does not affect any result.
+2^(|m|-1) over the masks m through it (the faces through it, counted
+per mask), ties to the lowest vertex.  The quotient's basis is the faces F
+with F + v not a face: F + v is a face exactly when F lies in a link mask
+m - v (m through v), so the faces of the v-free masks are enumerated and
+tested against the link masks.  A boundary map with an empty side has rank
+0 and is not eliminated.  The order of the faces within a dimension does
+not affect any result.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .exactla import integral_rank
-from .simplicial import _maximal_masks
 
 
 def _boundary_rows(lower: Sequence[int], upper: Sequence[int]) -> list[dict[int, int]]:
@@ -70,18 +68,18 @@ def reduced_dims_from_facets(facets: Iterable[int]) -> tuple[tuple[int, ...], tu
     `facets` may be any nonempty collection of masks whose down-closure is
     the complex, in any order; (0,) is the empty complex.  The dims have
     length (largest mask cardinality) + 1, whether or not the apex lies in
-    a largest mask.  Computed on the quotient by the star of the apex v,
-    over the maximal masks only; v is the vertex of largest star, ties to
-    the lowest (see the module docstring: the choice affects speed only).
+    a largest mask.  Computed on the quotient by the star of the apex v;
+    v is the vertex of largest star, ties to the lowest (see the module
+    docstring: the choice affects speed only).
     """
-    maximal = _maximal_masks(facets)
-    top = maximal[0].bit_count()
-    if not top:
+    masks = [m for m in facets if m]  # the empty face lies in every star
+    if not masks:
         return (1,), ()
+    top = max(m.bit_count() for m in masks)
     union = 0
-    for m in maximal:
+    for m in masks:
         union |= m
-    weighted = [(m, 1 << (m.bit_count() - 1)) for m in maximal]
+    weighted = [(m, 1 << (m.bit_count() - 1)) for m in masks]
     best = 0
     rest = union
     while rest:  # ascending, so a tie keeps the lower vertex
@@ -93,9 +91,9 @@ def reduced_dims_from_facets(facets: Iterable[int]) -> tuple[tuple[int, ...], tu
         if score > best:
             best, v = score, low
         rest ^= low
-    link = [m ^ v for m in maximal if m & v]
+    link = [m ^ v for m in masks if m & v]
     outside = set()
-    for g in maximal:
+    for g in masks:
         if g & v:
             continue
         cover = [g & h for h in link]

@@ -9,7 +9,7 @@ The complex whose only face is the empty face is representable
 (labels=(), facets=(0,)) but is never produced by `complex_from_facets`;
 tests build it directly.  The sweep in `betti` restricts by the mask set
 {f & w} and never builds a Complex: at W = {} that set is {0}, the empty
-complex a homology miss is handed.
+complex, the one core of every sweep.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyInputError, TooManyVerticesError
 
@@ -202,33 +202,26 @@ def h_vector(f: FVector) -> HVector:
 def minimal_non_faces(c: Complex) -> list[tuple[str, ...]]:
     """Inclusion-minimal non-faces: the monomial generators of the non-face ideal.
 
-    Built level by level: a candidate of cardinality k extends a (k-1)-face by
-    one vertex and qualifies iff it is not itself a face while all of its
-    cardinality-(k-1) subsets are.  Sorted by (cardinality, tokens).
+    Sorted by (cardinality, tokens); see `minimal_non_face_masks`.
     """
-    groups = masks_by_card(c.facets)
-    face_sets = [set(g) for g in groups]
-    n = c.n
-    out: list[int] = []
-    for k in range(2, len(groups) + 1):
-        lower = groups[k - 1]
-        lower_set = face_sets[k - 1]
-        this_set = face_sets[k] if k < len(groups) else set()
-        cands: set[int] = set()
-        for g in lower:
-            for v in range(n):
-                b = 1 << v
-                if g & b:
-                    continue
-                m = g | b
-                if m not in this_set:
-                    cands.add(m)
-        for m in sorted(cands):
-            if all((m ^ (1 << v)) in lower_set for v in _bits(m)):
-                out.append(m)
-    labeled = [c.tokens_of(m) for m in out]
+    labeled = [c.tokens_of(m) for m in minimal_non_face_masks(c.facets, c.n)]
     labeled.sort(key=lambda t: (len(t), t))
     return labeled
+
+
+def minimal_non_face_masks(facets: Sequence[int], n: int) -> Iterator[int]:
+    """The minimal non-faces of the complex the masks span on n vertices,
+    as masks, in no particular order.
+
+    Each one, t, is met once, from the face t - v for its highest vertex v:
+    a candidate qualifies iff it is not a face while t - u is for every u.
+    """
+    faces = {m for group in masks_by_card(facets)[1:] for m in group}
+    for s in faces:
+        for v in range(s.bit_length(), n):
+            t = s | 1 << v
+            if t not in faces and all(t ^ 1 << u in faces for u in _bits(s)):
+                yield t
 
 
 def write_complex(c: Complex, path) -> None:

@@ -19,9 +19,11 @@ from helpers import (
     join,
     koszul_table,
     random_complex,
+    random_graph,
     suspension,
 )
 from srbetti import (
+    Complex,
     GF_DEFAULT,
     QQ,
     FieldSpec,
@@ -38,9 +40,10 @@ from srbetti import (
     minimal_non_faces,
     read_complex,
 )
-from srbetti import betti
+from srbetti import betti, homology
 from srbetti.betti import _extension_tables, clear_homology_cache
 from srbetti.graphs import maximal_cliques
+from srbetti.homology import torsion_shift
 from srbetti.simplicial import _maximal_masks
 from srbetti.verify import corpus_graphs, froberg_exhaustive, verify_complex
 
@@ -288,7 +291,8 @@ def test_alexander_duality_identities():
 
 
 def count_misses(monkeypatch) -> list:
-    """Record the facets of every homology-cache miss of the sweep."""
+    """Record the masks of every core the sweep eliminates, that is, every
+    core-cache miss."""
     calls = []
     real = betti.reduced_dims_from_facets
 
@@ -298,6 +302,19 @@ def count_misses(monkeypatch) -> list:
 
     monkeypatch.setattr(betti, "reduced_dims_from_facets", counting)
     return calls
+
+
+def count_cores(monkeypatch) -> list:
+    """Record the subset W of every core the sweep visits, cached or not."""
+    cores = []
+    real = betti._Results.core
+
+    def counting(self, maximal, w):
+        cores.append(w)
+        return real(self, maximal, w)
+
+    monkeypatch.setattr(betti._Results, "core", counting)
+    return cores
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
@@ -313,18 +330,65 @@ def test_tables_match_brute_force_mod_p(p):
         assert graded_betti(c, FieldSpec.prime(p)).as_dict() == brute_betti(c, p), c.facets
 
 
-def test_cache_misses_once_per_distinct_restriction(monkeypatch):
+def test_cores_are_eliminated_once(monkeypatch):
     calls = count_misses(monkeypatch)
+    cores = count_cores(monkeypatch)
     assert froberg_exhaustive(5).passed
-    # one entry per distinct non-cone restriction of the graphs on 5
-    # vertices; all but 45 of them collapse onto a smaller restriction
-    # whose entry the sweep already holds, and are not eliminated
-    assert len(betti._HOM_CACHE) == 815
-    assert len(calls) == 45
+    # the graphs on 5 vertices visit 185 cores: the empty subset of each of
+    # the 64 base graphs, and 121 restrictions without an isolated or a
+    # dominated vertex.  Isomorphic cores share one cache entry, so 26 are
+    # eliminated
+    assert len(cores) == 185 and cores.count(0) == 64
+    assert len(calls) == len(betti._CORE_CACHE) == 26
     calls.clear()
+    cores.clear()
     assert froberg_exhaustive(5).passed
-    assert calls == []
-    assert len(betti._HOM_CACHE) == 815
+    assert calls == [] and len(cores) == 185
+    assert len(betti._CORE_CACHE) == 26
+
+
+def test_chordal_corpus_has_no_core_but_the_empty_subset(monkeypatch):
+    # every induced subgraph of a chordal graph has a simplicial vertex
+    # (Dirac), which is isolated or dominated, so no nonempty subset of a
+    # chordal graph's clique complex is a core; the empty subset has no
+    # vertex and is one, eliminated once per process
+    graphs = corpus_graphs(200, 9, 7)
+    calls = count_misses(monkeypatch)
+    cores = count_cores(monkeypatch)
+    for g in graphs:
+        graded_betti(clique_complex(g))
+    assert cores == [0] * 200 and len(calls) == 1
+
+
+def test_a_core_reduces_its_masks_once(monkeypatch):
+    # the sweep hands a core's maximal masks to the elimination, which
+    # uses them as given, and no domination test reduces masks: whichever
+    # test a complex takes, the masks are reduced once per core and never
+    # in homology
+    counts = {"betti": 0, "homology": 0}
+    for module in (betti, homology):
+
+        def counting(masks, name=module.__name__.rsplit(".", 1)[1]):
+            counts[name] += 1
+            return _maximal_masks(masks)
+
+        # homology has no _maximal_masks to replace; one it imported again would be counted
+        monkeypatch.setattr(module, "_maximal_masks", counting, raising=False)
+    cores = count_cores(monkeypatch)
+    rnd = random.Random(6014)
+    flag = [clique_complex(random_graph(rnd, 8)) for _ in range(20)]
+    others = [RP2, suspension(RP2), join(RP2, primed(TRI)), join(RP2, primed(C4))]
+    others += [random_complex(rnd, max_n=8, max_facets=rnd.choice([10, 16]), max_size=4) for _ in range(30)]
+    tests = {"flag": flag}
+    for c in others:
+        tests.setdefault(_domination_test(c), []).append(c)
+    assert len(tests["non-faces"]) >= 10 and len(tests["facets"]) >= 4
+    for test, complexes in tests.items():
+        counts["betti"] = 0
+        cores.clear()
+        for c in complexes:
+            graded_betti(c)
+        assert counts == {"betti": len(cores), "homology": 0} and len(cores) > 100, test
 
 
 def test_one_sweep_serves_every_field(monkeypatch):
@@ -399,14 +463,11 @@ def base_cliques(k):
         yield maximal_cliques(adj) if adj else [0]
 
 
-def test_misses_past_the_cache_cap_keep_their_torsion(monkeypatch):
-    # with room for no entry or for two, the torsion of rp2 and its
-    # suspension comes from misses the cache does not keep, and a miss
-    # that collapses onto a smaller restriction the cache lacks is
-    # eliminated instead; every table still equals the uncapped one.  The
-    # Froberg sweep's extensions of every graph on at most 4 vertices miss
-    # on every lookup at no room, so each miss collapses onto a cone, or
-    # not, by the non-faces the sweep lists for it
+def test_cores_past_the_cache_cap_keep_their_torsion(monkeypatch):
+    # with room for no core or for two, the torsion of rp2 and its
+    # suspension comes from cores the cache does not keep, and every table
+    # still equals the uncapped one; so do the Froberg sweep's extension
+    # tables of every graph on at most 4 vertices
     rnd = random.Random(6012)
     complexes = [RP2, suspension(RP2), join(RP2, primed(TRI))]
     complexes += [join(random_complex(rnd, max_n=5), primed(random_complex(rnd, max_n=5))) for _ in range(4)]
@@ -421,46 +482,73 @@ def test_misses_past_the_cache_cap_keep_their_torsion(monkeypatch):
     for limit in (0, 2):
         clear_homology_cache()
         calls.clear()
-        monkeypatch.setattr(betti, "_HOM_CACHE_LIMIT", limit)
+        monkeypatch.setattr(betti, "_CORE_CACHE_LIMIT", limit)
         for c in complexes:
             for field in fields:
                 # the whole table, torsion included
                 assert graded_betti(c, field) == uncapped[c, field], (c.facets, field, limit)
-                assert len(betti._HOM_CACHE) <= limit
+                assert len(betti._CORE_CACHE) <= limit
         assert len(calls) > computed
-    assert all(not torsion for _, torsion in betti._HOM_CACHE.values())
+    assert all(not torsion for _, torsion in betti._CORE_CACHE.values())
     clear_homology_cache()
     calls.clear()
-    monkeypatch.setattr(betti, "_HOM_CACHE_LIMIT", 0)
+    monkeypatch.setattr(betti, "_CORE_CACHE_LIMIT", 0)
     assert [_extension_tables(cliques, k, QQ) for cliques, k in bases] == extensions
-    assert not betti._HOM_CACHE and len(calls) > extension_calls
+    assert not betti._CORE_CACHE and len(calls) > extension_calls
     assert uncapped[RP2, fields[0]] != uncapped[RP2, fields[2]]
     assert sum(bool(t.torsion) for t in uncapped.values()) >= 9
 
 
-def test_dominated_vertex_matches_brute_force():
-    # a miss collapses W onto W - u for the lowest vertex u whose link is
-    # a cone; the oracle tests the cone on the faces, and Delta_W and
-    # Delta_(W-u) must have the same homology over Q, GF(2) and GF(3)
+def _with(c: Complex, *facets) -> Complex:
+    """c with these facets added."""
+    return complex_from_facets([c.tokens_of(f) for f in c.facets] + [list(f) for f in facets])
+
+
+def _domination_test(c: Complex) -> str:
+    """Which test confirms a dominated vertex in the sweep of c: none on a
+    flag complex; the minimal non-faces with 3 or more vertices when they
+    are fewer than the facets; else the facets."""
+    wide = sum(len(t) > 2 for t in minimal_non_faces(c))
+    return "flag" if not wide else "non-faces" if wide < len(c.facets) else "facets"
+
+
+def test_every_subset_result_matches_brute_force():
+    # the sweep keeps one result per subset W, Betti numbers over Q and
+    # torsion; over Q, GF(2) and GF(3) they must give the reduced homology
+    # of Delta_W that the oracle computes from its faces, and W must be a
+    # core exactly when no vertex of it is isolated or dominated.  rp2 plus
+    # a point and plus a pendant edge carry torsion through an isolated and
+    # a dominated vertex
     rnd = random.Random(6013)
-    complexes = [C4, TRI, MIXED, RP2, cross_polytope(3)]
+    complexes = [C4, TRI, MIXED, RP2, suspension(RP2), cross_polytope(3), _with(RP2, "z"), _with(RP2, ("1", "z"))]
     complexes += [random_complex(rnd, max_n=7, max_facets=8, max_size=rnd.choice([2, 3, 4])) for _ in range(40)]
-    outcomes = set()
+    complexes += [random_complex(rnd, max_n=7, max_facets=16, max_size=4) for _ in range(20)]
+    complexes += [clique_complex(random_graph(rnd, rnd.randint(4, 7))) for _ in range(20)]
+    kinds = set()
     for c in complexes:
         faces = brute_face_masks(c)
-        full = (1 << c.n) - 1
-        for w in [full] + rnd.sample(range(1, full), min(6, full - 1)):
-            qualifying = brute_dominated_vertices(faces, w)
-            u = betti._dominated(_maximal_masks({f & w for f in c.facets}), w)
-            assert u == min(qualifying, default=0), (c.facets, w)
-            outcomes.add(bool(u))
-            for u in qualifying:
-                whole = {f for f in faces if f & w == f}
-                rest = {f for f in whole if not f & u}
-                for p in (None, 2, 3):
-                    a, b = brute_reduced_dims(whole, p), brute_reduced_dims(rest, p)
-                    assert a[: len(b)] == b and not any(a[len(b) :]), (c.facets, w, u, p)
-    assert outcomes == {True, False}
+        edges = {f for f in faces if f.bit_count() == 2}
+        results = betti._Results()
+        cores = set()
+        core = results.core
+        results.core = lambda maximal, w: cores.add(w) or core(maximal, w)
+        res = betti._subset_results(c.facets, c.n, results)
+        for w in range(1 << c.n):
+            dims, torsion = results.values[res[w]]
+            whole = {f for f in faces if f & w == f}
+            for p in (None, 2, 3):
+                expected = brute_reduced_dims(whole, p)
+                got = list(dims) + [0] * (len(expected) + 2)
+                for k in torsion_shift(torsion, p):
+                    got[k] += 1
+                assert got[: len(expected)] == expected and not any(got[len(expected) :]), (c.facets, w, p)
+            isolated = any(not any(e & 1 << u and e & w == e for e in edges) for u in bits(w))
+            dominated = bool(brute_dominated_vertices(faces, w))
+            kind = "isolated" if isolated else "dominated" if dominated else "core"
+            assert (w in cores) == (kind == "core"), (c.facets, w)
+            kinds.add((kind, bool(torsion)))
+    assert kinds >= {(kind, t) for kind in ("isolated", "dominated", "core") for t in (False, True)}
+    assert {_domination_test(c) for c in complexes} == {"flag", "non-faces", "facets"}
 
 
 def test_first_syzygies_count_minimal_non_faces():

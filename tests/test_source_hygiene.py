@@ -2,7 +2,7 @@
 the tests no longer uses, private module-level names that nothing in the
 package refers to any more, and exception classes that nothing raises.
 Also the independence of the test oracles from the code they check, and
-the homology cache's confinement to `betti`."""
+the core cache's confinement to `betti`."""
 
 import ast
 from pathlib import Path
@@ -66,9 +66,9 @@ def test_no_unreferenced_private_module_names():
 
 
 def test_cache_key_format_stays_in_betti():
-    # the homology cache, its key format and its miss belong to betti: a
-    # key another module packed could drift from `_key`'s unnoticed
-    private = {"_HOM_CACHE", "_HOM_CACHE_LIMIT", "_key", "_packed", "_miss"}
+    # the core cache, its key format and its miss belong to betti: a key
+    # another module packed could drift from `_core_key`'s unnoticed
+    private = {"_CORE_CACHE", "_CORE_CACHE_LIMIT", "_core_key", "_Results"}
     readers = []
     for name, tree in TREES.items():
         if name == "betti.py":

@@ -263,7 +263,7 @@ def test_extension_tables_carry_torsion(monkeypatch, field):
         return dims, torsion + ((1, 2),) if len(dims) > 2 and dims[2] else torsion
 
     monkeypatch.setattr(betti, "reduced_dims_from_facets", with_fake_torsion)
-    monkeypatch.setattr(betti, "_HOM_CACHE", {})
+    monkeypatch.setattr(betti, "_CORE_CACHE", {})
     with_torsion = 0
     for n in range(1, 6):
         for adj, table in _all_extension_tables(n, field):
@@ -273,57 +273,53 @@ def test_extension_tables_carry_torsion(monkeypatch, field):
 
 
 def test_froberg_sweep_visits(monkeypatch):
-    # count the cache lookups of the restrictions the sweep visits, not the
-    # ones a miss makes for its collapse, and the base graphs' subsets apart
-    keys = []
+    # per graph on 4 vertices: its 2^4 subsets, swept once, then each pair
+    # of a subset W with a neighbour set of vertex 4 inside W, 3^4 in all.
+    # 2,420 of those 5,184 pairs are not acyclic and 118 are cores; the
+    # other 67 cores are the 64 empty subsets and the 3 four-cycles
+    subsets = []
+    pairs = []
+    cores = []
+    real_subsets, real_pairs, real_core = betti._subset_results, betti._pair_results, betti._Results.core
 
-    class Counting(dict):
-        def get(self, key, default=None):
-            keys.append(key)
-            return super().get(key, default)
+    def sweep(masks, n, results):
+        subsets.append(1 << n)
+        return real_subsets(masks, n, results)
 
-    def without_lookups(real):
-        def run(*args):
-            before = len(keys)
-            out = real(*args)
-            del keys[before:]
-            return out
+    def pair_results(cliques, k, base, results):
+        out = real_pairs(cliques, k, base, results)
+        cells = (results.values[out[w << k | nbrs]] for w in range(1 << k) for nbrs in range(1 << k) if nbrs & w == nbrs)
+        pairs.extend(any(dims) or bool(torsion) for dims, torsion in cells)
+        return out
 
-        return run
+    def core(self, maximal, w):
+        cores.append(w)
+        return real_core(self, maximal, w)
 
-    prefix = []
-    real_sweep = betti._Sweep.__init__
-
-    def sweep(self, masks, stop):
-        prefix.append(stop)
-        real_sweep(self, masks, stop)
-
-    monkeypatch.setattr(betti, "_HOM_CACHE", Counting())
-    monkeypatch.setattr(betti, "_miss", without_lookups(betti._miss))
-    monkeypatch.setattr(betti._Sweep, "__init__", without_lookups(sweep))
+    monkeypatch.setattr(betti, "_subset_results", sweep)
+    monkeypatch.setattr(betti, "_pair_results", pair_results)
+    monkeypatch.setattr(betti._Results, "core", core)
     assert froberg_exhaustive(5).passed
-    # per graph on 4 vertices: its 2^4 subsets, then each subset W of them
-    # with vertex 4 once per neighbour set of vertex 4 inside W, 3^4 in
-    # all, less the cones, which are not looked up (5,184 visits through
-    # vertex 4 when each visit was a sweep step)
-    assert sum(prefix) == 2 ** 6 * 2 ** 4 == 1024
-    assert len(keys) == 3104
+    assert sum(subsets) == 2 ** 6 * 2 ** 4 == 1024
+    assert len(pairs) == 2 ** 6 * 3 ** 4 == 5184
+    assert sum(pairs) == 2420  # not acyclic
+    assert len([w for w in cores if w & 1 << 4]) == 118 and len(cores) == 185
 
 
-def test_froberg_sweep_keys_are_the_sweep_keys(monkeypatch):
-    # the Froberg sweep assembles its keys through the last vertex instead
-    # of calling _key; a sweep of every graph on 5 vertices afterwards
-    # finds every restriction in the cache under the key it builds itself
+def test_froberg_sweep_cores_are_the_sweep_cores(monkeypatch):
+    # the Froberg sweep keys a core through the last vertex by the masks of
+    # the extension it derives from the base graph; a sweep of every graph
+    # on 5 vertices afterwards finds every core in the cache
     assert froberg_exhaustive(5).passed
-    assert len(betti._HOM_CACHE) == 815
+    assert len(betti._CORE_CACHE) == 26
 
-    def refuse(*args):
-        raise AssertionError("a restriction the Froberg sweep visited missed the cache")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a core the Froberg sweep met missed the cache")
 
-    monkeypatch.setattr(betti, "_miss", refuse)
+    monkeypatch.setattr(betti, "reduced_dims_from_facets", refuse)
     for mask in range(1 << len(_pairs(5))):
         graded_betti(clique_complex(_graph_of_mask(5, mask)), QQ)
-    assert len(betti._HOM_CACHE) == 815
+    assert len(betti._CORE_CACHE) == 26
 
 
 def test_froberg_mismatches_are_edge_masks(monkeypatch):
