@@ -14,9 +14,10 @@ qualifies (`_subset_results`), res[W] comes from res[W-u], visited before:
     through u: its link is a cone, Delta_W strong-collapses onto Delta_(W-u)
     (Barmak and Minian 2012, "Strong homotopy types, nerves and collapses")
     and res[W] is res[W-u], torsion included.  On a flag complex N_W[u]
-    inside N_W[x] decides it; on any other, x must also pass a test on the
-    maximal masks of {f & W}, or on the minimal non-faces with 3 or more
-    vertices when they are fewer than the facets.
+    inside N_W[x] decides it; on any other, x must also lie in ext(f & W)
+    for every facet f through u, where ext(t) is the union of the facets
+    over the face t: each facet of Delta_W through u is such a trace, and
+    adding x to it leaves a face, so it holds x.
 A W with no such vertex, {} included, is a core; only cores are eliminated,
 on their maximal masks.  Every induced subgraph of a chordal graph has a
 simplicial vertex (Dirac), so a chordal clique complex has no core but {}.
@@ -36,14 +37,14 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice, repeat
+from itertools import repeat
 from operator import and_, or_
 
 from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
 from .graphs import maximal_cliques
 from .homology import reduced_dims_from_facets, torsion_shift
-from .simplicial import Complex, _bits, _maximal_masks, masks_by_card, minimal_non_face_masks
+from .simplicial import Complex, _bits, _maximal_masks
 
 DEFAULT_VERTEX_CAP = 20
 
@@ -158,19 +159,12 @@ def _subset_results(masks, n: int, results: _Results) -> array:
     closed = _closed(masks, n)
     flag = maximal_cliques([closed[1 << v] ^ 1 << v for v in range(n)]) == sorted(masks)
     # x dominates u iff N_W[u] lies in N_W[x] and, off flag complexes, x is in
-    # every facet of Delta_W through u.  ext[s] is the union of the facets over
-    # the face s.  Those facets are the traces t = f & W with ext[t] & W = t
-    # (by_facets); with fewer minimal non-faces t of 3 or more vertices, x
-    # fails iff one inside W has x and u in ext[t - x] (listed in blocked).
-    wide = [] if flag else list(islice((t for t in minimal_non_face_masks(masks, n) if t.bit_count() > 2), len(masks)))
-    by_facets = len(wide) == len(masks)
-    ext = {s: reduce(or_, [f for f in masks if f & s == s]) for g in masks_by_card(masks)[1:] for s in g} if wide else {}
-    through = {1 << v: [f for f in masks if f >> v & 1] for v in range(n)} if by_facets else {}
-    blocked: dict[int, list[int]] = {}
-    for t in wide if not by_facets else ():
-        for x in _bits(t):
-            for u in _bits(ext[t ^ 1 << x]):
-                blocked.setdefault(1 << u + n | 1 << x, []).append(t)
+    # ext[f & W], the union of the facets over f & W, for each facet f through
+    # u: a facet of Delta_W through u is such a trace and cannot grow by x, so
+    # no trace needs a maximality check.  The facets over a trace hold u, so
+    # ext is filled from through[u], for the traces the sweep meets.
+    through = {} if flag else {1 << v: [f for f in masks if f >> v & 1] for v in range(n)}
+    ext: dict[int, int] = {}
     res = array("I", bytes(4 << n))
     for w in range(len(res)):
         rest = w
@@ -183,13 +177,16 @@ def _subset_results(masks, n: int, results: _Results) -> array:
             others = near ^ u
             while others:
                 x = others & -others
-                if closed[x] & near == near and not (blocked and any(t & w == t for t in blocked.get(u << n | x, ()))):
+                if closed[x] & near == near:
                     break
                 others ^= x
-            for f in through[u] if others and by_facets else ():
+            for f in through[u] if others and not flag else ():
                 t = f & w
-                if ext[t] & w == t:  # a facet of Delta_W
-                    others &= t
+                if t not in ext:
+                    ext[t] = reduce(or_, [g for g in through[u] if g & t == t])
+                others &= ext[t]
+                if not others:
+                    break
             if others:
                 res[w] = res[w ^ u]
                 break

@@ -257,7 +257,12 @@ def gen_chordal(n: int, density: float, seed: int) -> Graph:
 
 
 def write_graph(g: Graph, path) -> None:
-    """Edge-list .graph format with an explicit vertex header."""
+    """Edge-list .graph format with an explicit vertex header.  A label that
+    is not one token, starts with '#' (a comment line) or is 'vertices' (a
+    header line) would not read back: ValueError."""
+    for label in g.labels:
+        if label.split() != [label] or label.startswith("#") or label == "vertices":
+            raise ValueError(f"vertex label {label!r} cannot be written to a .graph file")
     lines = ["vertices " + " ".join(g.labels)]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import EmptyInputError, TooManyVerticesError
 
@@ -202,32 +202,29 @@ def h_vector(f: FVector) -> HVector:
 def minimal_non_faces(c: Complex) -> list[tuple[str, ...]]:
     """Inclusion-minimal non-faces: the monomial generators of the non-face ideal.
 
-    Sorted by (cardinality, tokens); see `minimal_non_face_masks`.
+    Sorted by (cardinality, tokens).  Each one, t, is met once, from the
+    face t - v for its highest vertex v: a candidate qualifies iff it is
+    not a face while t - u is for every u.
     """
-    labeled = [c.tokens_of(m) for m in minimal_non_face_masks(c.facets, c.n)]
+    faces = {m for group in masks_by_card(c.facets)[1:] for m in group}
+    labeled = []
+    for s in faces:
+        for v in range(s.bit_length(), c.n):
+            t = s | 1 << v
+            if t not in faces and all(t ^ 1 << u in faces for u in _bits(s)):
+                labeled.append(c.tokens_of(t))
     labeled.sort(key=lambda t: (len(t), t))
     return labeled
 
 
-def minimal_non_face_masks(facets: Sequence[int], n: int) -> Iterator[int]:
-    """The minimal non-faces of the complex the masks span on n vertices,
-    as masks, in no particular order.
-
-    Each one, t, is met once, from the face t - v for its highest vertex v:
-    a candidate qualifies iff it is not a face while t - u is for every u.
-    """
-    faces = {m for group in masks_by_card(facets)[1:] for m in group}
-    for s in faces:
-        for v in range(s.bit_length(), n):
-            t = s | 1 << v
-            if t not in faces and all(t ^ 1 << u in faces for u in _bits(s)):
-                yield t
-
-
 def write_complex(c: Complex, path) -> None:
-    """One facet per line as whitespace-separated tokens (.cplx format)."""
+    """One facet per line as whitespace-separated tokens (.cplx format).
+    A label starting with '#' would start a comment line: ValueError."""
     if c.n == 0:
         raise EmptyInputError("the empty complex has no facet-file representation")
+    for label in c.labels:
+        if label.startswith("#"):
+            raise ValueError(f"vertex label {label!r} starts with '#', which the .cplx reader takes as a comment")
     lines = [" ".join(c.tokens_of(f)) for f in c.facets]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

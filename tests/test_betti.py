@@ -40,7 +40,7 @@ from srbetti import (
     minimal_non_faces,
     read_complex,
 )
-from srbetti import betti, homology
+from srbetti import betti, homology, simplicial
 from srbetti.betti import _extension_tables, clear_homology_cache
 from srbetti.graphs import maximal_cliques
 from srbetti.homology import torsion_shift
@@ -362,9 +362,9 @@ def test_chordal_corpus_has_no_core_but_the_empty_subset(monkeypatch):
 
 def test_a_core_reduces_its_masks_once(monkeypatch):
     # the sweep hands a core's maximal masks to the elimination, which
-    # uses them as given, and no domination test reduces masks: whichever
-    # test a complex takes, the masks are reduced once per core and never
-    # in homology
+    # uses them as given, and the domination test reduces no masks: on
+    # every kind of input the masks are reduced once per core and never in
+    # homology
     counts = {"betti": 0, "homology": 0}
     for module in (betti, homology):
 
@@ -379,16 +379,16 @@ def test_a_core_reduces_its_masks_once(monkeypatch):
     flag = [clique_complex(random_graph(rnd, 8)) for _ in range(20)]
     others = [RP2, suspension(RP2), join(RP2, primed(TRI)), join(RP2, primed(C4))]
     others += [random_complex(rnd, max_n=8, max_facets=rnd.choice([10, 16]), max_size=4) for _ in range(30)]
-    tests = {"flag": flag}
+    kinds = {"flag": flag}
     for c in others:
-        tests.setdefault(_domination_test(c), []).append(c)
-    assert len(tests["non-faces"]) >= 10 and len(tests["facets"]) >= 4
-    for test, complexes in tests.items():
+        kinds.setdefault(_kind(c), []).append(c)
+    assert len(kinds["few wide non-faces"]) >= 10 and len(kinds["non-flag"]) >= 4
+    for kind, complexes in kinds.items():
         counts["betti"] = 0
         cores.clear()
         for c in complexes:
             graded_betti(c)
-        assert counts == {"betti": len(cores), "homology": 0} and len(cores) > 100, test
+        assert counts == {"betti": len(cores), "homology": 0} and len(cores) > 100, kind
 
 
 def test_one_sweep_serves_every_field(monkeypatch):
@@ -504,12 +504,11 @@ def _with(c: Complex, *facets) -> Complex:
     return complex_from_facets([c.tokens_of(f) for f in c.facets] + [list(f) for f in facets])
 
 
-def _domination_test(c: Complex) -> str:
-    """Which test confirms a dominated vertex in the sweep of c: none on a
-    flag complex; the minimal non-faces with 3 or more vertices when they
-    are fewer than the facets; else the facets."""
+def _kind(c: Complex) -> str:
+    """flag; non-flag with fewer minimal non-faces of 3 or more vertices
+    than facets, as joins of 2-neighborly complexes are; or other non-flag."""
     wide = sum(len(t) > 2 for t in minimal_non_faces(c))
-    return "flag" if not wide else "non-faces" if wide < len(c.facets) else "facets"
+    return "flag" if not wide else "few wide non-faces" if wide < len(c.facets) else "non-flag"
 
 
 def test_every_subset_result_matches_brute_force():
@@ -548,7 +547,28 @@ def test_every_subset_result_matches_brute_force():
             assert (w in cores) == (kind == "core"), (c.facets, w)
             kinds.add((kind, bool(torsion)))
     assert kinds >= {(kind, t) for kind in ("isolated", "dominated", "core") for t in (False, True)}
-    assert {_domination_test(c) for c in complexes} == {"flag", "non-faces", "facets"}
+    assert {_kind(c) for c in complexes} == {"flag", "few wide non-faces", "non-flag"}
+
+
+def test_non_flag_sweep_enumerates_no_faces(monkeypatch):
+    # off flag complexes the domination test reads facets and unions of
+    # facets, never the face set, which a large facet makes huge
+    big = complex_from_facets(
+        [[f"a{i:02}" for i in range(12)], ["a00", "z", "a01"], ["z", "a02", "a03"], ["a04", "z", "a05"]]
+    )
+    fields = (FieldSpec.prime(2), QQ)
+    expected = {(c, field): brute_betti(c, field.p) for c in (RP2, suspension(RP2)) for field in fields}
+    expected.update({(big, field): graded_betti(big, field).as_dict() for field in fields})
+
+    def refuse(facets):
+        raise AssertionError("the sweep enumerated faces")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "srbetti" and getattr(module, "masks_by_card", None) is simplicial.masks_by_card:
+            monkeypatch.setattr(module, "masks_by_card", refuse)
+    clear_homology_cache()
+    for (c, field), table in expected.items():
+        assert graded_betti(c, field).as_dict() == table, (c.facets, field)
 
 
 def test_first_syzygies_count_minimal_non_faces():

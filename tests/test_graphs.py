@@ -192,6 +192,27 @@ def test_graph_file_round_trip(tmp_path):
         assert read_graph(path) == g
 
 
+def test_graph_writer_refuses_comment_label(tmp_path):
+    # the edge line "#a b" would read back as a comment
+    g = graph_from_edges([("#a", "b"), ("b", "c")])
+    with pytest.raises(ValueError, match="'#a'"):
+        write_graph(g, tmp_path / "g.graph")
+
+
+def test_graph_writer_refuses_header_label(tmp_path):
+    # the edge line "vertices x" would read back as a second header
+    g = graph_from_edges([("vertices", "x")])
+    with pytest.raises(ValueError, match="'vertices'"):
+        write_graph(g, tmp_path / "g.graph")
+
+
+def test_graph_writer_refuses_label_that_is_not_one_token(tmp_path):
+    # the edge line "a b c" would not parse as an edge
+    g = graph_from_edges([("a b", "c")])
+    with pytest.raises(ValueError, match="'a b'"):
+        write_graph(g, tmp_path / "g.graph")
+
+
 def test_graph_file_parsing(tmp_path):
     path = tmp_path / "a.graph"
     path.write_text("# comment\nvertices a b c\na b\n\nb c\n")

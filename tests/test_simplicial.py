@@ -187,6 +187,13 @@ def test_cplx_round_trip(tmp_path):
         assert read_complex(path) == c
 
 
+def test_cplx_writer_refuses_comment_label(tmp_path):
+    # "#a b" would read back as a comment, leaving only the facet "b c"
+    c = complex_from_facets([["#a", "b"], ["b", "c"]])
+    with pytest.raises(ValueError, match="'#a'"):
+        write_complex(c, tmp_path / "x.cplx")
+
+
 def test_cplx_comments_and_blanks(tmp_path):
     path = tmp_path / "x.cplx"
     path.write_text("# comment\n\n1 2\n2 3\n# another\n3 4\n1 4\n")
