@@ -289,8 +289,9 @@ def _extension_tables(cliques: list[int], k: int, field: FieldSpec) -> list[Bett
     on k vertices with maximal cliques `cliques` ([0] for k = 0) by a
     vertex v = k, indexed by v's neighbour set N: the base's results plus,
     for each W, the pair (W, N & W)'s.  Each sum packs cell (i, j) into
-    bits 64 (i (k + 2) + j) on: an entry counts at most the 3^(k+1) faces
-    of all restrictions, < 2^64 for any k a sweep can reach.  Extensions
+    bits 32 (i (k + 2) + j) on: an entry counts at most the 3^(k+1) faces
+    of all restrictions, < 2^32 for k + 1 <= 20, the sweep cap
+    `DEFAULT_VERTEX_CAP` that `froberg_exhaustive` enforces.  Extensions
     with equal sums and torsion share one table."""
     last = 1 << k
     size = k + 2  # i and j run over 0 ... k + 1
@@ -299,7 +300,7 @@ def _extension_tables(cliques: list[int], k: int, field: FieldSpec) -> list[Bett
     base = _subset_results(cliques, k, results)
     pairs = _pair_results(cliques, k, base, results)
     # cells_at[j][rid]: the cells a result adds at |W| = j, packed, b_(r-1) at i = j - r
-    cells_at = [[sum(b << 64 * ((j - r) * size + j) for r, b in enumerate(dims) if r <= j) for dims, _ in values]
+    cells_at = [[sum(b << 32 * ((j - r) * size + j) for r, b in enumerate(dims) if r <= j) for dims, _ in values]
                 for j in range(size)]
     base_sum = sum(map(list.__getitem__, [cells_at[w.bit_count()] for w in range(last)], base))
     sizes = [w.bit_count() + 1 for w in range(last)]  # of W + v
@@ -315,7 +316,7 @@ def _extension_tables(cliques: list[int], k: int, field: FieldSpec) -> list[Bett
         torsions = tuple(base_torsions + _torsions(sizes, ids, values)) if torsion else ()
         table = shared.get((total, torsions))
         if table is None:
-            counts = struct.unpack(f"<{size * size}Q", total.to_bytes(8 * size * size, "little"))
+            counts = struct.unpack(f"<{size * size}I", total.to_bytes(4 * size * size, "little"))
             cells = tuple((*divmod(cell, size), v) for cell, v in enumerate(counts) if v)
             table = shared[total, torsions] = _table(cells, torsions, k + 1, field)
         out.append(table)

