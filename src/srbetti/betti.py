@@ -10,14 +10,23 @@ reduced homology of Delta_W (Betti numbers over Q and torsion), as an id
 into its list of distinct results.  For the lowest vertex u of W that
 qualifies (`_subset_results`), res[W] comes from res[W-u], visited before:
   - u is isolated: res[W] is res[W-u] plus one in reduced degree 0;
-  - u is dominated, another vertex x lies in every maximal face of Delta_W
-    through u: its link is a cone, Delta_W strong-collapses onto Delta_(W-u)
-    (Barmak and Minian 2012, "Strong homotopy types, nerves and collapses")
-    and res[W] is res[W-u], torsion included.  On a flag complex N_W[u]
-    inside N_W[x] decides it; on any other, x must also lie in ext(f & W)
-    for every facet f through u, where ext(t) is the union of the facets
-    over the face t: each facet of Delta_W through u is such a trace, and
-    adding x to it leaves a face, so it holds x.
+  - on a flag complex, the link of u in Delta_W is acyclic: res[W] is
+    res[W-u], torsion included.  That link is the restriction to N_W(u),
+    the neighbours of u in W (a face F + u is a clique iff F is one inside
+    N(u)), so its result res[N_W(u)] was visited before.  Delta_W is the
+    union of Delta_(W-u) and the star of u, a cone, and they meet in the
+    link; by Mayer-Vietoris an acyclic link makes the inclusion of
+    Delta_(W-u) an isomorphism on integral reduced homology.  An isolated
+    u is the case of an empty link, and a dominated u (N_W[u] inside
+    N_W[x]) the case of a cone with apex x;
+  - off flag complexes, u is dominated, another vertex x lies in every
+    maximal face of Delta_W through u: its link is a cone, Delta_W
+    strong-collapses onto Delta_(W-u) (Barmak and Minian 2012, "Strong
+    homotopy types, nerves and collapses") and res[W] is res[W-u].  N_W[u]
+    inside N_W[x] is necessary; x must also lie in ext(f & W) for every
+    facet f through u, where ext(t) is the union of the facets over the
+    face t: each facet of Delta_W through u is such a trace, and adding x
+    to it leaves a face, so it holds x.
 A W with no such vertex, {} included, is a core; only cores are eliminated,
 on their maximal masks.  Every induced subgraph of a chordal graph has a
 simplicial vertex (Dirac), so a chordal clique complex has no core but {}.
@@ -26,8 +35,17 @@ The table sums the (|W|, result) counts; torsion gives it over every GF(p).
 Cores recur across complexes, so their homology is cached process-wide in
 `_CORE_CACHE` (key `_core_key`, at most `_CORE_CACHE_LIMIT` entries).  An
 entry is one value written once, so a reader sees a whole entry or none;
-all else a sweep keeps is local to its call, so threads need no lock.  The
-Froberg sweep takes the extensions of a graph together (`_extension_tables`).
+all else a sweep keeps is local to its call, so threads need no lock.
+
+The Froberg sweep takes the extensions of a graph on k vertices by a vertex
+v together (`_Lockstep`).  W + v in the extension by N restricts it as in
+the extension by N' = N & W, so each pair (W, N') is swept once, at the
+radix-3 index tri[W] + tri[N'] (digit 0, 1 or 2 for a vertex outside W, in
+W - N', in N').  The table of extension N sums, over W, the pair
+(W, N & W): per vertex, a pair digit 0 or 1 counts for an N without the
+vertex and 0 or 2 for an N with it, so k passes of one vertex each fold
+the 3^k pair sums into the 2^k extension sums (Yates's method, as in fast
+subset convolution: Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007).
 """
 
 from __future__ import annotations
@@ -37,8 +55,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
-from operator import and_, or_
+from operator import add, or_
 
 from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
@@ -121,11 +138,13 @@ class _Results:
         self.values: list[_Homology] = []
         self.ids: dict[_Homology, int] = {}
         self.plus: dict[int, int] = {}  # by id: the id with one more isolated point
+        self.acyclic: list[bool] = []  # by id: no reduced homology, torsion included
 
     def id(self, hom: _Homology) -> int:
         if hom not in self.ids:
             self.ids[hom] = len(self.values)
             self.values.append(hom)
+            self.acyclic.append(not any(hom[0]) and not hom[1])
         return self.ids[hom]
 
     def with_point(self, rid: int) -> int:
@@ -158,13 +177,14 @@ def _subset_results(masks, n: int, results: _Results) -> array:
     the masks span (module docstring)."""
     closed = _closed(masks, n)
     flag = maximal_cliques([closed[1 << v] ^ 1 << v for v in range(n)]) == sorted(masks)
-    # x dominates u iff N_W[u] lies in N_W[x] and, off flag complexes, x is in
+    # off flag complexes x dominates u iff N_W[u] lies in N_W[x] and x is in
     # ext[f & W], the union of the facets over f & W, for each facet f through
     # u: a facet of Delta_W through u is such a trace and cannot grow by x, so
     # no trace needs a maximality check.  The facets over a trace hold u, so
     # ext is filled from through[u], for the traces the sweep meets.
     through = {} if flag else {1 << v: [f for f in masks if f >> v & 1] for v in range(n)}
     ext: dict[int, int] = {}
+    acyclic = results.acyclic
     res = array("I", bytes(4 << n))
     for w in range(len(res)):
         rest = w
@@ -174,20 +194,24 @@ def _subset_results(masks, n: int, results: _Results) -> array:
             if near == u:
                 res[w] = results.with_point(res[w ^ u])
                 break
-            others = near ^ u
-            while others:
-                x = others & -others
-                if closed[x] & near == near:
-                    break
-                others ^= x
-            for f in through[u] if others and not flag else ():
-                t = f & w
-                if t not in ext:
-                    ext[t] = reduce(or_, [g for g in through[u] if g & t == t])
-                others &= ext[t]
-                if not others:
-                    break
-            if others:
+            if flag:  # the link of u is the restriction to N_W(u)
+                removable = acyclic[res[near ^ u]]
+            else:
+                others = near ^ u
+                while others:
+                    x = others & -others
+                    if closed[x] & near == near:
+                        break
+                    others ^= x
+                for f in through[u] if others else ():
+                    t = f & w
+                    if t not in ext:
+                        ext[t] = reduce(or_, [g for g in through[u] if g & t == t])
+                    others &= ext[t]
+                    if not others:
+                        break
+                removable = others
+            if removable:
                 res[w] = res[w ^ u]
                 break
             rest ^= u
@@ -237,90 +261,118 @@ def _extension_masks(cliques: list[int], nbrs: int, last: int) -> list[int]:
     return [c & nbrs | last for c in cliques] + cliques
 
 
-def _pair_results(cliques: list[int], k: int, base: array, results: _Results) -> array:
+def _pair_results(cliques: list[int], k: int, base: array, results: _Results, tri: list[int]) -> array:
     """The result of W + v in the extensions of the base graph by v = 1 << k
-    with neighbours N, at W << k | N & W: the rules of `_subset_results` on
-    the closed neighbourhoods of extension N' = N & W (the base's, plus v
-    for the vertices of N', and N' + v for v).  W - u + v is the pair
-    (W - u, N' - u), and W + v - v the base's W."""
+    with neighbours N, at the pair index tri[W] + tri[N'] for N' = N & W:
+    the flag rule of `_subset_results` on the extension N'.  Its vertices'
+    links, tried in this order, are
+      - of v: the base's N';
+      - of u in W - N': the base's N_W(u);
+      - of u in N': the pair (N_W(u), N' & N_W(u)).
+    W - u + v is the pair (W - u, N' - u), and W + v - v the base's W; every
+    index looked up is smaller than the pair's own."""
     closed = _closed(cliques, k)
     last = 1 << k
-    pairs = array("I", bytes(4 << 2 * k))
+    pairs = array("I", bytes(4 * 3**k))
     with_point = results.with_point
+    acyclic = results.acyclic
     for w in range(last):
-        for nbrs in range(w + 1):
-            if nbrs & ~w:
-                continue
-            rest = w  # the vertices of W, then v
-            while rest:
-                u = rest & -rest
-                near = closed[u] & w
-                if near == u and not u & nbrs:
-                    r = with_point(pairs[(w ^ u) << k | nbrs])
-                    break
-                # N[u] takes v when u is in N': then v dominates u, or an x in N' must
-                dominated = u & nbrs and near & nbrs == near
-                others = near & nbrs ^ u if u & nbrs else near ^ u
-                while others and not dominated:
-                    x = others & -others
-                    dominated = closed[x] & near == near
-                    others ^= x
-                if dominated:
-                    r = pairs[(w ^ u) << k | nbrs & ~u]
-                    break
-                rest ^= u
-            else:  # then v: isolated, or dominated by the lowest x left in N'
-                x = nbrs
-                while x and closed[x & -x] & nbrs != nbrs:
-                    x &= x - 1
-                if not nbrs:
-                    r = with_point(base[w])
-                elif x:
-                    r = base[w]
+        nbrs = w
+        while True:  # the subsets N' of W
+            i = tri[w] + tri[nbrs]
+            if not nbrs:
+                r = with_point(base[w])
+            elif acyclic[base[nbrs]]:
+                r = base[w]
+            else:
+                rest = w
+                while rest:
+                    u = rest & -rest
+                    near = closed[u] & w ^ u
+                    if u & nbrs:
+                        if acyclic[pairs[tri[near] + tri[near & nbrs]]]:
+                            r = pairs[i - 2 * tri[u]]
+                            break
+                    elif not near:
+                        r = with_point(pairs[i - tri[u]])
+                        break
+                    elif acyclic[base[near]]:
+                        r = pairs[i - tri[u]]
+                        break
+                    rest ^= u
                 else:
                     s = w | last
                     r = results.core(_maximal_masks({m & s for m in _extension_masks(cliques, nbrs, last)}), s)
-            pairs[w << k | nbrs] = r
+            pairs[i] = r
+            if not nbrs:
+                break
+            nbrs = nbrs - 1 & w
     return pairs
 
 
-def _extension_tables(cliques: list[int], k: int, field: FieldSpec) -> list[BettiTable]:
-    """The Betti table of the clique complex of each extension of a graph
-    on k vertices with maximal cliques `cliques` ([0] for k = 0) by a
-    vertex v = k, indexed by v's neighbour set N: the base's results plus,
-    for each W, the pair (W, N & W)'s.  Each sum packs cell (i, j) into
-    bits 32 (i (k + 2) + j) on: an entry counts at most the 3^(k+1) faces
-    of all restrictions, < 2^32 for k + 1 <= 20, the sweep cap
-    `DEFAULT_VERTEX_CAP` that `froberg_exhaustive` enforces.  Extensions
-    with equal sums and torsion share one table."""
-    last = 1 << k
-    size = k + 2  # i and j run over 0 ... k + 1
-    results = _Results()
-    values = results.values
-    base = _subset_results(cliques, k, results)
-    pairs = _pair_results(cliques, k, base, results)
-    # cells_at[j][rid]: the cells a result adds at |W| = j, packed, b_(r-1) at i = j - r
-    cells_at = [[sum(b << 32 * ((j - r) * size + j) for r, b in enumerate(dims) if r <= j) for dims, _ in values]
-                for j in range(size)]
-    base_sum = sum(map(list.__getitem__, [cells_at[w.bit_count()] for w in range(last)], base))
-    sizes = [w.bit_count() + 1 for w in range(last)]  # of W + v
-    pair_cells = [cells_at[j] for j in sizes]
-    shifted = [w << k for w in range(last)]
-    torsion = any(t for _, t in values)
-    base_torsions = _torsions(map(int.bit_count, range(last)), base, values) if torsion else []
-    shared: dict[tuple[int, tuple], BettiTable] = {}
-    out = []
-    for nbrs in range(last):
-        ids = list(map(pairs.__getitem__, map(or_, shifted, map(and_, range(last), repeat(nbrs)))))
-        total = base_sum + sum(map(list.__getitem__, pair_cells, ids))
-        torsions = tuple(base_torsions + _torsions(sizes, ids, values)) if torsion else ()
-        table = shared.get((total, torsions))
-        if table is None:
-            counts = struct.unpack(f"<{size * size}I", total.to_bytes(4 * size * size, "little"))
-            cells = tuple((*divmod(cell, size), v) for cell, v in enumerate(counts) if v)
-            table = shared[total, torsions] = _table(cells, torsions, k + 1, field)
-        out.append(table)
-    return out
+class _Lockstep:
+    """The Froberg sweep's extension tables for base graphs on k vertices
+    (module docstring), with what the bases share: the pair index tri[m],
+    the sum over the vertices of m of 3^vertex, and one table per distinct
+    sum and torsion."""
+
+    def __init__(self, k: int, field: FieldSpec):
+        self.k = k
+        self.field = field
+        self.tri = [0]
+        self.sizes = [1]  # by pair index: |W + v|, one more than its nonzero digits
+        for vertex in range(k):
+            self.tri += [t + 3**vertex for t in self.tri]
+            more = [j + 1 for j in self.sizes]
+            self.sizes += more + more
+        self.shared: dict[tuple[int, tuple], BettiTable] = {}
+
+    def tables(self, cliques: list[int]) -> list[BettiTable]:
+        """The Betti table of the clique complex of each extension of the
+        graph with maximal cliques `cliques` ([0] for k = 0) by a vertex
+        v = k, indexed by v's neighbour set N: the base's results plus, for
+        each W, the pair (W, N & W)'s.  Each sum packs cell (i, j) into bits
+        32 (i (k + 2) + j) on: an entry counts at most the 3^(k+1) faces of
+        all restrictions, < 2^32 for k + 1 <= 20, the sweep cap
+        `DEFAULT_VERTEX_CAP` that `froberg_exhaustive` enforces."""
+        k = self.k
+        last = 1 << k
+        size = k + 2  # i and j run over 0 ... k + 1
+        results = _Results()
+        values = results.values
+        base = _subset_results(cliques, k, results)
+        pairs = _pair_results(cliques, k, base, results, self.tri)
+        # cells_at[j][rid]: the cells a result adds at |W| = j, packed, b_(r-1) at i = j - r
+        cells_at = [[sum(b << 32 * ((j - r) * size + j) for r, b in enumerate(dims) if r <= j) for dims, _ in values]
+                    for j in range(size)]
+        sums = list(map(list.__getitem__, [cells_at[j] for j in self.sizes], pairs))
+        # every extension sums the base's W and the pair ({}, {}), at index 0
+        sums[0] += sum(map(list.__getitem__, [cells_at[w.bit_count()] for w in range(last)], base))
+        for _ in range(k):  # fold the top ternary digit into the lowest binary one
+            third = len(sums) // 3
+            zero = sums[:third]
+            folded = [0] * (2 * third)
+            folded[::2] = map(add, zero, sums[third : 2 * third])
+            folded[1::2] = map(add, zero, sums[2 * third :])
+            sums = folded
+        torsions = [()] * last
+        if any(t for _, t in values):  # per extension, (|W|, torsion) in ascending order of W
+            tri = self.tri
+            base_torsions = _torsions(map(int.bit_count, range(last)), base, values)
+            with_v = [w.bit_count() + 1 for w in range(last)]
+            torsions = [
+                tuple(base_torsions + _torsions(with_v, [pairs[tri[w] + tri[w & nbrs]] for w in range(last)], values))
+                for nbrs in range(last)
+            ]
+        out = []
+        for total, torsion in zip(sums, torsions):
+            table = self.shared.get((total, torsion))
+            if table is None:
+                counts = struct.unpack(f"<{size * size}I", total.to_bytes(4 * size * size, "little"))
+                cells = tuple((*divmod(cell, size), v) for cell, v in enumerate(counts) if v)
+                table = self.shared[total, torsion] = _table(cells, torsion, k + 1, self.field)
+            out.append(table)
+        return out
 
 
 @dataclass(frozen=True)

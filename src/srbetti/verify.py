@@ -19,7 +19,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .betti import BettiTable, ResolutionShape, _extension_tables, classify, graded_betti
+from .betti import BettiTable, ResolutionShape, _Lockstep, classify, graded_betti
 from .betti import DEFAULT_VERTEX_CAP
 from .errors import NonPositiveResultError, TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
@@ -333,26 +333,29 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
 
     For every edge set: the clique complex's Betti table classifies linear
     (trivial counting as vacuously linear, the zero-ideal case) iff the graph
-    is chordal.  2^C(n,2) graphs; n = 6 takes about 1.4 s from a cold
-    core cache (1.3-1.5 s on a shared 2-vCPU VM, Python 3.11.7) and is the
-    strongest acceptance check in the suite.
+    is chordal.  2^C(n,2) graphs; n = 6 takes about 0.6 s from a cold
+    core cache (0.50-0.68 s in six runs on a shared 2-vCPU VM, Python
+    3.11.7) and is the strongest acceptance check in the suite.
 
     Each graph is a base graph on vertices 0..n-2 plus a neighbour set of
     vertex n-1, and the 2^(n-1) extensions of a base are swept together
-    (`betti._extension_tables`): per base, 2^(n-1) subsets without vertex
-    n-1 and 3^(n-1) pairs (W, N & W) through it, not 2^(n-1) subsets for
-    each of its 2^(n-1) graphs.  Each subset and pair takes its homology
-    from a smaller one by an isolated or dominated vertex, or is a core:
-    for n = 6, 6,832 of the 281,600 visits are nonempty cores, and 995
-    distinct cores are eliminated.  Every graph still gets a table summed
-    over all 2^n subsets.  Chordality is decided once per base graph
-    (`graphs.chordal_extensions`): no extension of a non-chordal base is
-    chordal, and the extension by N of a chordal one is chordal iff, for
+    (`betti._Lockstep`): per base, 2^(n-1) subsets without vertex n-1 and
+    3^(n-1) pairs (W, N & W) through it, not 2^(n-1) subsets for each of
+    its 2^(n-1) graphs.  Each subset and pair either takes its homology
+    from a smaller one, when the link of one of its vertices (a restriction
+    the sweep holds already) is empty or acyclic, or is a core: for n = 6,
+    6,832 of the 281,600 visits are nonempty cores, and 995 distinct cores
+    are eliminated.  Every graph still gets a table summed over all 2^n
+    subsets: the 3^(n-1) pair sums fold into the 2^(n-1) extension sums in
+    n-1 passes, and the sweep builds and classifies one table per distinct
+    sum and torsion (75 for n = 6).  Chordality is decided once per base
+    graph (`graphs.chordal_extensions`): no extension of a non-chordal base
+    is chordal, and the extension by N of a chordal one is chordal iff, for
     each component C of the base minus N, the vertices of N adjacent to C
     form a clique.  A graph is only its adjacency masks: each extension's
     clique complex comes from the base graph's maximal cliques, and no
     `Graph` or `Complex` is built.  n is capped at `DEFAULT_VERTEX_CAP`
-    (20), the bound of the 32-bit cell slots of `_extension_tables`.
+    (20), the bound of the 32-bit cell slots of `_Lockstep.tables`.
     Mismatches are edge masks in the bit order of the pairs (i, j), i < j,
     in lexicographic order, sorted ascending.
     """
@@ -364,6 +367,8 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     last = 1 << k
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     base_pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    lockstep = _Lockstep(k, field)
+    linear_by_table: dict[int, bool] = {}  # by id: `lockstep` keeps each distinct table, built once, to the end
     mismatches = []
     checked = 0
     for base_mask in range(1 << len(base_pairs)):
@@ -374,8 +379,7 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
                 base[j] |= 1 << i
         cliques = maximal_cliques(base) if base else [0]
         chordal = chordal_extensions(base)
-        linear_by_table: dict[int, bool] = {}  # extensions with equal tables share one
-        for nbrs, table in enumerate(_extension_tables(cliques, k, field)):
+        for nbrs, table in enumerate(lockstep.tables(cliques)):
             linear = linear_by_table.get(id(table))
             if linear is None:
                 linear = linear_by_table[id(table)] = classify(table).is_linear_or_trivial

@@ -171,6 +171,19 @@ def brute_dominated_vertices(faces: set[int], w: int) -> set[int]:
     return out
 
 
+def brute_removable_by_link(faces: set[int], w: int) -> set[int]:
+    """The vertices u of w (as bits) whose link in the restriction to w is
+    empty (the faces F inside w - u with F + u a face are only the empty
+    one) or acyclic over Q, GF(2) and GF(3).  Without torsion at another
+    prime, as in every flag complex the tests use, that is acyclic over Z."""
+    out = set()
+    for u in bits(w):
+        link = {f ^ 1 << u for f in faces if f & w == f and (f >> u) & 1}
+        if link == {0} or not any(any(brute_reduced_dims(link, p)) for p in (None, 2, 3)):
+            out.add(1 << u)
+    return out
+
+
 def brute_minimal_non_faces(c: Complex) -> set[frozenset[str]]:
     """Direct scan over all subsets: non-faces all of whose proper subsets are faces."""
     faces = brute_face_masks(c)

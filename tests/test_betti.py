@@ -14,6 +14,7 @@ from helpers import (
     brute_dominated_vertices,
     brute_face_masks,
     brute_reduced_dims,
+    brute_removable_by_link,
     bumped_table,
     cross_polytope,
     join,
@@ -41,7 +42,7 @@ from srbetti import (
     read_complex,
 )
 from srbetti import betti, homology, simplicial
-from srbetti.betti import _extension_tables, clear_homology_cache
+from srbetti.betti import _Lockstep, clear_homology_cache
 from srbetti.graphs import maximal_cliques
 from srbetti.homology import torsion_shift
 from srbetti.simplicial import _maximal_masks
@@ -452,7 +453,7 @@ def test_threads_share_one_cold_cache():
 
 def base_cliques(k):
     """The maximal cliques of every graph on k labeled vertices, [0] for
-    k = 0, as the Froberg sweep hands them to `_extension_tables`."""
+    k = 0, as the Froberg sweep hands them to `_Lockstep.tables`."""
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     for mask in range(1 << len(pairs)):
         adj = [0] * k
@@ -477,7 +478,7 @@ def test_cores_past_the_cache_cap_keep_their_torsion(monkeypatch):
     calls = count_misses(monkeypatch)
     uncapped = {(c, field): graded_betti(c, field) for c in complexes for field in fields}
     computed = len(calls)
-    extensions = [_extension_tables(cliques, k, QQ) for cliques, k in bases]
+    extensions = [_Lockstep(k, QQ).tables(cliques) for cliques, k in bases]
     extension_calls = len(calls) - computed
     for limit in (0, 2):
         clear_homology_cache()
@@ -493,10 +494,18 @@ def test_cores_past_the_cache_cap_keep_their_torsion(monkeypatch):
     clear_homology_cache()
     calls.clear()
     monkeypatch.setattr(betti, "_CORE_CACHE_LIMIT", 0)
-    assert [_extension_tables(cliques, k, QQ) for cliques, k in bases] == extensions
+    assert [_Lockstep(k, QQ).tables(cliques) for cliques, k in bases] == extensions
     assert not betti._CORE_CACHE and len(calls) > extension_calls
     assert uncapped[RP2, fields[0]] != uncapped[RP2, fields[2]]
     assert sum(bool(t.torsion) for t in uncapped.values()) >= 9
+
+
+# no vertex of the whole graph is isolated or dominated, but the link of 6,
+# the restriction to its neighbours {0, 1, 2, 4}, is the path 0-2-1-4
+LINK_PATH = graph_from_edges(
+    [("0", "2"), ("0", "3"), ("0", "6"), ("1", "2"), ("1", "3"), ("1", "4"), ("1", "6"), ("2", "5"), ("2", "6"),
+     ("3", "5"), ("4", "5"), ("4", "6")]
+)
 
 
 def _with(c: Complex, *facets) -> Complex:
@@ -515,16 +524,19 @@ def test_every_subset_result_matches_brute_force():
     # the sweep keeps one result per subset W, Betti numbers over Q and
     # torsion; over Q, GF(2) and GF(3) they must give the reduced homology
     # of Delta_W that the oracle computes from its faces, and W must be a
-    # core exactly when no vertex of it is isolated or dominated.  rp2 plus
-    # a point and plus a pendant edge carry torsion through an isolated and
-    # a dominated vertex
+    # core exactly when no vertex of it is isolated or dominated or, on a
+    # flag complex, has an empty or acyclic link.  rp2 plus a point and
+    # plus a pendant edge carry torsion through an isolated and a dominated
+    # vertex
     rnd = random.Random(6013)
     complexes = [C4, TRI, MIXED, RP2, suspension(RP2), cross_polytope(3), _with(RP2, "z"), _with(RP2, ("1", "z"))]
+    complexes += [clique_complex(LINK_PATH)]
     complexes += [random_complex(rnd, max_n=7, max_facets=8, max_size=rnd.choice([2, 3, 4])) for _ in range(40)]
     complexes += [random_complex(rnd, max_n=7, max_facets=16, max_size=4) for _ in range(20)]
     complexes += [clique_complex(random_graph(rnd, rnd.randint(4, 7))) for _ in range(20)]
     kinds = set()
     for c in complexes:
+        flag = _kind(c) == "flag"
         faces = brute_face_masks(c)
         edges = {f for f in faces if f.bit_count() == 2}
         results = betti._Results()
@@ -543,11 +555,44 @@ def test_every_subset_result_matches_brute_force():
                 assert got[: len(expected)] == expected and not any(got[len(expected) :]), (c.facets, w, p)
             isolated = any(not any(e & 1 << u and e & w == e for e in edges) for u in bits(w))
             dominated = bool(brute_dominated_vertices(faces, w))
-            kind = "isolated" if isolated else "dominated" if dominated else "core"
+            linked = flag and bool(brute_removable_by_link(faces, w))
+            # an empty link is an isolated vertex, a cone link a dominated one
+            assert linked or not flag or not (isolated or dominated), (c.facets, w)
+            kind = "isolated" if isolated else "dominated" if dominated else "acyclic link" if linked else "core"
             assert (w in cores) == (kind == "core"), (c.facets, w)
             kinds.add((kind, bool(torsion)))
     assert kinds >= {(kind, t) for kind in ("isolated", "dominated", "core") for t in (False, True)}
+    assert ("acyclic link", False) in kinds
     assert {_kind(c) for c in complexes} == {"flag", "few wide non-faces", "non-flag"}
+
+
+def test_acyclic_link_removes_a_vertex_nothing_dominates(monkeypatch):
+    # on the whole vertex set of LINK_PATH no vertex is isolated or
+    # dominated, but the link of 6 is the path 0-2-1-4, acyclic: the whole
+    # set is no core, and every result, table and lockstep table is exact
+    c = clique_complex(LINK_PATH)
+    whole = (1 << c.n) - 1
+    faces = brute_face_masks(c)
+    assert c.labels == tuple("0123456") and not brute_dominated_vertices(faces, whole)
+    assert all(any(f.bit_count() == 2 and f >> u & 1 for f in faces) for u in range(c.n))
+    assert brute_removable_by_link(faces, whole) >= {1 << 6}
+    cores = count_cores(monkeypatch)
+    results = betti._Results()
+    res = betti._subset_results(c.facets, c.n, results)
+    assert whole not in cores
+    for w in range(whole + 1):
+        dims, torsion = results.values[res[w]]
+        expected = brute_reduced_dims({f for f in faces if f & w == f})
+        assert list(dims) + [0] * (len(expected) - len(dims)) == expected and not torsion, w
+    # rp2 is acyclic over Q but not over Z, so a link like it keeps its vertex
+    rp2 = betti._Results()
+    rid = betti._subset_results(RP2.facets, RP2.n, rp2)[-1]
+    assert not any(rp2.values[rid][0]) and not rp2.acyclic[rid]
+    base = [row & (1 << 6) - 1 for row in LINK_PATH.adj[:6]]
+    for field in (FieldSpec.prime(2), FieldSpec.prime(3), QQ):
+        table = graded_betti(c, field)
+        assert table.as_dict() == brute_betti(c, field.p), field
+        assert _Lockstep(6, field).tables(maximal_cliques(base))[0b10111] == table, field
 
 
 def test_non_flag_sweep_enumerates_no_faces(monkeypatch):

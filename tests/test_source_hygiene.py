@@ -1,8 +1,8 @@
 """Leftovers of deleted code: imports that a module of the package or of
 the tests no longer uses, private module-level names that nothing in the
 package refers to any more, and exception classes that nothing raises.
-Also the independence of the test oracles from the code they check, and
-the core cache's confinement to `betti`."""
+Also the independence of the test oracles from the code they check, the
+core cache's confinement to `betti`, and the package's module-level state."""
 
 import ast
 from pathlib import Path
@@ -77,6 +77,35 @@ def test_cache_key_format_stays_in_betti():
         names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
         readers += [f"{name}: {n}" for n in sorted(names & private)]
     assert readers == []
+
+
+def _callee(node: ast.AST) -> str | None:
+    """The last name of a called or decorating expression."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_module_state_is_the_core_cache_and_the_parser():
+    # a mutable container bound at module level, or a cached function, is
+    # shared by every caller in the process; the package keeps exactly the
+    # core cache, the corpus defaults and the memoized parser
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    mutable_types = {"dict", "list", "set", "bytearray", "array", "Counter", "defaultdict", "OrderedDict", "deque"}
+    caches = {"cache", "lru_cache", "cached_property"}
+    state = []
+    for name, tree in TREES.items():
+        module = name.removesuffix(".py")
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                value = node.value
+                if isinstance(value, containers) or (isinstance(value, ast.Call) and _callee(value) in mutable_types):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    state += [f"{module}.{t.id}" for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_callee(d) in caches for d in node.decorator_list):
+                    state.append(f"{module}.{node.name}")
+    assert sorted(state) == ["betti._CORE_CACHE", "cli.CORPUS_DEFAULTS", "cli.build_parser"]
 
 
 def test_every_exception_class_is_raised():

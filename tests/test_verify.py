@@ -27,7 +27,7 @@ from srbetti import (
     verify_complex,
 )
 from srbetti import betti, graphs, verify
-from srbetti.betti import _extension_masks, _extension_tables
+from srbetti.betti import _Lockstep, _extension_masks
 from srbetti.graphs import maximal_cliques
 from srbetti.simplicial import _maximal_masks
 from srbetti.verify import CHECK_NAMES, corpus_graphs, dumps_report
@@ -206,7 +206,7 @@ def _complex_of_adj(adj):
 def _tables_by_neighbours(base, field):
     """The extension tables of the graph with adjacency base, indexed by the
     neighbour set of the new vertex."""
-    return _extension_tables(maximal_cliques(base) if base else [0], len(base), field)
+    return _Lockstep(len(base), field).tables(maximal_cliques(base) if base else [0])
 
 
 def _all_extension_tables(n, field):
@@ -286,9 +286,10 @@ def test_froberg_sweep_visits(monkeypatch):
         subsets.append(1 << n)
         return real_subsets(masks, n, results)
 
-    def pair_results(cliques, k, base, results):
-        out = real_pairs(cliques, k, base, results)
-        cells = (results.values[out[w << k | nbrs]] for w in range(1 << k) for nbrs in range(1 << k) if nbrs & w == nbrs)
+    def pair_results(cliques, k, base, results, tri):
+        out = real_pairs(cliques, k, base, results, tri)
+        indices = (tri[w] + tri[nbrs] for w in range(1 << k) for nbrs in range(1 << k) if nbrs & w == nbrs)
+        cells = (results.values[out[i]] for i in indices)
         pairs.extend(any(dims) or bool(torsion) for dims, torsion in cells)
         return out
 
@@ -304,6 +305,28 @@ def test_froberg_sweep_visits(monkeypatch):
     assert len(pairs) == 2 ** 6 * 3 ** 4 == 5184
     assert sum(pairs) == 2420  # not acyclic
     assert len([w for w in cores if w & 1 << 4]) == 118 and len(cores) == 185
+
+
+def test_froberg_sweep_builds_each_distinct_table_once(monkeypatch):
+    # extensions with equal sums and torsion share one table across all the
+    # bases of a sweep: the 1,024 graphs on 5 vertices build and classify 23
+    built, classified, tables = [], [], []
+    real_table, real_classify, real_tables = betti._table, verify.classify, betti._Lockstep.tables
+
+    def lockstep_tables(self, cliques):
+        out = real_tables(self, cliques)
+        tables.extend(out)
+        return out
+
+    monkeypatch.setattr(betti, "_table", lambda *args: built.append(args) or real_table(*args))
+    monkeypatch.setattr(verify, "classify", lambda table: classified.append(table) or real_classify(table))
+    monkeypatch.setattr(betti._Lockstep, "tables", lockstep_tables)
+    assert froberg_exhaustive(5).passed
+    assert len(tables) == 1024 and len(built) == len(classified) == 23
+    first = {}
+    for table in tables:
+        assert first.setdefault(table, table) is table
+    assert len(first) == 23
 
 
 def test_froberg_sweep_cores_are_the_sweep_cores(monkeypatch):
@@ -373,7 +396,7 @@ def test_froberg_refuses_more_vertices_than_the_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("the refused Froberg sweep started")
 
-    for name in ("maximal_cliques", "chordal_extensions", "_extension_tables"):
+    for name in ("maximal_cliques", "chordal_extensions", "_Lockstep"):
         monkeypatch.setattr(verify, name, refuse)
     with pytest.raises(TooManyVerticesError, match="21 vertices exceeds the sweep cap 20"):
         froberg_exhaustive(21)
