@@ -46,6 +46,16 @@ W - N', in N').  The table of extension N sums, over W, the pair
 vertex and 0 or 2 for an N with it, so k passes of one vertex each fold
 the 3^k pair sums into the 2^k extension sums (Yates's method, as in fast
 subset convolution: Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007).
+The pair (W, N') is the clique complex of the graph on W + v, fixed by W,
+the base edges inside W and N', and so is every value its rule reads:
+base[W'] for W' inside W, and pairs whose W' is a proper subset of W.  So
+the pairs of one W, its row, are shared by every base with the same edges
+inside W: the sweep keeps one `_Results`, so equal results have equal ids
+across bases, and a memo of rows under (edges & inside[W]) << k | W, the
+base edges inside W in the sweep's edge-bit order, then W, which the edges
+miss where a vertex of W is isolated.  Equal keys are equal graphs on W,
+hence equal rows, so a later base copies the row instead of sweeping it.
+The row of the whole base is not kept: no other base has its edges.
 """
 
 from __future__ import annotations
@@ -139,12 +149,14 @@ class _Results:
         self.ids: dict[_Homology, int] = {}
         self.plus: dict[int, int] = {}  # by id: the id with one more isolated point
         self.acyclic: list[bool] = []  # by id: no reduced homology, torsion included
+        self.twisted: list[bool] = []  # by id: torsion
 
     def id(self, hom: _Homology) -> int:
         if hom not in self.ids:
             self.ids[hom] = len(self.values)
             self.values.append(hom)
             self.acyclic.append(not any(hom[0]) and not hom[1])
+            self.twisted.append(bool(hom[1]))
         return self.ids[hom]
 
     def with_point(self, rid: int) -> int:
@@ -261,60 +273,86 @@ def _extension_masks(cliques: list[int], nbrs: int, last: int) -> list[int]:
     return [c & nbrs | last for c in cliques] + cliques
 
 
-def _pair_results(cliques: list[int], k: int, base: array, results: _Results, tri: list[int]) -> array:
+def _pair_row(cliques: list[int], w: int, closed: dict, base: array, pairs: array, sweep: "_Lockstep") -> array:
     """The result of W + v in the extensions of the base graph by v = 1 << k
-    with neighbours N, at the pair index tri[W] + tri[N'] for N' = N & W:
+    with neighbours N, for each N' = N & W in the submasks of W, descending:
     the flag rule of `_subset_results` on the extension N'.  Its vertices'
     links, tried in this order, are
       - of v: the base's N';
       - of u in W - N': the base's N_W(u);
       - of u in N': the pair (N_W(u), N' & N_W(u)).
-    W - u + v is the pair (W - u, N' - u), and W + v - v the base's W; every
-    index looked up is smaller than the pair's own."""
-    closed = _closed(cliques, k)
-    last = 1 << k
-    pairs = array("I", bytes(4 * 3**k))
+    W - u + v is the pair (W - u, N' - u), and W + v - v the base's W.  Every
+    pair looked up is (W', N'') for a W' inside W minus a vertex, at
+    pairs[tri[W'] + tri[N'']], so rows filled in ascending order of W hold
+    them."""
+    last = 1 << sweep.k
+    tri = sweep.tri
+    results = sweep.results
     with_point = results.with_point
     acyclic = results.acyclic
-    for w in range(last):
-        nbrs = w
-        while True:  # the subsets N' of W
+    row = array("I", bytes(4 << w.bit_count()))
+    nbrs = w
+    for slot in range(len(row)):
+        if not nbrs:
+            r = with_point(base[w])
+        elif acyclic[base[nbrs]]:
+            r = base[w]
+        else:
             i = tri[w] + tri[nbrs]
-            if not nbrs:
-                r = with_point(base[w])
-            elif acyclic[base[nbrs]]:
-                r = base[w]
+            rest = w
+            while rest:
+                u = rest & -rest
+                near = closed[u] & w ^ u
+                if u & nbrs:
+                    if acyclic[pairs[tri[near] + tri[near & nbrs]]]:
+                        r = pairs[i - 2 * tri[u]]
+                        break
+                elif not near:
+                    r = with_point(pairs[i - tri[u]])
+                    break
+                elif acyclic[base[near]]:
+                    r = pairs[i - tri[u]]
+                    break
+                rest ^= u
             else:
-                rest = w
-                while rest:
-                    u = rest & -rest
-                    near = closed[u] & w ^ u
-                    if u & nbrs:
-                        if acyclic[pairs[tri[near] + tri[near & nbrs]]]:
-                            r = pairs[i - 2 * tri[u]]
-                            break
-                    elif not near:
-                        r = with_point(pairs[i - tri[u]])
-                        break
-                    elif acyclic[base[near]]:
-                        r = pairs[i - tri[u]]
-                        break
-                    rest ^= u
-                else:
-                    s = w | last
-                    r = results.core(_maximal_masks({m & s for m in _extension_masks(cliques, nbrs, last)}), s)
+                s = w | last
+                r = results.core(_maximal_masks({m & s for m in _extension_masks(cliques, nbrs, last)}), s)
+        row[slot] = r
+        nbrs = nbrs - 1 & w
+    return row
+
+
+def _pair_results(cliques: list[int], base: array, sweep: "_Lockstep") -> array:
+    """Every pair (W, N') of the base graph with maximal cliques `cliques`
+    and subset results `base`, at its index tri[W] + tri[N'].  The pairs of
+    one W, its row, are the memo's under the key of W and the base edges
+    inside it, the graph the row's results are of, or `_pair_row`'s; a row
+    of W short of the whole base is stored for later bases."""
+    k = sweep.k
+    closed = _closed(cliques, k)
+    edges = sum(1 << b for b, (u, x) in enumerate(sweep.edges) if closed[u] & x)
+    memo, inside, slots = sweep.memo, sweep.inside, sweep.slots
+    whole = (1 << k) - 1
+    pairs = array("I", bytes(4 * 3**k))
+    for w in range(whole + 1):
+        key = (edges & inside[w]) << k | w
+        row = memo.get(key)
+        if row is None:
+            row = _pair_row(cliques, w, closed, base, pairs, sweep)
+            if w != whole:  # no later base shares the whole vertex set's edges
+                memo[key] = row
+        for i, r in zip(slots[w], row):
             pairs[i] = r
-            if not nbrs:
-                break
-            nbrs = nbrs - 1 & w
     return pairs
 
 
 class _Lockstep:
     """The Froberg sweep's extension tables for base graphs on k vertices
     (module docstring), with what the bases share: the pair index tri[m],
-    the sum over the vertices of m of 3^vertex, and one table per distinct
-    sum and torsion."""
+    the sum over the vertices of m of 3^vertex; one `_Results`, so an id
+    means one homology value across the sweep; the memo of pair rows, by
+    W and the base edges inside W; the packed cells of each result at each
+    size; and one table per distinct sum and torsion."""
 
     def __init__(self, k: int, field: FieldSpec):
         self.k = k
@@ -325,6 +363,23 @@ class _Lockstep:
             self.tri += [t + 3**vertex for t in self.tri]
             more = [j + 1 for j in self.sizes]
             self.sizes += more + more
+        # the base edges (u, x) as bits, in the order of the pairs (i, j),
+        # i < j; inside[w] has the bits of the edges inside w
+        self.edges = [(1 << i, 1 << j) for i in range(k) for j in range(i + 1, k)]
+        self.inside = [sum(1 << b for b, (u, x) in enumerate(self.edges) if w & u and w & x) for w in range(1 << k)]
+        # slots[w]: the pair indices tri[w] + tri[N'] of w's row, N' descending
+        self.slots = []
+        for w in range(1 << k):
+            row = [w]
+            while row[-1]:
+                row.append(row[-1] - 1 & w)
+            self.slots.append([self.tri[w] + self.tri[nbrs] for nbrs in row])
+        self.results = _Results()
+        self.memo: dict[int, array] = {}
+        # cells_at[j][rid]: the cells a result adds at |W| = j, packed, b_(r-1) at i = j - r
+        self.cells_at: list[list[int]] = [[] for _ in range(k + 2)]
+        self.pair_cells = [self.cells_at[j] for j in self.sizes]  # by pair index
+        self.base_cells = [self.cells_at[w.bit_count()] for w in range(1 << k)]  # by subset
         self.shared: dict[tuple[int, tuple], BettiTable] = {}
 
     def tables(self, cliques: list[int]) -> list[BettiTable]:
@@ -334,20 +389,23 @@ class _Lockstep:
         each W, the pair (W, N & W)'s.  Each sum packs cell (i, j) into bits
         32 (i (k + 2) + j) on: an entry counts at most the 3^(k+1) faces of
         all restrictions, < 2^32 for k + 1 <= 20, the sweep cap
-        `DEFAULT_VERTEX_CAP` that `froberg_exhaustive` enforces."""
+        `DEFAULT_VERTEX_CAP` that `froberg_exhaustive` enforces.  Cells are
+        packed once per result the sweep meets, and per-extension torsion
+        lists are built only for a base one of whose results has torsion."""
         k = self.k
         last = 1 << k
         size = k + 2  # i and j run over 0 ... k + 1
-        results = _Results()
+        results = self.results
         values = results.values
         base = _subset_results(cliques, k, results)
-        pairs = _pair_results(cliques, k, base, results, self.tri)
-        # cells_at[j][rid]: the cells a result adds at |W| = j, packed, b_(r-1) at i = j - r
-        cells_at = [[sum(b << 32 * ((j - r) * size + j) for r, b in enumerate(dims) if r <= j) for dims, _ in values]
-                    for j in range(size)]
-        sums = list(map(list.__getitem__, [cells_at[j] for j in self.sizes], pairs))
+        pairs = _pair_results(cliques, base, self)
+        cells_at = self.cells_at
+        for dims, _ in values[len(cells_at[0]) :]:
+            for j, packed in enumerate(cells_at):
+                packed.append(sum(b << 32 * ((j - r) * size + j) for r, b in enumerate(dims) if r <= j))
+        sums = list(map(list.__getitem__, self.pair_cells, pairs))
         # every extension sums the base's W and the pair ({}, {}), at index 0
-        sums[0] += sum(map(list.__getitem__, [cells_at[w.bit_count()] for w in range(last)], base))
+        sums[0] += sum(map(list.__getitem__, self.base_cells, base))
         for _ in range(k):  # fold the top ternary digit into the lowest binary one
             third = len(sums) // 3
             zero = sums[:third]
@@ -356,7 +414,8 @@ class _Lockstep:
             folded[1::2] = map(add, zero, sums[2 * third :])
             sums = folded
         torsions = [()] * last
-        if any(t for _, t in values):  # per extension, (|W|, torsion) in ascending order of W
+        # the pair (W, {}) is W plus an isolated v, with base[W]'s torsion
+        if any(map(results.twisted.__getitem__, pairs)):  # per extension, (|W|, torsion) in ascending order of W
             tri = self.tri
             base_torsions = _torsions(map(int.bit_count, range(last)), base, values)
             with_v = [w.bit_count() + 1 for w in range(last)]

@@ -3,6 +3,7 @@
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from math import comb
 
 import pytest
 
@@ -335,16 +336,17 @@ def test_cores_are_eliminated_once(monkeypatch):
     calls = count_misses(monkeypatch)
     cores = count_cores(monkeypatch)
     assert froberg_exhaustive(5).passed
-    # the graphs on 5 vertices visit 185 cores: the empty subset of each of
-    # the 64 base graphs, and 121 restrictions without an isolated or a
-    # dominated vertex.  Isomorphic cores share one cache entry, so 26 are
-    # eliminated
-    assert len(cores) == 185 and cores.count(0) == 64
+    # the graphs on 5 vertices visit 101 cores: the empty subset of each of
+    # the 64 base graphs, and 37 restrictions without an isolated or a
+    # dominated vertex (a pair through the last vertex is visited once per
+    # graph on its W, not once per base).  Isomorphic cores share one cache
+    # entry, so 26 are eliminated
+    assert len(cores) == 101 and cores.count(0) == 64
     assert len(calls) == len(betti._CORE_CACHE) == 26
     calls.clear()
     cores.clear()
     assert froberg_exhaustive(5).passed
-    assert calls == [] and len(cores) == 185
+    assert calls == [] and len(cores) == 101
     assert len(betti._CORE_CACHE) == 26
 
 
@@ -478,7 +480,9 @@ def test_cores_past_the_cache_cap_keep_their_torsion(monkeypatch):
     calls = count_misses(monkeypatch)
     uncapped = {(c, field): graded_betti(c, field) for c in complexes for field in fields}
     computed = len(calls)
-    extensions = [_Lockstep(k, QQ).tables(cliques) for cliques, k in bases]
+    # one lockstep per k, shared across its bases as the sweep shares it
+    locksteps = {k: _Lockstep(k, QQ) for k in range(5)}
+    extensions = [locksteps[k].tables(cliques) for cliques, k in bases]
     extension_calls = len(calls) - computed
     for limit in (0, 2):
         clear_homology_cache()
@@ -494,10 +498,26 @@ def test_cores_past_the_cache_cap_keep_their_torsion(monkeypatch):
     clear_homology_cache()
     calls.clear()
     monkeypatch.setattr(betti, "_CORE_CACHE_LIMIT", 0)
-    assert [_Lockstep(k, QQ).tables(cliques) for cliques, k in bases] == extensions
+    locksteps = {k: _Lockstep(k, QQ) for k in range(5)}
+    assert [locksteps[k].tables(cliques) for cliques, k in bases] == extensions
     assert not betti._CORE_CACHE and len(calls) > extension_calls
     assert uncapped[RP2, fields[0]] != uncapped[RP2, fields[2]]
     assert sum(bool(t.torsion) for t in uncapped.values()) >= 9
+
+
+def test_pair_memo_holds_one_row_per_graph_on_a_proper_subset():
+    # a pair (W, N') is the clique complex of the graph on W + v, fixed by
+    # W, the base edges inside W and N': the memo keeps one row, the pairs
+    # of every N', per W short of the whole base and per graph on W,
+    # 2^C(|W|, 2) of them; the whole base's rows are not kept
+    for k in range(6):
+        lockstep = _Lockstep(k, QQ)
+        for cliques in base_cliques(k):
+            lockstep.tables(cliques)
+        rows = [(w, 2 ** comb(w.bit_count(), 2)) for w in range((1 << k) - 1)]
+        assert len(lockstep.memo) == sum(graphs for _, graphs in rows)
+        assert sum(map(len, lockstep.memo.values())) == sum(graphs << w.bit_count() for w, graphs in rows)
+    assert (len(lockstep.memo), sum(map(len, lockstep.memo.values()))) == (426, 5851)
 
 
 # no vertex of the whole graph is isolated or dominated, but the link of 6,

@@ -203,18 +203,22 @@ def _complex_of_adj(adj):
     return clique_complex(Graph(tuple(str(v + 1) for v in range(len(adj))), tuple(adj)))
 
 
-def _tables_by_neighbours(base, field):
+def _tables_by_neighbours(base, field, lockstep=None):
     """The extension tables of the graph with adjacency base, indexed by the
-    neighbour set of the new vertex."""
-    return _Lockstep(len(base), field).tables(maximal_cliques(base) if base else [0])
+    neighbour set of the new vertex, from `lockstep` (shared across bases
+    as the sweep shares it, so its pair memo is read) or a fresh one."""
+    lockstep = lockstep or _Lockstep(len(base), field)
+    return lockstep.tables(maximal_cliques(base) if base else [0])
 
 
 def _all_extension_tables(n, field):
-    """(adjacency, table) of every graph on n labeled vertices, by base."""
+    """(adjacency, table) of every graph on n labeled vertices, by base,
+    from one lockstep, as `froberg_exhaustive` sweeps them."""
     last = 1 << (n - 1)
+    lockstep = _Lockstep(n - 1, field)
     for mask in range(1 << len(_pairs(n - 1))):
         base = _graph_of_mask(n - 1, mask).adj
-        for nbrs, table in enumerate(_tables_by_neighbours(base, field)):
+        for nbrs, table in enumerate(_tables_by_neighbours(base, field, lockstep)):
             adj = [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)] + [nbrs]
             yield adj, table
 
@@ -231,8 +235,11 @@ def test_extension_tables_equal_graded_betti(field):
     for mask in random.Random(1515).sample(range(1 << 15), 500):
         g = _graph_of_mask(6, mask)
         by_base.setdefault(tuple(row & 31 for row in g.adj[:-1]), []).append(g)
+    lockstep = _Lockstep(5, field)
     for base, graphs in by_base.items():
-        tables = _tables_by_neighbours(base, field)
+        tables = _tables_by_neighbours(base, field, lockstep)
+        # the rows the memo hands this base are the rows a fresh sweep computes
+        assert tables == _tables_by_neighbours(base, field), base
         for g in graphs:
             assert tables[g.adj[-1]] == graded_betti(clique_complex(g), field), g.adj
 
@@ -270,28 +277,55 @@ def test_extension_tables_carry_torsion(monkeypatch, field):
             assert table == graded_betti(_complex_of_adj(adj), field), adj
             with_torsion += bool(table.torsion)
     assert with_torsion == 205
+    # a base builds per-extension torsion lists iff one of its own results
+    # has torsion, however many earlier bases of the sweep had some
+    real_torsions = betti._torsions
+    calls = []
+    monkeypatch.setattr(betti, "_torsions", lambda *args: calls.append(1) or real_torsions(*args))
+    bases = {False: 0, True: 0}
+    for n in range(1, 6):
+        lockstep = _Lockstep(n - 1, field)
+        for mask in range(1 << len(_pairs(n - 1))):
+            calls.clear()
+            tables = _tables_by_neighbours(_graph_of_mask(n - 1, mask).adj, field, lockstep)
+            twisted = any(table.torsion for table in tables)
+            assert bool(calls) == twisted, (n, mask)
+            bases[twisted] += 1
+    assert bases == {False: 24, True: 52}
 
 
 def test_froberg_sweep_visits(monkeypatch):
     # per graph on 4 vertices: its 2^4 subsets, swept once, then each pair
     # of a subset W with a neighbour set of vertex 4 inside W, 3^4 in all.
-    # 2,420 of those 5,184 pairs are not acyclic and 118 are cores; the
-    # other 67 cores are the 64 empty subsets and the 3 four-cycles
+    # 2,420 of those 5,184 pairs are not acyclic.  A pair's result depends
+    # on W and the base edges inside W, so the rows of the 49 graphs on a
+    # W short of all 4 vertices are computed once each (313 pairs), and
+    # only the 16 pairs of the whole base are computed for every base:
+    # 1,337 computed pairs, 34 of them cores; the other 67 cores are the
+    # 64 empty subsets and the 3 four-cycles
     subsets = []
     pairs = []
+    computed = []
     cores = []
-    real_subsets, real_pairs, real_core = betti._subset_results, betti._pair_results, betti._Results.core
+    real_subsets, real_pairs, real_row = betti._subset_results, betti._pair_results, betti._pair_row
+    real_core = betti._Results.core
 
     def sweep(masks, n, results):
         subsets.append(1 << n)
         return real_subsets(masks, n, results)
 
-    def pair_results(cliques, k, base, results, tri):
-        out = real_pairs(cliques, k, base, results, tri)
+    def pair_results(cliques, base, lockstep):
+        out = real_pairs(cliques, base, lockstep)
+        k, tri = lockstep.k, lockstep.tri
         indices = (tri[w] + tri[nbrs] for w in range(1 << k) for nbrs in range(1 << k) if nbrs & w == nbrs)
-        cells = (results.values[out[i]] for i in indices)
+        cells = (lockstep.results.values[out[i]] for i in indices)
         pairs.extend(any(dims) or bool(torsion) for dims, torsion in cells)
         return out
+
+    def pair_row(*args):
+        row = real_row(*args)
+        computed.append(len(row))
+        return row
 
     def core(self, maximal, w):
         cores.append(w)
@@ -299,12 +333,14 @@ def test_froberg_sweep_visits(monkeypatch):
 
     monkeypatch.setattr(betti, "_subset_results", sweep)
     monkeypatch.setattr(betti, "_pair_results", pair_results)
+    monkeypatch.setattr(betti, "_pair_row", pair_row)
     monkeypatch.setattr(betti._Results, "core", core)
     assert froberg_exhaustive(5).passed
     assert sum(subsets) == 2 ** 6 * 2 ** 4 == 1024
     assert len(pairs) == 2 ** 6 * 3 ** 4 == 5184
     assert sum(pairs) == 2420  # not acyclic
-    assert len([w for w in cores if w & 1 << 4]) == 118 and len(cores) == 185
+    assert sum(computed) == 313 + 2 ** 6 * 2 ** 4 == 1337
+    assert len([w for w in cores if w & 1 << 4]) == 34 and len(cores) == 101
 
 
 def test_froberg_sweep_builds_each_distinct_table_once(monkeypatch):
