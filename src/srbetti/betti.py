@@ -7,35 +7,52 @@ homology dimensions, so accumulation order cannot matter.
 
 The sweep visits W in ascending order and keeps res[W], the integral
 reduced homology of Delta_W (Betti numbers over Q and torsion), as an id
-into its list of distinct results.  For the lowest vertex u of W that
-qualifies (`_subset_results`), res[W] comes from res[W-u], visited before:
-  - u is isolated: res[W] is res[W-u] plus one in reduced degree 0;
-  - on a flag complex, the link of u in Delta_W is acyclic: res[W] is
-    res[W-u], torsion included.  That link is the restriction to N_W(u),
-    the neighbours of u in W (a face F + u is a clique iff F is one inside
-    N(u)), so its result res[N_W(u)] was visited before.  Delta_W is the
-    union of Delta_(W-u) and the star of u, a cone, and they meet in the
-    link; by Mayer-Vietoris an acyclic link makes the inclusion of
-    Delta_(W-u) an isomorphism on integral reduced homology.  An isolated
-    u is the case of an empty link, and a dominated u (N_W[u] inside
-    N_W[x]) the case of a cone with apex x;
-  - off flag complexes, u is dominated, another vertex x lies in every
-    maximal face of Delta_W through u: its link is a cone, Delta_W
-    strong-collapses onto Delta_(W-u) (Barmak and Minian 2012, "Strong
-    homotopy types, nerves and collapses") and res[W] is res[W-u].  N_W[u]
-    inside N_W[x] is necessary; x must also lie in ext(f & W) for every
-    facet f through u, where ext(t) is the union of the facets over the
-    face t: each facet of Delta_W through u is such a trace, and adding x
-    to it leaves a face, so it holds x.
-A W with no such vertex, {} included, is a core; only cores are eliminated,
+into its list of distinct results; res[{}] is the empty complex.  One rule
+removes a vertex u of W, the Mayer-Vietoris split (`_Results.split`).
+Delta_W is the union of A = Delta_(W-u) and the star of u, a cone, and they
+meet in L, the link of u in Delta_W.  In the reduced sequence (Hatcher,
+Algebraic Topology, 2.2)
+    ... -> H_k(L) -> H_k(A) -> H_k(Delta_W) -> H_(k-1)(L) -> H_(k-1)(A) -> ...
+every map H_k(L) -> H_k(A) is zero when in each degree H_k(L) or H_k(A) is
+0, integrally, torsion counted; then 0 -> H_k(A) -> H_k(Delta_W) ->
+H_(k-1)(L) -> 0 is exact, and it splits when L is torsion-free.  So res[W]
+is res[W-u] with L's Betti numbers one degree up, and A's torsion.  An
+isolated u is the case where L is the empty face alone, one more in
+reduced degree 0; an acyclic L, a cone among them, leaves res[W-u] as it
+is.  W = {u}, where A and L are both the empty face alone, is the base
+case, a point.  res[W-u] was visited before, and so was L's result, whose
+source depends on the complex:
+  - on a flag complex L is the restriction to N_W(u), the neighbours of u
+    in W (a face F + u is a clique iff F is one inside N(u)): res[N_W(u)];
+  - off flag complexes L is the link of u in Delta restricted to W & N(u),
+    memoised per sweep by u and that set (`_link_result`).  The key is not
+    W - u: a vertex of W outside N(u) is no vertex of L, and a result of
+    W - u would count it as an isolated point of L.  The restriction is
+    first collapsed onto the one without its lowest isolated or dominated
+    vertex x, recursing into the same memo; x is dominated when the meet
+    of the maximal masks through x holds another vertex, so its link is a
+    cone and the restriction strong-collapses (Barmak and Minian 2012,
+    "Strong homotopy types, nerves and collapses").  What is left is a
+    core of the link.
+Off flag complexes a cheaper test goes before the split: u is dominated,
+another vertex x lies in every maximal face of Delta_W through u, so L is
+a cone and res[W] is res[W-u].  N_W[u] inside N_W[x] is necessary; x must
+also lie in ext(f & W) for every facet f through u, where ext(t) is the
+union of the facets over the face t: each facet of Delta_W through u is
+such a trace, and adding x to it leaves a face, so it holds x.  This scan
+reads facets only and restricts no link, so it stays as the first test.
+A nonempty W where no vertex splits is a core; only cores are eliminated,
 on their maximal masks.  Every induced subgraph of a chordal graph has a
-simplicial vertex (Dirac), so a chordal clique complex has no core but {}.
-The table sums the (|W|, result) counts; torsion gives it over every GF(p).
+simplicial vertex (Dirac), whose link is a simplex, so a chordal clique
+complex has no core; nor has any clique complex of a graph on 6 vertices
+(`froberg_exhaustive(6)` meets none).  The table sums the (|W|, result)
+counts; torsion gives it over every GF(p).
 
 Cores recur across complexes, so their homology is cached process-wide in
-`_CORE_CACHE` (key `_core_key`, at most `_CORE_CACHE_LIMIT` entries).  An
-entry is one value written once, so a reader sees a whole entry or none;
-all else a sweep keeps is local to its call, so threads need no lock.
+`_CORE_CACHE` (key `_core_key`, at most `_CORE_CACHE_LIMIT` entries); each
+`_Results` takes the empty complex's from there too.  An entry is one
+value written once, so a reader sees a whole entry or none; all else a
+sweep keeps is local to its call, so threads need no lock.
 
 The Froberg sweep takes the extensions of a graph on k vertices by a vertex
 v together (`_Lockstep`).  W + v in the extension by N restricts it as in
@@ -65,7 +82,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, or_
+from itertools import zip_longest
+from operator import add, and_, or_
 
 from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
@@ -142,31 +160,49 @@ def _core_key(maximal: list[int], w: int) -> int:
 
 
 class _Results:
-    """The distinct results of one sweep, by id."""
+    """The distinct results of one sweep, by id, with what the rules read of
+    each; id 0 is the empty complex, the result of W = {}."""
 
     def __init__(self):
         self.values: list[_Homology] = []
         self.ids: dict[_Homology, int] = {}
-        self.plus: dict[int, int] = {}  # by id: the id with one more isolated point
         self.acyclic: list[bool] = []  # by id: no reduced homology, torsion included
         self.twisted: list[bool] = []  # by id: torsion
+        self.support: list[int] = []  # by id: bit r where reduced degree r - 1 has homology, torsion included
+        self.core([0], 0)  # id 0
+        # by A << 32 | L, ids: `split`'s id, or None; W = {u}, where A and L
+        # are both the empty complex, is the base case: a point
+        self.joined: dict[int, int | None] = {0: self.id(((), ()))}
 
     def id(self, hom: _Homology) -> int:
+        dims, torsion = hom
+        while dims and not dims[-1]:  # one id per homology value
+            dims = dims[:-1]
+        hom = dims, torsion
         if hom not in self.ids:
             self.ids[hom] = len(self.values)
             self.values.append(hom)
-            self.acyclic.append(not any(hom[0]) and not hom[1])
-            self.twisted.append(bool(hom[1]))
+            self.acyclic.append(not dims and not torsion)
+            self.twisted.append(bool(torsion))
+            self.support.append(reduce(or_, [1 << i for i, _ in torsion], sum(1 << r for r, b in enumerate(dims) if b)))
         return self.ids[hom]
 
-    def with_point(self, rid: int) -> int:
-        """One more in reduced degree 0; or, for the empty complex, a point."""
-        out = self.plus.get(rid)
-        if out is None:
-            dims, torsion = self.values[rid]
-            dims += (0,) * (2 - len(dims))
-            out = self.plus[rid] = self.id(((0, dims[1] + 1 - dims[0]) + dims[2:], torsion))
-        return out
+    def split(self, a: int, link: int) -> int | None:
+        """The result of Delta_W from a, Delta_(W-u)'s, and link, the link
+        of u in Delta_W: a with the link's Betti numbers one degree up and
+        a's torsion, when the link is torsion-free and no degree has
+        homology in both (module docstring); else None."""
+        if self.acyclic[link]:
+            return a
+        key = a << 32 | link
+        if key not in self.joined:
+            out = None
+            if not self.twisted[link] and not self.support[a] & self.support[link]:
+                dims, torsion = self.values[a]
+                up = (0, *self.values[link][0])
+                out = self.id((tuple(map(sum, zip_longest(dims, up, fillvalue=0))), torsion))
+            self.joined[key] = out
+        return self.joined[key]
 
     def core(self, maximal: list[int], w: int) -> int:
         """The homology of the core w with these maximal masks."""
@@ -184,11 +220,38 @@ def _closed(masks, n: int) -> dict[int, int]:
     return {1 << v: reduce(or_, [f for f in masks if f >> v & 1], 1 << v) for v in range(n)}
 
 
-def _subset_results(masks, n: int, results: _Results) -> array:
+def _link_result(link: list[int], s: int, memo: dict[int, int], results: _Results) -> int:
+    """The id of the restriction to s of the complex the masks `link` span
+    (a vertex's link), memoised by s: collapsed onto s minus its lowest
+    vertex x that is isolated or dominated (the meet of the maximal masks
+    through x holds another vertex), else a core."""
+    rid = memo.get(s)
+    if rid is None:
+        maximal = _maximal_masks([m & s for m in link])
+        rest = s
+        while rest:
+            x = rest & -rest
+            through = [m for m in maximal if m & x]
+            if reduce(and_, through) != x:  # dominated
+                rid = _link_result(link, s ^ x, memo, results)
+                break
+            if through == [x]:  # isolated
+                rid = results.split(_link_result(link, s ^ x, memo, results), 0)
+                break
+            rest ^= x
+        else:
+            rid = results.core(maximal, s)
+        memo[s] = rid
+    return rid
+
+
+def _subset_results(masks, n: int, results: _Results, flag: bool | None = None) -> array:
     """res[W], as ids into results, for every W in [0, 2^n) of the complex
-    the masks span (module docstring)."""
+    the masks span (module docstring); `flag` says whether it is a clique
+    complex, found from the masks when None."""
     closed = _closed(masks, n)
-    flag = maximal_cliques([closed[1 << v] ^ 1 << v for v in range(n)]) == sorted(masks)
+    if flag is None:
+        flag = maximal_cliques([closed[1 << v] ^ 1 << v for v in range(n)]) == sorted(masks)
     # off flag complexes x dominates u iff N_W[u] lies in N_W[x] and x is in
     # ext[f & W], the union of the facets over f & W, for each facet f through
     # u: a facet of Delta_W through u is such a trace and cannot grow by x, so
@@ -196,18 +259,19 @@ def _subset_results(masks, n: int, results: _Results) -> array:
     # ext is filled from through[u], for the traces the sweep meets.
     through = {} if flag else {1 << v: [f for f in masks if f >> v & 1] for v in range(n)}
     ext: dict[int, int] = {}
-    acyclic = results.acyclic
-    res = array("I", bytes(4 << n))
-    for w in range(len(res)):
+    # off flag complexes, per u: the masks of its link, and the link's
+    # results by the vertex set it is restricted to, W & N(u)
+    links = {u: ([f ^ u for f in fs], {0: 0}) for u, fs in through.items()}
+    split = results.split
+    res = array("I", bytes(4 << n))  # res[{}] is 0, the empty complex
+    for w in range(1, len(res)):
         rest = w
+        r = None
         while rest:
             u = rest & -rest
             near = closed[u] & w
-            if near == u:
-                res[w] = results.with_point(res[w ^ u])
-                break
             if flag:  # the link of u is the restriction to N_W(u)
-                removable = acyclic[res[near ^ u]]
+                r = split(res[w ^ u], res[near ^ u])
             else:
                 others = near ^ u
                 while others:
@@ -222,13 +286,21 @@ def _subset_results(masks, n: int, results: _Results) -> array:
                     others &= ext[t]
                     if not others:
                         break
-                removable = others
-            if removable:
-                res[w] = res[w ^ u]
+                if others:  # dominated
+                    r = res[w ^ u]
+            if r is not None:
                 break
             rest ^= u
-        else:
-            res[w] = results.core(_maximal_masks(map(w.__and__, masks)), w)
+        if r is None and not flag:
+            rest = w
+            while rest:
+                u = rest & -rest
+                link, memo = links[u]
+                r = split(res[w ^ u], _link_result(link, closed[u] & w ^ u, memo, results))
+                if r is not None:
+                    break
+                rest ^= u
+        res[w] = results.core(_maximal_masks(map(w.__and__, masks)), w) if r is None else r
     return res
 
 
@@ -276,7 +348,7 @@ def _extension_masks(cliques: list[int], nbrs: int, last: int) -> list[int]:
 def _pair_row(cliques: list[int], w: int, closed: dict, base: array, pairs: array, sweep: "_Lockstep") -> array:
     """The result of W + v in the extensions of the base graph by v = 1 << k
     with neighbours N, for each N' = N & W in the submasks of W, descending:
-    the flag rule of `_subset_results` on the extension N'.  Its vertices'
+    the split of `_subset_results` on the extension N'.  Its vertices'
     links, tried in this order, are
       - of v: the base's N';
       - of u in W - N': the base's N_W(u);
@@ -288,30 +360,22 @@ def _pair_row(cliques: list[int], w: int, closed: dict, base: array, pairs: arra
     last = 1 << sweep.k
     tri = sweep.tri
     results = sweep.results
-    with_point = results.with_point
-    acyclic = results.acyclic
+    split = results.split
     row = array("I", bytes(4 << w.bit_count()))
     nbrs = w
     for slot in range(len(row)):
-        if not nbrs:
-            r = with_point(base[w])
-        elif acyclic[base[nbrs]]:
-            r = base[w]
-        else:
+        r = split(base[w], base[nbrs])
+        if r is None:
             i = tri[w] + tri[nbrs]
             rest = w
             while rest:
                 u = rest & -rest
                 near = closed[u] & w ^ u
                 if u & nbrs:
-                    if acyclic[pairs[tri[near] + tri[near & nbrs]]]:
-                        r = pairs[i - 2 * tri[u]]
-                        break
-                elif not near:
-                    r = with_point(pairs[i - tri[u]])
-                    break
-                elif acyclic[base[near]]:
-                    r = pairs[i - tri[u]]
+                    r = split(pairs[i - 2 * tri[u]], pairs[tri[near] + tri[near & nbrs]])
+                else:
+                    r = split(pairs[i - tri[u]], base[near])
+                if r is not None:
                     break
                 rest ^= u
             else:
@@ -397,7 +461,7 @@ class _Lockstep:
         size = k + 2  # i and j run over 0 ... k + 1
         results = self.results
         values = results.values
-        base = _subset_results(cliques, k, results)
+        base = _subset_results(cliques, k, results, flag=True)
         pairs = _pair_results(cliques, base, self)
         cells_at = self.cells_at
         for dims, _ in values[len(cells_at[0]) :]:

@@ -334,7 +334,7 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     For every edge set: the clique complex's Betti table classifies linear
     (trivial counting as vacuously linear, the zero-ideal case) iff the graph
     is chordal.  2^C(n,2) graphs; n = 6 takes about 0.3 s from a cold
-    core cache (0.25-0.36 s in six runs on a shared 2-vCPU VM, Python
+    core cache (0.26-0.34 s in six runs on a shared 2-vCPU VM, Python
     3.11.7) and is the strongest acceptance check in the suite.
 
     Each graph is a base graph on vertices 0..n-2 plus a neighbour set of
@@ -344,14 +344,15 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     its 2^(n-1) graphs.  A pair depends only on W and the base edges inside
     W, so the pairs of a W short of all n-1 vertices are computed for the
     first base with those edges and copied to the later ones.  Each subset
-    and computed pair either takes its homology from a smaller one, when
-    the link of one of its vertices (a restriction the sweep holds already)
-    is empty or acyclic, or is a core: for n = 6, 1,372 of the 71,387
-    visits (32,768 subsets, 38,619 pairs; 248,832 pairs are looked up) are
-    nonempty cores, and 995 distinct cores are eliminated.  Every graph still gets a table summed over all 2^n
-    subsets: the 3^(n-1) pair sums fold into the 2^(n-1) extension sums in
-    n-1 passes, and the sweep builds and classifies one table per distinct
-    sum and torsion (75 for n = 6).  Chordality is decided once per base
+    and computed pair takes its homology from a smaller one and the link of
+    one of its vertices, a restriction the sweep holds already, by the
+    Mayer-Vietoris split; what has no such vertex is a core.  For n = 6
+    none of the 71,387 visits (32,768 subsets, 38,619 pairs; 248,832 pairs
+    are looked up) is a core, and the sweep's one elimination is of the
+    empty complex, once per process.  Every graph still gets a table summed
+    over all 2^n subsets: the 3^(n-1) pair sums fold into the 2^(n-1)
+    extension sums in n-1 passes, and the sweep builds and classifies one
+    table per distinct sum and torsion (75 for n = 6).  Chordality is decided once per base
     graph (`graphs.chordal_extensions`): no extension of a non-chordal base
     is chordal, and the extension by N of a chordal one is chordal iff, for
     each component C of the base minus N, the vertices of N adjacent to C

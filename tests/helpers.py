@@ -1,16 +1,16 @@
 """Shared test utilities: independent brute-force oracles and random inputs.
 
 Everything here recomputes quantities from first principles (subset scans,
-list-based polynomial expansion, dense Fraction elimination) precisely so
-the library is never checked against itself.
+list-based polynomial expansion, dense integral elimination over Q)
+precisely so the library is never checked against itself.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, gcd
 
 from srbetti import BettiTable, Complex, Graph, complex_from_facets, graph_from_edges
 
@@ -60,6 +60,37 @@ def suspension(c: Complex) -> Complex:
     """The join with two points "north" and "south": homology shifts up one
     degree, so rp2's torsion moves from the boundary map 2 to 3."""
     return join(c, complex_from_facets([["north"], ["south"]]))
+
+
+def flag_subdivision(c: Complex, budget: int) -> Complex | None:
+    """A flag complex from the 2-dimensional complex c by at most `budget`
+    stellar edge subdivisions, or None.  Depth first: the first empty
+    triangle (three edges, no face) in lexicographic order of labels gets
+    one of its edges ab, in order, subdivided by a new vertex x: each
+    triangle abc becomes axc and xbc.  The new labels are x1, x2, ....  A
+    surface other than the boundary of a tetrahedron with no empty triangle
+    is flag: a larger clique needs every triangle inside it."""
+    triangles = [frozenset(c.labels[v] for v in bits(f)) for f in c.facets]
+    return _flag_search(triangles, budget, 1)
+
+
+def _flag_search(triangles: list[frozenset], budget: int, fresh: int) -> Complex | None:
+    edges = {pair for t in triangles for pair in combinations(sorted(t), 2)}
+    vertices = sorted(set().union(*triangles))
+    spanned = (t for t in combinations(vertices, 3) if set(combinations(t, 2)) <= edges)
+    empty = next((t for t in spanned if frozenset(t) not in triangles), None)
+    if empty is None:
+        return complex_from_facets([sorted(t) for t in triangles])
+    for a, b in combinations(empty, 2) if budget else ():
+        x = f"x{fresh}"
+        subdivided = [t for t in triangles if not {a, b} <= t]
+        for t in triangles:
+            if {a, b} <= t:
+                subdivided += [t - {b} | {x}, t - {a} | {x}]
+        found = _flag_search(subdivided, budget - 1, fresh + 1)
+        if found is not None:
+            return found
+    return None
 
 
 def alexander_dual(c: Complex) -> tuple[Complex, int]:
@@ -130,10 +161,11 @@ def brute_reduced_dims(faces: set[int], p: int | None = None) -> list[int]:
     ranks = [0] * (top + 2)
     for k in range(1, top + 1):
         rows, cols = by_card[k - 1], by_card[k]
+        row_of = {m: i for i, m in enumerate(rows)}
         dense = [[0] * len(cols) for _ in rows]
         for col, m in enumerate(cols):
             for pos, v in enumerate(bits(m)):
-                dense[rows.index(m ^ (1 << v))][col] = (-1) ** pos
+                dense[row_of[m ^ (1 << v)]][col] = (-1) ** pos
         ranks[k] = frac_rank(dense) if p is None else modp_rank(dense, p)
     return [len(by_card[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1)]
 
@@ -180,6 +212,45 @@ def brute_removable_by_link(faces: set[int], w: int) -> set[int]:
     for u in bits(w):
         link = {f ^ 1 << u for f in faces if f & w == f and (f >> u) & 1}
         if link == {0} or not any(any(brute_reduced_dims(link, p)) for p in (None, 2, 3)):
+            out.add(1 << u)
+    return out
+
+
+@lru_cache(maxsize=4096)
+def brute_integral_support(faces: frozenset[int]) -> tuple[int, bool]:
+    """Which reduced degrees of the complex whose faces, the empty face
+    included, are `faces` have integral homology, read off its homology
+    over Q, GF(2) and GF(3), and whether it has torsion at 2 or 3: bit r
+    of the mask for reduced degree r - 1.
+
+    By universal coefficients GF(p) counts in degree k the free rank b_k,
+    plus t_k, the cyclic summands of p-power order in degree k, plus
+    t_(k-1); reduced degree -1 has no torsion, so t_k follows degree by
+    degree from the bottom."""
+    free = brute_reduced_dims(set(faces))
+    support = sum(1 << r for r, b in enumerate(free) if b)
+    twisted = False
+    for p in (2, 3):
+        t = 0
+        for r, (b, over_p) in enumerate(zip(free, brute_reduced_dims(set(faces), p))):
+            t = over_p - b - t
+            support |= bool(t) << r
+            twisted |= bool(t)
+    return support, twisted
+
+
+def brute_split_vertices(faces: set[int], w: int) -> set[int]:
+    """The vertices u of w (as bits) where the Mayer-Vietoris split applies
+    to the restriction to w, computed from its faces: the link L of u is
+    torsion-free and in no degree both L and the restriction A to w - u
+    have integral homology (see `brute_integral_support`; no torsion at
+    primes above 3, as in every complex the tests use)."""
+    out = set()
+    for u in bits(w):
+        rest = frozenset(f for f in faces if f & w == f and not f >> u & 1)
+        link = frozenset(f ^ 1 << u for f in faces if f & w == f and f >> u & 1)
+        (held, _), (linked, twisted) = brute_integral_support(rest), brute_integral_support(link)
+        if not twisted and not held & linked:
             out.add(1 << u)
     return out
 
@@ -280,21 +351,25 @@ def brute_maximal_cliques(g: Graph) -> set[int]:
 # linear algebra
 
 def frac_rank(dense: list[list[int]]) -> int:
-    """Dense Gaussian elimination over Q with Fractions; the rank oracle."""
-    a = [[Fraction(x) for x in row] for row in dense]
-    if not a:
-        return 0
-    rows, cols = len(a), len(a[0])
+    """Dense Gaussian elimination over Q; the rank oracle.  Rows stay
+    integral: a row r with r[col] != 0 becomes a * r - r[col] * pivot row,
+    a the pivot entry, which spans the same Q-row space as subtracting
+    r[col] / a pivot rows, and is divided by the gcd of its entries."""
+    a = [list(row) for row in dense]
+    rows = len(a)
     rnk = 0
-    for col in range(cols):
+    for col in range(len(a[0]) if a else 0):
         piv = next((i for i in range(rnk, rows) if a[i][col]), None)
         if piv is None:
             continue
         a[rnk], a[piv] = a[piv], a[rnk]
-        for i in range(rows):
-            if i != rnk and a[i][col]:
-                factor = a[i][col] / a[rnk][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[rnk])]
+        top = a[rnk]
+        for i in range(rnk + 1, rows):
+            x = a[i][col]
+            if x:
+                row = [top[col] * y - x * z for y, z in zip(a[i], top)]
+                g = gcd(*row)
+                a[i] = [y // g for y in row] if g > 1 else row
         rnk += 1
     return rnk
 

@@ -3,6 +3,7 @@
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -16,8 +17,10 @@ from helpers import (
     brute_face_masks,
     brute_reduced_dims,
     brute_removable_by_link,
+    brute_split_vertices,
     bumped_table,
     cross_polytope,
+    flag_subdivision,
     join,
     koszul_table,
     random_complex,
@@ -25,6 +28,7 @@ from helpers import (
     suspension,
 )
 from srbetti import (
+    BettiTable,
     Complex,
     GF_DEFAULT,
     QQ,
@@ -193,6 +197,8 @@ def test_cross_polytope_koszul_pattern(r):
 
 
 RP2 = read_complex(fixture_path("rp2.cplx"))
+# six stellar edge subdivisions make rp2 flag: 12 vertices, 22 triangles
+FLAG_RP2 = flag_subdivision(RP2, 6)
 
 
 def test_tables_match_brute_force_hochster():
@@ -306,17 +312,33 @@ def count_misses(monkeypatch) -> list:
     return calls
 
 
-def count_cores(monkeypatch) -> list:
-    """Record the subset W of every core the sweep visits, cached or not."""
-    cores = []
-    real = betti._Results.core
+def count_cores(monkeypatch) -> tuple[list, list]:
+    """Record the subset W of every core the sweep visits, cached or not,
+    and the vertex set of every link restriction it computes off flag
+    complexes (`betti._link_result` not read from its memo).  A core of a
+    link restriction, visited while one is computed, is not a core of the
+    sweep."""
+    cores, links = [], []
+    computing = []
+    real_core, real_link = betti._Results.core, betti._link_result
 
-    def counting(self, maximal, w):
-        cores.append(w)
-        return real(self, maximal, w)
+    def core(self, maximal, w):
+        if not computing:
+            cores.append(w)
+        return real_core(self, maximal, w)
 
-    monkeypatch.setattr(betti._Results, "core", counting)
-    return cores
+    def link_result(link, s, memo, results):
+        if s not in memo:
+            links.append(s)
+        computing.append(s)
+        try:
+            return real_link(link, s, memo, results)
+        finally:
+            computing.pop()
+
+    monkeypatch.setattr(betti._Results, "core", core)
+    monkeypatch.setattr(betti, "_link_result", link_result)
+    return cores, links
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
@@ -332,22 +354,51 @@ def test_tables_match_brute_force_mod_p(p):
         assert graded_betti(c, FieldSpec.prime(p)).as_dict() == brute_betti(c, p), c.facets
 
 
+def general_complex(n: int, seed: int) -> Complex:
+    """A complex shaped like the benchmark's `general`: 2n facets of 3 to 6
+    of n vertices each, drawn by `random.Random(seed)`."""
+    rnd = random.Random(seed)
+    return complex_from_facets([[f"v{v}" for v in rnd.sample(range(n), rnd.randint(3, 6))] for _ in range(2 * n)])
+
+
 def test_cores_are_eliminated_once(monkeypatch):
     calls = count_misses(monkeypatch)
-    cores = count_cores(monkeypatch)
+    cores, links = count_cores(monkeypatch)
     assert froberg_exhaustive(5).passed
-    # the graphs on 5 vertices visit 101 cores: the empty subset of each of
-    # the 64 base graphs, and 37 restrictions without an isolated or a
-    # dominated vertex (a pair through the last vertex is visited once per
-    # graph on its W, not once per base).  Isomorphic cores share one cache
-    # entry, so 26 are eliminated
-    assert len(cores) == 101 and cores.count(0) == 64
-    assert len(calls) == len(betti._CORE_CACHE) == 26
+    # with the split no restriction of a graph on 5 vertices is a core but
+    # the empty subset, which the sweep's one `_Results` registers once (not
+    # once per base graph) and which is eliminated once per process
+    assert len(cores) == 1 and cores.count(0) == 1
+    assert len(calls) == len(betti._CORE_CACHE) == 1
     calls.clear()
     cores.clear()
     assert froberg_exhaustive(5).passed
-    assert calls == [] and len(cores) == 101
-    assert len(betti._CORE_CACHE) == 26
+    assert calls == [] and len(cores) == 1
+    assert len(betti._CORE_CACHE) == 1
+    # off flag complexes cores remain, of the sweep and, most of them, of
+    # the links' restrictions: five general complexes make one core of the
+    # sweep and compute 2,451 link restrictions, and eliminate 194 cores,
+    # each cached, so a second pass eliminates none
+    complexes = [general_complex(10, seed) for seed in range(5)]
+    cores.clear()
+    for c in complexes:
+        graded_betti(c)
+    assert (len(cores) - cores.count(0), len(links), len(calls)) == (1, 2451, 194)
+    assert len(betti._CORE_CACHE) == 1 + len(calls)
+    calls.clear()
+    for c in complexes:
+        graded_betti(c)
+    assert calls == []
+
+
+def test_general_eliminations_are_bounded(monkeypatch):
+    # a count, not a time: the general complex on 14 vertices with 28 drawn
+    # facets of 3 to 6 vertices (`random.Random(3)`) eliminated 8,385
+    # restrictions from a cold cache before the split; a rule that stops
+    # applying raises it
+    calls = count_misses(monkeypatch)
+    graded_betti(general_complex(14, 3))
+    assert len(calls) <= 915, len(calls)
 
 
 def test_chordal_corpus_has_no_core_but_the_empty_subset(monkeypatch):
@@ -357,7 +408,7 @@ def test_chordal_corpus_has_no_core_but_the_empty_subset(monkeypatch):
     # vertex and is one, eliminated once per process
     graphs = corpus_graphs(200, 9, 7)
     calls = count_misses(monkeypatch)
-    cores = count_cores(monkeypatch)
+    cores, _ = count_cores(monkeypatch)
     for g in graphs:
         graded_betti(clique_complex(g))
     assert cores == [0] * 200 and len(calls) == 1
@@ -365,9 +416,11 @@ def test_chordal_corpus_has_no_core_but_the_empty_subset(monkeypatch):
 
 def test_a_core_reduces_its_masks_once(monkeypatch):
     # the sweep hands a core's maximal masks to the elimination, which
-    # uses them as given, and the domination test reduces no masks: on
-    # every kind of input the masks are reduced once per core and never in
-    # homology
+    # uses them as given, and the domination test reduces no masks; a link
+    # restriction reduces its masks once, to collapse it or hand them to its
+    # core.  So on every kind of input the masks are reduced once per core
+    # of the sweep but the empty subset, which has none, and once per link
+    # restriction computed, and never in homology
     counts = {"betti": 0, "homology": 0}
     for module in (betti, homology):
 
@@ -377,7 +430,7 @@ def test_a_core_reduces_its_masks_once(monkeypatch):
 
         # homology has no _maximal_masks to replace; one it imported again would be counted
         monkeypatch.setattr(module, "_maximal_masks", counting, raising=False)
-    cores = count_cores(monkeypatch)
+    cores, links = count_cores(monkeypatch)
     rnd = random.Random(6014)
     flag = [clique_complex(random_graph(rnd, 8)) for _ in range(20)]
     others = [RP2, suspension(RP2), join(RP2, primed(TRI)), join(RP2, primed(C4))]
@@ -386,12 +439,19 @@ def test_a_core_reduces_its_masks_once(monkeypatch):
     for c in others:
         kinds.setdefault(_kind(c), []).append(c)
     assert len(kinds["few wide non-faces"]) >= 10 and len(kinds["non-flag"]) >= 4
+    reduced = {}
     for kind, complexes in kinds.items():
         counts["betti"] = 0
         cores.clear()
+        links.clear()
         for c in complexes:
             graded_betti(c)
-        assert counts == {"betti": len(cores), "homology": 0} and len(cores) > 100, kind
+        assert cores.count(0) == len(complexes), kind
+        assert counts == {"betti": len(cores) - len(complexes) + len(links), "homology": 0}, kind
+        reduced[kind] = (len(cores) - len(complexes), len(links))
+    # no flag complex on 8 vertices has a core but the empty subset; off
+    # flag complexes the link restrictions are most of what is reduced
+    assert reduced == {"flag": (0, 0), "few wide non-faces": (8, 402), "non-flag": (1, 156)}
 
 
 def test_one_sweep_serves_every_field(monkeypatch):
@@ -540,29 +600,33 @@ def _kind(c: Complex) -> str:
     return "flag" if not wide else "few wide non-faces" if wide < len(c.facets) else "non-flag"
 
 
-def test_every_subset_result_matches_brute_force():
+def test_every_subset_result_matches_brute_force(monkeypatch):
     # the sweep keeps one result per subset W, Betti numbers over Q and
     # torsion; over Q, GF(2) and GF(3) they must give the reduced homology
     # of Delta_W that the oracle computes from its faces, and W must be a
-    # core exactly when no vertex of it is isolated or dominated or, on a
-    # flag complex, has an empty or acyclic link.  rp2 plus a point and
+    # core exactly when no vertex of it is alone or splits it ({} has no
+    # vertex): an isolated vertex of a larger W, a dominated one and one
+    # with an acyclic link are cases of the split.  rp2 plus a point and
     # plus a pendant edge carry torsion through an isolated and a dominated
-    # vertex
+    # vertex, and plus a path of two edges between two of its vertices
+    # through a split; rp2 plus a cone over a non-contractible triangle,
+    # its apex the lowest vertex, meets torsion in A under a free link, and
+    # on rp2's suspension the link of a pole is rp2
     rnd = random.Random(6013)
     complexes = [C4, TRI, MIXED, RP2, suspension(RP2), cross_polytope(3), _with(RP2, "z"), _with(RP2, ("1", "z"))]
+    complexes += [_with(RP2, ("1", "z"), ("2", "z")), _with(RP2, ("0", "1", "2"), ("0", "2", "4"), ("0", "1", "4"))]
     complexes += [clique_complex(LINK_PATH)]
     complexes += [random_complex(rnd, max_n=7, max_facets=8, max_size=rnd.choice([2, 3, 4])) for _ in range(40)]
     complexes += [random_complex(rnd, max_n=7, max_facets=16, max_size=4) for _ in range(20)]
     complexes += [clique_complex(random_graph(rnd, rnd.randint(4, 7))) for _ in range(20)]
+    cores, _ = count_cores(monkeypatch)
     kinds = set()
     for c in complexes:
         flag = _kind(c) == "flag"
         faces = brute_face_masks(c)
         edges = {f for f in faces if f.bit_count() == 2}
+        cores.clear()
         results = betti._Results()
-        cores = set()
-        core = results.core
-        results.core = lambda maximal, w: cores.add(w) or core(maximal, w)
         res = betti._subset_results(c.facets, c.n, results)
         for w in range(1 << c.n):
             dims, torsion = results.values[res[w]]
@@ -576,14 +640,48 @@ def test_every_subset_result_matches_brute_force():
             isolated = any(not any(e & 1 << u and e & w == e for e in edges) for u in bits(w))
             dominated = bool(brute_dominated_vertices(faces, w))
             linked = flag and bool(brute_removable_by_link(faces, w))
-            # an empty link is an isolated vertex, a cone link a dominated one
+            split = bool(brute_split_vertices(faces, w))
+            # an empty link is an isolated vertex, a cone link a dominated
+            # one; each is a split but for W = {u}, where A and the link are
+            # both the empty complex
             assert linked or not flag or not (isolated or dominated), (c.facets, w)
-            kind = "isolated" if isolated else "dominated" if dominated else "acyclic link" if linked else "core"
+            assert split or w & w - 1 == 0 or not linked, (c.facets, w)
+            rules = {"isolated": isolated, "dominated": dominated, "acyclic link": linked, "split": split}
+            kind = next((name for name, applies in rules.items() if applies), "core")
             assert (w in cores) == (kind == "core"), (c.facets, w)
             kinds.add((kind, bool(torsion)))
-    assert kinds >= {(kind, t) for kind in ("isolated", "dominated", "core") for t in (False, True)}
-    assert ("acyclic link", False) in kinds
+    assert kinds >= {(kind, t) for kind in ("isolated", "dominated", "split") for t in (False, True)}
+    assert ("acyclic link", False) in kinds and ("core", False) in kinds
     assert {_kind(c) for c in complexes} == {"flag", "few wide non-faces", "non-flag"}
+
+
+def test_split_reads_integral_homology_in_every_degree():
+    # dims are reduced Betti numbers from degree -1, torsion (i, t) a Z/t
+    # in degree i - 1.  A link with torsion never splits; A's torsion is
+    # homology in its degree, once however many factors it has; the link's
+    # Betti numbers land one degree up, and A's torsion stays
+    results = betti._Results()
+    ids = {
+        name: results.id(hom)
+        for name, hom in {
+            "two H_1 torsions": ((0, 0, 0), ((2, 2), (2, 2))),
+            "rp2": ((), ((2, 2),)),
+            "two points": ((0, 1), ()),
+            "circle": ((0, 0, 1), ()),
+            "sphere": ((0, 0, 0, 1), ()),
+            "point": ((0,), ()),
+        }.items()
+    }
+    split = {(a, link): results.split(ids[a], ids[link]) for a in ids for link in ids}
+    assert split["sphere", "rp2"] is None and split["point", "rp2"] is None
+    assert split["two H_1 torsions", "circle"] is None and split["rp2", "circle"] is None
+    assert split["circle", "circle"] is None
+    assert all(split[a, "point"] == ids[a] for a in ids)
+    values = {pair: results.values[rid] for pair, rid in split.items() if rid is not None}
+    assert values["two H_1 torsions", "sphere"] == ((0, 0, 0, 0, 1), ((2, 2), (2, 2)))
+    assert values["two H_1 torsions", "two points"] == ((0, 0, 1), ((2, 2), (2, 2)))
+    assert values["rp2", "two points"] == ((0, 0, 1), ((2, 2),))
+    assert values["sphere", "two points"] == ((0, 0, 1, 1), ())
 
 
 def test_acyclic_link_removes_a_vertex_nothing_dominates(monkeypatch):
@@ -596,7 +694,7 @@ def test_acyclic_link_removes_a_vertex_nothing_dominates(monkeypatch):
     assert c.labels == tuple("0123456") and not brute_dominated_vertices(faces, whole)
     assert all(any(f.bit_count() == 2 and f >> u & 1 for f in faces) for u in range(c.n))
     assert brute_removable_by_link(faces, whole) >= {1 << 6}
-    cores = count_cores(monkeypatch)
+    cores, _ = count_cores(monkeypatch)
     results = betti._Results()
     res = betti._subset_results(c.facets, c.n, results)
     assert whole not in cores
@@ -651,6 +749,44 @@ def test_first_syzygies_count_minimal_non_faces():
         assert got == by_size, c.facets
         kinds.add(classify(t).kind)
     assert kinds == {"linear", "general"}
+
+
+def test_flag_projective_plane_has_torsion():
+    # no flag complex on 10 or fewer vertices has torsion (Katzman 2006),
+    # so flag torsion needs a complex like FLAG_RP2: its tables over GF(2),
+    # GF(3) and Q are the oracle's, its torsion is 2 in H_1 of the whole
+    # set, and its suspension, also flag, carries it one degree up with the
+    # table of a tensor product with k[x, y]/(xy).  The whole set is a core
+    # (each link is a circle, each A a Moebius band), so its torsion comes
+    # from elimination; a larger complex carries it through a split
+    assert (FLAG_RP2.n, len(FLAG_RP2.facets), _kind(FLAG_RP2)) == (12, 22, "flag")
+    fields = (FieldSpec.prime(2), FieldSpec.prime(3), QQ)
+    tables = {field: graded_betti(FLAG_RP2, field) for field in fields}
+    for field, table in tables.items():
+        assert table.as_dict() == brute_betti(FLAG_RP2, field.p), field
+        assert table.torsion == ((12, ((2, 2),)),) and classify(table).kind == "general", field
+    assert tables[fields[0]].cells != tables[fields[2]].cells
+    assert tables[fields[1]].cells == tables[fields[2]].cells
+    # a path a-p-b between two vertices that are no edge keeps it flag and
+    # adds a free loop; on the whole set only p splits, past a two-point
+    # link, and carries rp2's torsion up
+    faces = brute_face_masks(FLAG_RP2)
+    assert not brute_split_vertices(faces, (1 << FLAG_RP2.n) - 1)
+    a, b = next(pair for pair in combinations(range(FLAG_RP2.n), 2) if 1 << pair[0] | 1 << pair[1] not in faces)
+    with_path = _with(FLAG_RP2, (FLAG_RP2.labels[a], "p"), ("p", FLAG_RP2.labels[b]))
+    results = betti._Results()
+    whole = results.values[betti._subset_results(with_path.facets, with_path.n, results)[-1]]
+    assert _kind(with_path) == "flag" and whole == ((0, 0, 1), ((2, 2),))
+    faces = brute_face_masks(with_path)
+    assert brute_split_vertices(faces, (1 << with_path.n) - 1) == {1 << with_path.labels.index("p")}
+    for field in fields:
+        assert graded_betti(with_path, field).torsion == ((12, ((2, 2),)), (13, ((2, 2),))), field
+    suspended = suspension(FLAG_RP2)
+    assert _kind(suspended) == "flag"
+    for field, table in tables.items():
+        up = graded_betti(suspended, field)
+        assert up.torsion == ((12, ((2, 2),)), (14, ((3, 2),))), field
+        assert up.as_dict() == betti_product(table, BettiTable(((0, 0, 1), (1, 2, 1)), 2, field)), field
 
 
 def test_field_dependence_on_projective_plane():

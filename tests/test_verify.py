@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import flag_subdivision
 from srbetti import (
     GF_DEFAULT,
     QQ,
@@ -36,6 +37,7 @@ C4 = complex_from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]])
 MIXED = complex_from_facets(
     [["1", "3", "4"], ["1", "3", "5"], ["1", "4", "5"], ["2", "3", "4"], ["2", "3", "5"], ["2", "4", "5"]]
 )
+FLAG_RP2 = flag_subdivision(read_complex(fixture_path("rp2.cplx")), 6)
 
 
 def test_report_c4():
@@ -200,7 +202,7 @@ def _graph_of_mask(n, mask):
 
 
 def _complex_of_adj(adj):
-    return clique_complex(Graph(tuple(str(v + 1) for v in range(len(adj))), tuple(adj)))
+    return clique_complex(Graph(tuple(f"{v + 1:02}" for v in range(len(adj))), tuple(adj)))
 
 
 def _tables_by_neighbours(base, field, lockstep=None):
@@ -258,40 +260,51 @@ def test_extension_masks_reduce_to_the_maximal_cliques():
         assert set(_maximal_masks(derived)) == set(maximal_cliques(g.adj)), g.adj
 
 
+def _adjacency(c: Complex) -> list[int]:
+    """The 1-skeleton of c as adjacency masks."""
+    adj = [0] * c.n
+    for f in c.facets:
+        for v in range(c.n):
+            if f >> v & 1:
+                adj[v] |= f ^ 1 << v
+    return adj
+
+
 @pytest.mark.parametrize("field", [FieldSpec.prime(2), QQ])
 def test_extension_tables_carry_torsion(monkeypatch, field):
-    # no flag complex on <= 6 vertices has torsion, so fake a factor 2 of
-    # the boundary map from edges to vertices on every restriction with
-    # b_1 > 0, in a cache of its own
-    real = betti.reduced_dims_from_facets
-
-    def with_fake_torsion(facets):
-        dims, torsion = real(facets)
-        return dims, torsion + ((1, 2),) if len(dims) > 2 and dims[2] else torsion
-
-    monkeypatch.setattr(betti, "reduced_dims_from_facets", with_fake_torsion)
-    monkeypatch.setattr(betti, "_CORE_CACHE", {})
-    with_torsion = 0
-    for n in range(1, 6):
-        for adj, table in _all_extension_tables(n, field):
-            assert table == graded_betti(_complex_of_adj(adj), field), adj
-            with_torsion += bool(table.torsion)
-    assert with_torsion == 205
-    # a base builds per-extension torsion lists iff one of its own results
-    # has torsion, however many earlier bases of the sweep had some
+    # no flag complex on 10 or fewer vertices has torsion (Katzman 2006).
+    # FLAG_RP2, the projective plane made flag on 12 vertices, is the
+    # extension of the Moebius band on its first 11 by the last vertex with
+    # its neighbours: its torsion ((2, 2) on the whole set) comes from the
+    # pairs through the new vertex.  The table of that extension, and of a
+    # seeded sample of the others, is graded_betti's, torsion included
+    adj = _adjacency(FLAG_RP2)
+    k = FLAG_RP2.n - 1
+    base = [row & (1 << k) - 1 for row in adj[:k]]
+    lockstep = _Lockstep(k, field)
     real_torsions = betti._torsions
     calls = []
     monkeypatch.setattr(betti, "_torsions", lambda *args: calls.append(1) or real_torsions(*args))
-    bases = {False: 0, True: 0}
+    tables = _tables_by_neighbours(base, field, lockstep)
+    assert tables[adj[k]] == graded_betti(FLAG_RP2, field)
+    assert tables[adj[k]].torsion == ((12, ((2, 2),)),)
+    assert sum(bool(table.torsion) for table in tables) == 19
+    for nbrs in random.Random(1517).sample(range(1 << k), 12):
+        extension = [row | 1 << k if nbrs >> v & 1 else row for v, row in enumerate(base)] + [nbrs]
+        assert tables[nbrs] == graded_betti(_complex_of_adj(extension), field), nbrs
+    # a base builds per-extension torsion lists iff one of its own tables
+    # has torsion, whichever bases of the sweep had some before: the band
+    # less the edge 1-2 shares most of the memo's rows and has none
+    assert calls and base[1] >> 2 & 1
+    calls.clear()
+    base[1] ^= 1 << 2
+    base[2] ^= 1 << 1
+    assert not any(table.torsion for table in _tables_by_neighbours(base, field, lockstep)) and not calls
     for n in range(1, 6):
         lockstep = _Lockstep(n - 1, field)
         for mask in range(1 << len(_pairs(n - 1))):
-            calls.clear()
             tables = _tables_by_neighbours(_graph_of_mask(n - 1, mask).adj, field, lockstep)
-            twisted = any(table.torsion for table in tables)
-            assert bool(calls) == twisted, (n, mask)
-            bases[twisted] += 1
-    assert bases == {False: 24, True: 52}
+            assert not any(table.torsion for table in tables) and not calls, (n, mask)
 
 
 def test_froberg_sweep_visits(monkeypatch):
@@ -301,8 +314,10 @@ def test_froberg_sweep_visits(monkeypatch):
     # on W and the base edges inside W, so the rows of the 49 graphs on a
     # W short of all 4 vertices are computed once each (313 pairs), and
     # only the 16 pairs of the whole base are computed for every base:
-    # 1,337 computed pairs, 34 of them cores; the other 67 cores are the
-    # 64 empty subsets and the 3 four-cycles
+    # 1,337 computed pairs.  The split removes a vertex of every nonempty
+    # subset and pair, so the one core is the empty subset, registered once
+    # per sweep.  The sweep is told that its bases are clique complexes and
+    # runs no clique search of its own
     subsets = []
     pairs = []
     computed = []
@@ -310,9 +325,9 @@ def test_froberg_sweep_visits(monkeypatch):
     real_subsets, real_pairs, real_row = betti._subset_results, betti._pair_results, betti._pair_row
     real_core = betti._Results.core
 
-    def sweep(masks, n, results):
-        subsets.append(1 << n)
-        return real_subsets(masks, n, results)
+    def sweep(masks, n, results, flag=None):
+        subsets.append((1 << n, flag))
+        return real_subsets(masks, n, results, flag=flag)
 
     def pair_results(cliques, base, lockstep):
         out = real_pairs(cliques, base, lockstep)
@@ -331,16 +346,21 @@ def test_froberg_sweep_visits(monkeypatch):
         cores.append(w)
         return real_core(self, maximal, w)
 
+    def refuse(adj):
+        raise AssertionError("the sweep searched a base graph for its maximal cliques")
+
     monkeypatch.setattr(betti, "_subset_results", sweep)
     monkeypatch.setattr(betti, "_pair_results", pair_results)
     monkeypatch.setattr(betti, "_pair_row", pair_row)
     monkeypatch.setattr(betti._Results, "core", core)
+    monkeypatch.setattr(betti, "maximal_cliques", refuse)
     assert froberg_exhaustive(5).passed
-    assert sum(subsets) == 2 ** 6 * 2 ** 4 == 1024
+    assert sum(size for size, _ in subsets) == 2 ** 6 * 2 ** 4 == 1024
+    assert {flag for _, flag in subsets} == {True}
     assert len(pairs) == 2 ** 6 * 3 ** 4 == 5184
     assert sum(pairs) == 2420  # not acyclic
     assert sum(computed) == 313 + 2 ** 6 * 2 ** 4 == 1337
-    assert len([w for w in cores if w & 1 << 4]) == 34 and len(cores) == 101
+    assert len([w for w in cores if w & 1 << 4]) == 0 and cores == [0]
 
 
 def test_froberg_sweep_builds_each_distinct_table_once(monkeypatch):
@@ -368,9 +388,10 @@ def test_froberg_sweep_builds_each_distinct_table_once(monkeypatch):
 def test_froberg_sweep_cores_are_the_sweep_cores(monkeypatch):
     # the Froberg sweep keys a core through the last vertex by the masks of
     # the extension it derives from the base graph; a sweep of every graph
-    # on 5 vertices afterwards finds every core in the cache
+    # on 5 vertices afterwards finds every core in the cache.  With the
+    # split the only core of either is the empty subset
     assert froberg_exhaustive(5).passed
-    assert len(betti._CORE_CACHE) == 26
+    assert len(betti._CORE_CACHE) == 1
 
     def refuse(*args, **kwargs):
         raise AssertionError("a core the Froberg sweep met missed the cache")
@@ -378,7 +399,7 @@ def test_froberg_sweep_cores_are_the_sweep_cores(monkeypatch):
     monkeypatch.setattr(betti, "reduced_dims_from_facets", refuse)
     for mask in range(1 << len(_pairs(5))):
         graded_betti(clique_complex(_graph_of_mask(5, mask)), QQ)
-    assert len(betti._CORE_CACHE) == 26
+    assert len(betti._CORE_CACHE) == 1
 
 
 def test_froberg_mismatches_are_edge_masks(monkeypatch):
