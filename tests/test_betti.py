@@ -588,6 +588,11 @@ LINK_PATH = graph_from_edges(
 )
 
 
+# the 7-vertex torus: each vertex link is a hexagon and the rest a punctured
+# torus, both with H_1, so the whole set is a core without torsion
+TORUS = complex_from_facets([[str(i), str((i + d) % 7), str((i + 3) % 7)] for i in range(7) for d in (1, 2)])
+
+
 def _with(c: Complex, *facets) -> Complex:
     """c with these facets added."""
     return complex_from_facets([c.tokens_of(f) for f in c.facets] + [list(f) for f in facets])
@@ -611,11 +616,13 @@ def test_every_subset_result_matches_brute_force(monkeypatch):
     # vertex, and plus a path of two edges between two of its vertices
     # through a split; rp2 plus a cone over a non-contractible triangle,
     # its apex the lowest vertex, meets torsion in A under a free link, and
-    # on rp2's suspension the link of a pole is rp2
+    # on rp2's suspension the link of a pole is rp2.  rp2's whole set is a
+    # core with torsion (each link a pentagon, each A a Moebius band), the
+    # torus's whole set one without
     rnd = random.Random(6013)
     complexes = [C4, TRI, MIXED, RP2, suspension(RP2), cross_polytope(3), _with(RP2, "z"), _with(RP2, ("1", "z"))]
     complexes += [_with(RP2, ("1", "z"), ("2", "z")), _with(RP2, ("0", "1", "2"), ("0", "2", "4"), ("0", "1", "4"))]
-    complexes += [clique_complex(LINK_PATH)]
+    complexes += [clique_complex(LINK_PATH), TORUS]
     complexes += [random_complex(rnd, max_n=7, max_facets=8, max_size=rnd.choice([2, 3, 4])) for _ in range(40)]
     complexes += [random_complex(rnd, max_n=7, max_facets=16, max_size=4) for _ in range(20)]
     complexes += [clique_complex(random_graph(rnd, rnd.randint(4, 7))) for _ in range(20)]
@@ -649,9 +656,9 @@ def test_every_subset_result_matches_brute_force(monkeypatch):
             rules = {"isolated": isolated, "dominated": dominated, "acyclic link": linked, "split": split}
             kind = next((name for name, applies in rules.items() if applies), "core")
             assert (w in cores) == (kind == "core"), (c.facets, w)
-            kinds.add((kind, bool(torsion)))
-    assert kinds >= {(kind, t) for kind in ("isolated", "dominated", "split") for t in (False, True)}
-    assert ("acyclic link", False) in kinds and ("core", False) in kinds
+            kinds.add((kind, bool(torsion), w != 0))
+    assert kinds >= {(kind, t, True) for kind in ("isolated", "dominated", "split", "core") for t in (False, True)}
+    assert ("acyclic link", False, True) in kinds and ("core", False, False) in kinds
     assert {_kind(c) for c in complexes} == {"flag", "few wide non-faces", "non-flag"}
 
 
