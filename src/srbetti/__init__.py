@@ -1,10 +1,9 @@
 """Betti tables, Hilbert series and h-vector identities of face rings.
 
 Everything is exact integer arithmetic over bitmask combinatorics, and all
-values are immutable.  The process-wide state is the cache of core
-homology in `betti` and the CLI parser, neither of which changes a result.
-A cache entry is one value written once, so two threads may compute the
-same core, but no reader sees Betti numbers without their torsion.
+values are immutable.  The one piece of process-wide state is the CLI
+parser, which parsing never changes; each sweep keeps its results local to
+its call, so no result depends on call order or on threads.
 """
 
 from .betti import (

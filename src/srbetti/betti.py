@@ -46,13 +46,9 @@ on their maximal masks.  Every induced subgraph of a chordal graph has a
 simplicial vertex (Dirac), whose link is a simplex, so a chordal clique
 complex has no core; nor has any clique complex of a graph on 6 vertices
 (`froberg_exhaustive(6)` meets none).  The table sums the (|W|, result)
-counts; torsion gives it over every GF(p).
-
-Cores recur across complexes, so their homology is cached process-wide in
-`_CORE_CACHE` (key `_core_key`, at most `_CORE_CACHE_LIMIT` entries); each
-`_Results` takes the empty complex's from there too.  An entry is one
-value written once, so a reader sees a whole entry or none; all else a
-sweep keeps is local to its call, so threads need no lock.
+counts; torsion gives it over every GF(p).  Everything a sweep keeps is
+local to its call: a core is eliminated where the sweep meets it, and no
+sweep reads what another computed.
 
 The Froberg sweep takes the extensions of a graph on k vertices by a vertex
 v together (`_Lockstep`).  W + v in the extension by N restricts it as in
@@ -89,14 +85,11 @@ from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
 from .graphs import maximal_cliques
 from .homology import reduced_dims_from_facets, torsion_shift
-from .simplicial import Complex, _bits, _maximal_masks
+from .simplicial import Complex, _maximal_masks
 
 DEFAULT_VERTEX_CAP = 20
 
 _Homology = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]  # Betti numbers over Q from degree -1; torsion
-
-_CORE_CACHE: dict[int, _Homology] = {}
-_CORE_CACHE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -143,22 +136,6 @@ class BettiTable:
         return {(a, b): v for a, b, v in self.cells}
 
 
-def _core_key(maximal: list[int], w: int) -> int:
-    """The cache key of a core: its maximal masks relabeled to w (vertex v
-    becomes bit (number of w's vertices below v)), sorted and packed in
-    |w|-bit slots, then |w| in 7 bits."""
-    compact = [0] * len(maximal)
-    for r, v in enumerate(_bits(w)):
-        for i, m in enumerate(maximal):
-            if m >> v & 1:
-                compact[i] |= 1 << r
-    j = w.bit_count()
-    key = 0
-    for m in sorted(compact):
-        key = key << j | m
-    return key << 7 | j  # |w| <= 64 fits in 7 bits
-
-
 class _Results:
     """The distinct results of one sweep, by id, with what the rules read of
     each; id 0 is the empty complex, the result of W = {}."""
@@ -169,7 +146,7 @@ class _Results:
         self.acyclic: list[bool] = []  # by id: no reduced homology, torsion included
         self.twisted: list[bool] = []  # by id: torsion
         self.support: list[int] = []  # by id: bit r where reduced degree r - 1 has homology, torsion included
-        self.core([0], 0)  # id 0
+        self.core([0])  # id 0: the empty subset, a core, eliminated as every core is
         # by A << 32 | L, ids: `split`'s id, or None; W = {u}, where A and L
         # are both the empty complex, is the base case: a point
         self.joined: dict[int, int | None] = {0: self.id(((), ()))}
@@ -204,15 +181,9 @@ class _Results:
             self.joined[key] = out
         return self.joined[key]
 
-    def core(self, maximal: list[int], w: int) -> int:
-        """The homology of the core w with these maximal masks."""
-        key = _core_key(maximal, w)
-        hom = _CORE_CACHE.get(key)
-        if hom is None:
-            hom = reduced_dims_from_facets(maximal)
-            if len(_CORE_CACHE) < _CORE_CACHE_LIMIT:
-                _CORE_CACHE[key] = hom
-        return self.id(hom)
+    def core(self, maximal: list[int]) -> int:
+        """The id of the homology of the core with these maximal masks."""
+        return self.id(reduced_dims_from_facets(maximal))
 
 
 def _closed(masks, n: int) -> dict[int, int]:
@@ -240,7 +211,7 @@ def _link_result(link: list[int], s: int, memo: dict[int, int], results: _Result
                 break
             rest ^= x
         else:
-            rid = results.core(maximal, s)
+            rid = results.core(maximal)
         memo[s] = rid
     return rid
 
@@ -300,7 +271,7 @@ def _subset_results(masks, n: int, results: _Results, flag: bool | None = None) 
                 if r is not None:
                     break
                 rest ^= u
-        res[w] = results.core(_maximal_masks(map(w.__and__, masks)), w) if r is None else r
+        res[w] = results.core(_maximal_masks(map(w.__and__, masks))) if r is None else r
     return res
 
 
@@ -380,7 +351,7 @@ def _pair_row(cliques: list[int], w: int, closed: dict, base: array, pairs: arra
                 rest ^= u
             else:
                 s = w | last
-                r = results.core(_maximal_masks({m & s for m in _extension_masks(cliques, nbrs, last)}), s)
+                r = results.core(_maximal_masks({m & s for m in _extension_masks(cliques, nbrs, last)}))
         row[slot] = r
         nbrs = nbrs - 1 & w
     return row
@@ -560,7 +531,3 @@ def classify(table: BettiTable) -> ResolutionShape:
         return ResolutionShape("trivial")
     kind = "linear" if degrees[-1] - degrees[0] == len(degrees) - 1 else "pure"
     return ResolutionShape(kind, tuple(degrees), tuple(betti))
-
-
-def clear_homology_cache() -> None:
-    _CORE_CACHE.clear()

@@ -333,9 +333,9 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
 
     For every edge set: the clique complex's Betti table classifies linear
     (trivial counting as vacuously linear, the zero-ideal case) iff the graph
-    is chordal.  2^C(n,2) graphs; n = 6 takes about 0.3 s from a cold
-    core cache (0.26-0.34 s in six runs on a shared 2-vCPU VM, Python
-    3.11.7) and is the strongest acceptance check in the suite.
+    is chordal.  2^C(n,2) graphs; n = 6 takes about 0.3 s (0.26-0.34 s in
+    six runs on a shared 2-vCPU VM, Python 3.11.7) and is the strongest
+    acceptance check in the suite.
 
     Each graph is a base graph on vertices 0..n-2 plus a neighbour set of
     vertex n-1, and the 2^(n-1) extensions of a base are swept together
@@ -349,7 +349,7 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     Mayer-Vietoris split; what has no such vertex is a core.  For n = 6
     none of the 71,387 visits (32,768 subsets, 38,619 pairs; 248,832 pairs
     are looked up) is a core, and the sweep's one elimination is of the
-    empty complex, once per process.  Every graph still gets a table summed
+    empty complex, once per sweep.  Every graph still gets a table summed
     over all 2^n subsets: the 3^(n-1) pair sums fold into the 2^(n-1)
     extension sums in n-1 passes, and the sweep builds and classifies one
     table per distinct sum and torsion (75 for n = 6).  Chordality is decided once per base

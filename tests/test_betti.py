@@ -3,8 +3,10 @@
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 import pytest
 
@@ -47,7 +49,7 @@ from srbetti import (
     read_complex,
 )
 from srbetti import betti, homology, simplicial
-from srbetti.betti import _Lockstep, clear_homology_cache
+from srbetti.betti import _Lockstep
 from srbetti.graphs import maximal_cliques
 from srbetti.homology import torsion_shift
 from srbetti.simplicial import _maximal_masks
@@ -202,8 +204,8 @@ FLAG_RP2 = flag_subdivision(RP2, 6)
 
 
 def test_tables_match_brute_force_hochster():
-    # every subset, cones included, no cache: guards the cone test and the
-    # cache key of the sweep
+    # every subset, cones included: guards the sweep's removal rules and
+    # the masks it hands each core
     rnd = random.Random(6004)
     complexes = [C4, MIXED, RP2, suspension(RP2)]
     complexes += [cross_polytope(r) for r in (1, 2, 3, 4)]
@@ -299,8 +301,9 @@ def test_alexander_duality_identities():
 
 
 def count_misses(monkeypatch) -> list:
-    """Record the masks of every core the sweep eliminates, that is, every
-    core-cache miss."""
+    """Record the masks of every elimination: one per core visited, of the
+    sweep or of a link restriction, and one for each `_Results`'s empty
+    subset."""
     calls = []
     real = betti.reduced_dims_from_facets
 
@@ -313,19 +316,19 @@ def count_misses(monkeypatch) -> list:
 
 
 def count_cores(monkeypatch) -> tuple[list, list]:
-    """Record the subset W of every core the sweep visits, cached or not,
-    and the vertex set of every link restriction it computes off flag
-    complexes (`betti._link_result` not read from its memo).  A core of a
-    link restriction, visited while one is computed, is not a core of the
-    sweep."""
+    """Record the subset W of every core the sweep visits, the union of its
+    maximal masks, and the vertex set of every link restriction it computes
+    off flag complexes (`betti._link_result` not read from its memo).  A
+    core of a link restriction, visited while one is computed, is not a
+    core of the sweep."""
     cores, links = [], []
     computing = []
     real_core, real_link = betti._Results.core, betti._link_result
 
-    def core(self, maximal, w):
+    def core(self, maximal):
         if not computing:
-            cores.append(w)
-        return real_core(self, maximal, w)
+            cores.append(reduce(or_, maximal))
+        return real_core(self, maximal)
 
     def link_result(link, s, memo, results):
         if s not in memo:
@@ -361,57 +364,72 @@ def general_complex(n: int, seed: int) -> Complex:
     return complex_from_facets([[f"v{v}" for v in rnd.sample(range(n), rnd.randint(3, 6))] for _ in range(2 * n)])
 
 
+def count_visits(monkeypatch) -> list:
+    """Record the vertex set of every core visited, of the sweep or of a
+    link restriction, and each `_Results`'s empty subset."""
+    visits = []
+    real = betti._Results.core
+
+    def core(self, maximal):
+        visits.append(reduce(or_, maximal))
+        return real(self, maximal)
+
+    monkeypatch.setattr(betti._Results, "core", core)
+    return visits
+
+
 def test_cores_are_eliminated_once(monkeypatch):
     calls = count_misses(monkeypatch)
     cores, links = count_cores(monkeypatch)
+    visits = count_visits(monkeypatch)
     assert froberg_exhaustive(5).passed
     # with the split no restriction of a graph on 5 vertices is a core but
-    # the empty subset, which the sweep's one `_Results` registers once (not
-    # once per base graph) and which is eliminated once per process
-    assert len(cores) == 1 and cores.count(0) == 1
-    assert len(calls) == len(betti._CORE_CACHE) == 1
+    # the empty subset, which the sweep's one `_Results` registers and
+    # eliminates once, not once per base graph; no sweep shares it with
+    # another, so the second sweep eliminates it again
+    assert cores == [0] and calls == [[0]]
     calls.clear()
     cores.clear()
     assert froberg_exhaustive(5).passed
-    assert calls == [] and len(cores) == 1
-    assert len(betti._CORE_CACHE) == 1
+    assert cores == [0] and calls == [[0]]
     # off flag complexes cores remain, of the sweep and, most of them, of
     # the links' restrictions: five general complexes make one core of the
-    # sweep and compute 2,451 link restrictions, and eliminate 194 cores,
-    # each cached, so a second pass eliminates none
+    # sweep and compute 2,451 link restrictions, and each of the 463 core
+    # visits, the empty subsets included, is one elimination, on every pass
     complexes = [general_complex(10, seed) for seed in range(5)]
-    cores.clear()
-    for c in complexes:
-        graded_betti(c)
-    assert (len(cores) - cores.count(0), len(links), len(calls)) == (1, 2451, 194)
-    assert len(betti._CORE_CACHE) == 1 + len(calls)
-    calls.clear()
-    for c in complexes:
-        graded_betti(c)
-    assert calls == []
+    for _ in range(2):
+        cores.clear()
+        links.clear()
+        visits.clear()
+        calls.clear()
+        for c in complexes:
+            graded_betti(c)
+        assert (len(cores) - cores.count(0), len(links), len(visits), len(calls)) == (1, 2451, 463, 463)
 
 
 def test_general_eliminations_are_bounded(monkeypatch):
     # a count, not a time: the general complex on 14 vertices with 28 drawn
     # facets of 3 to 6 vertices (`random.Random(3)`) eliminated 8,385
-    # restrictions from a cold cache before the split; a rule that stops
-    # applying raises it
+    # restrictions before the split; it now visits 1,532 cores, of the
+    # sweep and of its link restrictions, and eliminates each where it
+    # meets it.  A rule that stops applying raises both
     calls = count_misses(monkeypatch)
+    visits = count_visits(monkeypatch)
     graded_betti(general_complex(14, 3))
-    assert len(calls) <= 915, len(calls)
+    assert len(visits) == 1532 and len(calls) == len(visits), (len(visits), len(calls))
 
 
 def test_chordal_corpus_has_no_core_but_the_empty_subset(monkeypatch):
     # every induced subgraph of a chordal graph has a simplicial vertex
     # (Dirac), which is isolated or dominated, so no nonempty subset of a
     # chordal graph's clique complex is a core; the empty subset has no
-    # vertex and is one, eliminated once per process
+    # vertex and is one, eliminated once per sweep
     graphs = corpus_graphs(200, 9, 7)
     calls = count_misses(monkeypatch)
     cores, _ = count_cores(monkeypatch)
     for g in graphs:
         graded_betti(clique_complex(g))
-    assert cores == [0] * 200 and len(calls) == 1
+    assert cores == [0] * 200 and len(calls) == 200
 
 
 def test_a_core_reduces_its_masks_once(monkeypatch):
@@ -456,52 +474,41 @@ def test_a_core_reduces_its_masks_once(monkeypatch):
 
 def test_one_sweep_serves_every_field(monkeypatch):
     # a report over GF(p) also needs the table over Q; both come from one
-    # sweep, so a report costs the misses of one table and a second field
-    # costs none
+    # sweep, so a report costs the eliminations of one sweep.  A second
+    # `graded_betti` over another field sweeps again and costs as many;
+    # `over` gives the same table from the first sweep's torsion for none
     calls = count_misses(monkeypatch)
-    table = graded_betti(RP2, GF_DEFAULT)
-    misses = len(calls)
-    assert misses > 0
-    for field in (FieldSpec.prime(2), QQ):
-        graded_betti(RP2, field)
-    assert len(calls) == misses
-    clear_homology_cache()
-    calls.clear()
     rep = verify_complex(RP2, GF_DEFAULT)
-    assert len(calls) == misses
-    assert rep.table == table and rep.char_zero_agrees is True
+    assert len(calls) == 8 and rep.char_zero_agrees is True
+    for field in (GF_DEFAULT, FieldSpec.prime(2), QQ):
+        calls.clear()
+        table = graded_betti(RP2, field)
+        assert len(calls) == 8
+        calls.clear()
+        assert rep.table.over(field) == table and calls == []
 
 
-def test_cache_consistency():
-    # every table computed in a shuffled mix, sharing one cache, equals the
-    # table computed from an empty cache.  rp2 differs over GF(2) and
-    # GF(32003) while both share the cache entries, so a hit must carry the
-    # torsion; mixed sizes guard the |W| field of the key
+def test_tables_do_not_depend_on_call_order():
+    # every table computed in a shuffled mix equals the table computed
+    # alone.  rp2 differs over GF(2) and GF(32003), so each sweep must
+    # carry its own torsion; mixed sizes give cores of many sizes
     rnd = random.Random(6005)
     complexes = [C4, RP2, suspension(RP2)]
     complexes += [random_complex(rnd, max_n=8, max_facets=12, max_size=4) for _ in range(40)]
     jobs = [(c, field) for c in complexes for field in (FieldSpec.prime(2), GF_DEFAULT)]
-    cold = {}
-    for c, field in jobs:
-        clear_homology_cache()
-        cold[c, field] = graded_betti(c, field)
+    alone = {(c, field): graded_betti(c, field) for c, field in jobs}
     rnd.shuffle(jobs)
-    clear_homology_cache()
     for c, field in jobs:
-        assert graded_betti(c, field) == cold[c, field], (c.facets, field)
+        assert graded_betti(c, field) == alone[c, field], (c.facets, field)
 
 
-def test_threads_share_one_cold_cache():
-    # a cache entry is one value written once, so a thread that hits an entry
-    # another thread just wrote sees the torsion with the Betti numbers.  A
+def test_threads_get_the_tables_of_one_thread():
+    # a sweep shares nothing with another, so threads that sweep at once
+    # get the tables one thread computes, torsion with Betti numbers.  A
     # tiny switch interval makes the threads interleave inside the sweep
     field = FieldSpec.prime(2)
     complexes = [RP2, suspension(RP2), suspension(primed(suspension(RP2)))]
-    cold = {}
-    for c in complexes:
-        clear_homology_cache()
-        cold[c] = graded_betti(c, field)
-    clear_homology_cache()
+    alone = {c: graded_betti(c, field) for c in complexes}
     jobs = complexes * 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -510,7 +517,7 @@ def test_threads_share_one_cold_cache():
             tables = list(pool.map(lambda c: graded_betti(c, field), jobs, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert tables == [cold[c] for c in jobs]
+    assert tables == [alone[c] for c in jobs]
 
 
 def base_cliques(k):
@@ -524,45 +531,6 @@ def base_cliques(k):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
         yield maximal_cliques(adj) if adj else [0]
-
-
-def test_cores_past_the_cache_cap_keep_their_torsion(monkeypatch):
-    # with room for no core or for two, the torsion of rp2 and its
-    # suspension comes from cores the cache does not keep, and every table
-    # still equals the uncapped one; so do the Froberg sweep's extension
-    # tables of every graph on at most 4 vertices
-    rnd = random.Random(6012)
-    complexes = [RP2, suspension(RP2), join(RP2, primed(TRI))]
-    complexes += [join(random_complex(rnd, max_n=5), primed(random_complex(rnd, max_n=5))) for _ in range(4)]
-    complexes += [random_complex(rnd, max_n=8, max_facets=10, max_size=4) for _ in range(12)]
-    fields = (FieldSpec.prime(2), FieldSpec.prime(3), QQ)
-    bases = [(cliques, k) for k in range(5) for cliques in base_cliques(k)]
-    calls = count_misses(monkeypatch)
-    uncapped = {(c, field): graded_betti(c, field) for c in complexes for field in fields}
-    computed = len(calls)
-    # one lockstep per k, shared across its bases as the sweep shares it
-    locksteps = {k: _Lockstep(k, QQ) for k in range(5)}
-    extensions = [locksteps[k].tables(cliques) for cliques, k in bases]
-    extension_calls = len(calls) - computed
-    for limit in (0, 2):
-        clear_homology_cache()
-        calls.clear()
-        monkeypatch.setattr(betti, "_CORE_CACHE_LIMIT", limit)
-        for c in complexes:
-            for field in fields:
-                # the whole table, torsion included
-                assert graded_betti(c, field) == uncapped[c, field], (c.facets, field, limit)
-                assert len(betti._CORE_CACHE) <= limit
-        assert len(calls) > computed
-    assert all(not torsion for _, torsion in betti._CORE_CACHE.values())
-    clear_homology_cache()
-    calls.clear()
-    monkeypatch.setattr(betti, "_CORE_CACHE_LIMIT", 0)
-    locksteps = {k: _Lockstep(k, QQ) for k in range(5)}
-    assert [locksteps[k].tables(cliques) for cliques, k in bases] == extensions
-    assert not betti._CORE_CACHE and len(calls) > extension_calls
-    assert uncapped[RP2, fields[0]] != uncapped[RP2, fields[2]]
-    assert sum(bool(t.torsion) for t in uncapped.values()) >= 9
 
 
 def test_pair_memo_holds_one_row_per_graph_on_a_proper_subset():
@@ -736,7 +704,6 @@ def test_non_flag_sweep_enumerates_no_faces(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "srbetti" and getattr(module, "masks_by_card", None) is simplicial.masks_by_card:
             monkeypatch.setattr(module, "masks_by_card", refuse)
-    clear_homology_cache()
     for (c, field), table in expected.items():
         assert graded_betti(c, field).as_dict() == table, (c.facets, field)
 

@@ -1,8 +1,8 @@
 """Leftovers of deleted code: imports that a module of the package or of
 the tests no longer uses, private module-level names that nothing in the
 package refers to any more, and exception classes that nothing raises.
-Also the independence of the test oracles from the code they check, the
-core cache's confinement to `betti`, and the package's module-level state."""
+Also the independence of the test oracles from the code they check, and
+the package's module-level state."""
 
 import ast
 from pathlib import Path
@@ -65,30 +65,16 @@ def test_no_unreferenced_private_module_names():
     assert unreferenced == []
 
 
-def test_cache_key_format_stays_in_betti():
-    # the core cache, its key format and its miss belong to betti: a key
-    # another module packed could drift from `_core_key`'s unnoticed
-    private = {"_CORE_CACHE", "_CORE_CACHE_LIMIT", "_core_key", "_Results"}
-    readers = []
-    for name, tree in TREES.items():
-        if name == "betti.py":
-            continue
-        names = used_names(tree)
-        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-        readers += [f"{name}: {n}" for n in sorted(names & private)]
-    assert readers == []
-
-
 def _callee(node: ast.AST) -> str | None:
     """The last name of a called or decorating expression."""
     node = node.func if isinstance(node, ast.Call) else node
     return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
 
 
-def test_module_state_is_the_core_cache_and_the_parser():
+def test_module_state_is_the_parser_and_its_defaults():
     # a mutable container bound at module level, or a cached function, is
     # shared by every caller in the process; the package keeps exactly the
-    # core cache, the corpus defaults and the memoized parser
+    # corpus defaults and the memoized parser
     containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
     mutable_types = {"dict", "list", "set", "bytearray", "array", "Counter", "defaultdict", "OrderedDict", "deque"}
     caches = {"cache", "lru_cache", "cached_property"}
@@ -105,7 +91,7 @@ def test_module_state_is_the_core_cache_and_the_parser():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(_callee(d) in caches for d in node.decorator_list):
                     state.append(f"{module}.{node.name}")
-    assert sorted(state) == ["betti._CORE_CACHE", "cli.CORPUS_DEFAULTS", "cli.build_parser"]
+    assert sorted(state) == ["cli.CORPUS_DEFAULTS", "cli.build_parser"]
 
 
 def test_every_exception_class_is_raised():

@@ -2,6 +2,8 @@
 
 import json
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -342,9 +344,9 @@ def test_froberg_sweep_visits(monkeypatch):
         computed.append(len(row))
         return row
 
-    def core(self, maximal, w):
-        cores.append(w)
-        return real_core(self, maximal, w)
+    def core(self, maximal):
+        cores.append(reduce(or_, maximal))
+        return real_core(self, maximal)
 
     def refuse(adj):
         raise AssertionError("the sweep searched a base graph for its maximal cliques")
@@ -386,20 +388,24 @@ def test_froberg_sweep_builds_each_distinct_table_once(monkeypatch):
 
 
 def test_froberg_sweep_cores_are_the_sweep_cores(monkeypatch):
-    # the Froberg sweep keys a core through the last vertex by the masks of
-    # the extension it derives from the base graph; a sweep of every graph
-    # on 5 vertices afterwards finds every core in the cache.  With the
-    # split the only core of either is the empty subset
+    # the Froberg sweep derives the masks of a pair from the base graph's
+    # cliques, and a sweep of each graph on 5 vertices takes them from the
+    # graph itself; with the split the only core of either is the empty
+    # subset, which each sweep eliminates once and nothing else
+    calls = []
+    real = betti.reduced_dims_from_facets
+
+    def only_empty(facets):
+        assert facets == [0], facets
+        calls.append(facets)
+        return real(facets)
+
+    monkeypatch.setattr(betti, "reduced_dims_from_facets", only_empty)
     assert froberg_exhaustive(5).passed
-    assert len(betti._CORE_CACHE) == 1
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a core the Froberg sweep met missed the cache")
-
-    monkeypatch.setattr(betti, "reduced_dims_from_facets", refuse)
+    assert len(calls) == 1
     for mask in range(1 << len(_pairs(5))):
         graded_betti(clique_complex(_graph_of_mask(5, mask)), QQ)
-    assert len(betti._CORE_CACHE) == 1
+    assert len(calls) == 1 + 1024
 
 
 def test_froberg_mismatches_are_edge_masks(monkeypatch):
