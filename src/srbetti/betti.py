@@ -68,7 +68,10 @@ across bases, and a memo of rows under (edges & inside[W]) << k | W, the
 base edges inside W in the sweep's edge-bit order, then W, which the edges
 miss where a vertex of W is isolated.  Equal keys are equal graphs on W,
 hence equal rows, so a later base copies the row instead of sweeping it.
-The row of the whole base is not kept: no other base has its edges.
+The row of the whole base is not kept: no other base has its edges.  For
+the top vertex y of W, the base graph on W is the pair (W - y, N_W(y))
+with y named v, so base[W] is read off the row of W - y, which precedes
+W's: the lockstep sweeps nothing but pair rows.
 """
 
 from __future__ import annotations
@@ -216,13 +219,12 @@ def _link_result(link: list[int], s: int, memo: dict[int, int], results: _Result
     return rid
 
 
-def _subset_results(masks, n: int, results: _Results, flag: bool | None = None) -> array:
+def _subset_results(masks, n: int, results: _Results) -> array:
     """res[W], as ids into results, for every W in [0, 2^n) of the complex
-    the masks span (module docstring); `flag` says whether it is a clique
-    complex, found from the masks when None."""
+    the masks span (module docstring), a clique complex iff they are the
+    maximal cliques of its 1-skeleton."""
     closed = _closed(masks, n)
-    if flag is None:
-        flag = maximal_cliques([closed[1 << v] ^ 1 << v for v in range(n)]) == sorted(masks)
+    flag = maximal_cliques([closed[1 << v] ^ 1 << v for v in range(n)]) == sorted(masks)
     # off flag complexes x dominates u iff N_W[u] lies in N_W[x] and x is in
     # ext[f & W], the union of the facets over f & W, for each facet f through
     # u: a facet of Delta_W through u is such a trace and cannot grow by x, so
@@ -308,15 +310,7 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
     return _table(tuple(sorted((i, j, v) for (i, j), v in acc.items() if v)), torsions, c.n, field)
 
 
-def _extension_masks(cliques: list[int], nbrs: int, last: int) -> list[int]:
-    """Masks spanning the clique complex of the graph with maximal cliques
-    `cliques` extended by vertex `last` with neighbours nbrs: C & N + last
-    for each C (a clique through `last` is one inside N plus `last`), and
-    the cliques C.  Not all of them are maximal."""
-    return [c & nbrs | last for c in cliques] + cliques
-
-
-def _pair_row(cliques: list[int], w: int, closed: dict, base: array, pairs: array, sweep: "_Lockstep") -> array:
+def _pair_row(w: int, closed: dict, base: array, pairs: array, sweep: "_Lockstep") -> array:
     """The result of W + v in the extensions of the base graph by v = 1 << k
     with neighbours N, for each N' = N & W in the submasks of W, descending:
     the split of `_subset_results` on the extension N'.  Its vertices'
@@ -327,8 +321,8 @@ def _pair_row(cliques: list[int], w: int, closed: dict, base: array, pairs: arra
     W - u + v is the pair (W - u, N' - u), and W + v - v the base's W.  Every
     pair looked up is (W', N'') for a W' inside W minus a vertex, at
     pairs[tri[W'] + tri[N'']], so rows filled in ascending order of W hold
-    them."""
-    last = 1 << sweep.k
+    them.  A core is eliminated on the maximal cliques of the graph on W + v."""
+    k = sweep.k
     tri = sweep.tri
     results = sweep.results
     split = results.split
@@ -350,35 +344,40 @@ def _pair_row(cliques: list[int], w: int, closed: dict, base: array, pairs: arra
                     break
                 rest ^= u
             else:
-                s = w | last
-                r = results.core(_maximal_masks({m & s for m in _extension_masks(cliques, nbrs, last)}))
+                # the graph on W + v; a vertex outside it is isolated, a clique alone
+                adj = [closed[1 << u] & w ^ 1 << u | (nbrs >> u & 1) << k if w >> u & 1 else 0 for u in range(k)]
+                r = results.core([c for c in maximal_cliques(adj + [nbrs]) if c & (w | 1 << k)])
         row[slot] = r
         nbrs = nbrs - 1 & w
     return row
 
 
-def _pair_results(cliques: list[int], base: array, sweep: "_Lockstep") -> array:
-    """Every pair (W, N') of the base graph with maximal cliques `cliques`
-    and subset results `base`, at its index tri[W] + tri[N'].  The pairs of
-    one W, its row, are the memo's under the key of W and the base edges
-    inside it, the graph the row's results are of, or `_pair_row`'s; a row
-    of W short of the whole base is stored for later bases."""
+def _pair_results(adj: list[int], sweep: "_Lockstep") -> tuple[array, array]:
+    """base[W], res[W] of the base graph with adjacency masks `adj`, and
+    each pair (W, N') of it at tri[W] + tri[N'] (module docstring): base[W]
+    read off the row of W less its top vertex, and each row the memo's, by
+    W and the base edges inside it, or `_pair_row`'s; a row of W short of
+    the whole base is stored for later bases."""
     k = sweep.k
-    closed = _closed(cliques, k)
+    closed = {1 << v: row | 1 << v for v, row in enumerate(adj)}
     edges = sum(1 << b for b, (u, x) in enumerate(sweep.edges) if closed[u] & x)
-    memo, inside, slots = sweep.memo, sweep.inside, sweep.slots
+    memo, inside, slots, tri = sweep.memo, sweep.inside, sweep.slots, sweep.tri
     whole = (1 << k) - 1
+    base = array("I", bytes(4 << k))  # base[{}] is 0, the empty complex
     pairs = array("I", bytes(4 * 3**k))
     for w in range(whole + 1):
+        if w:
+            top = w.bit_length() - 1
+            base[w] = pairs[tri[w ^ 1 << top] + tri[adj[top] & w]]
         key = (edges & inside[w]) << k | w
         row = memo.get(key)
         if row is None:
-            row = _pair_row(cliques, w, closed, base, pairs, sweep)
+            row = _pair_row(w, closed, base, pairs, sweep)
             if w != whole:  # no later base shares the whole vertex set's edges
                 memo[key] = row
         for i, r in zip(slots[w], row):
             pairs[i] = r
-    return pairs
+    return base, pairs
 
 
 class _Lockstep:
@@ -417,23 +416,22 @@ class _Lockstep:
         self.base_cells = [self.cells_at[w.bit_count()] for w in range(1 << k)]  # by subset
         self.shared: dict[tuple[int, tuple], BettiTable] = {}
 
-    def tables(self, cliques: list[int]) -> list[BettiTable]:
+    def tables(self, adj: list[int]) -> list[BettiTable]:
         """The Betti table of the clique complex of each extension of the
-        graph with maximal cliques `cliques` ([0] for k = 0) by a vertex
-        v = k, indexed by v's neighbour set N: the base's results plus, for
-        each W, the pair (W, N & W)'s.  Each sum packs cell (i, j) into bits
-        32 (i (k + 2) + j) on: an entry counts at most the 3^(k+1) faces of
-        all restrictions, < 2^32 for k + 1 <= 20, the sweep cap
-        `DEFAULT_VERTEX_CAP` that `froberg_exhaustive` enforces.  Cells are
-        packed once per result the sweep meets, and per-extension torsion
-        lists are built only for a base one of whose results has torsion."""
+        graph with adjacency masks `adj` by a vertex v = k, indexed by v's
+        neighbour set N: the base's results plus, for each W, the pair
+        (W, N & W)'s.  Each sum packs cell (i, j) into bits 32 (i (k + 2) + j)
+        on: an entry counts at most the 3^(k+1) faces of all restrictions,
+        < 2^32 for k + 1 <= 20, the sweep cap `DEFAULT_VERTEX_CAP` that
+        `froberg_exhaustive` enforces.  Cells are packed once per result the
+        sweep meets, and per-extension torsion lists are built only for a
+        base one of whose results has torsion."""
         k = self.k
         last = 1 << k
         size = k + 2  # i and j run over 0 ... k + 1
         results = self.results
         values = results.values
-        base = _subset_results(cliques, k, results, flag=True)
-        pairs = _pair_results(cliques, base, self)
+        base, pairs = _pair_results(adj, self)
         cells_at = self.cells_at
         for dims, _ in values[len(cells_at[0]) :]:
             for j, packed in enumerate(cells_at):

@@ -120,8 +120,8 @@ def series_text(numerator: tuple[int, ...], pole_order: int) -> str:
     return f"{num} / {den}"
 
 
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
+def _yesno(holds: bool) -> str:
+    return "yes" if holds else "no"
 
 
 def report_text(rep: VerificationReport, source: dict) -> str:
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"max vertices per corpus graph (default {CORPUS_DEFAULTS['n_max']})")
     p_ver.add_argument("--seed", type=int, help=f"corpus seed (default {CORPUS_DEFAULTS['seed']})")
     p_ver.add_argument("--exhaustive-froberg", action="store_true", default=None,
-                       help="also sweep all graphs on 6 vertices (about 0.3 s)")
+                       help="also sweep all graphs on 6 vertices (about 0.15 s)")
     report_options(p_ver)
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -31,7 +31,6 @@ from .graphs import (
     clique_complex,
     cycle_graph,
     gen_chordal,
-    maximal_cliques,
 )
 from .hilbert import multiplicity, verify_series_identity
 from .simplicial import Complex, FVector, HVector, f_vector, h_vector
@@ -333,31 +332,32 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
 
     For every edge set: the clique complex's Betti table classifies linear
     (trivial counting as vacuously linear, the zero-ideal case) iff the graph
-    is chordal.  2^C(n,2) graphs; n = 6 takes about 0.3 s (0.26-0.34 s in
-    six runs on a shared 2-vCPU VM, Python 3.11.7) and is the strongest
-    acceptance check in the suite.
+    is chordal.  2^C(n,2) graphs; n = 6 takes about 0.13 s (0.133-0.136 s
+    in six fresh processes on a shared 2-vCPU VM, Python 3.11.7) and is the
+    strongest acceptance check in the suite.
 
     Each graph is a base graph on vertices 0..n-2 plus a neighbour set of
     vertex n-1, and the 2^(n-1) extensions of a base are swept together
-    (`betti._Lockstep`): per base, 2^(n-1) subsets without vertex n-1 and
-    3^(n-1) pairs (W, N & W) through it, not 2^(n-1) subsets for each of
-    its 2^(n-1) graphs.  A pair depends only on W and the base edges inside
-    W, so the pairs of a W short of all n-1 vertices are computed for the
-    first base with those edges and copied to the later ones.  Each subset
-    and computed pair takes its homology from a smaller one and the link of
-    one of its vertices, a restriction the sweep holds already, by the
-    Mayer-Vietoris split; what has no such vertex is a core.  For n = 6
-    none of the 71,387 visits (32,768 subsets, 38,619 pairs; 248,832 pairs
-    are looked up) is a core, and the sweep's one elimination is of the
-    empty complex, once per sweep.  Every graph still gets a table summed
-    over all 2^n subsets: the 3^(n-1) pair sums fold into the 2^(n-1)
-    extension sums in n-1 passes, and the sweep builds and classifies one
-    table per distinct sum and torsion (75 for n = 6).  Chordality is decided once per base
-    graph (`graphs.chordal_extensions`): no extension of a non-chordal base
-    is chordal, and the extension by N of a chordal one is chordal iff, for
-    each component C of the base minus N, the vertices of N adjacent to C
-    form a clique.  A graph is only its adjacency masks: each extension's
-    clique complex comes from the base graph's maximal cliques, and no
+    (`betti._Lockstep`): per base, the 3^(n-1) pairs (W, N & W) through
+    vertex n-1, not 2^(n-1) subsets for each of its 2^(n-1) graphs.  A
+    subset W of the base is the pair (W - y, N_W(y)) for its top vertex y,
+    so the base's results are read off the pairs and no subset is visited.
+    A pair depends only on W and the base edges inside W, so the pairs of a
+    W short of all n-1 vertices are computed for the first base with those
+    edges and copied to the later ones.  Each computed pair takes its
+    homology from a smaller one and the link of one of its vertices, a
+    restriction the sweep holds already, by the Mayer-Vietoris split; what
+    has no such vertex is a core.  For n = 6 none of the 38,619 computed
+    pairs (248,832 are looked up) is a core, and the sweep's one
+    elimination is of the empty complex, once per sweep.  Every graph still
+    gets a table summed over all 2^n subsets: the 3^(n-1) pair sums fold
+    into the 2^(n-1) extension sums in n-1 passes, and the sweep builds and
+    classifies one table per distinct sum and torsion (75 for n = 6).
+    Chordality is decided once per base graph (`graphs.chordal_extensions`):
+    no extension of a non-chordal base is chordal, and the extension by N
+    of a chordal one is chordal iff, for each component C of the base minus
+    N, the vertices of N adjacent to C form a clique.  A graph is only its
+    adjacency masks: no clique search runs but on a pair core, and no
     `Graph` or `Complex` is built.  n is capped at `DEFAULT_VERTEX_CAP`
     (20), the bound of the 32-bit cell slots of `_Lockstep.tables`.
     Mismatches are edge masks in the bit order of the pairs (i, j), i < j,
@@ -381,9 +381,8 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
             if (base_mask >> b) & 1:
                 base[i] |= 1 << j
                 base[j] |= 1 << i
-        cliques = maximal_cliques(base) if base else [0]
         chordal = chordal_extensions(base)
-        for nbrs, table in enumerate(lockstep.tables(cliques)):
+        for nbrs, table in enumerate(lockstep.tables(base)):
             linear = linear_by_table.get(id(table))
             if linear is None:
                 linear = linear_by_table[id(table)] = classify(table).is_linear_or_trivial

@@ -520,9 +520,9 @@ def test_threads_get_the_tables_of_one_thread():
     assert tables == [alone[c] for c in jobs]
 
 
-def base_cliques(k):
-    """The maximal cliques of every graph on k labeled vertices, [0] for
-    k = 0, as the Froberg sweep hands them to `_Lockstep.tables`."""
+def base_adjacency(k):
+    """The adjacency masks of every graph on k labeled vertices, as the
+    Froberg sweep hands them to `_Lockstep.tables`."""
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     for mask in range(1 << len(pairs)):
         adj = [0] * k
@@ -530,18 +530,30 @@ def base_cliques(k):
             if (mask >> b) & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-        yield maximal_cliques(adj) if adj else [0]
+        yield adj
 
 
-def test_pair_memo_holds_one_row_per_graph_on_a_proper_subset():
+def test_pair_memo_holds_one_row_per_graph_on_a_proper_subset(monkeypatch):
     # a pair (W, N') is the clique complex of the graph on W + v, fixed by
     # W, the base edges inside W and N': the memo keeps one row, the pairs
     # of every N', per W short of the whole base and per graph on W,
-    # 2^C(|W|, 2) of them; the whole base's rows are not kept
+    # 2^C(|W|, 2) of them; the whole base's rows are not kept.  Each base
+    # result, read off the pair row of W less its top vertex, is the one a
+    # sweep of the base's clique complex finds under the same `_Results`
+    real_pairs = betti._pair_results
+    bases = []
+
+    def pair_results(adj, sweep):
+        out = real_pairs(adj, sweep)
+        bases.append(out[0])
+        return out
+
+    monkeypatch.setattr(betti, "_pair_results", pair_results)
     for k in range(6):
         lockstep = _Lockstep(k, QQ)
-        for cliques in base_cliques(k):
-            lockstep.tables(cliques)
+        for adj in base_adjacency(k):
+            lockstep.tables(adj)
+            assert bases[-1] == betti._subset_results(maximal_cliques(adj), k, lockstep.results), adj
         rows = [(w, 2 ** comb(w.bit_count(), 2)) for w in range((1 << k) - 1)]
         assert len(lockstep.memo) == sum(graphs for _, graphs in rows)
         assert sum(map(len, lockstep.memo.values())) == sum(graphs << w.bit_count() for w, graphs in rows)
@@ -685,7 +697,7 @@ def test_acyclic_link_removes_a_vertex_nothing_dominates(monkeypatch):
     for field in (FieldSpec.prime(2), FieldSpec.prime(3), QQ):
         table = graded_betti(c, field)
         assert table.as_dict() == brute_betti(c, field.p), field
-        assert _Lockstep(6, field).tables(maximal_cliques(base))[0b10111] == table, field
+        assert _Lockstep(6, field).tables(base)[0b10111] == table, field
 
 
 def test_non_flag_sweep_enumerates_no_faces(monkeypatch):

@@ -2,12 +2,13 @@
 
 import json
 import random
+import sys
 from functools import reduce
 from operator import or_
 
 import pytest
 
-from helpers import flag_subdivision
+from helpers import brute_maximal_cliques, flag_subdivision
 from srbetti import (
     GF_DEFAULT,
     QQ,
@@ -30,9 +31,8 @@ from srbetti import (
     verify_complex,
 )
 from srbetti import betti, graphs, verify
-from srbetti.betti import _Lockstep, _extension_masks
+from srbetti.betti import _Lockstep
 from srbetti.graphs import maximal_cliques
-from srbetti.simplicial import _maximal_masks
 from srbetti.verify import CHECK_NAMES, corpus_graphs, dumps_report
 
 C4 = complex_from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]])
@@ -212,7 +212,7 @@ def _tables_by_neighbours(base, field, lockstep=None):
     neighbour set of the new vertex, from `lockstep` (shared across bases
     as the sweep shares it, so its pair memo is read) or a fresh one."""
     lockstep = lockstep or _Lockstep(len(base), field)
-    return lockstep.tables(maximal_cliques(base) if base else [0])
+    return lockstep.tables(base)
 
 
 def _all_extension_tables(n, field):
@@ -248,20 +248,6 @@ def test_extension_tables_equal_graded_betti(field):
             assert tables[g.adj[-1]] == graded_betti(clique_complex(g), field), g.adj
 
 
-def test_extension_masks_reduce_to_the_maximal_cliques():
-    # the masks an extension is swept with, derived from its base graph's
-    # maximal cliques, span its clique complex: their maximal ones are its
-    # maximal cliques
-    graphs = [_graph_of_mask(n, mask) for n in range(1, 6) for mask in range(1 << len(_pairs(n)))]
-    graphs += [_graph_of_mask(6, mask) for mask in random.Random(1516).sample(range(1 << 15), 500)]
-    for g in graphs:
-        last = 1 << (g.n - 1)
-        base = [row & (last - 1) for row in g.adj[:-1]]
-        cliques = maximal_cliques(base) if base else [0]
-        derived = _extension_masks(cliques, g.adj[-1], last)
-        assert set(_maximal_masks(derived)) == set(maximal_cliques(g.adj)), g.adj
-
-
 def _adjacency(c: Complex) -> list[int]:
     """The 1-skeleton of c as adjacency masks."""
     adj = [0] * c.n
@@ -283,11 +269,37 @@ def test_extension_tables_carry_torsion(monkeypatch, field):
     adj = _adjacency(FLAG_RP2)
     k = FLAG_RP2.n - 1
     base = [row & (1 << k) - 1 for row in adj[:k]]
+    eliminated = []
+    real_dims = betti.reduced_dims_from_facets
+    monkeypatch.setattr(betti, "reduced_dims_from_facets", lambda masks: eliminated.append(masks) or real_dims(masks))
+    bases = []
+    real_pairs = betti._pair_results
+
+    def pair_results(adj, sweep):
+        out = real_pairs(adj, sweep)
+        bases.append(out[0])
+        return out
+
+    monkeypatch.setattr(betti, "_pair_results", pair_results)
     lockstep = _Lockstep(k, field)
     real_torsions = betti._torsions
     calls = []
     monkeypatch.setattr(betti, "_torsions", lambda *args: calls.append(1) or real_torsions(*args))
     tables = _tables_by_neighbours(base, field, lockstep)
+    # the sweep eliminates the empty complex and 16 pair cores, each on the
+    # maximal cliques of the graph on its W + v: the Moebius band's edges
+    # inside W and v joined to N', the neighbours of v in the cliques
+    assert len(eliminated) == 17 and eliminated[0] == [0]
+    labels = tuple(f"{v:02}" for v in range(k + 1))
+    for maximal in eliminated[1:]:
+        s = reduce(or_, maximal)
+        nbrs = reduce(or_, [m for m in maximal if m >> k & 1]) ^ 1 << k
+        extension = [row | 1 << k if nbrs >> v & 1 else row for v, row in enumerate(base)] + [nbrs]
+        on_s = Graph(labels, tuple(row & s if s >> v & 1 else 0 for v, row in enumerate(extension)))
+        assert s >> k & 1 and set(maximal) == {m for m in brute_maximal_cliques(on_s) if m & s}, maximal
+    # each base result read off a pair row is the one a sweep of the base's
+    # clique complex finds
+    assert bases[-1] == betti._subset_results(maximal_cliques(base), k, lockstep.results)
     assert tables[adj[k]] == graded_betti(FLAG_RP2, field)
     assert tables[adj[k]].torsion == ((12, ((2, 2),)),)
     assert sum(bool(table.torsion) for table in tables) == 19
@@ -310,34 +322,30 @@ def test_extension_tables_carry_torsion(monkeypatch, field):
 
 
 def test_froberg_sweep_visits(monkeypatch):
-    # per graph on 4 vertices: its 2^4 subsets, swept once, then each pair
-    # of a subset W with a neighbour set of vertex 4 inside W, 3^4 in all.
-    # 2,420 of those 5,184 pairs are not acyclic.  A pair's result depends
-    # on W and the base edges inside W, so the rows of the 49 graphs on a
-    # W short of all 4 vertices are computed once each (313 pairs), and
-    # only the 16 pairs of the whole base are computed for every base:
-    # 1,337 computed pairs.  The split removes a vertex of every nonempty
-    # subset and pair, so the one core is the empty subset, registered once
-    # per sweep.  The sweep is told that its bases are clique complexes and
-    # runs no clique search of its own
+    # per graph on 4 vertices: each pair of a subset W with a neighbour set
+    # of vertex 4 inside W, 3^4 in all, and no sweep of its subsets: each
+    # subset's result is a pair's.  2,420 of those 5,184 pairs are not
+    # acyclic.  A pair's result depends on W and the base edges inside W,
+    # so the rows of the 49 graphs on a W short of all 4 vertices are
+    # computed once each (313 pairs), and only the 16 pairs of the whole
+    # base are computed for every base: 1,337 computed pairs.  The split
+    # removes a vertex of every nonempty subset and pair, so the one core is
+    # the empty subset, registered once per sweep.  The sweep takes its
+    # bases as adjacency masks and runs no clique search under any name
     subsets = []
     pairs = []
     computed = []
     cores = []
-    real_subsets, real_pairs, real_row = betti._subset_results, betti._pair_results, betti._pair_row
+    real_pairs, real_row = betti._pair_results, betti._pair_row
     real_core = betti._Results.core
 
-    def sweep(masks, n, results, flag=None):
-        subsets.append((1 << n, flag))
-        return real_subsets(masks, n, results, flag=flag)
-
-    def pair_results(cliques, base, lockstep):
-        out = real_pairs(cliques, base, lockstep)
+    def pair_results(adj, lockstep):
+        base, out = real_pairs(adj, lockstep)
         k, tri = lockstep.k, lockstep.tri
         indices = (tri[w] + tri[nbrs] for w in range(1 << k) for nbrs in range(1 << k) if nbrs & w == nbrs)
         cells = (lockstep.results.values[out[i]] for i in indices)
         pairs.extend(any(dims) or bool(torsion) for dims, torsion in cells)
-        return out
+        return base, out
 
     def pair_row(*args):
         row = real_row(*args)
@@ -349,16 +357,19 @@ def test_froberg_sweep_visits(monkeypatch):
         return real_core(self, maximal)
 
     def refuse(adj):
-        raise AssertionError("the sweep searched a base graph for its maximal cliques")
+        raise AssertionError("the sweep searched a graph for its maximal cliques")
 
-    monkeypatch.setattr(betti, "_subset_results", sweep)
+    searchers = {name for name, module in sys.modules.items() if name.startswith("srbetti")}
+    searchers = {name for name in searchers if hasattr(sys.modules[name], "maximal_cliques")}
+    assert searchers >= {"srbetti", "srbetti.graphs", "srbetti.betti"} and "srbetti.verify" not in searchers
+    for name in searchers:
+        monkeypatch.setattr(sys.modules[name], "maximal_cliques", refuse)
+    monkeypatch.setattr(betti, "_subset_results", lambda *args: subsets.append(args))
     monkeypatch.setattr(betti, "_pair_results", pair_results)
     monkeypatch.setattr(betti, "_pair_row", pair_row)
     monkeypatch.setattr(betti._Results, "core", core)
-    monkeypatch.setattr(betti, "maximal_cliques", refuse)
     assert froberg_exhaustive(5).passed
-    assert sum(size for size, _ in subsets) == 2 ** 6 * 2 ** 4 == 1024
-    assert {flag for _, flag in subsets} == {True}
+    assert subsets == []
     assert len(pairs) == 2 ** 6 * 3 ** 4 == 5184
     assert sum(pairs) == 2420  # not acyclic
     assert sum(computed) == 313 + 2 ** 6 * 2 ** 4 == 1337
@@ -388,8 +399,8 @@ def test_froberg_sweep_builds_each_distinct_table_once(monkeypatch):
 
 
 def test_froberg_sweep_cores_are_the_sweep_cores(monkeypatch):
-    # the Froberg sweep derives the masks of a pair from the base graph's
-    # cliques, and a sweep of each graph on 5 vertices takes them from the
+    # the Froberg sweep takes each pair from the base graph's adjacency, and
+    # a sweep of each graph on 5 vertices takes its clique complex from the
     # graph itself; with the split the only core of either is the empty
     # subset, which each sweep eliminates once and nothing else
     calls = []
@@ -459,7 +470,7 @@ def test_froberg_refuses_more_vertices_than_the_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("the refused Froberg sweep started")
 
-    for name in ("maximal_cliques", "chordal_extensions", "_Lockstep"):
+    for name in ("chordal_extensions", "_Lockstep"):
         monkeypatch.setattr(verify, name, refuse)
     with pytest.raises(TooManyVerticesError, match="21 vertices exceeds the sweep cap 20"):
         froberg_exhaustive(21)
