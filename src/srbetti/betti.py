@@ -24,23 +24,24 @@ case, a point.  res[W-u] was visited before, and so was L's result, whose
 source depends on the complex:
   - on a flag complex L is the restriction to N_W(u), the neighbours of u
     in W (a face F + u is a clique iff F is one inside N(u)): res[N_W(u)];
-  - off flag complexes L is the link of u in Delta restricted to W & N(u),
+  - off flag complexes L is the link of u in Delta restricted to N_W(u),
     memoised per sweep by u and that set (`_link_result`).  The key is not
     W - u: a vertex of W outside N(u) is no vertex of L, and a result of
-    W - u would count it as an isolated point of L.  The restriction is
-    first collapsed onto the one without its lowest isolated or dominated
-    vertex x, recursing into the same memo; x is dominated when the meet
-    of the maximal masks through x holds another vertex, so its link is a
-    cone and the restriction strong-collapses (Barmak and Minian 2012,
-    "Strong homotopy types, nerves and collapses").  What is left is a
-    core of the link.
-Off flag complexes a cheaper test goes before the split: u is dominated,
-another vertex x lies in every maximal face of Delta_W through u, so L is
-a cone and res[W] is res[W-u].  N_W[u] inside N_W[x] is necessary; x must
-also lie in ext(f & W) for every facet f through u, where ext(t) is the
-union of the facets over the face t: each facet of Delta_W through u is
-such a trace, and adding x to it leaves a face, so it holds x.  This scan
-reads facets only and restricts no link, so it stays as the first test.
+    W - u would count it as an isolated point of L.  L's faces over a face
+    t are Delta's faces over t + u, less u, so one table serves every
+    link: ext(t), the union of the facets over t, kept per sweep for the
+    traces f & W of the facets f through u that the links meet.  Each
+    maximal face of L is such a trace less u, and a vertex extends it only
+    if it lies in it.  So another vertex y of L lies in every maximal face
+    of L through x iff y is in ext(f & W) for each facet f through u and
+    x; then x is dominated, its link in L is a cone, and L strong-collapses
+    onto L - x (Barmak and Minian 2012, "Strong homotopy types, nerves and
+    collapses").  If y is in ext(f & W) for every facet f through u, L is
+    a cone on y, acyclic, and not memoised: most cones are met once.
+    Otherwise L is collapsed onto the restriction without its lowest
+    vertex x that is isolated (every trace through x is x + u) or
+    dominated, recursing into the same memo; what is left is a core of the
+    link, eliminated on its maximal masks.
 A nonempty W where no vertex splits is a core; only cores are eliminated,
 on their maximal masks.  Every induced subgraph of a chordal graph has a
 simplicial vertex (Dirac), whose link is a simplex, so a chordal clique
@@ -82,7 +83,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import zip_longest
-from operator import add, and_, or_
+from operator import add, or_
 
 from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
@@ -150,9 +151,10 @@ class _Results:
         self.twisted: list[bool] = []  # by id: torsion
         self.support: list[int] = []  # by id: bit r where reduced degree r - 1 has homology, torsion included
         self.core([0])  # id 0: the empty subset, a core, eliminated as every core is
+        self.point = self.id(((), ()))  # a point's, every acyclic complex's
         # by A << 32 | L, ids: `split`'s id, or None; W = {u}, where A and L
         # are both the empty complex, is the base case: a point
-        self.joined: dict[int, int | None] = {0: self.id(((), ()))}
+        self.joined: dict[int, int | None] = {0: self.point}
 
     def id(self, hom: _Homology) -> int:
         dims, torsion = hom
@@ -194,28 +196,49 @@ def _closed(masks, n: int) -> dict[int, int]:
     return {1 << v: reduce(or_, [f for f in masks if f >> v & 1], 1 << v) for v in range(n)}
 
 
-def _link_result(link: list[int], s: int, memo: dict[int, int], results: _Results) -> int:
-    """The id of the restriction to s of the complex the masks `link` span
-    (a vertex's link), memoised by s: collapsed onto s minus its lowest
-    vertex x that is isolated or dominated (the meet of the maximal masks
-    through x holds another vertex), else a core."""
+def _apexes(others: int, facets, su: int, fs: list[int], ext: dict[int, int]) -> int:
+    """The vertices of `others` in ext[f & su], the union of the facets fs
+    through u over f & su, for each of the facets given; su is a link
+    restriction's vertex set plus u (module docstring).  Stops as soon as
+    none is left."""
+    for f in facets:
+        t = f & su
+        if others & t == others:  # t, and so ext[t], holds them all
+            continue
+        over = ext.get(t)
+        if over is None:
+            over = ext[t] = reduce(or_, [g for g in fs if g & t == t])
+        others &= over
+        if not others:
+            break
+    return others
+
+
+def _link_result(u: int, s: int, fs: list[int], ext: dict[int, int], memo: dict[int, int], results: _Results) -> int:
+    """The id of the restriction to s of the link of u, from fs, the facets
+    through u, memoised by s: acyclic when a vertex of s cones it, else
+    collapsed onto s minus its lowest vertex x that is isolated or
+    dominated, else a core (module docstring)."""
     rid = memo.get(s)
-    if rid is None:
-        maximal = _maximal_masks([m & s for m in link])
-        rest = s
-        while rest:
-            x = rest & -rest
-            through = [m for m in maximal if m & x]
-            if reduce(and_, through) != x:  # dominated
-                rid = _link_result(link, s ^ x, memo, results)
-                break
-            if through == [x]:  # isolated
-                rid = results.split(_link_result(link, s ^ x, memo, results), 0)
-                break
-            rest ^= x
-        else:
-            rid = results.core(maximal)
-        memo[s] = rid
+    if rid is not None:
+        return rid
+    su = s | u
+    if _apexes(s, fs, su, fs, ext):  # a cone, not memoised: most are met once
+        return results.point
+    rest = s
+    while rest:
+        x = rest & -rest
+        fx = [f for f in fs if f & x]
+        if reduce(or_, fx) & s == x:  # isolated
+            rid = results.split(_link_result(u, s ^ x, fs, ext, memo, results), 0)
+            break
+        if _apexes(s ^ x, fx, su, fs, ext):  # dominated
+            rid = _link_result(u, s ^ x, fs, ext, memo, results)
+            break
+        rest ^= x
+    else:
+        rid = results.core(_maximal_masks([f & s for f in fs]))
+    memo[s] = rid
     return rid
 
 
@@ -225,16 +248,12 @@ def _subset_results(masks, n: int, results: _Results) -> array:
     maximal cliques of its 1-skeleton."""
     closed = _closed(masks, n)
     flag = maximal_cliques([closed[1 << v] ^ 1 << v for v in range(n)]) == sorted(masks)
-    # off flag complexes x dominates u iff N_W[u] lies in N_W[x] and x is in
-    # ext[f & W], the union of the facets over f & W, for each facet f through
-    # u: a facet of Delta_W through u is such a trace and cannot grow by x, so
-    # no trace needs a maximality check.  The facets over a trace hold u, so
-    # ext is filled from through[u], for the traces the sweep meets.
+    # off flag complexes, per u: the facets through u and its link's results
+    # by the vertex set it is restricted to, N_W(u); and ext[t], the union of
+    # the facets over a face t, for the faces the links meet
     through = {} if flag else {1 << v: [f for f in masks if f >> v & 1] for v in range(n)}
+    memos = {u: {0: 0} for u in through}
     ext: dict[int, int] = {}
-    # off flag complexes, per u: the masks of its link, and the link's
-    # results by the vertex set it is restricted to, W & N(u)
-    links = {u: ([f ^ u for f in fs], {0: 0}) for u, fs in through.items()}
     split = results.split
     res = array("I", bytes(4 << n))  # res[{}] is 0, the empty complex
     for w in range(1, len(res)):
@@ -242,37 +261,12 @@ def _subset_results(masks, n: int, results: _Results) -> array:
         r = None
         while rest:
             u = rest & -rest
-            near = closed[u] & w
-            if flag:  # the link of u is the restriction to N_W(u)
-                r = split(res[w ^ u], res[near ^ u])
-            else:
-                others = near ^ u
-                while others:
-                    x = others & -others
-                    if closed[x] & near == near:
-                        break
-                    others ^= x
-                for f in through[u] if others else ():
-                    t = f & w
-                    if t not in ext:
-                        ext[t] = reduce(or_, [g for g in through[u] if g & t == t])
-                    others &= ext[t]
-                    if not others:
-                        break
-                if others:  # dominated
-                    r = res[w ^ u]
+            near = closed[u] & w ^ u
+            # on a flag complex the link of u is the restriction to N_W(u)
+            r = split(res[w ^ u], res[near] if flag else _link_result(u, near, through[u], ext, memos[u], results))
             if r is not None:
                 break
             rest ^= u
-        if r is None and not flag:
-            rest = w
-            while rest:
-                u = rest & -rest
-                link, memo = links[u]
-                r = split(res[w ^ u], _link_result(link, closed[u] & w ^ u, memo, results))
-                if r is not None:
-                    break
-                rest ^= u
         res[w] = results.core(_maximal_masks(map(w.__and__, masks))) if r is None else r
     return res
 

@@ -318,9 +318,10 @@ def count_misses(monkeypatch) -> list:
 def count_cores(monkeypatch) -> tuple[list, list]:
     """Record the subset W of every core the sweep visits, the union of its
     maximal masks, and the vertex set of every link restriction it computes
-    off flag complexes (`betti._link_result` not read from its memo).  A
-    core of a link restriction, visited while one is computed, is not a
-    core of the sweep."""
+    off flag complexes (`betti._link_result` not read from its memo; a
+    cone is never memoised, so it counts on every call).  A core of a link
+    restriction, visited while one is computed, is not a core of the
+    sweep."""
     cores, links = [], []
     computing = []
     real_core, real_link = betti._Results.core, betti._link_result
@@ -330,12 +331,12 @@ def count_cores(monkeypatch) -> tuple[list, list]:
             cores.append(reduce(or_, maximal))
         return real_core(self, maximal)
 
-    def link_result(link, s, memo, results):
+    def link_result(u, s, fs, ext, memo, results):
         if s not in memo:
             links.append(s)
         computing.append(s)
         try:
-            return real_link(link, s, memo, results)
+            return real_link(u, s, fs, ext, memo, results)
         finally:
             computing.pop()
 
@@ -394,8 +395,13 @@ def test_cores_are_eliminated_once(monkeypatch):
     assert cores == [0] and calls == [[0]]
     # off flag complexes cores remain, of the sweep and, most of them, of
     # the links' restrictions: five general complexes make one core of the
-    # sweep and compute 2,451 link restrictions, and each of the 463 core
-    # visits, the empty subsets included, is one elimination, on every pass
+    # sweep and compute 6,430 link restrictions, and each of the 524 core
+    # visits, the empty subsets included, is one elimination, on every pass.
+    # Each W asks for the link of its lowest vertex first, and a cone is not
+    # memoised, so it counts on every call (2,451 restrictions and 463
+    # visits while a domination scan of all of W went before the split:
+    # the visits added are small link cores of vertices tried before the
+    # one that is removed)
     complexes = [general_complex(10, seed) for seed in range(5)]
     for _ in range(2):
         cores.clear()
@@ -404,19 +410,21 @@ def test_cores_are_eliminated_once(monkeypatch):
         calls.clear()
         for c in complexes:
             graded_betti(c)
-        assert (len(cores) - cores.count(0), len(links), len(visits), len(calls)) == (1, 2451, 463, 463)
+        assert (len(cores) - cores.count(0), len(links), len(visits), len(calls)) == (1, 6430, 524, 524)
 
 
 def test_general_eliminations_are_bounded(monkeypatch):
     # a count, not a time: the general complex on 14 vertices with 28 drawn
     # facets of 3 to 6 vertices (`random.Random(3)`) eliminated 8,385
-    # restrictions before the split; it now visits 1,532 cores, of the
+    # restrictions before the split; it now visits 1,565 cores, of the
     # sweep and of its link restrictions, and eliminates each where it
-    # meets it.  A rule that stops applying raises both
+    # meets it.  A rule that stops applying raises both.  The split alone
+    # visits 33 more than it did behind a domination scan of all of W:
+    # small link cores of vertices tried before the one that is removed
     calls = count_misses(monkeypatch)
     visits = count_visits(monkeypatch)
     graded_betti(general_complex(14, 3))
-    assert len(visits) == 1532 and len(calls) == len(visits), (len(visits), len(calls))
+    assert len(visits) == 1565 and len(calls) == len(visits), (len(visits), len(calls))
 
 
 def test_chordal_corpus_has_no_core_but_the_empty_subset(monkeypatch):
@@ -434,11 +442,12 @@ def test_chordal_corpus_has_no_core_but_the_empty_subset(monkeypatch):
 
 def test_a_core_reduces_its_masks_once(monkeypatch):
     # the sweep hands a core's maximal masks to the elimination, which
-    # uses them as given, and the domination test reduces no masks; a link
-    # restriction reduces its masks once, to collapse it or hand them to its
-    # core.  So on every kind of input the masks are reduced once per core
-    # of the sweep but the empty subset, which has none, and once per link
-    # restriction computed, and never in homology
+    # uses them as given; the split and the link's cone, isolation and
+    # domination tests read facets and their unions, and reduce no masks.
+    # So on every kind of input the masks are reduced exactly once per core
+    # visited, of the sweep or of a link restriction, but the empty subset,
+    # which has none; never for a link restriction that collapses or is a
+    # cone; and never in homology
     counts = {"betti": 0, "homology": 0}
     for module in (betti, homology):
 
@@ -449,6 +458,7 @@ def test_a_core_reduces_its_masks_once(monkeypatch):
         # homology has no _maximal_masks to replace; one it imported again would be counted
         monkeypatch.setattr(module, "_maximal_masks", counting, raising=False)
     cores, links = count_cores(monkeypatch)
+    visits = count_visits(monkeypatch)
     rnd = random.Random(6014)
     flag = [clique_complex(random_graph(rnd, 8)) for _ in range(20)]
     others = [RP2, suspension(RP2), join(RP2, primed(TRI)), join(RP2, primed(C4))]
@@ -462,14 +472,17 @@ def test_a_core_reduces_its_masks_once(monkeypatch):
         counts["betti"] = 0
         cores.clear()
         links.clear()
+        visits.clear()
         for c in complexes:
             graded_betti(c)
         assert cores.count(0) == len(complexes), kind
-        assert counts == {"betti": len(cores) - len(complexes) + len(links), "homology": 0}, kind
-        reduced[kind] = (len(cores) - len(complexes), len(links))
-    # no flag complex on 8 vertices has a core but the empty subset; off
-    # flag complexes the link restrictions are most of what is reduced
-    assert reduced == {"flag": (0, 0), "few wide non-faces": (8, 402), "non-flag": (1, 156)}
+        assert counts == {"betti": len(visits) - len(complexes), "homology": 0}, kind
+        reduced[kind] = (len(cores) - len(complexes), len(visits) - len(cores), len(links))
+    # (cores of the sweep, cores of link restrictions, link restrictions
+    # computed): no flag complex on 8 vertices has a core but the empty
+    # subset; off flag complexes most cores are of link restrictions, and
+    # most link restrictions collapse or are cones and reduce nothing
+    assert reduced == {"flag": (0, 0, 0), "few wide non-faces": (8, 133, 3343), "non-flag": (1, 9, 996)}
 
 
 def test_one_sweep_serves_every_field(monkeypatch):
@@ -700,15 +713,21 @@ def test_acyclic_link_removes_a_vertex_nothing_dominates(monkeypatch):
         assert _Lockstep(6, field).tables(base)[0b10111] == table, field
 
 
+# a 12-vertex facet and three triangles through z: most link restrictions
+# are cones, and a simplex on 11 vertices has 2,048 faces
+BIG = complex_from_facets(
+    [[f"a{i:02}" for i in range(12)], ["a00", "z", "a01"], ["z", "a02", "a03"], ["a04", "z", "a05"]]
+)
+
+
 def test_non_flag_sweep_enumerates_no_faces(monkeypatch):
-    # off flag complexes the domination test reads facets and unions of
-    # facets, never the face set, which a large facet makes huge
-    big = complex_from_facets(
-        [[f"a{i:02}" for i in range(12)], ["a00", "z", "a01"], ["z", "a02", "a03"], ["a04", "z", "a05"]]
-    )
+    # off flag complexes the link's cone, isolation and domination tests
+    # read facets and unions of facets, and a core of a link restriction
+    # the traces of facets, never the face set, which a large facet makes
+    # huge
     fields = (FieldSpec.prime(2), QQ)
     expected = {(c, field): brute_betti(c, field.p) for c in (RP2, suspension(RP2)) for field in fields}
-    expected.update({(big, field): graded_betti(big, field).as_dict() for field in fields})
+    expected.update({(BIG, field): graded_betti(BIG, field).as_dict() for field in fields})
 
     def refuse(facets):
         raise AssertionError("the sweep enumerated faces")
@@ -718,6 +737,70 @@ def test_non_flag_sweep_enumerates_no_faces(monkeypatch):
             monkeypatch.setattr(module, "masks_by_card", refuse)
     for (c, field), table in expected.items():
         assert graded_betti(c, field).as_dict() == table, (c.facets, field)
+
+
+def test_link_results_match_brute_force(monkeypatch):
+    # for every vertex u and every s inside N(u) - u, ascending, with one
+    # memo and one ext per u as in a sweep, the link restriction's result
+    # gives over Q, GF(2) and GF(3) the reduced homology the oracle
+    # computes from its faces {F inside s : F + u a face}.  What the oracle
+    # sees of it decides the rule: a cone is not memoised, a restriction
+    # with an isolated or a dominated vertex collapses, and only a core is
+    # eliminated.  Equal face sets up to an order-preserving relabeling
+    # share one oracle call; on BIG s has at most 9 vertices, as the dense
+    # ranks of simplices on 10 and 11 vertices take the oracle 9 s more
+    rnd = random.Random(6016)
+    randoms = []
+    while len(randoms) < 40:
+        c = random_complex(rnd, max_n=8, max_facets=rnd.choice([6, 10]), max_size=4)
+        if _kind(c) != "flag":
+            randoms.append(c)
+    visits = count_visits(monkeypatch)
+    oracle = {}
+    kinds = set()
+    for c, cap in [(BIG, 9)] + [(c, c.n) for c in (RP2, suspension(RP2), TORUS, *randoms)]:
+        faces = brute_face_masks(c)
+        for u in (1 << v for v in range(c.n)):
+            fs = [f for f in c.facets if f & u]
+            nbrs = reduce(or_, fs) ^ u
+            memo, ext, results = {0: 0}, {}, betti._Results()
+            for s in range(1, nbrs + 1):
+                if s & nbrs != s or s.bit_count() > cap:
+                    continue
+                visits.clear()
+                dims, torsion = results.values[betti._link_result(u, s, fs, ext, memo, results)]
+                # the subsets of s, the i-th vertex of s relabeled i
+                subsets = [0]
+                for v in bits(s):
+                    subsets += [f | 1 << v for f in subsets]
+                link = frozenset(i for i, f in enumerate(subsets) if f | u in faces)
+                if link not in oracle:
+                    size = s.bit_count()
+                    dominated = brute_dominated_vertices(set(link), (1 << size) - 1)
+                    kind = "core"
+                    if any(all(f | 1 << y in link for f in link) for y in range(size)):
+                        kind = "cone"
+                    else:
+                        for y in range(size):
+                            if all(f == 1 << y for f in link if f >> y & 1):
+                                kind = "isolated"
+                                break
+                            if 1 << y in dominated:
+                                kind = "dominated"
+                                break
+                    oracle[link] = kind, [brute_reduced_dims(set(link), p) for p in (None, 2, 3)]
+                kind, expected = oracle[link]
+                for p, exp in zip((None, 2, 3), expected):
+                    got = list(dims) + [0] * (len(exp) + 2)
+                    for k in torsion_shift(torsion, p):
+                        got[k] += 1
+                    assert got[: len(exp)] == exp and not any(got[len(exp) :]), (c.facets, u, s, p)
+                # the results of s minus a vertex are memoised or cones, so
+                # only a core of s itself is eliminated
+                assert (s not in memo, len(visits)) == (kind == "cone", kind == "core"), (c.facets, u, s, kind)
+                kinds.add((kind, bool(torsion)))
+    assert {kind for kind, _ in kinds} == {"cone", "isolated", "dominated", "core"}
+    assert ("core", True) in kinds
 
 
 def test_first_syzygies_count_minimal_non_faces():
