@@ -72,7 +72,10 @@ hence equal rows, so a later base copies the row instead of sweeping it.
 The row of the whole base is not kept: no other base has its edges.  For
 the top vertex y of W, the base graph on W is the pair (W - y, N_W(y))
 with y named v, so base[W] is read off the row of W - y, which precedes
-W's: the lockstep sweeps nothing but pair rows.
+W's: the lockstep sweeps nothing but pair rows.  No flag complex on 10 or
+fewer vertices has torsion (Katzman 2006), so the lockstep carries none: it
+builds each extension's table over the sweep's field straight from its sum
+over Q, and for a base one of whose results has torsion it builds none.
 """
 
 from __future__ import annotations
@@ -147,9 +150,8 @@ class _Results:
     def __init__(self):
         self.values: list[_Homology] = []
         self.ids: dict[_Homology, int] = {}
-        self.acyclic: list[bool] = []  # by id: no reduced homology, torsion included
         self.twisted: list[bool] = []  # by id: torsion
-        self.support: list[int] = []  # by id: bit r where reduced degree r - 1 has homology, torsion included
+        self.support: list[int] = []  # by id: bit r where reduced degree r - 1 has homology, torsion included; 0 iff acyclic
         self.core([0])  # id 0: the empty subset, a core, eliminated as every core is
         self.point = self.id(((), ()))  # a point's, every acyclic complex's
         # by A << 32 | L, ids: `split`'s id, or None; W = {u}, where A and L
@@ -164,7 +166,6 @@ class _Results:
         if hom not in self.ids:
             self.ids[hom] = len(self.values)
             self.values.append(hom)
-            self.acyclic.append(not dims and not torsion)
             self.twisted.append(bool(torsion))
             self.support.append(reduce(or_, [1 << i for i, _ in torsion], sum(1 << r for r, b in enumerate(dims) if b)))
         return self.ids[hom]
@@ -174,7 +175,7 @@ class _Results:
         of u in Delta_W: a with the link's Betti numbers one degree up and
         a's torsion, when the link is torsion-free and no degree has
         homology in both (module docstring); else None."""
-        if self.acyclic[link]:
+        if not self.support[link]:  # acyclic
             return a
         key = a << 32 | link
         if key not in self.joined:
@@ -203,7 +204,8 @@ def _apexes(others: int, facets, su: int, fs: list[int], ext: dict[int, int]) ->
     none is left."""
     for f in facets:
         t = f & su
-        if others & t == others:  # t, and so ext[t], holds them all
+        # t, and so ext[t], holds them all; or t is u, and ext[u] holds su
+        if others & t == others or not t & t - 1:
             continue
         over = ext.get(t)
         if over is None:
@@ -271,18 +273,6 @@ def _subset_results(masks, n: int, results: _Results) -> array:
     return res
 
 
-def _torsions(sizes, ids, values: list[_Homology]) -> list:
-    """(|W|, torsion) for each W, in the order given, whose result has it."""
-    return [(j, values[rid][1]) for j, rid in zip(sizes, ids) if values[rid][1]]
-
-
-def _table(cells: tuple, torsions, n: int, field: FieldSpec) -> BettiTable:
-    """The table over the field, from its cells over Q and its torsion."""
-    if not torsions:  # the same table over every field
-        return BettiTable(cells, n, field)
-    return BettiTable(cells, n, QQ, tuple(torsions)).over(field)
-
-
 def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT_VERTEX_CAP) -> BettiTable:
     """Exact graded Betti numbers of the face ring of c over the field.
 
@@ -295,13 +285,15 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
     results = _Results()
     res = _subset_results(c.facets, c.n, results)
     values = results.values
-    sizes = range(len(res))
     acc: Counter = Counter()
-    for (j, rid), count in Counter(zip(map(int.bit_count, sizes), res)).items():
+    for (j, rid), count in Counter(zip(map(int.bit_count, range(len(res))), res)).items():
         for r_idx, b in enumerate(values[rid][0]):  # reduced degree r_idx - 1 adds at i = j - r_idx
             acc[j - r_idx, j] += b * count
-    torsions = _torsions(map(int.bit_count, sizes), res, values) if any(t for _, t in values) else ()
-    return _table(tuple(sorted((i, j, v) for (i, j), v in acc.items() if v)), torsions, c.n, field)
+    cells = tuple(sorted((i, j, v) for (i, j), v in acc.items() if v))
+    if not any(results.twisted):  # the same table over every field
+        return BettiTable(cells, c.n, field)
+    torsion = tuple((w.bit_count(), values[rid][1]) for w, rid in enumerate(res) if values[rid][1])
+    return BettiTable(cells, c.n, QQ, torsion).over(field)
 
 
 def _pair_row(w: int, closed: dict, base: array, pairs: array, sweep: "_Lockstep") -> array:
@@ -380,7 +372,7 @@ class _Lockstep:
     the sum over the vertices of m of 3^vertex; one `_Results`, so an id
     means one homology value across the sweep; the memo of pair rows, by
     W and the base edges inside W; the packed cells of each result at each
-    size; and one table per distinct sum and torsion."""
+    size; and one table per distinct sum."""
 
     def __init__(self, k: int, field: FieldSpec):
         self.k = k
@@ -408,26 +400,28 @@ class _Lockstep:
         self.cells_at: list[list[int]] = [[] for _ in range(k + 2)]
         self.pair_cells = [self.cells_at[j] for j in self.sizes]  # by pair index
         self.base_cells = [self.cells_at[w.bit_count()] for w in range(1 << k)]  # by subset
-        self.shared: dict[tuple[int, tuple], BettiTable] = {}
+        self.shared: dict[int, BettiTable] = {}
 
-    def tables(self, adj: list[int]) -> list[BettiTable]:
+    def tables(self, adj: list[int]) -> list[BettiTable] | None:
         """The Betti table of the clique complex of each extension of the
         graph with adjacency masks `adj` by a vertex v = k, indexed by v's
         neighbour set N: the base's results plus, for each W, the pair
-        (W, N & W)'s.  Each sum packs cell (i, j) into bits 32 (i (k + 2) + j)
-        on: an entry counts at most the 3^(k+1) faces of all restrictions,
-        < 2^32 for k + 1 <= 20, the sweep cap `DEFAULT_VERTEX_CAP` that
-        `froberg_exhaustive` enforces.  Cells are packed once per result the
-        sweep meets, and per-extension torsion lists are built only for a
-        base one of whose results has torsion."""
+        (W, N & W)'s; or None if one of those results has torsion, which no
+        flag complex on 10 or fewer vertices has (Katzman 2006).  Without
+        torsion the table over Q is the table over every field.  Each sum
+        packs cell (i, j) into bits 32 (i (k + 2) + j) on: an entry counts at
+        most the 3^(k+1) faces of all restrictions, < 2^32 for k + 1 <= 20,
+        twice the cap `verify.FROBERG_VERTEX_CAP` that `froberg_exhaustive`
+        enforces.  Cells are packed once per result the sweep meets."""
         k = self.k
-        last = 1 << k
         size = k + 2  # i and j run over 0 ... k + 1
         results = self.results
-        values = results.values
         base, pairs = _pair_results(adj, self)
+        # the pair (W, {}) is W plus an isolated v, with base[W]'s torsion
+        if any(map(results.twisted.__getitem__, pairs)):
+            return None
         cells_at = self.cells_at
-        for dims, _ in values[len(cells_at[0]) :]:
+        for dims, _ in results.values[len(cells_at[0]) :]:
             for j, packed in enumerate(cells_at):
                 packed.append(sum(b << 32 * ((j - r) * size + j) for r, b in enumerate(dims) if r <= j))
         sums = list(map(list.__getitem__, self.pair_cells, pairs))
@@ -440,23 +434,13 @@ class _Lockstep:
             folded[::2] = map(add, zero, sums[third : 2 * third])
             folded[1::2] = map(add, zero, sums[2 * third :])
             sums = folded
-        torsions = [()] * last
-        # the pair (W, {}) is W plus an isolated v, with base[W]'s torsion
-        if any(map(results.twisted.__getitem__, pairs)):  # per extension, (|W|, torsion) in ascending order of W
-            tri = self.tri
-            base_torsions = _torsions(map(int.bit_count, range(last)), base, values)
-            with_v = [w.bit_count() + 1 for w in range(last)]
-            torsions = [
-                tuple(base_torsions + _torsions(with_v, [pairs[tri[w] + tri[w & nbrs]] for w in range(last)], values))
-                for nbrs in range(last)
-            ]
         out = []
-        for total, torsion in zip(sums, torsions):
-            table = self.shared.get((total, torsion))
+        for total in sums:
+            table = self.shared.get(total)
             if table is None:
                 counts = struct.unpack(f"<{size * size}I", total.to_bytes(4 * size * size, "little"))
                 cells = tuple((*divmod(cell, size), v) for cell, v in enumerate(counts) if v)
-                table = self.shared[total, torsion] = _table(cells, torsion, k + 1, self.field)
+                table = self.shared[total] = BettiTable(cells, k + 1, self.field)
             out.append(table)
         return out
 

@@ -327,12 +327,21 @@ class SweepResult:
         }
 
 
+# no flag complex on this many vertices or fewer has torsion (Katzman, J.
+# Combin. Theory Ser. A 113, 2006), and the Froberg sweep carries none
+FROBERG_VERTEX_CAP = 10
+
+
 def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult:
     """Two-sided linearity/chordality sweep over ALL graphs on n labeled vertices.
 
-    For every edge set: the clique complex's Betti table classifies linear
-    (trivial counting as vacuously linear, the zero-ideal case) iff the graph
-    is chordal.  2^C(n,2) graphs; n = 6 takes about 0.13 s (0.133-0.136 s
+    It checks two theorems on every edge set.  Froberg's: the clique
+    complex's Betti table classifies linear (trivial counting as vacuously
+    linear, the zero-ideal case) iff the graph is chordal.  Katzman's: no
+    restriction of the clique complex has torsion, so its table over Q is
+    its table over the field; a base graph one of whose extensions' results
+    has torsion gets no tables, and each of its extensions is a mismatch.
+    2^C(n,2) graphs; n = 6 takes about 0.13 s (0.133-0.136 s
     in six fresh processes on a shared 2-vCPU VM, Python 3.11.7) and is the
     strongest acceptance check in the suite.
 
@@ -352,21 +361,22 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     elimination is of the empty complex, once per sweep.  Every graph still
     gets a table summed over all 2^n subsets: the 3^(n-1) pair sums fold
     into the 2^(n-1) extension sums in n-1 passes, and the sweep builds and
-    classifies one table per distinct sum and torsion (75 for n = 6).
+    classifies one table per distinct sum (75 for n = 6).
     Chordality is decided once per base graph (`graphs.chordal_extensions`):
     no extension of a non-chordal base is chordal, and the extension by N
     of a chordal one is chordal iff, for each component C of the base minus
     N, the vertices of N adjacent to C form a clique.  A graph is only its
     adjacency masks: no clique search runs but on a pair core, and no
-    `Graph` or `Complex` is built.  n is capped at `DEFAULT_VERTEX_CAP`
-    (20), the bound of the 32-bit cell slots of `_Lockstep.tables`.
+    `Graph` or `Complex` is built.  n is capped at `FROBERG_VERTEX_CAP`
+    (10), where Katzman's theorem stops; the 32-bit cell slots of
+    `_Lockstep.tables` would hold up to 20.
     Mismatches are edge masks in the bit order of the pairs (i, j), i < j,
     in lexicographic order, sorted ascending.
     """
     if n < 1:
         raise ValueError(f"the Froberg sweep needs at least 1 vertex, got n = {n}")
-    if n > DEFAULT_VERTEX_CAP:
-        raise TooManyVerticesError(f"{n} vertices exceeds the sweep cap {DEFAULT_VERTEX_CAP}")
+    if n > FROBERG_VERTEX_CAP:
+        raise TooManyVerticesError(f"{n} vertices exceeds the Froberg sweep cap {FROBERG_VERTEX_CAP}")
     k = n - 1  # vertices of a base graph
     last = 1 << k
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -381,12 +391,15 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
             if (base_mask >> b) & 1:
                 base[i] |= 1 << j
                 base[j] |= 1 << i
-        chordal = chordal_extensions(base)
-        for nbrs, table in enumerate(lockstep.tables(base)):
-            linear = linear_by_table.get(id(table))
-            if linear is None:
-                linear = linear_by_table[id(table)] = classify(table).is_linear_or_trivial
-            if linear != chordal[nbrs]:
+        tables = lockstep.tables(base)  # None: a result with torsion
+        for nbrs, chordal in enumerate(chordal_extensions(base)):
+            linear = None  # with torsion, a mismatch whatever the chordality
+            if tables is not None:
+                table = tables[nbrs]
+                linear = linear_by_table.get(id(table))
+                if linear is None:
+                    linear = linear_by_table[id(table)] = classify(table).is_linear_or_trivial
+            if linear != chordal:
                 adj = [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)] + [nbrs]
                 mismatches.append(sum(1 << b for b, (i, j) in enumerate(pairs) if (adj[i] >> j) & 1))
             checked += 1

@@ -705,7 +705,7 @@ def test_acyclic_link_removes_a_vertex_nothing_dominates(monkeypatch):
     # rp2 is acyclic over Q but not over Z, so a link like it keeps its vertex
     rp2 = betti._Results()
     rid = betti._subset_results(RP2.facets, RP2.n, rp2)[-1]
-    assert not any(rp2.values[rid][0]) and not rp2.acyclic[rid]
+    assert not any(rp2.values[rid][0]) and rp2.support[rid]
     base = [row & (1 << 6) - 1 for row in LINK_PATH.adj[:6]]
     for field in (FieldSpec.prime(2), FieldSpec.prime(3), QQ):
         table = graded_betti(c, field)
@@ -799,6 +799,9 @@ def test_link_results_match_brute_force(monkeypatch):
                 # only a core of s itself is eliminated
                 assert (s not in memo, len(visits)) == (kind == "cone", kind == "core"), (c.facets, u, s, kind)
                 kinds.add((kind, bool(torsion)))
+            # a facet through u that misses s traces u alone, whose ext, the
+            # closed star of u, holds every candidate: it is never looked up
+            assert all(t & t - 1 for t in ext), (c.facets, u)
     assert {kind for kind, _ in kinds} == {"cone", "isolated", "dominated", "core"}
     assert ("core", True) in kinds
 

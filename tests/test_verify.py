@@ -259,13 +259,14 @@ def _adjacency(c: Complex) -> list[int]:
 
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(2), QQ])
-def test_extension_tables_carry_torsion(monkeypatch, field):
+def test_extension_tables_refuse_torsion(monkeypatch, field):
     # no flag complex on 10 or fewer vertices has torsion (Katzman 2006).
     # FLAG_RP2, the projective plane made flag on 12 vertices, is the
     # extension of the Moebius band on its first 11 by the last vertex with
     # its neighbours: its torsion ((2, 2) on the whole set) comes from the
-    # pairs through the new vertex.  The table of that extension, and of a
-    # seeded sample of the others, is graded_betti's, torsion included
+    # pairs through the new vertex, so the band gets no tables.  The band
+    # less the edge 1-2 shares most of the memo's rows and has no torsion:
+    # its tables, on a seeded sample of its extensions, are graded_betti's
     adj = _adjacency(FLAG_RP2)
     k = FLAG_RP2.n - 1
     base = [row & (1 << k) - 1 for row in adj[:k]]
@@ -282,10 +283,7 @@ def test_extension_tables_carry_torsion(monkeypatch, field):
 
     monkeypatch.setattr(betti, "_pair_results", pair_results)
     lockstep = _Lockstep(k, field)
-    real_torsions = betti._torsions
-    calls = []
-    monkeypatch.setattr(betti, "_torsions", lambda *args: calls.append(1) or real_torsions(*args))
-    tables = _tables_by_neighbours(base, field, lockstep)
+    assert _tables_by_neighbours(base, field, lockstep) is None
     # the sweep eliminates the empty complex and 16 pair cores, each on the
     # maximal cliques of the graph on its W + v: the Moebius band's edges
     # inside W and v joined to N', the neighbours of v in the cliques
@@ -300,25 +298,13 @@ def test_extension_tables_carry_torsion(monkeypatch, field):
     # each base result read off a pair row is the one a sweep of the base's
     # clique complex finds
     assert bases[-1] == betti._subset_results(maximal_cliques(base), k, lockstep.results)
-    assert tables[adj[k]] == graded_betti(FLAG_RP2, field)
-    assert tables[adj[k]].torsion == ((12, ((2, 2),)),)
-    assert sum(bool(table.torsion) for table in tables) == 19
+    assert base[1] >> 2 & 1
+    base[1] ^= 1 << 2
+    base[2] ^= 1 << 1
+    tables = _tables_by_neighbours(base, field, lockstep)
     for nbrs in random.Random(1517).sample(range(1 << k), 12):
         extension = [row | 1 << k if nbrs >> v & 1 else row for v, row in enumerate(base)] + [nbrs]
         assert tables[nbrs] == graded_betti(_complex_of_adj(extension), field), nbrs
-    # a base builds per-extension torsion lists iff one of its own tables
-    # has torsion, whichever bases of the sweep had some before: the band
-    # less the edge 1-2 shares most of the memo's rows and has none
-    assert calls and base[1] >> 2 & 1
-    calls.clear()
-    base[1] ^= 1 << 2
-    base[2] ^= 1 << 1
-    assert not any(table.torsion for table in _tables_by_neighbours(base, field, lockstep)) and not calls
-    for n in range(1, 6):
-        lockstep = _Lockstep(n - 1, field)
-        for mask in range(1 << len(_pairs(n - 1))):
-            tables = _tables_by_neighbours(_graph_of_mask(n - 1, mask).adj, field, lockstep)
-            assert not any(table.torsion for table in tables) and not calls, (n, mask)
 
 
 def test_froberg_sweep_visits(monkeypatch):
@@ -377,21 +363,21 @@ def test_froberg_sweep_visits(monkeypatch):
 
 
 def test_froberg_sweep_builds_each_distinct_table_once(monkeypatch):
-    # extensions with equal sums and torsion share one table across all the
-    # bases of a sweep: the 1,024 graphs on 5 vertices build and classify 23
-    built, classified, tables = [], [], []
-    real_table, real_classify, real_tables = betti._table, verify.classify, betti._Lockstep.tables
+    # extensions with equal sums share one table across all the bases of a
+    # sweep: the 1,024 graphs on 5 vertices build and classify 23
+    classified, tables = [], []
+    real_classify, real_tables = verify.classify, betti._Lockstep.tables
 
     def lockstep_tables(self, cliques):
         out = real_tables(self, cliques)
         tables.extend(out)
         return out
 
-    monkeypatch.setattr(betti, "_table", lambda *args: built.append(args) or real_table(*args))
     monkeypatch.setattr(verify, "classify", lambda table: classified.append(table) or real_classify(table))
     monkeypatch.setattr(betti._Lockstep, "tables", lockstep_tables)
     assert froberg_exhaustive(5).passed
-    assert len(tables) == 1024 and len(built) == len(classified) == 23
+    # every table is held in `tables`, so distinct ids are distinct builds
+    assert len(tables) == 1024 and len({id(table) for table in tables}) == len(classified) == 23
     first = {}
     for table in tables:
         assert first.setdefault(table, table) is table
@@ -425,6 +411,21 @@ def test_froberg_mismatches_are_edge_masks(monkeypatch):
     result = froberg_exhaustive(4)
     assert result.checked == 64
     assert result.mismatches == tuple(range(64))
+
+
+def test_froberg_reports_every_extension_of_a_base_with_torsion(monkeypatch):
+    # a base whose results have torsion gets no tables, and each of its 8
+    # extensions on 4 vertices is a mismatch, chordal or not; the base is
+    # the path 1-2-3, whose extensions are of both kinds
+    path = [0b010, 0b101, 0b010]
+    real = betti._Lockstep.tables
+    monkeypatch.setattr(betti._Lockstep, "tables", lambda self, adj: None if adj == path else real(self, adj))
+    labelled = _pairs(4)
+    base_mask = (1 << labelled.index((0, 1))) | (1 << labelled.index((1, 2)))
+    expected = sorted(base_mask | sum(1 << labelled.index((v, 3)) for v in range(3) if nbrs >> v & 1) for nbrs in range(8))
+    result = froberg_exhaustive(4)
+    assert result.checked == 64
+    assert result.mismatches == tuple(expected) and len(set(expected)) == 8
 
 
 @pytest.mark.parametrize("path", [("1", "2", "3"), ("2", "3", "4"), ("1", "4", "3")])
@@ -465,15 +466,15 @@ def test_froberg_sweep_decides_chordality_once_per_base(monkeypatch):
 
 
 def test_froberg_refuses_more_vertices_than_the_cap(monkeypatch):
-    # the 32-bit cell slots of the extension sums hold up to 20 vertices;
-    # 21 is refused before any sweep
+    # the sweep carries no torsion, which Katzman's theorem rules out on 10
+    # or fewer vertices only; 11 is refused before any sweep
     def refuse(*args):
         raise AssertionError("the refused Froberg sweep started")
 
     for name in ("chordal_extensions", "_Lockstep"):
         monkeypatch.setattr(verify, name, refuse)
-    with pytest.raises(TooManyVerticesError, match="21 vertices exceeds the sweep cap 20"):
-        froberg_exhaustive(21)
+    with pytest.raises(TooManyVerticesError, match="11 vertices exceeds the Froberg sweep cap 10"):
+        froberg_exhaustive(11)
 
 
 def test_froberg_sweep_builds_no_graph_or_complex(monkeypatch):
