@@ -20,28 +20,24 @@ is res[W-u] with L's Betti numbers one degree up, and A's torsion.  An
 isolated u is the case where L is the empty face alone, one more in
 reduced degree 0; an acyclic L, a cone among them, leaves res[W-u] as it
 is.  W = {u}, where A and L are both the empty face alone, is the base
-case, a point.  res[W-u] was visited before, and so was L's result, whose
-source depends on the complex:
+case, a point.  res[W-u] was visited before; L's result depends on the
+complex:
   - on a flag complex L is the restriction to N_W(u), the neighbours of u
     in W (a face F + u is a clique iff F is one inside N(u)): res[N_W(u)];
-  - off flag complexes L is the link of u in Delta restricted to N_W(u),
-    memoised per sweep by u and that set (`_link_result`).  The key is not
-    W - u: a vertex of W outside N(u) is no vertex of L, and a result of
-    W - u would count it as an isolated point of L.  L's faces over a face
-    t are Delta's faces over t + u, less u, so one table serves every
-    link: ext(t), the union of the facets over t, kept per sweep for the
-    traces f & W of the facets f through u that the links meet.  Each
-    maximal face of L is such a trace less u, and a vertex extends it only
-    if it lies in it.  So another vertex y of L lies in every maximal face
-    of L through x iff y is in ext(f & W) for each facet f through u and
-    x; then x is dominated, its link in L is a cone, and L strong-collapses
-    onto L - x (Barmak and Minian 2012, "Strong homotopy types, nerves and
-    collapses").  If y is in ext(f & W) for every facet f through u, L is
-    a cone on y, acyclic, and not memoised: most cones are met once.
-    Otherwise L is collapsed onto the restriction without its lowest
-    vertex x that is isolated (every trace through x is x + u) or
-    dominated, recursing into the same memo; what is left is a core of the
-    link, eliminated on its maximal masks.
+  - off flag complexes L is the link of u in Delta restricted to N_W(u)
+    (`_link_result`), from the same rule one face up.  The link of a face
+    sigma restricted to a set s of its neighbours is a cone when a vertex
+    y of s lies in each of its maximal faces, acyclic and not memoised
+    (most cones are met once); else split by its lowest vertex x that
+    splits it, A being the same link restricted to s - x and the link of
+    x in it the link of sigma + x restricted to the neighbours of
+    sigma + x in s, both memoised per sweep by face and set; else a core.
+    The link's faces over a face t are Delta's over t + sigma, less
+    sigma, so one table serves every link: ext(t), the union of the
+    facets over t, kept per sweep for the traces f & (s + sigma) of the
+    facets f through sigma.  These less sigma hold the link's maximal
+    faces, so y cones it iff y is in each trace's ext; a trace that is
+    sigma alone is skipped, as ext(sigma) holds all of s.
 A nonempty W where no vertex splits is a core; only cores are eliminated,
 on their maximal masks.  Every induced subgraph of a chordal graph has a
 simplicial vertex (Dirac), whose link is a simplex, so a chordal clique
@@ -82,7 +78,7 @@ from __future__ import annotations
 
 import struct
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import zip_longest
@@ -197,15 +193,17 @@ def _closed(masks, n: int) -> dict[int, int]:
     return {1 << v: reduce(or_, [f for f in masks if f >> v & 1], 1 << v) for v in range(n)}
 
 
-def _apexes(others: int, facets, su: int, fs: list[int], ext: dict[int, int]) -> int:
-    """The vertices of `others` in ext[f & su], the union of the facets fs
-    through u over f & su, for each of the facets given; su is a link
-    restriction's vertex set plus u (module docstring).  Stops as soon as
-    none is left."""
-    for f in facets:
-        t = f & su
-        # t, and so ext[t], holds them all; or t is u, and ext[u] holds su
-        if others & t == others or not t & t - 1:
+def _apexes(s: int, sigma: int, fs: list[int], ext: dict[int, int]) -> int:
+    """The vertices of s in ext[f & (s + sigma)], the union of the facets
+    over that trace, for each facet f through the face sigma: the apexes
+    of the restriction to s of sigma's link (module docstring).  Stops as
+    soon as none is left."""
+    others = s
+    span = s | sigma
+    for f in fs:
+        t = f & span
+        # t, and so ext[t], holds them all; or t is sigma, and ext[sigma] holds s
+        if others & t == others or t == sigma:
             continue
         over = ext.get(t)
         if over is None:
@@ -216,26 +214,28 @@ def _apexes(others: int, facets, su: int, fs: list[int], ext: dict[int, int]) ->
     return others
 
 
-def _link_result(u: int, s: int, fs: list[int], ext: dict[int, int], memo: dict[int, int], results: _Results) -> int:
-    """The id of the restriction to s of the link of u, from fs, the facets
-    through u, memoised by s: acyclic when a vertex of s cones it, else
-    collapsed onto s minus its lowest vertex x that is isolated or
-    dominated, else a core (module docstring)."""
+def _link_result(sigma: int, s: int, fs: list[int], ext: dict[int, int], memos: defaultdict, results: _Results) -> int:
+    """The id of the restriction to s, a set of neighbours of the face
+    sigma, of sigma's link, from fs, the facets through sigma, memoised in
+    memos[sigma] by s: acyclic when a vertex of s cones it, else split by
+    its lowest vertex x where the split holds, the link of x in it being
+    the link of sigma + x restricted to the neighbours of sigma + x in s,
+    else a core (module docstring)."""
+    if not s:
+        return 0
+    memo = memos[sigma]
     rid = memo.get(s)
     if rid is not None:
         return rid
-    su = s | u
-    if _apexes(s, fs, su, fs, ext):  # a cone, not memoised: most are met once
+    if _apexes(s, sigma, fs, ext):  # a cone, not memoised: most are met once
         return results.point
     rest = s
     while rest:
         x = rest & -rest
         fx = [f for f in fs if f & x]
-        if reduce(or_, fx) & s == x:  # isolated
-            rid = results.split(_link_result(u, s ^ x, fs, ext, memo, results), 0)
-            break
-        if _apexes(s ^ x, fx, su, fs, ext):  # dominated
-            rid = _link_result(u, s ^ x, fs, ext, memo, results)
+        a = _link_result(sigma, s ^ x, fs, ext, memos, results)
+        rid = results.split(a, _link_result(sigma | x, reduce(or_, fx) & s ^ x, fx, ext, memos, results))
+        if rid is not None:
             break
         rest ^= x
     else:
@@ -250,11 +250,11 @@ def _subset_results(masks, n: int, results: _Results) -> array:
     maximal cliques of its 1-skeleton."""
     closed = _closed(masks, n)
     flag = maximal_cliques([closed[1 << v] ^ 1 << v for v in range(n)]) == sorted(masks)
-    # off flag complexes, per u: the facets through u and its link's results
-    # by the vertex set it is restricted to, N_W(u); and ext[t], the union of
-    # the facets over a face t, for the faces the links meet
+    # off flag complexes: the facets through each vertex u; per face sigma,
+    # its link's results by the vertex set it is restricted to; and ext[t],
+    # the union of the facets over a face t, for the faces the links meet
     through = {} if flag else {1 << v: [f for f in masks if f >> v & 1] for v in range(n)}
-    memos = {u: {0: 0} for u in through}
+    memos: defaultdict = defaultdict(dict)
     ext: dict[int, int] = {}
     split = results.split
     res = array("I", bytes(4 << n))  # res[{}] is 0, the empty complex
@@ -265,7 +265,7 @@ def _subset_results(masks, n: int, results: _Results) -> array:
             u = rest & -rest
             near = closed[u] & w ^ u
             # on a flag complex the link of u is the restriction to N_W(u)
-            r = split(res[w ^ u], res[near] if flag else _link_result(u, near, through[u], ext, memos[u], results))
+            r = split(res[w ^ u], res[near] if flag else _link_result(u, near, through[u], ext, memos, results))
             if r is not None:
                 break
             rest ^= u

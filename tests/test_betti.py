@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from itertools import combinations
@@ -17,6 +18,7 @@ from helpers import (
     brute_betti,
     brute_dominated_vertices,
     brute_face_masks,
+    brute_integral_support,
     brute_reduced_dims,
     brute_removable_by_link,
     brute_split_vertices,
@@ -317,11 +319,11 @@ def count_misses(monkeypatch) -> list:
 
 def count_cores(monkeypatch) -> tuple[list, list]:
     """Record the subset W of every core the sweep visits, the union of its
-    maximal masks, and the vertex set of every link restriction it computes
-    off flag complexes (`betti._link_result` not read from its memo; a
-    cone is never memoised, so it counts on every call).  A core of a link
-    restriction, visited while one is computed, is not a core of the
-    sweep."""
+    maximal masks, and the vertex set of every link restriction, of a
+    vertex or of a larger face, it computes off flag complexes
+    (`betti._link_result` not read from its memo; a cone is never
+    memoised, so it counts on every call).  A core of a link restriction,
+    visited while one is computed, is not a core of the sweep."""
     cores, links = [], []
     computing = []
     real_core, real_link = betti._Results.core, betti._link_result
@@ -331,12 +333,12 @@ def count_cores(monkeypatch) -> tuple[list, list]:
             cores.append(reduce(or_, maximal))
         return real_core(self, maximal)
 
-    def link_result(u, s, fs, ext, memo, results):
-        if s not in memo:
+    def link_result(sigma, s, fs, ext, memos, results):
+        if s and s not in memos[sigma]:
             links.append(s)
         computing.append(s)
         try:
-            return real_link(u, s, fs, ext, memo, results)
+            return real_link(sigma, s, fs, ext, memos, results)
         finally:
             computing.pop()
 
@@ -393,15 +395,15 @@ def test_cores_are_eliminated_once(monkeypatch):
     cores.clear()
     assert froberg_exhaustive(5).passed
     assert cores == [0] and calls == [[0]]
-    # off flag complexes cores remain, of the sweep and, most of them, of
-    # the links' restrictions: five general complexes make one core of the
-    # sweep and compute 6,430 link restrictions, and each of the 524 core
-    # visits, the empty subsets included, is one elimination, on every pass.
-    # Each W asks for the link of its lowest vertex first, and a cone is not
-    # memoised, so it counts on every call (2,451 restrictions and 463
-    # visits while a domination scan of all of W went before the split:
-    # the visits added are small link cores of vertices tried before the
-    # one that is removed)
+    # off flag complexes cores remain: five general complexes make one core
+    # of the sweep and compute 12,201 link restrictions, of vertices and of
+    # larger faces, and each of the 6 core visits, the empty subsets
+    # included, is one elimination, on every pass.  A cone is not memoised,
+    # so it counts on every call.  The visits fell from 524 when link
+    # restrictions split only by isolated and dominated vertices: the split
+    # removes a vertex whose link has homology too, and small link cores
+    # were most of the visits; the restrictions rose from 6,430, as a split
+    # reads both sides, A and the link of a face one vertex larger
     complexes = [general_complex(10, seed) for seed in range(5)]
     for _ in range(2):
         cores.clear()
@@ -410,21 +412,21 @@ def test_cores_are_eliminated_once(monkeypatch):
         calls.clear()
         for c in complexes:
             graded_betti(c)
-        assert (len(cores) - cores.count(0), len(links), len(visits), len(calls)) == (1, 6430, 524, 524)
+        assert (len(cores) - cores.count(0), len(links), len(visits), len(calls)) == (1, 12201, 6, 6)
 
 
 def test_general_eliminations_are_bounded(monkeypatch):
     # a count, not a time: the general complex on 14 vertices with 28 drawn
     # facets of 3 to 6 vertices (`random.Random(3)`) eliminated 8,385
-    # restrictions before the split; it now visits 1,565 cores, of the
-    # sweep and of its link restrictions, and eliminates each where it
-    # meets it.  A rule that stops applying raises both.  The split alone
-    # visits 33 more than it did behind a domination scan of all of W:
-    # small link cores of vertices tried before the one that is removed
+    # restrictions before the split, and 1,565 while link restrictions
+    # split only by isolated and dominated vertices, nearly all small link
+    # cores.  With the split at every level it visits 4 cores: the empty
+    # subset and three of the sweep, each eliminated where it is met.  A
+    # rule that stops applying raises both counts
     calls = count_misses(monkeypatch)
     visits = count_visits(monkeypatch)
     graded_betti(general_complex(14, 3))
-    assert len(visits) == 1565 and len(calls) == len(visits), (len(visits), len(calls))
+    assert len(visits) == 4 and len(calls) == len(visits), (len(visits), len(calls))
 
 
 def test_chordal_corpus_has_no_core_but_the_empty_subset(monkeypatch):
@@ -442,12 +444,11 @@ def test_chordal_corpus_has_no_core_but_the_empty_subset(monkeypatch):
 
 def test_a_core_reduces_its_masks_once(monkeypatch):
     # the sweep hands a core's maximal masks to the elimination, which
-    # uses them as given; the split and the link's cone, isolation and
-    # domination tests read facets and their unions, and reduce no masks.
-    # So on every kind of input the masks are reduced exactly once per core
-    # visited, of the sweep or of a link restriction, but the empty subset,
-    # which has none; never for a link restriction that collapses or is a
-    # cone; and never in homology
+    # uses them as given; the split and the link's cone test read facets
+    # and their unions, and reduce no masks.  So on every kind of input the
+    # masks are reduced exactly once per core visited, of the sweep or of a
+    # link restriction, but the empty subset, which has none; never for a
+    # link restriction that splits or is a cone; and never in homology
     counts = {"betti": 0, "homology": 0}
     for module in (betti, homology):
 
@@ -480,23 +481,28 @@ def test_a_core_reduces_its_masks_once(monkeypatch):
         reduced[kind] = (len(cores) - len(complexes), len(visits) - len(cores), len(links))
     # (cores of the sweep, cores of link restrictions, link restrictions
     # computed): no flag complex on 8 vertices has a core but the empty
-    # subset; off flag complexes most cores are of link restrictions, and
-    # most link restrictions collapse or are cones and reduce nothing
-    assert reduced == {"flag": (0, 0, 0), "few wide non-faces": (8, 133, 3343), "non-flag": (1, 9, 996)}
+    # subset; off flag complexes nearly every link restriction splits or is
+    # a cone and reduces nothing (133 and 9 link cores of 3,343 and 996
+    # when only an isolated or a dominated vertex removed one; a split
+    # reads both of its sides, so more restrictions are computed)
+    assert reduced == {"flag": (0, 0, 0), "few wide non-faces": (8, 20, 5665), "non-flag": (1, 0, 1222)}
 
 
 def test_one_sweep_serves_every_field(monkeypatch):
     # a report over GF(p) also needs the table over Q; both come from one
-    # sweep, so a report costs the eliminations of one sweep.  A second
-    # `graded_betti` over another field sweeps again and costs as many;
-    # `over` gives the same table from the first sweep's torsion for none
+    # sweep, so a report costs the eliminations of one sweep: the empty
+    # subset and rp2's whole set (8 while link restrictions split only by
+    # isolated and dominated vertices: each vertex's link, a pentagon, was
+    # a core too).  A second `graded_betti` over another field sweeps again
+    # and costs as many; `over` gives the same table from the first
+    # sweep's torsion for none
     calls = count_misses(monkeypatch)
     rep = verify_complex(RP2, GF_DEFAULT)
-    assert len(calls) == 8 and rep.char_zero_agrees is True
+    assert len(calls) == 2 and rep.char_zero_agrees is True
     for field in (GF_DEFAULT, FieldSpec.prime(2), QQ):
         calls.clear()
         table = graded_betti(RP2, field)
-        assert len(calls) == 8
+        assert len(calls) == 2
         calls.clear()
         assert rep.table.over(field) == table and calls == []
 
@@ -721,10 +727,9 @@ BIG = complex_from_facets(
 
 
 def test_non_flag_sweep_enumerates_no_faces(monkeypatch):
-    # off flag complexes the link's cone, isolation and domination tests
-    # read facets and unions of facets, and a core of a link restriction
-    # the traces of facets, never the face set, which a large facet makes
-    # huge
+    # off flag complexes the link's cone test and split read facets and
+    # unions of facets, and a core of a link restriction the traces of
+    # facets, never the face set, which a large facet makes huge
     fields = (FieldSpec.prime(2), QQ)
     expected = {(c, field): brute_betti(c, field.p) for c in (RP2, suspension(RP2)) for field in fields}
     expected.update({(BIG, field): graded_betti(BIG, field).as_dict() for field in fields})
@@ -740,15 +745,18 @@ def test_non_flag_sweep_enumerates_no_faces(monkeypatch):
 
 
 def test_link_results_match_brute_force(monkeypatch):
-    # for every vertex u and every s inside N(u) - u, ascending, with one
-    # memo and one ext per u as in a sweep, the link restriction's result
-    # gives over Q, GF(2) and GF(3) the reduced homology the oracle
-    # computes from its faces {F inside s : F + u a face}.  What the oracle
-    # sees of it decides the rule: a cone is not memoised, a restriction
-    # with an isolated or a dominated vertex collapses, and only a core is
+    # for every face sigma of 1 to 3 vertices and every s inside N(sigma),
+    # ascending, with the memos and ext of one sweep per sigma, the link
+    # restriction's result gives over Q, GF(2) and GF(3) the reduced
+    # homology the oracle computes from its faces {F inside s : F + sigma a
+    # face}.  What the oracle sees of it decides the rule: a cone is not
+    # memoised, a restriction that some vertex x splits is split, reading
+    # the link of x from the link of sigma + x, and only a core is
     # eliminated.  Equal face sets up to an order-preserving relabeling
-    # share one oracle call; on BIG s has at most 9 vertices, as the dense
-    # ranks of simplices on 10 and 11 vertices take the oracle 9 s more
+    # share one oracle call; on BIG s has at most 9 vertices, and 4 off a
+    # vertex sigma, as the dense ranks of simplices on 10 and 11 vertices
+    # take the oracle 9 s more and its 286 larger faces each meet hundreds
+    # of restrictions
     rnd = random.Random(6016)
     randoms = []
     while len(randoms) < 40:
@@ -758,52 +766,56 @@ def test_link_results_match_brute_force(monkeypatch):
     visits = count_visits(monkeypatch)
     oracle = {}
     kinds = set()
-    for c, cap in [(BIG, 9)] + [(c, c.n) for c in (RP2, suspension(RP2), TORUS, *randoms)]:
+    for c in [BIG, RP2, suspension(RP2), TORUS, *randoms]:
         faces = brute_face_masks(c)
-        for u in (1 << v for v in range(c.n)):
-            fs = [f for f in c.facets if f & u]
-            nbrs = reduce(or_, fs) ^ u
-            memo, ext, results = {0: 0}, {}, betti._Results()
+        for sigma in (f for f in faces if 0 < f.bit_count() <= 3):
+            fs = [f for f in c.facets if f & sigma == sigma]
+            nbrs = reduce(or_, fs) ^ sigma
+            cap = c.n if c is not BIG else 9 if sigma & sigma - 1 == 0 else 4
+            memos, ext, results = defaultdict(dict), {}, betti._Results()
             for s in range(1, nbrs + 1):
                 if s & nbrs != s or s.bit_count() > cap:
                     continue
                 visits.clear()
-                dims, torsion = results.values[betti._link_result(u, s, fs, ext, memo, results)]
+                dims, torsion = results.values[betti._link_result(sigma, s, fs, ext, memos, results)]
                 # the subsets of s, the i-th vertex of s relabeled i
                 subsets = [0]
                 for v in bits(s):
                     subsets += [f | 1 << v for f in subsets]
-                link = frozenset(i for i, f in enumerate(subsets) if f | u in faces)
+                link = frozenset(i for i, f in enumerate(subsets) if f | sigma in faces)
                 if link not in oracle:
-                    size = s.bit_count()
-                    dominated = brute_dominated_vertices(set(link), (1 << size) - 1)
-                    kind = "core"
-                    if any(all(f | 1 << y in link for f in link) for y in range(size)):
+                    ys = [1 << y for y in range(s.bit_count())]
+                    whole = sum(ys)
+                    kind, past = "core", False
+                    if any(all(f | y in link for f in link) for y in ys):
                         kind = "cone"
-                    else:
-                        for y in range(size):
-                            if all(f == 1 << y for f in link if f >> y & 1):
-                                kind = "isolated"
-                                break
-                            if 1 << y in dominated:
-                                kind = "dominated"
-                                break
-                    oracle[link] = kind, [brute_reduced_dims(set(link), p) for p in (None, 2, 3)]
-                kind, expected = oracle[link]
+                    elif split := brute_split_vertices(set(link), whole):
+                        # past the collapses: no vertex is isolated or
+                        # dominated, and the link of the lowest x that
+                        # splits is neither empty nor acyclic
+                        kind = "split"
+                        x = min(split)
+                        isolated = any({f for f in link if f & y} == {y} for y in ys)
+                        x_link = frozenset(f ^ x for f in link if f & x)
+                        past = not isolated and not brute_dominated_vertices(set(link), whole)
+                        past = past and x_link != {0} and bool(brute_integral_support(x_link)[0])
+                    oracle[link] = kind, past, [brute_reduced_dims(set(link), p) for p in (None, 2, 3)]
+                kind, past, expected = oracle[link]
                 for p, exp in zip((None, 2, 3), expected):
                     got = list(dims) + [0] * (len(exp) + 2)
                     for k in torsion_shift(torsion, p):
                         got[k] += 1
-                    assert got[: len(exp)] == exp and not any(got[len(exp) :]), (c.facets, u, s, p)
-                # the results of s minus a vertex are memoised or cones, so
-                # only a core of s itself is eliminated
-                assert (s not in memo, len(visits)) == (kind == "cone", kind == "core"), (c.facets, u, s, kind)
-                kinds.add((kind, bool(torsion)))
-            # a facet through u that misses s traces u alone, whose ext, the
-            # closed star of u, holds every candidate: it is never looked up
-            assert all(t & t - 1 for t in ext), (c.facets, u)
-    assert {kind for kind, _ in kinds} == {"cone", "isolated", "dominated", "core"}
-    assert ("core", True) in kinds
+                    assert got[: len(exp)] == exp and not any(got[len(exp) :]), (c.facets, sigma, s, p)
+                # A, s minus x, is memoised; a link of sigma + x may
+                # eliminate cores of its own, on fewer vertices than s
+                assert (s not in memos[sigma], visits.count(s)) == (kind == "cone", kind == "core"), (c.facets, sigma, s)
+                kinds.add((kind, past, bool(torsion)))
+            # a facet through sigma that traces sigma alone has ext[sigma],
+            # the union of the facets through sigma, which holds every
+            # candidate: it is never looked up
+            assert sigma not in ext, (c.facets, sigma)
+    assert {kind for kind, _, _ in kinds} == {"cone", "split", "core"}
+    assert any(kind == "split" and past for kind, past, _ in kinds) and ("core", False, True) in kinds
 
 
 def test_first_syzygies_count_minimal_non_faces():
