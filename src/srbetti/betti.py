@@ -26,18 +26,13 @@ complex:
     in W (a face F + u is a clique iff F is one inside N(u)): res[N_W(u)];
   - off flag complexes L is the link of u in Delta restricted to N_W(u)
     (`_link_result`), from the same rule one face up.  The link of a face
-    sigma restricted to a set s of its neighbours is a cone when a vertex
-    y of s lies in each of its maximal faces, acyclic and not memoised
-    (most cones are met once); else split by its lowest vertex x that
-    splits it, A being the same link restricted to s - x and the link of
-    x in it the link of sigma + x restricted to the neighbours of
-    sigma + x in s, both memoised per sweep by face and set; else a core.
-    The link's faces over a face t are Delta's over t + sigma, less
-    sigma, so one table serves every link: ext(t), the union of the
-    facets over t, kept per sweep for the traces f & (s + sigma) of the
-    facets f through sigma.  These less sigma hold the link's maximal
-    faces, so y cones it iff y is in each trace's ext; a trace that is
-    sigma alone is skipped, as ext(sigma) holds all of s.
+    sigma restricted to a set s of its neighbours is a simplex, a point's
+    result and not memoised, when s lies in one facet through sigma; else
+    split by its lowest vertex x that splits it, A being the same link
+    restricted to s - x and the link of x in it the link of sigma + x
+    restricted to the neighbours of sigma + x in s, both memoised per
+    sweep by face and set; else a core.  A cone on y splits by any x other
+    than y, as A and x's link are then cones on y, both acyclic.
 A nonempty W where no vertex splits is a core; only cores are eliminated,
 on their maximal masks.  Every induced subgraph of a chordal graph has a
 simplicial vertex (Dirac), whose link is a simplex, so a chordal clique
@@ -77,6 +72,7 @@ over Q, and for a base one of whose results has torsion it builds none.
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -193,48 +189,28 @@ def _closed(masks, n: int) -> dict[int, int]:
     return {1 << v: reduce(or_, [f for f in masks if f >> v & 1], 1 << v) for v in range(n)}
 
 
-def _apexes(s: int, sigma: int, fs: list[int], ext: dict[int, int]) -> int:
-    """The vertices of s in ext[f & (s + sigma)], the union of the facets
-    over that trace, for each facet f through the face sigma: the apexes
-    of the restriction to s of sigma's link (module docstring).  Stops as
-    soon as none is left."""
-    others = s
-    span = s | sigma
-    for f in fs:
-        t = f & span
-        # t, and so ext[t], holds them all; or t is sigma, and ext[sigma] holds s
-        if others & t == others or t == sigma:
-            continue
-        over = ext.get(t)
-        if over is None:
-            over = ext[t] = reduce(or_, [g for g in fs if g & t == t])
-        others &= over
-        if not others:
-            break
-    return others
-
-
-def _link_result(sigma: int, s: int, fs: list[int], ext: dict[int, int], memos: defaultdict, results: _Results) -> int:
+def _link_result(sigma: int, s: int, fs: list[int], memos: defaultdict, results: _Results) -> int:
     """The id of the restriction to s, a set of neighbours of the face
     sigma, of sigma's link, from fs, the facets through sigma, memoised in
-    memos[sigma] by s: acyclic when a vertex of s cones it, else split by
-    its lowest vertex x where the split holds, the link of x in it being
-    the link of sigma + x restricted to the neighbours of sigma + x in s,
-    else a core (module docstring)."""
+    memos[sigma] by s: a point's when s lies in one of fs, a simplex, else
+    split by its lowest vertex x where the split holds, the link of x in it
+    being the link of sigma + x restricted to the neighbours of sigma + x
+    in s, else a core (module docstring)."""
     if not s:
         return 0
     memo = memos[sigma]
     rid = memo.get(s)
     if rid is not None:
         return rid
-    if _apexes(s, sigma, fs, ext):  # a cone, not memoised: most are met once
-        return results.point
+    for f in fs:
+        if f & s == s:  # a simplex, not memoised: most are met once
+            return results.point
     rest = s
     while rest:
         x = rest & -rest
         fx = [f for f in fs if f & x]
-        a = _link_result(sigma, s ^ x, fs, ext, memos, results)
-        rid = results.split(a, _link_result(sigma | x, reduce(or_, fx) & s ^ x, fx, ext, memos, results))
+        a = _link_result(sigma, s ^ x, fs, memos, results)
+        rid = results.split(a, _link_result(sigma | x, reduce(or_, fx) & s ^ x, fx, memos, results))
         if rid is not None:
             break
         rest ^= x
@@ -250,12 +226,10 @@ def _subset_results(masks, n: int, results: _Results) -> array:
     maximal cliques of its 1-skeleton."""
     closed = _closed(masks, n)
     flag = maximal_cliques([closed[1 << v] ^ 1 << v for v in range(n)]) == sorted(masks)
-    # off flag complexes: the facets through each vertex u; per face sigma,
-    # its link's results by the vertex set it is restricted to; and ext[t],
-    # the union of the facets over a face t, for the faces the links meet
+    # off flag complexes: the facets through each vertex u; and per face
+    # sigma, its link's results by the vertex set it is restricted to
     through = {} if flag else {1 << v: [f for f in masks if f >> v & 1] for v in range(n)}
     memos: defaultdict = defaultdict(dict)
-    ext: dict[int, int] = {}
     split = results.split
     res = array("I", bytes(4 << n))  # res[{}] is 0, the empty complex
     for w in range(1, len(res)):
@@ -265,7 +239,7 @@ def _subset_results(masks, n: int, results: _Results) -> array:
             u = rest & -rest
             near = closed[u] & w ^ u
             # on a flag complex the link of u is the restriction to N_W(u)
-            r = split(res[w ^ u], res[near] if flag else _link_result(u, near, through[u], ext, memos, results))
+            r = split(res[w ^ u], res[near] if flag else _link_result(u, near, through[u], memos, results))
             if r is not None:
                 break
             rest ^= u
@@ -282,6 +256,8 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
     """
     if c.n > n_cap:
         raise TooManyVerticesError(f"{c.n} vertices exceeds the sweep cap {n_cap}")
+    if 4 << c.n > sys.maxsize:  # res, 4 bytes a subset, is larger than any object can be
+        raise TooManyVerticesError(f"{c.n} vertices: the sweep's 2^{c.n} subsets exceed the address space")
     results = _Results()
     res = _subset_results(c.facets, c.n, results)
     values = results.values

@@ -321,7 +321,7 @@ def count_cores(monkeypatch) -> tuple[list, list]:
     """Record the subset W of every core the sweep visits, the union of its
     maximal masks, and the vertex set of every link restriction, of a
     vertex or of a larger face, it computes off flag complexes
-    (`betti._link_result` not read from its memo; a cone is never
+    (`betti._link_result` not read from its memo; a simplex is never
     memoised, so it counts on every call).  A core of a link restriction,
     visited while one is computed, is not a core of the sweep."""
     cores, links = [], []
@@ -333,12 +333,12 @@ def count_cores(monkeypatch) -> tuple[list, list]:
             cores.append(reduce(or_, maximal))
         return real_core(self, maximal)
 
-    def link_result(sigma, s, fs, ext, memos, results):
+    def link_result(sigma, s, fs, memos, results):
         if s and s not in memos[sigma]:
             links.append(s)
         computing.append(s)
         try:
-            return real_link(sigma, s, fs, ext, memos, results)
+            return real_link(sigma, s, fs, memos, results)
         finally:
             computing.pop()
 
@@ -396,14 +396,16 @@ def test_cores_are_eliminated_once(monkeypatch):
     assert froberg_exhaustive(5).passed
     assert cores == [0] and calls == [[0]]
     # off flag complexes cores remain: five general complexes make one core
-    # of the sweep and compute 12,201 link restrictions, of vertices and of
+    # of the sweep and compute 14,554 link restrictions, of vertices and of
     # larger faces, and each of the 6 core visits, the empty subsets
-    # included, is one elimination, on every pass.  A cone is not memoised,
-    # so it counts on every call.  The visits fell from 524 when link
-    # restrictions split only by isolated and dominated vertices: the split
-    # removes a vertex whose link has homology too, and small link cores
-    # were most of the visits; the restrictions rose from 6,430, as a split
-    # reads both sides, A and the link of a face one vertex larger
+    # included, is one elimination, on every pass.  A simplex is not
+    # memoised, so it counts on every call.  The visits fell from 524 when
+    # link restrictions split only by isolated and dominated vertices: the
+    # split removes a vertex whose link has homology too, and small link
+    # cores were most of the visits; the restrictions rose from 6,430, as a
+    # split reads both sides, A and the link of a face one vertex larger,
+    # and from 12,201 when a cone was caught before the split: a cone that
+    # is no simplex is now split and memoised, with the restrictions it reads
     complexes = [general_complex(10, seed) for seed in range(5)]
     for _ in range(2):
         cores.clear()
@@ -412,7 +414,7 @@ def test_cores_are_eliminated_once(monkeypatch):
         calls.clear()
         for c in complexes:
             graded_betti(c)
-        assert (len(cores) - cores.count(0), len(links), len(visits), len(calls)) == (1, 12201, 6, 6)
+        assert (len(cores) - cores.count(0), len(links), len(visits), len(calls)) == (1, 14554, 6, 6)
 
 
 def test_general_eliminations_are_bounded(monkeypatch):
@@ -444,11 +446,11 @@ def test_chordal_corpus_has_no_core_but_the_empty_subset(monkeypatch):
 
 def test_a_core_reduces_its_masks_once(monkeypatch):
     # the sweep hands a core's maximal masks to the elimination, which
-    # uses them as given; the split and the link's cone test read facets
+    # uses them as given; the split and the link's simplex test read facets
     # and their unions, and reduce no masks.  So on every kind of input the
     # masks are reduced exactly once per core visited, of the sweep or of a
     # link restriction, but the empty subset, which has none; never for a
-    # link restriction that splits or is a cone; and never in homology
+    # link restriction that splits or is a simplex; and never in homology
     counts = {"betti": 0, "homology": 0}
     for module in (betti, homology):
 
@@ -482,10 +484,12 @@ def test_a_core_reduces_its_masks_once(monkeypatch):
     # (cores of the sweep, cores of link restrictions, link restrictions
     # computed): no flag complex on 8 vertices has a core but the empty
     # subset; off flag complexes nearly every link restriction splits or is
-    # a cone and reduces nothing (133 and 9 link cores of 3,343 and 996
+    # a simplex and reduces nothing (133 and 9 link cores of 3,343 and 996
     # when only an isolated or a dominated vertex removed one; a split
-    # reads both of its sides, so more restrictions are computed)
-    assert reduced == {"flag": (0, 0, 0), "few wide non-faces": (8, 20, 5665), "non-flag": (1, 0, 1222)}
+    # reads both of its sides, so more restrictions are computed: 5,665 and
+    # 1,222 while a cone was caught before the split, and more now that a
+    # cone that is no simplex is split and memoised)
+    assert reduced == {"flag": (0, 0, 0), "few wide non-faces": (8, 20, 7982), "non-flag": (1, 0, 1304)}
 
 
 def test_one_sweep_serves_every_field(monkeypatch):
@@ -720,14 +724,14 @@ def test_acyclic_link_removes_a_vertex_nothing_dominates(monkeypatch):
 
 
 # a 12-vertex facet and three triangles through z: most link restrictions
-# are cones, and a simplex on 11 vertices has 2,048 faces
+# are simplices or cones, and a simplex on 11 vertices has 2,048 faces
 BIG = complex_from_facets(
     [[f"a{i:02}" for i in range(12)], ["a00", "z", "a01"], ["z", "a02", "a03"], ["a04", "z", "a05"]]
 )
 
 
 def test_non_flag_sweep_enumerates_no_faces(monkeypatch):
-    # off flag complexes the link's cone test and split read facets and
+    # off flag complexes the link's simplex test and split read facets and
     # unions of facets, and a core of a link restriction the traces of
     # facets, never the face set, which a large facet makes huge
     fields = (FieldSpec.prime(2), QQ)
@@ -746,38 +750,45 @@ def test_non_flag_sweep_enumerates_no_faces(monkeypatch):
 
 def test_link_results_match_brute_force(monkeypatch):
     # for every face sigma of 1 to 3 vertices and every s inside N(sigma),
-    # ascending, with the memos and ext of one sweep per sigma, the link
+    # ascending, with the memos of one sweep per sigma, the link
     # restriction's result gives over Q, GF(2) and GF(3) the reduced
     # homology the oracle computes from its faces {F inside s : F + sigma a
-    # face}.  What the oracle sees of it decides the rule: a cone is not
-    # memoised, a restriction that some vertex x splits is split, reading
-    # the link of x from the link of sigma + x, and only a core is
-    # eliminated.  Equal face sets up to an order-preserving relabeling
-    # share one oracle call; on BIG s has at most 9 vertices, and 4 off a
-    # vertex sigma, as the dense ranks of simplices on 10 and 11 vertices
-    # take the oracle 9 s more and its 286 larger faces each meet hundreds
-    # of restrictions
+    # face}.  What the oracle sees of it decides the rule: a simplex is not
+    # memoised and eliminates nothing, a restriction that some vertex x
+    # splits is split, reading the link of x from the link of sigma + x,
+    # and only a core is eliminated.  A cone that is no simplex is split.
+    # Alexander duals of small random complexes are dense and non-flag.
+    # Equal face sets up to an order-preserving relabeling share one
+    # oracle call; on BIG s has at most 9 vertices, and 4 off a vertex
+    # sigma, as the dense ranks of simplices on 10 and 11 vertices take the
+    # oracle 9 s more and its 286 larger faces each meet hundreds of
+    # restrictions
     rnd = random.Random(6016)
     randoms = []
     while len(randoms) < 40:
         c = random_complex(rnd, max_n=8, max_facets=rnd.choice([6, 10]), max_size=4)
         if _kind(c) != "flag":
             randoms.append(c)
+    duals = []
+    while len(duals) < 10:
+        dual = alexander_dual(random_complex(rnd, max_n=8, max_facets=rnd.choice([4, 6]), max_size=4))[0]
+        if dual.n:  # not the empty face alone
+            duals.append(dual)
     visits = count_visits(monkeypatch)
     oracle = {}
     kinds = set()
-    for c in [BIG, RP2, suspension(RP2), TORUS, *randoms]:
+    for c in [BIG, RP2, suspension(RP2), TORUS, *randoms, *duals]:
         faces = brute_face_masks(c)
         for sigma in (f for f in faces if 0 < f.bit_count() <= 3):
             fs = [f for f in c.facets if f & sigma == sigma]
             nbrs = reduce(or_, fs) ^ sigma
             cap = c.n if c is not BIG else 9 if sigma & sigma - 1 == 0 else 4
-            memos, ext, results = defaultdict(dict), {}, betti._Results()
+            memos, results = defaultdict(dict), betti._Results()
             for s in range(1, nbrs + 1):
                 if s & nbrs != s or s.bit_count() > cap:
                     continue
                 visits.clear()
-                dims, torsion = results.values[betti._link_result(sigma, s, fs, ext, memos, results)]
+                dims, torsion = results.values[betti._link_result(sigma, s, fs, memos, results)]
                 # the subsets of s, the i-th vertex of s relabeled i
                 subsets = [0]
                 for v in bits(s):
@@ -786,9 +797,9 @@ def test_link_results_match_brute_force(monkeypatch):
                 if link not in oracle:
                     ys = [1 << y for y in range(s.bit_count())]
                     whole = sum(ys)
-                    kind, past = "core", False
-                    if any(all(f | y in link for f in link) for y in ys):
-                        kind = "cone"
+                    kind, past, cone = "core", False, any(all(f | y in link for f in link) for y in ys)
+                    if whole in link:
+                        kind = "simplex"
                     elif split := brute_split_vertices(set(link), whole):
                         # past the collapses: no vertex is isolated or
                         # dominated, and the link of the lowest x that
@@ -799,8 +810,8 @@ def test_link_results_match_brute_force(monkeypatch):
                         x_link = frozenset(f ^ x for f in link if f & x)
                         past = not isolated and not brute_dominated_vertices(set(link), whole)
                         past = past and x_link != {0} and bool(brute_integral_support(x_link)[0])
-                    oracle[link] = kind, past, [brute_reduced_dims(set(link), p) for p in (None, 2, 3)]
-                kind, past, expected = oracle[link]
+                    oracle[link] = kind, past, cone, [brute_reduced_dims(set(link), p) for p in (None, 2, 3)]
+                kind, past, cone, expected = oracle[link]
                 for p, exp in zip((None, 2, 3), expected):
                     got = list(dims) + [0] * (len(exp) + 2)
                     for k in torsion_shift(torsion, p):
@@ -808,14 +819,12 @@ def test_link_results_match_brute_force(monkeypatch):
                     assert got[: len(exp)] == exp and not any(got[len(exp) :]), (c.facets, sigma, s, p)
                 # A, s minus x, is memoised; a link of sigma + x may
                 # eliminate cores of its own, on fewer vertices than s
-                assert (s not in memos[sigma], visits.count(s)) == (kind == "cone", kind == "core"), (c.facets, sigma, s)
-                kinds.add((kind, past, bool(torsion)))
-            # a facet through sigma that traces sigma alone has ext[sigma],
-            # the union of the facets through sigma, which holds every
-            # candidate: it is never looked up
-            assert sigma not in ext, (c.facets, sigma)
-    assert {kind for kind, _, _ in kinds} == {"cone", "split", "core"}
-    assert any(kind == "split" and past for kind, past, _ in kinds) and ("core", False, True) in kinds
+                assert (s not in memos[sigma], visits.count(s)) == (kind == "simplex", kind == "core"), (c.facets, sigma, s)
+                assert kind != "simplex" or not visits, (c.facets, sigma, s)
+                kinds.add((kind, past, cone, bool(torsion)))
+    assert {kind for kind, _, _, _ in kinds} == {"simplex", "split", "core"}
+    assert any(kind == "split" and past for kind, past, _, _ in kinds) and ("core", False, False, True) in kinds
+    assert any(kind == "split" and cone for kind, _, cone, _ in kinds)
 
 
 def test_first_syzygies_count_minimal_non_faces():

@@ -174,6 +174,24 @@ def test_large_graph_refused_before_its_adjacency_masks(tmp_path, capsys):
     assert peak < 16 << 20
 
 
+@pytest.mark.parametrize("n", [63, 64])
+def test_unaddressable_sweep_refused_before_it_allocates(tmp_path, capsys, n):
+    # a path on 63 or 64 vertices is under --n-cap 64, but the sweep's 2^n
+    # results, 4 bytes each, are more bytes than an object can hold: the
+    # refusal comes before the sweep allocates them
+    f = tmp_path / "path.cplx"
+    f.write_text("".join(f"v{i:02d} v{i + 1:02d}\n" for i in range(n - 1)))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "analyze", str(f), "--n-cap", "64")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = f"srbetti: error: {n} vertices: the sweep's 2^{n} subsets exceed the address space\n"
+    assert (code, out, err) == (2, "", message)
+    assert peak < 1 << 20
+
+
 def test_gen_chordal_writes_deterministic_chordal_file(tmp_path, capsys):
     out1 = tmp_path / "a.graph"
     out2 = tmp_path / "b.graph"
