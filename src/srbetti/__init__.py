@@ -16,7 +16,6 @@ from .betti import (
 from .errors import (
     EmptyInputError,
     NonPositiveResultError,
-    NotChordalError,
     ParseError,
     TooManyVerticesError,
 )
@@ -24,7 +23,6 @@ from .exactla import GF_DEFAULT, QQ, FieldSpec, rank
 from .formulas import (
     betti_from_h,
     check_lower_bound,
-    chordal_h_relations,
     h_relations,
 )
 from .graphs import (

@@ -13,10 +13,6 @@ class NonPositiveResultError(ValueError):
     """A Betti formula evaluated to <= 0: the degree data is inconsistent."""
 
 
-class NotChordalError(ValueError):
-    """Operation requires a chordal input graph."""
-
-
 class ParseError(ValueError):
     """Malformed input file; carries path and 1-based line number."""
 

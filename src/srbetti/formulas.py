@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .betti import classify, graded_betti
-from .errors import NonPositiveResultError, NotChordalError
-from .graphs import Graph, clique_complex, is_chordal
+from .errors import NonPositiveResultError
 from .hilbert import h_numerator
-from .simplicial import HVector, f_vector, h_vector
+from .simplicial import HVector
 
 
 def _coeff(poly: tuple[int, ...], k: int) -> int:
@@ -59,32 +57,6 @@ def h_relations(h: HVector, n: int, d: int, p: int, t: int) -> tuple[int, ...]:
     """
     num = h_numerator(h, n, d)
     return tuple(_coeff(num, j) for j in range(p + t + 1, n + 1))
-
-
-def chordal_h_relations(g: Graph) -> tuple[int, ...]:
-    """The linear-relation residuals for the clique complex of a chordal graph.
-
-    Builds the clique complex, takes p from the shape of its oracle table
-    and t = 2 (Froberg: the non-faces of a flag complex are generated by
-    quadrics), and evaluates h_relations; all residuals are zero for
-    chordal input.  A complete graph has zero ideal and no relations: the
-    empty tuple is returned.  Raises NotChordalError for a non-chordal
-    graph, and ValueError should a chordal graph's table be neither linear
-    nor trivial.  The table is the same over every field: each induced
-    subcomplex of a chordal clique complex is a disjoint union of
-    contractible pieces, so it has no torsion.
-    """
-    ok, _ = is_chordal(g.adj)
-    if not ok:
-        raise NotChordalError("clique-complex relations require a chordal graph")
-    c = clique_complex(g)
-    shape = classify(graded_betti(c))
-    if shape.kind == "trivial":
-        return ()
-    if shape.kind != "linear":
-        raise ValueError(f"chordal graph with a {shape.kind!r} table, not linear")
-    f = f_vector(c)
-    return h_relations(h_vector(f), c.n, f.d, shape.p, 2)
 
 
 def check_lower_bound(betti: tuple[int, ...], p: int) -> tuple[bool, ...]:

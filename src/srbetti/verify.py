@@ -175,9 +175,11 @@ def verify_complex(
     the same sweep and compared, so characteristic dependence is reported
     rather than hidden.
     """
+    # the sweep refuses an over-cap or unaddressable input before any face
+    # is counted
+    table = graded_betti(c, field, n_cap)
     f = f_vector(c)
     h = h_vector(f)
-    table = graded_betti(c, field, n_cap)
     shape = classify(table)
 
     formula = None

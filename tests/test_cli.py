@@ -174,13 +174,16 @@ def test_large_graph_refused_before_its_adjacency_masks(tmp_path, capsys):
     assert peak < 16 << 20
 
 
-@pytest.mark.parametrize("n", [63, 64])
-def test_unaddressable_sweep_refused_before_it_allocates(tmp_path, capsys, n):
-    # a path on 63 or 64 vertices is under --n-cap 64, but the sweep's 2^n
-    # results, 4 bytes each, are more bytes than an object can hold: the
-    # refusal comes before the sweep allocates them
+@pytest.mark.parametrize("n, top", [(63, 2), (64, 2), (63, 18)], ids=["63", "64", "63-facet18"])
+def test_unaddressable_sweep_refused_before_it_allocates(tmp_path, capsys, n, top):
+    # a facet on the first `top` vertices and a path on the rest: 63 or 64
+    # vertices are under --n-cap 64, but the sweep's 2^n results, 4 bytes
+    # each, are more bytes than an object can hold, so the refusal comes
+    # before the sweep allocates them, and before the 2^18 faces of the
+    # 18-vertex facet are counted (which peaked at about 18 MiB)
     f = tmp_path / "path.cplx"
-    f.write_text("".join(f"v{i:02d} v{i + 1:02d}\n" for i in range(n - 1)))
+    facet = " ".join(f"v{i:02d}" for i in range(top))
+    f.write_text(facet + "\n" + "".join(f"v{i:02d} v{i + 1:02d}\n" for i in range(top - 1, n - 1)))
     tracemalloc.start()
     try:
         code, out, err = run(capsys, "analyze", str(f), "--n-cap", "64")

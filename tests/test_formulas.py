@@ -5,10 +5,8 @@ import pytest
 from srbetti import (
     HVector,
     NonPositiveResultError,
-    NotChordalError,
     betti_from_h,
     check_lower_bound,
-    chordal_h_relations,
     classify,
     clique_complex,
     complete_graph,
@@ -19,6 +17,7 @@ from srbetti import (
     h_relations,
     h_vector,
     path_graph,
+    verify_complex,
 )
 
 
@@ -93,19 +92,29 @@ def test_h_relations_detect_corruption():
 
 
 def test_chordal_h_relations_path_and_corpus():
-    assert chordal_h_relations(path_graph(3)) == (0,)
+    # the paper's system for a chordal graph is the report's residuals: the
+    # face ideal of a clique complex is generated by quadrics, so t = 2
+    assert verify_complex(clique_complex(path_graph(3))).relation_residuals == (0,)
     for seed in range(50):
         g = gen_chordal(2 + seed % 8, 0.45, seed)
-        assert all(r == 0 for r in chordal_h_relations(g)), (seed, g.adj)
+        rep = verify_complex(clique_complex(g))
+        if rep.shape.kind == "trivial":
+            assert rep.relation_residuals is None, (seed, g.adj)
+            continue
+        assert rep.shape.t == 2, (seed, g.adj)
+        assert all(r == 0 for r in rep.relation_residuals), (seed, g.adj)
 
 
 def test_chordal_h_relations_complete_graph_trivial():
-    assert chordal_h_relations(complete_graph(4)) == ()
+    rep = verify_complex(clique_complex(complete_graph(4)))
+    assert rep.shape.kind == "trivial"
+    assert rep.relation_residuals is None
 
 
 def test_chordal_h_relations_rejects_non_chordal():
-    with pytest.raises(NotChordalError):
-        chordal_h_relations(cycle_graph(4))
+    rep = verify_complex(clique_complex(cycle_graph(4)))
+    assert rep.shape.kind not in ("linear", "trivial")
+    assert rep.relation_residuals is None
 
 
 def test_linear_relations_are_the_degree_bound():

@@ -1,8 +1,9 @@
 """Leftovers of deleted code: imports that a module of the package or of
 the tests no longer uses, private module-level names that nothing in the
 package refers to any more, and exception classes that nothing raises.
-Also the independence of the test oracles from the code they check, and
-the package's module-level state."""
+Also the independence of the test oracles from the code they check, the
+closed forms' independence from the sweep, and the package's module-level
+state."""
 
 import ast
 from pathlib import Path
@@ -104,6 +105,19 @@ def test_every_exception_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert defined and sorted(defined - raised) == []
+
+
+def test_formulas_import_no_sweep():
+    # the closed forms read plain values (h, n, d, degrees, p, t); a table
+    # or a graph is the caller's to compute, so no second sweep runs here
+    imported = set()
+    for node in ast.walk(TREES["formulas.py"]):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("srbetti.").removeprefix("srbetti")
+            imported |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name.removeprefix("srbetti.") for alias in node.names}
+    assert sorted(imported & {"betti", "graphs", "verify"}) == []
 
 
 def test_oracles_import_only_constructors():
