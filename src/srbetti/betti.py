@@ -74,8 +74,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from functools import reduce
 from itertools import zip_longest
 from operator import add, or_
@@ -91,8 +90,7 @@ DEFAULT_VERTEX_CAP = 20
 _Homology = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]  # Betti numbers over Q from degree -1; torsion
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(namedtuple("BettiTable", "cells n field torsion", defaults=((),))):
     """Nonzero graded Betti numbers as sorted (i, j, value) cells.
 
     i is the homological degree (0 for the ring itself, so the only i = 0
@@ -102,10 +100,11 @@ class BettiTable:
     ascending order of W; it is all the table over another field needs.
     """
 
+    __slots__ = ()
     cells: tuple[tuple[int, int, int], ...]
     n: int
     field: FieldSpec
-    torsion: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = ()
+    torsion: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     def over(self, field: FieldSpec) -> "BettiTable":
         """The same complex's table over another field."""
@@ -421,8 +420,7 @@ class _Lockstep:
         return out
 
 
-@dataclass(frozen=True)
-class ResolutionShape:
+class ResolutionShape(namedtuple("ResolutionShape", "kind degrees betti", defaults=(None, None))):
     """Classification of a Betti table.
 
     kind is one of:
@@ -436,9 +434,10 @@ class ResolutionShape:
     general shapes carry neither, and their p and t are None.
     """
 
+    __slots__ = ()
     kind: str
-    degrees: tuple[int, ...] | None = None
-    betti: tuple[int, ...] | None = None
+    degrees: tuple[int, ...] | None
+    betti: tuple[int, ...] | None
 
     @property
     def p(self) -> int | None:

@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     `main` call in the process.
 
     Sharing it is safe because `parse_args` does not mutate the parser, the
-    one non-trivial default (`--field`'s `FieldSpec`) is frozen, and
+    one non-trivial default (`--field`'s `FieldSpec`) is immutable, and
     `cmd_verify` writes its corpus defaults onto the parsed `Namespace`,
     never onto the parser.  It is not built at import time, so importing
     the module stays cheap.

@@ -13,8 +13,7 @@ Welker (2003) take for simplicial homology.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import chain
 from math import isqrt
 
@@ -32,16 +31,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "p")):
     """Coefficient field: GF(p) for a prime p < 2^31, or the rationals (p=None)."""
 
-    p: int | None = None
+    __slots__ = ()
+    p: int | None
 
-    def __post_init__(self):
-        if self.p is not None:
-            if not isinstance(self.p, int) or self.p >= _PRIME_LIMIT or not _is_prime(self.p):
-                raise ValueError(f"field characteristic must be a prime below 2^31, got {self.p!r}")
+    def __new__(cls, p=None):
+        if p is not None:
+            if not isinstance(p, int) or p >= _PRIME_LIMIT or not _is_prime(p):
+                raise ValueError(f"field characteristic must be a prime below 2^31, got {p!r}")
+        return tuple.__new__(cls, (p,))
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":

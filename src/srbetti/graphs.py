@@ -16,9 +16,9 @@ Xorshift64Star) so corpora are bit-reproducible across implementations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from .errors import EmptyInputError, ParseError
 from .simplicial import Complex, _bits
@@ -63,31 +63,32 @@ class Xorshift64Star:
         return self.next_u64() % m
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "labels adj")):
     """Undirected simple graph; adj[v] is the neighbor bitmask of vertex v."""
 
+    __slots__ = ()
     labels: tuple[str, ...]
     adj: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
+    def __new__(cls, labels, adj):
+        n = len(labels)
+        if len(set(labels)) != n:
             raise ValueError("duplicate vertex labels")
-        if tuple(sorted(self.labels)) != self.labels:
+        if tuple(sorted(labels)) != labels:
             raise ValueError("labels must be sorted")
-        if len(self.adj) != n:
+        if len(adj) != n:
             raise ValueError("adjacency length mismatch")
         full = (1 << n) - 1
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError("adjacency mask out of range")
             if (row >> v) & 1:
-                raise ValueError(f"loop at vertex {self.labels[v]!r}")
+                raise ValueError(f"loop at vertex {labels[v]!r}")
         for v in range(n):
-            for u in _bits(self.adj[v]):
-                if not (self.adj[u] >> v) & 1:
+            for u in _bits(adj[v]):
+                if not (adj[u] >> v) & 1:
                     raise ValueError("adjacency not symmetric")
+        return tuple.__new__(cls, (labels, adj))
 
     @property
     def n(self) -> int:

@@ -31,7 +31,7 @@ not affect any result.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .exactla import integral_rank
 

@@ -14,10 +14,10 @@ complex, the one core of every sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from math import comb
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from .errors import EmptyInputError, TooManyVerticesError
 
@@ -48,8 +48,7 @@ def _maximal_masks(masks: Iterable[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Complex:
+class Complex(namedtuple("Complex", "labels facets")):
     """A simplicial complex given by its facets (maximal faces).
 
     labels  -- vertex tokens in sorted order; labels[k] names bit k
@@ -59,34 +58,36 @@ class Complex:
     facet.  Immutable; safe to share between threads.
     """
 
+    __slots__ = ()
     labels: tuple[str, ...]
     facets: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.labels)
+    def __new__(cls, labels, facets):
+        n = len(labels)
         if n > MAX_VERTICES:
             raise TooManyVerticesError(f"{n} vertices exceeds the {MAX_VERTICES}-bit face representation")
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise ValueError("duplicate vertex labels")
-        if any(not isinstance(t, str) or not t or t.split() != [t] for t in self.labels):
+        if any(not isinstance(t, str) or not t or t.split() != [t] for t in labels):
             raise ValueError("vertex labels must be nonempty tokens without whitespace")
-        if tuple(sorted(self.labels)) != self.labels:
+        if tuple(sorted(labels)) != labels:
             raise ValueError("labels must be sorted")
-        if not self.facets:
+        if not facets:
             raise ValueError("facets may not be empty; the empty complex is facets=(0,)")
-        if tuple(sorted(set(self.facets))) != self.facets:
+        if tuple(sorted(set(facets))) != facets:
             raise ValueError("facets must be sorted and distinct")
         full = (1 << n) - 1
         cover = 0
-        for f in self.facets:
+        for f in facets:
             if f < 0 or f & ~full:
                 raise ValueError("facet mask out of vertex range")
             cover |= f
         if cover != full:
-            missing = [self.labels[v] for v in range(n) if not (cover >> v) & 1]
+            missing = [labels[v] for v in range(n) if not (cover >> v) & 1]
             raise ValueError(f"vertices in no facet (every singleton must be a face): {missing}")
-        if len(_maximal_masks(self.facets)) != len(self.facets):
+        if len(_maximal_masks(facets)) != len(facets):
             raise ValueError("facets must form an antichain")
+        return tuple.__new__(cls, (labels, facets))
 
     @property
     def n(self) -> int:
@@ -152,17 +153,18 @@ def masks_by_card(facets: Sequence[int]) -> list[list[int]]:
     return groups
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(namedtuple("FVector", "entries")):
     """Face counts (f_{-1}, f_0, ..., f_{d-1}); entry 0 is the empty face count 1."""
 
+    __slots__ = ()
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.entries or self.entries[0] != 1:
+    def __new__(cls, entries):
+        if not entries or entries[0] != 1:
             raise ValueError("f-vector must start with f_{-1} = 1")
-        if any(e <= 0 for e in self.entries):
+        if any(e <= 0 for e in entries):
             raise ValueError("face counts must be positive")
+        return tuple.__new__(cls, (entries,))
 
     @property
     def d(self) -> int:
@@ -170,15 +172,16 @@ class FVector:
         return len(self.entries) - 1
 
 
-@dataclass(frozen=True)
-class HVector:
+class HVector(namedtuple("HVector", "entries")):
     """The sequence (h_0, ..., h_d)."""
 
+    __slots__ = ()
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.entries or self.entries[0] != 1:
+    def __new__(cls, entries):
+        if not entries or entries[0] != 1:
             raise ValueError("h-vector must start with h_0 = 1")
+        return tuple.__new__(cls, (entries,))
 
 
 def f_vector(c: Complex) -> FVector:

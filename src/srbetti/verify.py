@@ -14,10 +14,8 @@ timestamps, so identical inputs give byte-identical reports.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .betti import BettiTable, ResolutionShape, _Lockstep, classify, graded_betti
 from .betti import DEFAULT_VERTEX_CAP
@@ -35,11 +33,16 @@ from .graphs import (
 from .hilbert import multiplicity, verify_series_identity
 from .simplicial import Complex, FVector, HVector, f_vector, h_vector
 
+try:  # the builtin module, without hashlib's OpenSSL; gone in Python 3.12
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 
 def fingerprint(c: Complex) -> str:
     """Stable identity of a complex: sha256 over n and the facet masks."""
     blob = f"{c.n}:{','.join(map(str, c.facets))}".encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return sha256(blob).hexdigest()[:16]
 
 
 # Identity checks, in report and tally order.  "froberg_linear" is the
@@ -65,13 +68,16 @@ def _verdict(outcomes: dict[str, bool | None]) -> bool:
     return not any(ok is False for name, ok in outcomes.items() if name != "char_zero")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", [
+    "facet_hash", "f", "h", "table", "shape", "formula_betti", "match",
+    "series_residual", "relation_residuals", "bound_verdicts", "char_zero_agrees",
+])):
     """Everything computed for one complex, plus per-identity outcomes.
 
     Stores only what its table, f and h do not determine; n, the field,
     pdim and codim are read from them."""
 
+    __slots__ = ()
     facet_hash: str
     f: FVector
     h: HVector
@@ -222,15 +228,15 @@ def verify_complex(
 NONCHORDAL_FIXTURES = ("C4", "C5", "C6")
 
 
-@dataclass(frozen=True)
-class CheckCounts:
+class CheckCounts(namedtuple("CheckCounts", "passed failed na")):
+    __slots__ = ()
     passed: int
     failed: int
     na: int
 
 
-@dataclass(frozen=True)
-class CorpusSummary:
+class CorpusSummary(namedtuple("CorpusSummary", "count n_max seed field checks converse first_failure")):
+    __slots__ = ()
     count: int
     n_max: int
     seed: int
@@ -309,8 +315,8 @@ def verify_chordal_corpus(
     return CorpusSummary(count, n_max, seed, field, checks, tuple(converse), first_failure)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(namedtuple("SweepResult", "n checked mismatches")):
+    __slots__ = ()
     n: int
     checked: int
     mismatches: tuple[int, ...]  # edge bitmasks of failing graphs

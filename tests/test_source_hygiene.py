@@ -3,10 +3,17 @@ the tests no longer uses, private module-level names that nothing in the
 package refers to any more, and exception classes that nothing raises.
 Also the independence of the test oracles from the code they check, the
 closed forms' independence from the sweep, and the package's module-level
-state."""
+state, and what a CLI run imports."""
 
 import ast
+import hashlib
+import subprocess
+import sys
+from importlib.util import find_spec
 from pathlib import Path
+
+from srbetti import complex_from_facets, fixture_path
+from srbetti.simplicial import read_facets
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "srbetti"
@@ -150,3 +157,37 @@ def test_oracles_read_no_methods_of_checked_classes():
     helpers = ast.parse(HELPERS.read_text(), str(HELPERS))
     read = {node.attr for node in ast.walk(helpers) if isinstance(node, ast.Attribute)}
     assert sorted(read & (methods - {"n"})) == []
+
+
+def run_isolated(code: str) -> str:
+    """The output of code run in a fresh `python -I -S` that imports
+    srbetti from this checkout."""
+    prelude = f"import sys\nsys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+    argv = [sys.executable, "-I", "-S", "-c", prelude + code]
+    return subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_imports_no_dataclasses_openssl_or_typing():
+    # each CLI run is a fresh process, so what srbetti.cli imports is paid
+    # on every run: the records are named tuples, the annotations come from
+    # collections.abc, and the digest is the builtin sha256 where the
+    # interpreter has one (Python 3.12 dropped it for hashlib)
+    loaded = set(run_isolated("import srbetti.cli\nprint(*sys.modules)").split())
+    absent = {"dataclasses", "inspect", "typing"}
+    if find_spec("_sha256") is not None:
+        absent |= {"hashlib", "_hashlib"}
+    assert sorted(absent & loaded) == []
+
+
+def test_fingerprint_without_the_builtin_sha256():
+    # the hashlib fallback gives the digest the builtin module gives
+    path = fixture_path("rp2.cplx")
+    out = run_isolated(
+        'sys.modules["_sha256"] = None\n'
+        "from srbetti import complex_from_facets, verify\n"
+        "from srbetti.simplicial import read_facets\n"
+        f"print(verify.fingerprint(complex_from_facets(read_facets({str(path)!r}))), 'hashlib' in sys.modules)"
+    )
+    c = complex_from_facets(read_facets(path))
+    blob = f"{c.n}:{','.join(map(str, c.facets))}".encode()
+    assert out.split() == [hashlib.sha256(blob).hexdigest()[:16], "True"]

@@ -480,11 +480,11 @@ def test_froberg_refuses_more_vertices_than_the_cap(monkeypatch):
 def test_froberg_sweep_builds_no_graph_or_complex(monkeypatch):
     # every graph of the sweep and its clique complex are masks built
     # correctly by construction, so no validated object is built for them
-    def refuse(self):
+    def refuse(cls, *args):
         raise AssertionError("the Froberg sweep built a Graph or a Complex")
 
-    monkeypatch.setattr(Graph, "__post_init__", refuse)
-    monkeypatch.setattr(Complex, "__post_init__", refuse)
+    monkeypatch.setattr(Graph, "__new__", refuse)
+    monkeypatch.setattr(Complex, "__new__", refuse)
     result = froberg_exhaustive(5)
     assert (result.checked, result.mismatches) == (1024, ())
 
