@@ -15,7 +15,6 @@ from .betti import (
 )
 from .errors import (
     EmptyInputError,
-    NonPositiveResultError,
     ParseError,
     TooManyVerticesError,
 )

@@ -265,9 +265,9 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
         for r_idx, b in enumerate(values[rid][0]):  # reduced degree r_idx - 1 adds at i = j - r_idx
             acc[j - r_idx, j] += b * count
     cells = tuple(sorted((i, j, v) for (i, j), v in acc.items() if v))
-    if not any(results.twisted):  # the same table over every field
-        return BettiTable(cells, c.n, field)
-    torsion = tuple((w.bit_count(), values[rid][1]) for w, rid in enumerate(res) if values[rid][1])
+    torsion = ()
+    if any(results.twisted):  # else the same table over every field, and no pass over res
+        torsion = tuple((w.bit_count(), values[rid][1]) for w, rid in enumerate(res) if values[rid][1])
     return BettiTable(cells, c.n, QQ, torsion).over(field)
 
 

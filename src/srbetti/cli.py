@@ -2,8 +2,9 @@
 
 Text and JSON outputs carry the same numbers; JSON is schema-stable and
 byte-deterministic, so the exit status plus the JSON report are safe to wire
-into CI.  Exit codes: 0 all checks passed, 1 a verification check failed,
-2 usage/parse/resource errors.
+into CI.  Exit codes: 0 on success, which for `analyze` means its report
+was written, whatever its checks say; 1 only from `verify`, when a check
+failed; 2 usage/parse/resource errors.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ def _emit(text: str, args) -> None:
 
 def _load_input(path: str, n_cap: int):
     """Load a .cplx complex or a .graph graph (which analyzes as its clique
-    complex).  Returns (complex, source_kind, chordal_flag_or_None)."""
+    complex).  Returns (complex, source), source being the report's
+    {"path", "kind", "chordal"} section; chordal is None for a complex."""
     suffix = Path(path).suffix
     if suffix == ".cplx":
         facets = read_facets(path)
@@ -61,7 +63,7 @@ def _load_input(path: str, n_cap: int):
         n = len({t for fac in facets for t in fac})
         if n_cap < n <= MAX_VERTICES:
             raise TooManyVerticesError(f"{n} vertices exceeds --n-cap {n_cap}")
-        return complex_from_facets(facets), "complex", None
+        return complex_from_facets(facets), {"path": path, "kind": "complex", "chordal": None}
     if suffix != ".graph":
         raise ParseError(path, 1, f"unrecognized input extension {suffix!r} (want .cplx or .graph)")
     edges, vertices = read_edges(path)
@@ -72,7 +74,7 @@ def _load_input(path: str, n_cap: int):
         raise TooManyVerticesError(f"{n} vertices exceeds --n-cap {n_cap}")
     graph = graph_from_edges(edges, vertices)
     chordal = is_chordal(graph.adj)[0]
-    return clique_complex(graph), "graph", chordal
+    return clique_complex(graph), {"path": path, "kind": "graph", "chordal": chordal}
 
 
 def betti_triangle(table: BettiTable) -> str:
@@ -169,9 +171,8 @@ def report_text(rep: VerificationReport, source: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
-    c, kind, chordal = _load_input(args.path, args.n_cap)
+    c, source = _load_input(args.path, args.n_cap)
     rep = verify_complex(c, args.field, args.n_cap)
-    source = {"path": args.path, "kind": kind, "chordal": chordal}
     if args.format == "json":
         doc = rep.to_json_dict()
         numerator, pole_order = series_from_f(rep.f)
@@ -210,21 +211,19 @@ def cmd_verify(args) -> int:
         reports = []
         ok = True
         for path in args.paths:
-            c, kind, chordal = _load_input(path, args.n_cap)
+            c, source = _load_input(path, args.n_cap)
             rep = verify_complex(c, args.field, args.n_cap)
             ok = ok and rep.all_identities_hold()
-            reports.append((path, kind, chordal, rep))
+            reports.append((rep, source))
         if args.format == "json":
             doc = {
                 "schema": "srbetti-verify-paths/1",
-                "reports": [r.to_json_dict() | {"source": {"path": p, "kind": k, "chordal": ch}}
-                            for p, k, ch, r in reports],
+                "reports": [rep.to_json_dict() | {"source": source} for rep, source in reports],
                 "all_passed": ok,
             }
             _emit(dumps_report(doc), args)
         else:
-            texts = [report_text(r, {"path": p, "kind": k, "chordal": ch})
-                     for p, k, ch, r in reports]
+            texts = [report_text(rep, source) for rep, source in reports]
             _emit("\n".join(texts) + f"verdict: {'pass' if ok else 'FAIL'}\n", args)
         return 0 if ok else 1
 

@@ -9,10 +9,6 @@ class TooManyVerticesError(ValueError):
     """Vertex count exceeds a hard or configured cap."""
 
 
-class NonPositiveResultError(ValueError):
-    """A Betti formula evaluated to <= 0: the degree data is inconsistent."""
-
-
 class ParseError(ValueError):
     """Malformed input file; carries path and 1-based line number."""
 

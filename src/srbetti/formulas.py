@@ -7,14 +7,15 @@ resolution.  Given its shape (degrees), beta_i = (-1)^(i+1) [z^(d_i)] N; for
 a t-linear shape of length p+1, N has degree at most p+t, so the vanishing
 of [z^j] N for every j > p+t is a system of linear relations on the h-vector.
 These are the formulas the oracle table is checked against; the shape is
-always taken from the oracle, never guessed from h.
+always taken from the oracle, never guessed from h.  Every value is
+returned as computed: on a correct table each beta_i is positive, and a
+value <= 0 fails the comparison with the table.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .errors import NonPositiveResultError
 from .hilbert import h_numerator
 from .simplicial import HVector
 
@@ -30,22 +31,14 @@ def betti_from_h(h: HVector, n: int, d: int, degrees: tuple[int, ...]) -> tuple[
     n is the number of vertices (= ambient variables), d the Krull dimension
     of the face ring (complex dimension + 1), so n - d is the codimension;
     degrees d_0 < ... < d_p are a pure shape's (`ResolutionShape.degrees`).
-    Raises ValueError unless n >= d >= 1.  A result <= 0 means the degree
-    data cannot be the shape of a minimal resolution for this h-vector, and
-    raises NonPositiveResultError.
+    Raises ValueError unless n >= d >= 1.  Every value is returned, whatever
+    its sign: a value <= 0 means the degrees cannot be the shape of a minimal
+    resolution for this h-vector, and it fails the comparison with the table.
     """
     if not n >= d >= 1:
         raise ValueError(f"need n >= d >= 1, got n={n}, d={d}")
     num = h_numerator(h, n, d)
-    out = []
-    for i, di in enumerate(degrees):
-        s = _coeff(num, di) if i % 2 else -_coeff(num, di)
-        if s <= 0:
-            raise NonPositiveResultError(
-                f"beta_{i} = {s} <= 0 for degrees {degrees}; inconsistent degree data"
-            )
-        out.append(s)
-    return tuple(out)
+    return tuple(_coeff(num, di) if i % 2 else -_coeff(num, di) for i, di in enumerate(degrees))
 
 
 def h_relations(h: HVector, n: int, d: int, p: int, t: int) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from collections import Counter, namedtuple
 
 from .betti import BettiTable, ResolutionShape, _Lockstep, classify, graded_betti
 from .betti import DEFAULT_VERTEX_CAP
-from .errors import NonPositiveResultError, TooManyVerticesError
+from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
 from .formulas import betti_from_h, check_lower_bound, h_relations
 from .graphs import (
@@ -194,11 +194,8 @@ def verify_complex(
     relations = None
     bounds = None
     if shape.is_pure:
-        try:
-            formula = betti_from_h(h, c.n, f.d, shape.degrees)
-            match = tuple(a == b for a, b in zip(formula, shape.betti))
-        except NonPositiveResultError:
-            match = tuple(False for _ in shape.betti)
+        formula = betti_from_h(h, c.n, f.d, shape.degrees)
+        match = tuple(a == b for a, b in zip(formula, shape.betti))
         residual = verify_series_identity(h, c.n, f.d, table)
         bounds = check_lower_bound(shape.betti, shape.p)
         if shape.kind == "linear":

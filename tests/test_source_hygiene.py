@@ -1,6 +1,7 @@
 """Leftovers of deleted code: imports that a module of the package or of
 the tests no longer uses, private module-level names that nothing in the
-package refers to any more, and exception classes that nothing raises.
+package refers to any more, exception classes that nothing raises, and
+handlers inside the package that catch one of its own exceptions.
 Also the independence of the test oracles from the code they check, the
 closed forms' independence from the sweep, and the package's module-level
 state, and what a CLI run imports."""
@@ -112,6 +113,19 @@ def test_every_exception_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert defined and sorted(defined - raised) == []
+
+
+def test_no_package_exception_is_caught_inside_the_package():
+    # srbetti's exceptions are for its callers: a disagreement inside the
+    # package is reported as data, not raised and caught again
+    defined = {node.name for node in TREES["errors.py"].body if isinstance(node, ast.ClassDef)}
+    caught = []
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught += [f"{name}:{node.lineno}: {_callee(t)}" for t in types if _callee(t) in defined]
+    assert defined and caught == []
 
 
 def test_formulas_import_no_sweep():

@@ -15,6 +15,7 @@ from srbetti import (
     Complex,
     FieldSpec,
     Graph,
+    ResolutionShape,
     TooManyVerticesError,
     clique_complex,
     complete_graph,
@@ -54,6 +55,18 @@ def test_report_c4():
     assert rep.pdim == 2 and rep.codim == 2
     assert rep.char_zero_agrees is True
     assert rep.all_identities_hold()
+
+
+def test_failing_closed_form_shows_its_numbers(monkeypatch):
+    # C4's table with the wrong degrees: the closed form's values are
+    # reported, and the one <= 0 fails the comparison
+    wrong = ResolutionShape("pure", (3, 4), (2, 1))
+    monkeypatch.setattr(verify, "classify", lambda table: wrong)
+    rep = verify_complex(C4)
+    assert rep.formula_betti == (0, 1)
+    assert rep.match == (False, True)
+    assert not rep.all_identities_hold()
+    assert json.loads(dumps_report(rep.to_json_dict()))["formula_betti"] == ["0", "1"]
 
 
 def test_report_full_simplex():
