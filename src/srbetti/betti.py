@@ -27,12 +27,15 @@ complex:
   - off flag complexes L is the link of u in Delta restricted to N_W(u)
     (`_link_result`), from the same rule one face up.  The link of a face
     sigma restricted to a set s of its neighbours is a simplex, a point's
-    result and not memoised, when s lies in one facet through sigma; else
-    split by its lowest vertex x that splits it, A being the same link
-    restricted to s - x and the link of x in it the link of sigma + x
-    restricted to the neighbours of sigma + x in s, both memoised per
-    sweep by face and set; else a core.  A cone on y splits by any x other
-    than y, as A and x's link are then cones on y, both acyclic.
+    result and not memoised, when sigma + s is a face, one byte of the
+    sweep's face bitmap (`_faces`, 2^n bytes built in n passes without
+    listing faces); else split by its lowest vertex x that splits it, A
+    being the same link restricted to s - x and the link of x in it the
+    link of sigma + x restricted to the neighbours of sigma + x in s, each
+    memoised per sweep in the star record of its face (its memo, the
+    facets through it and their union, made once per face); else a core.
+    A cone on y splits by any x other than y, as A and x's link are then
+    cones on y, both acyclic.
 A nonempty W where no vertex splits is a core; only cores are eliminated,
 on their maximal masks.  Every induced subgraph of a chordal graph has a
 simplicial vertex (Dirac), whose link is a simplex, so a chordal clique
@@ -74,7 +77,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, namedtuple
 from functools import reduce
 from itertools import zip_longest
 from operator import add, or_
@@ -188,28 +191,47 @@ def _closed(masks, n: int) -> dict[int, int]:
     return {1 << v: reduce(or_, [f for f in masks if f >> v & 1], 1 << v) for v in range(n)}
 
 
-def _link_result(sigma: int, s: int, fs: list[int], memos: defaultdict, results: _Results) -> int:
+def _faces(masks, n: int) -> bytes:
+    """Byte m is 1 iff the mask m lies in one of the masks: the facets
+    marked, then for each vertex v each byte at an index with bit v ORed
+    into the index without it, in one pass over the bytes as one integer."""
+    marked = bytearray(1 << n)
+    for f in masks:
+        marked[f] = 1
+    faces = int.from_bytes(marked, "little")
+    for v in range(n):
+        half = 1 << v
+        with_v = int.from_bytes((bytes(half) + b"\x01" * half) * (1 << n - v - 1), "little")
+        faces |= (faces & with_v) >> 8 * half
+    return faces.to_bytes(1 << n, "little")
+
+
+def _link_result(sigma: int, s: int, face: bytes, stars: dict, results: _Results) -> int:
     """The id of the restriction to s, a set of neighbours of the face
-    sigma, of sigma's link, from fs, the facets through sigma, memoised in
-    memos[sigma] by s: a point's when s lies in one of fs, a simplex, else
+    sigma, of sigma's link: a point's when face[sigma | s], a simplex, else
     split by its lowest vertex x where the split holds, the link of x in it
     being the link of sigma + x restricted to the neighbours of sigma + x
-    in s, else a core (module docstring)."""
+    in s, else a core (module docstring).  stars[tau] is the record (memo
+    by s, facets through tau, their union) of the face tau; sigma has one,
+    and sigma + x gets one here from sigma's facets the first time a split
+    reads it."""
     if not s:
         return 0
-    memo = memos[sigma]
+    if face[sigma | s]:  # a simplex, not memoised: most are met once
+        return results.point
+    memo, fs, _ = stars[sigma]
     rid = memo.get(s)
     if rid is not None:
         return rid
-    for f in fs:
-        if f & s == s:  # a simplex, not memoised: most are met once
-            return results.point
     rest = s
     while rest:
         x = rest & -rest
-        fx = [f for f in fs if f & x]
-        a = _link_result(sigma, s ^ x, fs, memos, results)
-        rid = results.split(a, _link_result(sigma | x, reduce(or_, fx) & s ^ x, fx, memos, results))
+        a = _link_result(sigma, s ^ x, face, stars, results)
+        star = stars.get(sigma | x)
+        if star is None:
+            fx = [f for f in fs if f & x]
+            star = stars[sigma | x] = ({}, fx, reduce(or_, fx))
+        rid = results.split(a, _link_result(sigma | x, star[2] & s ^ x, face, stars, results))
         if rid is not None:
             break
         rest ^= x
@@ -225,10 +247,11 @@ def _subset_results(masks, n: int, results: _Results) -> array:
     maximal cliques of its 1-skeleton."""
     closed = _closed(masks, n)
     flag = maximal_cliques([closed[1 << v] ^ 1 << v for v in range(n)]) == sorted(masks)
-    # off flag complexes: the facets through each vertex u; and per face
-    # sigma, its link's results by the vertex set it is restricted to
-    through = {} if flag else {1 << v: [f for f in masks if f >> v & 1] for v in range(n)}
-    memos: defaultdict = defaultdict(dict)
+    # off flag complexes: the face bitmap, and each vertex's star record,
+    # its link's results by the vertex set it is restricted to, the facets
+    # through it and their union
+    face = None if flag else _faces(masks, n)
+    stars = {} if flag else {u: ({}, [f for f in masks if f & u], union) for u, union in closed.items()}
     split = results.split
     res = array("I", bytes(4 << n))  # res[{}] is 0, the empty complex
     for w in range(1, len(res)):
@@ -238,7 +261,7 @@ def _subset_results(masks, n: int, results: _Results) -> array:
             u = rest & -rest
             near = closed[u] & w ^ u
             # on a flag complex the link of u is the restriction to N_W(u)
-            r = split(res[w ^ u], res[near] if flag else _link_result(u, near, through[u], memos, results))
+            r = split(res[w ^ u], res[near] if flag else _link_result(u, near, face, stars, results))
             if r is not None:
                 break
             rest ^= u

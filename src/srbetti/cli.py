@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"max vertices per corpus graph (default {CORPUS_DEFAULTS['n_max']})")
     p_ver.add_argument("--seed", type=int, help=f"corpus seed (default {CORPUS_DEFAULTS['seed']})")
     p_ver.add_argument("--exhaustive-froberg", action="store_true", default=None,
-                       help="also sweep all graphs on 6 vertices (about 0.15 s)")
+                       help="also sweep all graphs on 6 vertices (about 0.13 s)")
     report_options(p_ver)
     p_ver.set_defaults(func=cmd_verify)
     return parser

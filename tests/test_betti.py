@@ -2,7 +2,6 @@
 
 import random
 import sys
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from itertools import combinations
@@ -333,12 +332,12 @@ def count_cores(monkeypatch) -> tuple[list, list]:
             cores.append(reduce(or_, maximal))
         return real_core(self, maximal)
 
-    def link_result(sigma, s, fs, memos, results):
-        if s and s not in memos[sigma]:
+    def link_result(sigma, s, face, stars, results):
+        if s and s not in stars[sigma][0]:
             links.append(s)
         computing.append(s)
         try:
-            return real_link(sigma, s, fs, memos, results)
+            return real_link(sigma, s, face, stars, results)
         finally:
             computing.pop()
 
@@ -730,10 +729,40 @@ BIG = complex_from_facets(
 )
 
 
+def test_face_bitmap_matches_brute_force(monkeypatch):
+    # byte m of the bitmap is 1 iff m lies in a facet, on random complexes,
+    # torsion, a 12- and a 16-vertex facet, dense Alexander duals and the
+    # empty complex, whose only face is the empty one; the flag sweep
+    # never builds it
+    rnd = random.Random(6017)
+    complexes = [random_complex(rnd, max_n=8, max_facets=rnd.choice([6, 10])) for _ in range(40)]
+    complexes += [RP2, suspension(RP2), BIG, Complex((), (0,))]
+    complexes.append(
+        complex_from_facets([[f"a{i:02}" for i in range(16)], ["a00", "z", "a01"], ["z", "a02", "a03"], ["a04", "z", "a05"]])
+    )
+    while len(complexes) < 55:
+        dual = alexander_dual(random_complex(rnd, max_n=8, max_facets=rnd.choice([4, 6]), max_size=4))[0]
+        if dual.n:  # not the empty face alone
+            complexes.append(dual)
+    for c in complexes:
+        face = betti._faces(c.facets, c.n)
+        assert len(face) == 1 << c.n and {m for m in range(1 << c.n) if face[m]} == brute_face_masks(c), c.facets
+    assert betti._faces(Complex((), (0,)).facets, 0) == b"\x01"
+
+    def refuse(masks, n):
+        raise AssertionError("the flag sweep built the face bitmap")
+
+    monkeypatch.setattr(betti, "_faces", refuse)
+    for g in corpus_graphs(50, 9, 7):
+        graded_betti(clique_complex(g))
+
+
 def test_non_flag_sweep_enumerates_no_faces(monkeypatch):
-    # off flag complexes the link's simplex test and split read facets and
-    # unions of facets, and a core of a link restriction the traces of
-    # facets, never the face set, which a large facet makes huge
+    # off flag complexes the link's simplex test reads a bitmap of 2^n
+    # bytes, built by n passes over the whole array without listing faces;
+    # the split reads facets and unions of facets, and a core of a link
+    # restriction the traces of facets, never the face set, which a large
+    # facet makes huge
     fields = (FieldSpec.prime(2), QQ)
     expected = {(c, field): brute_betti(c, field.p) for c in (RP2, suspension(RP2)) for field in fields}
     expected.update({(BIG, field): graded_betti(BIG, field).as_dict() for field in fields})
@@ -750,7 +779,7 @@ def test_non_flag_sweep_enumerates_no_faces(monkeypatch):
 
 def test_link_results_match_brute_force(monkeypatch):
     # for every face sigma of 1 to 3 vertices and every s inside N(sigma),
-    # ascending, with the memos of one sweep per sigma, the link
+    # ascending, with the star records of one sweep per sigma, the link
     # restriction's result gives over Q, GF(2) and GF(3) the reduced
     # homology the oracle computes from its faces {F inside s : F + sigma a
     # face}.  What the oracle sees of it decides the rule: a simplex is not
@@ -779,16 +808,17 @@ def test_link_results_match_brute_force(monkeypatch):
     kinds = set()
     for c in [BIG, RP2, suspension(RP2), TORUS, *randoms, *duals]:
         faces = brute_face_masks(c)
+        face = betti._faces(c.facets, c.n)
         for sigma in (f for f in faces if 0 < f.bit_count() <= 3):
             fs = [f for f in c.facets if f & sigma == sigma]
             nbrs = reduce(or_, fs) ^ sigma
             cap = c.n if c is not BIG else 9 if sigma & sigma - 1 == 0 else 4
-            memos, results = defaultdict(dict), betti._Results()
+            stars, results = {sigma: ({}, fs, nbrs | sigma)}, betti._Results()
             for s in range(1, nbrs + 1):
                 if s & nbrs != s or s.bit_count() > cap:
                     continue
                 visits.clear()
-                dims, torsion = results.values[betti._link_result(sigma, s, fs, memos, results)]
+                dims, torsion = results.values[betti._link_result(sigma, s, face, stars, results)]
                 # the subsets of s, the i-th vertex of s relabeled i
                 subsets = [0]
                 for v in bits(s):
@@ -819,7 +849,7 @@ def test_link_results_match_brute_force(monkeypatch):
                     assert got[: len(exp)] == exp and not any(got[len(exp) :]), (c.facets, sigma, s, p)
                 # A, s minus x, is memoised; a link of sigma + x may
                 # eliminate cores of its own, on fewer vertices than s
-                assert (s not in memos[sigma], visits.count(s)) == (kind == "simplex", kind == "core"), (c.facets, sigma, s)
+                assert (s not in stars[sigma][0], visits.count(s)) == (kind == "simplex", kind == "core"), (c.facets, sigma, s)
                 assert kind != "simplex" or not visits, (c.facets, sigma, s)
                 kinds.add((kind, past, cone, bool(torsion)))
     assert {kind for kind, _, _, _ in kinds} == {"simplex", "split", "core"}
