@@ -3,12 +3,12 @@
 The graph algorithms take the adjacency masks `adj` (adj[v] is the
 neighbour bitmask of vertex v), not a `Graph`, so a caller that builds
 masks itself, such as the Froberg sweep, needs no `Graph`.  Chordality is
-decided by maximum-cardinality search followed by explicit verification of
-the produced elimination ordering, so a positive answer always carries a
-checked witness, an order of vertex indices.  Clique enumeration is
-Bron-Kerbosch with Tomita's pivot, worst case O(3^(n/3)) (Tomita, Tanaka
-and Takahashi 2006); facet output is canonicalized by sorting, so results
-do not depend on traversal order.
+decided by removing simplicial vertices one at a time, so a positive answer
+always carries a witness checked step by step, a perfect elimination order
+of vertex indices.  Clique enumeration is Bron-Kerbosch with Tomita's
+pivot, worst case O(3^(n/3)) (Tomita, Tanaka and Takahashi 2006); facet
+output is canonicalized by sorting, so results do not depend on traversal
+order.
 
 The seeded generator is built on a fixed xorshift64* contract (documented on
 Xorshift64Star) so corpora are bit-reproducible across implementations.
@@ -145,46 +145,36 @@ def complete_graph(n: int) -> Graph:
 
 
 def is_chordal(adj: Sequence[int]) -> tuple[bool, tuple[int, ...] | None]:
-    """Chordality test of the graph with adjacency masks adj, with a verified
-    perfect elimination order of its vertex indices as witness.
+    """Chordality test of the graph with adjacency masks adj, with a perfect
+    elimination order of its vertex indices as witness.
 
-    Runs maximum-cardinality search (ties broken by smallest index) and then
-    checks directly that each vertex's later neighbors in the candidate
-    elimination order form a clique; MCS yields such an order iff the graph
-    is chordal, and the explicit check doubles as a self-test.
+    Removes simplicial vertices one at a time, each time the smallest index
+    whose remaining neighbours are pairwise adjacent; the removal order is
+    the witness, each step checked as it is taken.  Every chordal graph has
+    a simplicial vertex and its induced subgraphs are chordal (Dirac 1961),
+    so the removal runs to the end iff the graph is chordal; otherwise it
+    stops at an induced subgraph with no simplicial vertex.
     """
-    n = len(adj)
-    weight = [0] * n
-    unnumbered = (1 << n) - 1
-    selection: list[int] = []
-    for _ in range(n):
-        best = top = -1
-        rest = unnumbered
-        while rest:  # ascending, so a tie keeps the smallest index
+    left = (1 << len(adj)) - 1  # the vertices not yet removed
+    order: list[int] = []
+    while left:
+        rest = left
+        while rest:  # ascending, so the smallest simplicial vertex is found
             low = rest & -rest
-            u = low.bit_length() - 1
-            if weight[u] > top:
-                best, top = u, weight[u]
+            nbrs = todo = adj[low.bit_length() - 1] & left
+            while todo:  # each neighbour is adjacent to all the others
+                b = todo & -todo
+                if nbrs & ~adj[b.bit_length() - 1] & ~b:
+                    break
+                todo ^= b
+            if not todo:
+                break
             rest ^= low
-        selection.append(best)
-        unnumbered ^= 1 << best
-        rest = adj[best] & unnumbered
-        while rest:
-            low = rest & -rest
-            weight[low.bit_length() - 1] += 1
-            rest ^= low
-    # selection reversed is the candidate PEO; walking the selection forward,
-    # `seen` is exactly the set of vertices later in that elimination order.
-    seen = 0
-    for v in selection:
-        later = rest = adj[v] & seen
-        while rest:
-            low = rest & -rest
-            if later & ~adj[low.bit_length() - 1] & ~low:
-                return False, None
-            rest ^= low
-        seen |= 1 << v
-    return True, tuple(reversed(selection))
+        if not rest:
+            return False, None
+        order.append(low.bit_length() - 1)
+        left ^= low
+    return True, tuple(order)
 
 
 def chordal_extensions(adj: Sequence[int]) -> list[bool]:
@@ -299,16 +289,21 @@ def gen_chordal(n: int, density: float, seed: int) -> Graph:
     return Graph(labels, tuple(adj))
 
 
-def write_graph(g: Graph, path) -> None:
-    """Edge-list .graph format with an explicit vertex header.  A label that
-    is not one token, starts with '#' (a comment line) or is 'vertices' (a
-    header line) would not read back: ValueError."""
+def graph_text(g: Graph) -> str:
+    """The .graph text of g: a vertex header, then one edge per line.  A
+    label that is not one token, starts with '#' (a comment line) or is
+    'vertices' (a header line) would not read back: ValueError."""
     for label in g.labels:
         if label.split() != [label] or label.startswith("#") or label == "vertices":
             raise ValueError(f"vertex label {label!r} cannot be written to a .graph file")
     lines = ["vertices " + " ".join(g.labels)]
     lines.extend(f"{u} {v}" for u, v in g.edges())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def write_graph(g: Graph, path) -> None:
+    """Write g to a .graph file (see graph_text)."""
+    Path(path).write_text(graph_text(g), encoding="utf-8")
 
 
 def read_edges(path) -> tuple[list[tuple[str, str]], set[str] | None]:

@@ -74,8 +74,10 @@ class VerificationReport(namedtuple("VerificationReport", [
 ])):
     """Everything computed for one complex, plus per-identity outcomes.
 
-    Stores only what its table, f and h do not determine; n, the field,
-    pdim and codim are read from them."""
+    The shape, the formula's values and the residuals and verdicts derived
+    from the table, f and h are computed once, by verify_complex, for the
+    checks and the renderers to read; n, the field, pdim and codim are read
+    from the table and f."""
 
     __slots__ = ()
     facet_hash: str
@@ -346,9 +348,9 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     restriction of the clique complex has torsion, so its table over Q is
     its table over the field; a base graph one of whose extensions' results
     has torsion gets no tables, and each of its extensions is a mismatch.
-    2^C(n,2) graphs; n = 6 takes about 0.13 s (0.133-0.136 s
-    in six fresh processes on a shared 2-vCPU VM, Python 3.11.7) and is the
-    strongest acceptance check in the suite.
+    2^C(n,2) graphs; n = 6 takes about 0.16 s (the median of six fresh
+    `python3 -I -S` processes, 0.15-0.25 s, on a shared 2-vCPU VM, Python
+    3.11.7) and is the strongest acceptance check in the suite.
 
     Each graph is a base graph on vertices 0..n-2 plus a neighbour set of
     vertex n-1, and the 2^(n-1) extensions of a base are swept together

@@ -11,8 +11,21 @@ from pathlib import Path
 
 import pytest
 
-from srbetti import DATA_DIR, cli, fixture_path, is_chordal, read_graph
+from srbetti import (
+    DATA_DIR,
+    classify,
+    cli,
+    clique_complex,
+    fingerprint,
+    fixture_path,
+    graded_betti,
+    is_chordal,
+    read_graph,
+    verify,
+    verify_chordal_corpus,
+)
 from srbetti.cli import build_parser, main, polynomial_text, series_text
+from srbetti.verify import corpus_graphs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -206,6 +219,21 @@ def test_gen_chordal_writes_deterministic_chordal_file(tmp_path, capsys):
     assert is_chordal(g.adj)[0]
 
 
+def test_gen_chordal_prints_what_out_writes(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    assert main(["gen-chordal", "8", "0.5", "42", "--out", str(path)]) == 0
+    code, out, _ = run(capsys, "gen-chordal", "8", "0.5", "42")
+    assert code == 0
+    assert out.encode("utf-8") == path.read_bytes()
+
+
+def test_gen_chordal_refuses_n_above_n_cap(capsys):
+    code, out, err = run(capsys, "gen-chordal", "9", "0.5", "1", "--n-cap", "8")
+    assert code == 2
+    assert out == ""
+    assert "n=9 exceeds --n-cap 8" in err
+
+
 def test_gen_chordal_k3(capsys):
     code, out, _ = run(capsys, "gen-chordal", "3", "1.0", "1")
     assert code == 0
@@ -257,6 +285,59 @@ def test_verify_exhaustive_froberg_flag(capsys):
     assert "verdict: pass" in out
 
 
+SWEEP_JSON = ("verify", "--count", "2", "--n-max", "4", "--exhaustive-froberg", "--format", "json")
+
+
+def test_verify_json_carries_the_froberg_sweep(capsys):
+    code, out, _ = run(capsys, *SWEEP_JSON)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["froberg_sweep"] == {
+        "schema": "srbetti-sweep/1", "n": 6, "checked": 32768, "mismatches": [], "all_passed": True,
+    }
+    assert doc["all_passed"] is True
+
+
+def test_verify_json_fails_on_a_sweep_mismatch_alone(capsys, monkeypatch):
+    # flip the verdict on the path 1-0-5: base edge 0-1 and neighbour set
+    # {0} of vertex 5, edge mask 2^0 + 2^4 in the order (0, 1), (0, 2), ...
+    real = verify.chordal_extensions
+
+    def flipped(base):
+        out = real(base)
+        if base == [0b10, 0b01, 0, 0, 0]:
+            out[0b1] = not out[0b1]
+        return out
+
+    monkeypatch.setattr(verify, "chordal_extensions", flipped)
+    code, out, _ = run(capsys, *SWEEP_JSON)
+    doc = json.loads(out)
+    # the corpus passed, and the sweep alone fails the run
+    assert doc["first_failure"] is None
+    assert all(entry["not_linear"] for entry in doc["converse_nonchordal"])
+    assert doc["froberg_sweep"]["mismatches"] == [17]
+    assert doc["froberg_sweep"]["all_passed"] is False
+    assert doc["all_passed"] is False
+    assert code == 1
+
+
+def test_verify_names_the_first_failing_corpus_complex(capsys, monkeypatch):
+    # a lower bound that fails on every pure table; the corpus for count 4,
+    # n_max 6, seed 1 starts with two simplices, so the third complex fails
+    # first
+    monkeypatch.setattr(verify, "check_lower_bound", lambda betti, p: (False,) * len(betti))
+    complexes = [clique_complex(g) for g in corpus_graphs(4, 6, 1)]
+    assert [classify(graded_betti(c)).kind for c in complexes[:3]] == ["trivial", "trivial", "linear"]
+    first = fingerprint(complexes[2])
+    summary = verify_chordal_corpus(4, 6, 1)
+    assert summary.first_failure == first
+    assert not summary.gate_passed()
+    code, out, _ = run(capsys, "verify", "--count", "4", "--n-max", "6", "--seed", "1")
+    assert f"  first failing complex: {first}\n" in out
+    assert "verdict: FAIL" in out
+    assert code == 1
+
+
 def test_verify_field_q(capsys):
     code, out, _ = run(capsys, "verify", str(fixture_path("c4.cplx")), "--field", "Q")
     assert code == 0
@@ -266,6 +347,18 @@ def test_verify_field_q(capsys):
 def test_bad_field_flag(capsys):
     with pytest.raises(SystemExit):
         main(["analyze", "x.cplx", "--field", "6"])
+
+
+def test_field_that_is_no_number_nor_q(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "x.cplx", "--field", "foo"])
+    assert exc.value.code == 2
+    assert "--field must be a prime or 'Q', got 'foo'" in capsys.readouterr().err
+
+
+def test_missing_fixture_is_refused():
+    with pytest.raises(FileNotFoundError, match="no bundled fixture 'missing.cplx'"):
+        fixture_path("missing.cplx")
 
 
 def test_bad_n_cap(capsys):

@@ -31,6 +31,13 @@ def test_field_validation():
             FieldSpec.prime(bad)
 
 
+def test_field_refuses_odd_composites():
+    # odd values that trial division must reject, squares of primes included
+    for bad in (9, 15, 25, 32041):  # 32041 = 179^2
+        with pytest.raises(ValueError, match="must be a prime below 2\\^31"):
+            FieldSpec.prime(bad)
+
+
 def test_rank_zero_and_identity():
     assert rank(sparse_rows([[0] * 4] * 3)) == 0
     assert rank([]) == 0

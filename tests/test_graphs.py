@@ -105,14 +105,14 @@ def test_elimination_order_is_verified_witness():
 
 
 def test_elimination_order_breaks_ties_by_smallest_index():
-    # triangles {0, 2, 4} and {1, 3, 5} joined by the edge 0-5.  The search
-    # numbers 0 first (every weight is 0), then 2 over 4 and 5, then 4; then
-    # 5, then 1 over 3, then 3.  The witness is that selection reversed
+    # triangles {0, 2, 4} and {1, 3, 5} joined by the edge 0-5.  The
+    # simplicial vertices are 1, 2, 3 and 4, and 1 goes first; then 2 over
+    # 3 and 4, then 3, then 4; then 0, whose one neighbour left is 5, then 5
     g = graph_from_edges(
         [("4", "2"), ("4", "0"), ("2", "0"), ("0", "5"), ("5", "1"), ("5", "3"), ("1", "3")],
         vertices=[str(v) for v in range(6)],
     )
-    assert is_chordal(g.adj) == (True, (3, 1, 5, 4, 2, 0))
+    assert is_chordal(g.adj) == (True, (1, 2, 3, 4, 0, 5))
 
 
 def extended(base, nbrs):

@@ -166,6 +166,12 @@ def test_corpus_graphs_draw_is_stable():
     assert corpus_graphs(10, 9, 7) == gs
 
 
+@pytest.mark.parametrize("count, n_max", [(0, 9), (5, 1)])
+def test_corpus_graphs_refuse_an_empty_or_trivial_draw(count, n_max):
+    with pytest.raises(ValueError, match="need count >= 1 and n_max >= 2"):
+        corpus_graphs(count, n_max, 7)
+
+
 def test_projective_plane_field_dependence_flagged():
     rp2 = read_complex(fixture_path("rp2.cplx"))
     rep2 = verify_complex(rp2, FieldSpec.prime(2))
