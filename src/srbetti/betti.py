@@ -98,27 +98,28 @@ class BettiTable(namedtuple("BettiTable", "cells n field torsion", defaults=((),
 
     i is the homological degree (0 for the ring itself, so the only i = 0
     cell is (0, 0, 1)), j the internal degree.  Absent cells are zero.
-    `torsion` lists (|W|, torsion) for each restriction Delta_W with torsion
-    in its integral homology (see homology.reduced_dims_from_facets), in
-    ascending order of W; it is all the table over another field needs.
+    `torsion` holds sorted ((|W|, torsion), count) pairs: count is the
+    number of restrictions Delta_W of that size with that torsion in their
+    integral homology (see homology.reduced_dims_from_facets); it is all
+    the table over another field needs.
     """
 
     __slots__ = ()
     cells: tuple[tuple[int, int, int], ...]
     n: int
     field: FieldSpec
-    torsion: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    torsion: tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], int], ...]
 
     def over(self, field: FieldSpec) -> "BettiTable":
         """The same complex's table over another field."""
         if not self.torsion:  # no torsion: the same table over every field
             return BettiTable(self.cells, self.n, field)
         acc = self.as_dict()
-        for j, torsion in self.torsion:
+        for (j, torsion), count in self.torsion:
             for k in torsion_shift(torsion, self.field.p):
-                acc[j - k, j] -= 1
+                acc[j - k, j] -= count
             for k in torsion_shift(torsion, field.p):
-                acc[j - k, j] = acc.get((j - k, j), 0) + 1
+                acc[j - k, j] = acc.get((j - k, j), 0) + count
         cells = tuple(sorted((i, j, v) for (i, j), v in acc.items() if v))
         return BettiTable(cells, self.n, field, self.torsion)
 
@@ -282,16 +283,16 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
         raise TooManyVerticesError(f"{c.n} vertices: the sweep's 2^{c.n} subsets exceed the address space")
     results = _Results()
     res = _subset_results(c.facets, c.n, results)
-    values = results.values
     acc: Counter = Counter()
+    torsion: Counter = Counter()
     for (j, rid), count in Counter(zip(map(int.bit_count, range(len(res))), res)).items():
-        for r_idx, b in enumerate(values[rid][0]):  # reduced degree r_idx - 1 adds at i = j - r_idx
+        dims, tors = results.values[rid]
+        for r_idx, b in enumerate(dims):  # reduced degree r_idx - 1 adds at i = j - r_idx
             acc[j - r_idx, j] += b * count
+        if tors:
+            torsion[j, tors] += count
     cells = tuple(sorted((i, j, v) for (i, j), v in acc.items() if v))
-    torsion = ()
-    if any(results.twisted):  # else the same table over every field, and no pass over res
-        torsion = tuple((w.bit_count(), values[rid][1]) for w, rid in enumerate(res) if values[rid][1])
-    return BettiTable(cells, c.n, QQ, torsion).over(field)
+    return BettiTable(cells, c.n, QQ, tuple(sorted(torsion.items()))).over(field)
 
 
 def _pair_row(w: int, closed: dict, base: array, pairs: array, sweep: "_Lockstep") -> array:

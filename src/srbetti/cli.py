@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .betti import DEFAULT_VERTEX_CAP, BettiTable
 from .errors import ParseError, TooManyVerticesError
-from .exactla import QQ, FieldSpec
+from .exactla import GF_DEFAULT, QQ, FieldSpec
 from .graphs import gen_chordal, graph_from_edges, graph_text, is_chordal, clique_complex, read_edges
 from .hilbert import multiplicity, series_from_f
 from .simplicial import MAX_VERTICES, complex_from_facets, read_facets
@@ -27,8 +27,6 @@ from .verify import (
     verify_chordal_corpus,
     verify_complex,
 )
-
-DEFAULT_FIELD = "32003"
 
 
 def _parse_field(text: str) -> FieldSpec:
@@ -284,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     def report_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--field", type=_parse_field, default=_parse_field(DEFAULT_FIELD),
-                       help="coefficient field: a prime p or Q (default 32003)")
+        p.add_argument("--field", type=_parse_field, default=GF_DEFAULT,
+                       help=f"coefficient field: a prime p or Q (default {GF_DEFAULT.p})")
         p.add_argument("--format", choices=("text", "json"), default="text")
         common(p)
 
@@ -309,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"max vertices per corpus graph (default {CORPUS_DEFAULTS['n_max']})")
     p_ver.add_argument("--seed", type=int, help=f"corpus seed (default {CORPUS_DEFAULTS['seed']})")
     p_ver.add_argument("--exhaustive-froberg", action="store_true", default=None,
-                       help="also sweep all graphs on 6 vertices (about 0.16 s, the median "
-                            "of six fresh processes on a 2-vCPU VM)")
+                       help="also sweep all graphs on 6 vertices")
     report_options(p_ver)
     p_ver.set_defaults(func=cmd_verify)
     return parser

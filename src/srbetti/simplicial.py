@@ -14,8 +14,8 @@ complex, the one core of every sweep.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections import Counter, namedtuple
+from collections.abc import Iterable
 from math import comb
 from pathlib import Path
 
@@ -133,24 +133,16 @@ def complex_from_facets(facets: Iterable[Iterable[str]]) -> Complex:
     return Complex(labels, tuple(sorted(_maximal_masks(masks))))
 
 
-def masks_by_card(facets: Sequence[int]) -> list[list[int]]:
-    """All faces spanned by the facet masks, grouped by cardinality.
-
-    Group k lists the k-vertex face masks, in no particular order; group 0
-    is the empty face.  Cost is sum of 2^|facet|.
-    """
-    seen: set[int] = set()
+def face_masks(facets: Iterable[int]) -> set[int]:
+    """Every face spanned by the facet masks, the empty face 0 included.
+    Cost is sum of 2^|facet|."""
+    faces = {0}
     for fac in facets:
         sub = fac
         while sub:
-            seen.add(sub)
+            faces.add(sub)
             sub = (sub - 1) & fac
-    top = max((f.bit_count() for f in facets), default=0)
-    groups: list[list[int]] = [[] for _ in range(top + 1)]
-    groups[0].append(0)
-    for m in seen:
-        groups[m.bit_count()].append(m)
-    return groups
+    return faces
 
 
 class FVector(namedtuple("FVector", "entries")):
@@ -186,7 +178,8 @@ class HVector(namedtuple("HVector", "entries")):
 
 def f_vector(c: Complex) -> FVector:
     """Count faces by dimension; entry at index i+1 counts i-dimensional faces."""
-    return FVector(tuple(len(g) for g in masks_by_card(c.facets)))
+    counts = Counter(map(int.bit_count, face_masks(c.facets)))
+    return FVector(tuple(counts[k] for k in range(len(counts))))
 
 
 def h_vector(f: FVector) -> HVector:
@@ -209,7 +202,7 @@ def minimal_non_faces(c: Complex) -> list[tuple[str, ...]]:
     face t - v for its highest vertex v: a candidate qualifies iff it is
     not a face while t - u is for every u.
     """
-    faces = {m for group in masks_by_card(c.facets)[1:] for m in group}
+    faces = face_masks(c.facets)
     labeled = []
     for s in faces:
         for v in range(s.bit_length(), c.n):

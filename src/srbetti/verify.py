@@ -346,11 +346,10 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     complex's Betti table classifies linear (trivial counting as vacuously
     linear, the zero-ideal case) iff the graph is chordal.  Katzman's: no
     restriction of the clique complex has torsion, so its table over Q is
-    its table over the field; a base graph one of whose extensions' results
-    has torsion gets no tables, and each of its extensions is a mismatch.
-    2^C(n,2) graphs; n = 6 takes about 0.16 s (the median of six fresh
-    `python3 -I -S` processes, 0.15-0.25 s, on a shared 2-vCPU VM, Python
-    3.11.7) and is the strongest acceptance check in the suite.
+    its table over the field, and the field cannot change the verdict; a
+    base graph one of whose extensions' results has torsion gets no
+    tables, and each of its extensions is a mismatch.
+    2^C(n,2) graphs; n = 6 is the strongest acceptance check in the suite.
 
     Each graph is a base graph on vertices 0..n-2 plus a neighbour set of
     vertex n-1, and the 2^(n-1) extensions of a base are swept together

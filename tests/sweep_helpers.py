@@ -7,15 +7,15 @@ are what the oracles are compared with, not oracles themselves.
 from collections import Counter
 
 from srbetti.homology import _boundary_rows, reduced_dims_from_facets, torsion_shift
-from srbetti.simplicial import masks_by_card
+from srbetti.simplicial import face_masks
 
 
 def boundary_rows(c, i):
     """The boundary map from (i+1)- to i-vertex faces of c, as the sweep
     ranks it: one sparse row per (i+1)-vertex face, over both groups sorted
     by mask.  i = 0 is the augmentation."""
-    groups = masks_by_card(c.facets)
-    return _boundary_rows(sorted(groups[i]), sorted(groups[i + 1]))
+    faces = sorted(face_masks(c.facets))
+    return _boundary_rows([m for m in faces if m.bit_count() == i], [m for m in faces if m.bit_count() == i + 1])
 
 
 def composes_to_zero(c):

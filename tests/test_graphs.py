@@ -7,6 +7,7 @@ import pytest
 
 from helpers import brute_is_chordal, brute_maximal_cliques, random_graph
 from srbetti import (
+    EmptyInputError,
     Graph,
     ParseError,
     Xorshift64Star,
@@ -299,6 +300,25 @@ def test_graph_file_errors(tmp_path, content):
     path.write_text(content)
     with pytest.raises(ParseError):
         read_graph(path)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Xorshift64Star(1).below(0), ValueError, "below() needs a positive bound"),
+        (lambda: Graph(("a", "a"), (0, 0)), ValueError, "duplicate vertex labels"),
+        (lambda: Graph(("b", "a"), (0, 0)), ValueError, "labels must be sorted"),
+        (lambda: Graph(("a",), (0, 0)), ValueError, "adjacency length mismatch"),
+        (lambda: Graph(("a",), (0b10,)), ValueError, "adjacency mask out of range"),
+        (lambda: clique_complex(Graph((), ())), EmptyInputError, "no facets given"),
+        (lambda: gen_chordal(0, 0.5, 1), ValueError, "need n >= 1"),
+        (lambda: gen_chordal(3, 1.5, 1), ValueError, "density must lie in [0, 1]"),
+    ],
+)
+def test_input_checks(build, error, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_graph_validation():

@@ -10,6 +10,7 @@ from srbetti import (
     Complex,
     EmptyInputError,
     FVector,
+    HVector,
     TooManyVerticesError,
     complex_from_facets,
     f_vector,
@@ -20,7 +21,7 @@ from srbetti import (
     write_complex,
 )
 from srbetti.homology import reduced_dims_from_facets
-from srbetti.simplicial import _maximal_masks, masks_by_card
+from srbetti.simplicial import _maximal_masks, face_masks
 
 C4_FACETS = [["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]]
 
@@ -140,23 +141,18 @@ def test_minimal_non_faces_characterize_faces():
         assert all(m.bit_count() >= 2 for m in non_faces)
 
 
-def faces_of(masks):
-    """Every face spanned by a mask set, as the sweep enumerates them."""
-    return {m for group in masks_by_card(masks) for m in group}
-
-
 def test_induced_subcomplex_examples():
     # the sweep restricts to W by the mask set {f & w}; its homology is the
     # restriction's
     c4 = complex_from_facets(C4_FACETS)
     two_points = {f & 0b0101 for f in c4.facets}
-    assert faces_of(two_points) == {0, 0b0001, 0b0100}
+    assert face_masks(two_points) == {0, 0b0001, 0b0100}
     assert reduced_dims_from_facets(two_points)[0] == (0, 1)
     edge = {f & 0b0011 for f in c4.facets}
-    assert faces_of(edge) == {0, 0b01, 0b10, 0b11}
+    assert face_masks(edge) == {0, 0b01, 0b10, 0b11}
     assert reduced_dims_from_facets(edge)[0] == (0, 0, 0)
     empty = {f & 0 for f in c4.facets}
-    assert empty == {0} and faces_of(empty) == {0}
+    assert empty == {0} and face_masks(empty) == {0}
     assert reduced_dims_from_facets(empty)[0] == (1,)
 
 
@@ -165,8 +161,7 @@ def test_induced_full_vertex_set_is_identity():
     for _ in range(50):
         c = random_complex(rnd)
         full = (1 << c.n) - 1
-        restricted = masks_by_card({f & full for f in c.facets})
-        assert FVector(tuple(len(g) for g in restricted)) == f_vector(c)
+        assert face_masks({f & full for f in c.facets}) == brute_face_masks(c)
 
 
 def test_induced_faces_are_restricted_faces():
@@ -175,7 +170,7 @@ def test_induced_faces_are_restricted_faces():
         c = random_complex(rnd, max_n=6)
         w = sum(1 << v for v in range(c.n) if rnd.random() < 0.5)
         expected = {m for m in brute_face_masks(c) if m & w == m}
-        assert faces_of({f & w for f in c.facets}) == expected
+        assert face_masks({f & w for f in c.facets}) == expected
 
 
 def test_cplx_round_trip(tmp_path):
@@ -207,6 +202,30 @@ def test_direct_complex_validation():
         Complex(("a", "b"), (0b01, 0b11))  # not an antichain
     with pytest.raises(ValueError):
         Complex(("b", "a"), (0b11,))  # labels unsorted
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda tmp: Complex(tuple(f"v{i:02}" for i in range(65)), (1,)), TooManyVerticesError,
+         "65 vertices exceeds the 64-bit face representation"),
+        (lambda tmp: Complex(("a", "a"), (0b11,)), ValueError, "duplicate vertex labels"),
+        (lambda tmp: Complex(("a b",), (0b1,)), ValueError, "vertex labels must be nonempty tokens without whitespace"),
+        (lambda tmp: Complex(("a",), ()), ValueError, "facets may not be empty; the empty complex is facets=(0,)"),
+        (lambda tmp: Complex(("a", "b"), (0b10, 0b01)), ValueError, "facets must be sorted and distinct"),
+        (lambda tmp: Complex(("a",), (0b11,)), ValueError, "facet mask out of vertex range"),
+        (lambda tmp: complex_from_facets([["a", ""]]), ValueError, "vertex tokens must be nonempty strings, got ''"),
+        (lambda tmp: FVector((2, 1)), ValueError, "f-vector must start with f_{-1} = 1"),
+        (lambda tmp: FVector((1, 0)), ValueError, "face counts must be positive"),
+        (lambda tmp: HVector((0, 1)), ValueError, "h-vector must start with h_0 = 1"),
+        (lambda tmp: write_complex(Complex((), (0,)), tmp / "x.cplx"), EmptyInputError,
+         "the empty complex has no facet-file representation"),
+    ],
+)
+def test_input_checks(tmp_path, build, error, message):
+    with pytest.raises(ValueError) as caught:
+        build(tmp_path)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def brute_maximal(masks):

@@ -508,6 +508,15 @@ def test_froberg_sweep_builds_no_graph_or_complex(monkeypatch):
     assert (result.checked, result.mismatches) == (1024, ())
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_froberg_verdict_does_not_depend_on_the_field(n):
+    # the tables only carry the field, and with no torsion (Katzman) a
+    # clique complex's table is the same over every field
+    fields = (FieldSpec.prime(2), FieldSpec.prime(3), GF_DEFAULT, QQ)
+    results = {froberg_exhaustive(n, field) for field in fields}
+    assert results == {verify.SweepResult(n, 2 ** (n * (n - 1) // 2), ())}
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_froberg_refuses_fewer_than_one_vertex(n):
     with pytest.raises(ValueError, match="at least 1 vertex"):
