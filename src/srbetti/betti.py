@@ -49,11 +49,12 @@ The Froberg sweep takes the extensions of a graph on k vertices by a vertex
 v together (`_Lockstep`).  W + v in the extension by N restricts it as in
 the extension by N' = N & W, so each pair (W, N') is swept once, at the
 radix-3 index tri[W] + tri[N'] (digit 0, 1 or 2 for a vertex outside W, in
-W - N', in N').  The table of extension N sums, over W, the pair
-(W, N & W): per vertex, a pair digit 0 or 1 counts for an N without the
-vertex and 0 or 2 for an N with it, so k passes of one vertex each fold
-the 3^k pair sums into the 2^k extension sums (Yates's method, as in fast
-subset convolution: Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007).
+W - N', in N').  Extension N is linear iff no W of the base and no pair
+(W, N & W) has homology above reduced degree 0 (`_Lockstep.linear`): per
+vertex, a pair digit 0 or 1 counts for an N without the vertex and 0 or 2
+for an N with it, so k passes of one vertex each OR the 3^k pair flags
+into the 2^k extension flags (Yates's method, as in fast subset
+convolution: Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007).
 The pair (W, N') is the clique complex of the graph on W + v, fixed by W,
 the base edges inside W and N', and so is every value its rule reads:
 base[W'] for W' inside W, and pairs whose W' is a proper subset of W.  So
@@ -67,20 +68,19 @@ The row of the whole base is not kept: no other base has its edges.  For
 the top vertex y of W, the base graph on W is the pair (W - y, N_W(y))
 with y named v, so base[W] is read off the row of W - y, which precedes
 W's: the lockstep sweeps nothing but pair rows.  No flag complex on 10 or
-fewer vertices has torsion (Katzman 2006), so the lockstep carries none: it
-builds each extension's table over the sweep's field straight from its sum
-over Q, and for a base one of whose results has torsion it builds none.
+fewer vertices has torsion (Katzman 2006), so the lockstep carries none:
+without torsion a verdict holds over every field, and for a base one of
+whose results has torsion it gives none.
 """
 
 from __future__ import annotations
 
-import struct
 import sys
 from array import array
 from collections import Counter, namedtuple
 from functools import reduce
 from itertools import zip_longest
-from operator import add, or_
+from operator import or_
 
 from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
@@ -366,22 +366,17 @@ def _pair_results(adj: list[int], sweep: "_Lockstep") -> tuple[array, array]:
 
 
 class _Lockstep:
-    """The Froberg sweep's extension tables for base graphs on k vertices
-    (module docstring), with what the bases share: the pair index tri[m],
-    the sum over the vertices of m of 3^vertex; one `_Results`, so an id
-    means one homology value across the sweep; the memo of pair rows, by
-    W and the base edges inside W; the packed cells of each result at each
-    size; and one table per distinct sum."""
+    """The Froberg sweep's linearity verdicts for the extensions of base
+    graphs on k vertices (module docstring), with what the bases share: the
+    pair index tri[m], the sum over the vertices of m of 3^vertex; one
+    `_Results`, so an id means one homology value across the sweep; and
+    the memo of pair rows, by W and the base edges inside W."""
 
-    def __init__(self, k: int, field: FieldSpec):
+    def __init__(self, k: int):
         self.k = k
-        self.field = field
         self.tri = [0]
-        self.sizes = [1]  # by pair index: |W + v|, one more than its nonzero digits
         for vertex in range(k):
             self.tri += [t + 3**vertex for t in self.tri]
-            more = [j + 1 for j in self.sizes]
-            self.sizes += more + more
         # the base edges (u, x) as bits, in the order of the pairs (i, j),
         # i < j; inside[w] has the bits of the edges inside w
         self.edges = [(1 << i, 1 << j) for i in range(k) for j in range(i + 1, k)]
@@ -395,53 +390,34 @@ class _Lockstep:
             self.slots.append([self.tri[w] + self.tri[nbrs] for nbrs in row])
         self.results = _Results()
         self.memo: dict[int, array] = {}
-        # cells_at[j][rid]: the cells a result adds at |W| = j, packed, b_(r-1) at i = j - r
-        self.cells_at: list[list[int]] = [[] for _ in range(k + 2)]
-        self.pair_cells = [self.cells_at[j] for j in self.sizes]  # by pair index
-        self.base_cells = [self.cells_at[w.bit_count()] for w in range(1 << k)]  # by subset
-        self.shared: dict[int, BettiTable] = {}
 
-    def tables(self, adj: list[int]) -> list[BettiTable] | None:
-        """The Betti table of the clique complex of each extension of the
-        graph with adjacency masks `adj` by a vertex v = k, indexed by v's
-        neighbour set N: the base's results plus, for each W, the pair
-        (W, N & W)'s; or None if one of those results has torsion, which no
-        flag complex on 10 or fewer vertices has (Katzman 2006).  Without
-        torsion the table over Q is the table over every field.  Each sum
-        packs cell (i, j) into bits 32 (i (k + 2) + j) on: an entry counts at
-        most the 3^(k+1) faces of all restrictions, < 2^32 for k + 1 <= 20,
-        twice the cap `verify.FROBERG_VERTEX_CAP` that `froberg_exhaustive`
-        enforces.  Cells are packed once per result the sweep meets."""
-        k = self.k
-        size = k + 2  # i and j run over 0 ... k + 1
+    def linear(self, adj: list[int]) -> list[bool] | None:
+        """By the neighbour set N of a vertex v = k, whether the clique
+        complex of the extension of the graph with adjacency masks `adj` by
+        v has a linear resolution, the zero ideal counting as linear; or
+        None if a result has torsion, which no flag complex on 10 or fewer
+        vertices has (Katzman 2006).  By Hochster's formula it is linear iff
+        no restriction (the base's W, each pair (W, N & W)) has homology
+        above reduced degree 0: H_0 lands on the strand j = i + 1 of the
+        non-edges, every higher degree off it.  Without torsion that holds
+        over every field."""
         results = self.results
         base, pairs = _pair_results(adj, self)
         # the pair (W, {}) is W plus an isolated v, with base[W]'s torsion
         if any(map(results.twisted.__getitem__, pairs)):
             return None
-        cells_at = self.cells_at
-        for dims, _ in results.values[len(cells_at[0]) :]:
-            for j, packed in enumerate(cells_at):
-                packed.append(sum(b << 32 * ((j - r) * size + j) for r, b in enumerate(dims) if r <= j))
-        sums = list(map(list.__getitem__, self.pair_cells, pairs))
-        # every extension sums the base's W and the pair ({}, {}), at index 0
-        sums[0] += sum(map(list.__getitem__, self.base_cells, base))
-        for _ in range(k):  # fold the top ternary digit into the lowest binary one
-            third = len(sums) // 3
-            zero = sums[:third]
+        support = results.support
+        high = [support[r] >> 2 for r in pairs]  # homology above reduced degree 0
+        # every extension has the base's W and the pair ({}, {}), at index 0
+        high[0] |= any(support[r] >> 2 for r in base)
+        for _ in range(self.k):  # fold the top ternary digit into the lowest binary one
+            third = len(high) // 3
+            zero = high[:third]
             folded = [0] * (2 * third)
-            folded[::2] = map(add, zero, sums[third : 2 * third])
-            folded[1::2] = map(add, zero, sums[2 * third :])
-            sums = folded
-        out = []
-        for total in sums:
-            table = self.shared.get(total)
-            if table is None:
-                counts = struct.unpack(f"<{size * size}I", total.to_bytes(4 * size * size, "little"))
-                cells = tuple((*divmod(cell, size), v) for cell, v in enumerate(counts) if v)
-                table = self.shared[total] = BettiTable(cells, k + 1, self.field)
-            out.append(table)
-        return out
+            folded[::2] = map(or_, zero, high[third : 2 * third])
+            folded[1::2] = map(or_, zero, high[2 * third :])
+            high = folded
+        return [not h for h in high]
 
 
 class ResolutionShape(namedtuple("ResolutionShape", "kind degrees betti", defaults=(None, None))):

@@ -230,7 +230,7 @@ def cmd_verify(args) -> int:
     ok = summary.gate_passed()
     sweep = None
     if args.exhaustive_froberg:
-        sweep = froberg_exhaustive(6, args.field)
+        sweep = froberg_exhaustive(6)
         ok = ok and sweep.passed
     if args.format == "json":
         doc = summary.to_json_dict()

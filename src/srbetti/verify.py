@@ -343,12 +343,13 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     """Two-sided linearity/chordality sweep over ALL graphs on n labeled vertices.
 
     It checks two theorems on every edge set.  Froberg's: the clique
-    complex's Betti table classifies linear (trivial counting as vacuously
-    linear, the zero-ideal case) iff the graph is chordal.  Katzman's: no
-    restriction of the clique complex has torsion, so its table over Q is
-    its table over the field, and the field cannot change the verdict; a
-    base graph one of whose extensions' results has torsion gets no
-    tables, and each of its extensions is a mismatch.
+    complex has a linear resolution (the zero ideal counting as vacuously
+    linear) iff the graph is chordal.  Katzman's: no restriction of the
+    clique complex has torsion, so the verdict is the same over every
+    field; a base graph one of whose extensions' results has torsion gets
+    no verdicts, and each of its extensions is a mismatch.  `field` is not
+    read; it stays because `bench/worker.py` passes it positionally, and
+    ROADMAP item 1a deletes it together with that argument.
     2^C(n,2) graphs; n = 6 is the strongest acceptance check in the suite.
 
     Each graph is a base graph on vertices 0..n-2 plus a neighbour set of
@@ -364,18 +365,17 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     restriction the sweep holds already, by the Mayer-Vietoris split; what
     has no such vertex is a core.  For n = 6 none of the 38,619 computed
     pairs (248,832 are looked up) is a core, and the sweep's one
-    elimination is of the empty complex, once per sweep.  Every graph still
-    gets a table summed over all 2^n subsets: the 3^(n-1) pair sums fold
-    into the 2^(n-1) extension sums in n-1 passes, and the sweep builds and
-    classifies one table per distinct sum (75 for n = 6).
+    elimination is of the empty complex, once per sweep.  A graph is
+    linear iff none of its 2^n restrictions has homology above reduced
+    degree 0 (Hochster's formula): the 3^(n-1) pair flags fold into the
+    2^(n-1) extension flags in n-1 passes, and no table is built.
     Chordality is decided once per base graph (`graphs.chordal_extensions`):
     no extension of a non-chordal base is chordal, and the extension by N
     of a chordal one is chordal iff, for each component C of the base minus
     N, the vertices of N adjacent to C form a clique.  A graph is only its
     adjacency masks: no clique search runs but on a pair core, and no
     `Graph` or `Complex` is built.  n is capped at `FROBERG_VERTEX_CAP`
-    (10), where Katzman's theorem stops; the 32-bit cell slots of
-    `_Lockstep.tables` would hold up to 20.
+    (10), where Katzman's theorem stops.
     Mismatches are edge masks in the bit order of the pairs (i, j), i < j,
     in lexicographic order, sorted ascending.
     """
@@ -387,8 +387,7 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     last = 1 << k
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     base_pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    lockstep = _Lockstep(k, field)
-    linear_by_table: dict[int, bool] = {}  # by id: `lockstep` keeps each distinct table, built once, to the end
+    lockstep = _Lockstep(k)
     mismatches = []
     checked = 0
     for base_mask in range(1 << len(base_pairs)):
@@ -397,15 +396,10 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
             if (base_mask >> b) & 1:
                 base[i] |= 1 << j
                 base[j] |= 1 << i
-        tables = lockstep.tables(base)  # None: a result with torsion
+        linear = lockstep.linear(base)  # None: a result with torsion
         for nbrs, chordal in enumerate(chordal_extensions(base)):
-            linear = None  # with torsion, a mismatch whatever the chordality
-            if tables is not None:
-                table = tables[nbrs]
-                linear = linear_by_table.get(id(table))
-                if linear is None:
-                    linear = linear_by_table[id(table)] = classify(table).is_linear_or_trivial
-            if linear != chordal:
+            # with torsion, a mismatch whatever the chordality
+            if linear is None or linear[nbrs] != chordal:
                 adj = [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)] + [nbrs]
                 mismatches.append(sum(1 << b for b, (i, j) in enumerate(pairs) if (adj[i] >> j) & 1))
             checked += 1

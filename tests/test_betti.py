@@ -30,6 +30,7 @@ from helpers import (
     random_graph,
     suspension,
 )
+from sweep_helpers import extension_results, record_pair_results
 from srbetti import (
     BettiTable,
     Complex,
@@ -549,7 +550,7 @@ def test_threads_get_the_tables_of_one_thread():
 
 def base_adjacency(k):
     """The adjacency masks of every graph on k labeled vertices, as the
-    Froberg sweep hands them to `_Lockstep.tables`."""
+    Froberg sweep hands them to `_Lockstep.linear`."""
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     for mask in range(1 << len(pairs)):
         adj = [0] * k
@@ -567,20 +568,12 @@ def test_pair_memo_holds_one_row_per_graph_on_a_proper_subset(monkeypatch):
     # 2^C(|W|, 2) of them; the whole base's rows are not kept.  Each base
     # result, read off the pair row of W less its top vertex, is the one a
     # sweep of the base's clique complex finds under the same `_Results`
-    real_pairs = betti._pair_results
-    bases = []
-
-    def pair_results(adj, sweep):
-        out = real_pairs(adj, sweep)
-        bases.append(out[0])
-        return out
-
-    monkeypatch.setattr(betti, "_pair_results", pair_results)
+    swept = record_pair_results(monkeypatch)
     for k in range(6):
-        lockstep = _Lockstep(k, QQ)
+        lockstep = _Lockstep(k)
         for adj in base_adjacency(k):
-            lockstep.tables(adj)
-            assert bases[-1] == betti._subset_results(maximal_cliques(adj), k, lockstep.results), adj
+            assert lockstep.linear(adj) is not None
+            assert swept[-1][0] == betti._subset_results(maximal_cliques(adj), k, lockstep.results), adj
         rows = [(w, 2 ** comb(w.bit_count(), 2)) for w in range((1 << k) - 1)]
         assert len(lockstep.memo) == sum(graphs for _, graphs in rows)
         assert sum(map(len, lockstep.memo.values())) == sum(graphs << w.bit_count() for w, graphs in rows)
@@ -701,7 +694,9 @@ def test_split_reads_integral_homology_in_every_degree():
 def test_acyclic_link_removes_a_vertex_nothing_dominates(monkeypatch):
     # on the whole vertex set of LINK_PATH no vertex is isolated or
     # dominated, but the link of 6 is the path 0-2-1-4, acyclic: the whole
-    # set is no core, and every result, table and lockstep table is exact
+    # set is no core, and every result and table is exact, as is each
+    # result and the verdict of the lockstep, which takes the graph as the
+    # extension of its first 6 vertices by 6 with neighbours 0b10111
     c = clique_complex(LINK_PATH)
     whole = (1 << c.n) - 1
     faces = brute_face_masks(c)
@@ -721,10 +716,16 @@ def test_acyclic_link_removes_a_vertex_nothing_dominates(monkeypatch):
     rid = betti._subset_results(RP2.facets, RP2.n, rp2)[-1]
     assert not any(rp2.values[rid][0]) and rp2.support[rid]
     base = [row & (1 << 6) - 1 for row in LINK_PATH.adj[:6]]
+    assert LINK_PATH.adj[6] == 0b10111
+    swept = record_pair_results(monkeypatch)
+    lockstep = _Lockstep(6)
+    linear = lockstep.linear(base)[0b10111]
+    extension = extension_results(swept[-1], lockstep.tri, 0b10111)
+    assert [lockstep.results.values[r] for r in extension] == [results.values[r] for r in res]
     for field in (FieldSpec.prime(2), FieldSpec.prime(3), QQ):
         table = graded_betti(c, field)
         assert table.as_dict() == brute_betti(c, field.p), field
-        assert _Lockstep(6, field).tables(base)[0b10111] == table, field
+        assert linear == classify(table).is_linear_or_trivial, field
 
 
 # a 12-vertex facet and three triangles through z: most link restrictions

@@ -9,14 +9,17 @@ from operator import or_
 import pytest
 
 from helpers import brute_maximal_cliques, flag_subdivision
+from sweep_helpers import extension_results, record_pair_results
 from srbetti import (
     GF_DEFAULT,
     QQ,
+    BettiTable,
     Complex,
     FieldSpec,
     Graph,
     ResolutionShape,
     TooManyVerticesError,
+    classify,
     clique_complex,
     complete_graph,
     complex_from_facets,
@@ -226,45 +229,45 @@ def _complex_of_adj(adj):
     return clique_complex(Graph(tuple(f"{v + 1:02}" for v in range(len(adj))), tuple(adj)))
 
 
-def _tables_by_neighbours(base, field, lockstep=None):
-    """The extension tables of the graph with adjacency base, indexed by the
-    neighbour set of the new vertex, from `lockstep` (shared across bases
-    as the sweep shares it, so its pair memo is read) or a fresh one."""
-    lockstep = lockstep or _Lockstep(len(base), field)
-    return lockstep.tables(base)
+def _extension(base, nbrs):
+    """The adjacency masks of the base graph plus a vertex with neighbours nbrs."""
+    return [row | 1 << len(base) if nbrs >> v & 1 else row for v, row in enumerate(base)] + [nbrs]
 
 
-def _all_extension_tables(n, field):
-    """(adjacency, table) of every graph on n labeled vertices, by base,
-    from one lockstep, as `froberg_exhaustive` sweeps them."""
-    last = 1 << (n - 1)
-    lockstep = _Lockstep(n - 1, field)
-    for mask in range(1 << len(_pairs(n - 1))):
-        base = _graph_of_mask(n - 1, mask).adj
-        for nbrs, table in enumerate(_tables_by_neighbours(base, field, lockstep)):
-            adj = [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)] + [nbrs]
-            yield adj, table
+def _check_extensions(lockstep, base, swept, field, neighbour_sets):
+    """For each neighbour set N, the extension of base by N: its results,
+    subset by subset, are those a sweep of its clique complex finds under
+    the lockstep's `_Results`, and its verdict is its table's shape over
+    the field.  The lockstep's (base, pairs) for base is swept[-1]."""
+    linear = lockstep.linear(base)
+    assert len(linear) == 1 << len(base)
+    for nbrs in neighbour_sets:
+        adj = _extension(base, nbrs)
+        expected = betti._subset_results(maximal_cliques(adj), len(adj), lockstep.results)
+        assert extension_results(swept[-1], lockstep.tri, nbrs) == list(expected), adj
+        table = graded_betti(_complex_of_adj(adj), field)
+        assert linear[nbrs] == classify(table).is_linear_or_trivial, adj
 
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(2), QQ])
-def test_extension_tables_equal_graded_betti(field):
+def test_extension_tables_equal_graded_betti(monkeypatch, field):
+    # every graph on 5 or fewer vertices, as the sweep takes them from one
+    # lockstep, so the memo's rows are read, and a sample on 6
+    swept = record_pair_results(monkeypatch)
     for n in range(1, 6):
-        tables = list(_all_extension_tables(n, field))
-        assert len(tables) == 1 << len(_pairs(n))
-        for adj, table in tables:
-            # the whole table, torsion included
-            assert table == graded_betti(_complex_of_adj(adj), field), adj
+        lockstep = _Lockstep(n - 1)
+        for mask in range(1 << len(_pairs(n - 1))):
+            _check_extensions(lockstep, _graph_of_mask(n - 1, mask).adj, swept, field, range(1 << (n - 1)))
+        assert len(swept) == 1 << len(_pairs(n - 1))
+        swept.clear()
     by_base = {}
     for mask in random.Random(1515).sample(range(1 << 15), 500):
         g = _graph_of_mask(6, mask)
-        by_base.setdefault(tuple(row & 31 for row in g.adj[:-1]), []).append(g)
-    lockstep = _Lockstep(5, field)
-    for base, graphs in by_base.items():
-        tables = _tables_by_neighbours(base, field, lockstep)
-        # the rows the memo hands this base are the rows a fresh sweep computes
-        assert tables == _tables_by_neighbours(base, field), base
-        for g in graphs:
-            assert tables[g.adj[-1]] == graded_betti(clique_complex(g), field), g.adj
+        by_base.setdefault(tuple(row & 31 for row in g.adj[:-1]), []).append(g.adj[-1])
+    lockstep = _Lockstep(5)
+    for base, neighbour_sets in by_base.items():
+        _check_extensions(lockstep, list(base), swept, field, neighbour_sets)
+    assert sum(map(len, by_base.values())) == 500
 
 
 def _adjacency(c: Complex) -> list[int]:
@@ -283,26 +286,18 @@ def test_extension_tables_refuse_torsion(monkeypatch, field):
     # FLAG_RP2, the projective plane made flag on 12 vertices, is the
     # extension of the Moebius band on its first 11 by the last vertex with
     # its neighbours: its torsion ((2, 2) on the whole set) comes from the
-    # pairs through the new vertex, so the band gets no tables.  The band
+    # pairs through the new vertex, so the band gets no verdicts.  The band
     # less the edge 1-2 shares most of the memo's rows and has no torsion:
-    # its tables, on a seeded sample of its extensions, are graded_betti's
+    # on a seeded sample of its extensions, results and verdicts are exact
     adj = _adjacency(FLAG_RP2)
     k = FLAG_RP2.n - 1
     base = [row & (1 << k) - 1 for row in adj[:k]]
     eliminated = []
     real_dims = betti.reduced_dims_from_facets
     monkeypatch.setattr(betti, "reduced_dims_from_facets", lambda masks: eliminated.append(masks) or real_dims(masks))
-    bases = []
-    real_pairs = betti._pair_results
-
-    def pair_results(adj, sweep):
-        out = real_pairs(adj, sweep)
-        bases.append(out[0])
-        return out
-
-    monkeypatch.setattr(betti, "_pair_results", pair_results)
-    lockstep = _Lockstep(k, field)
-    assert _tables_by_neighbours(base, field, lockstep) is None
+    swept = record_pair_results(monkeypatch)
+    lockstep = _Lockstep(k)
+    assert lockstep.linear(base) is None
     # the sweep eliminates the empty complex and 16 pair cores, each on the
     # maximal cliques of the graph on its W + v: the Moebius band's edges
     # inside W and v joined to N', the neighbours of v in the cliques
@@ -311,19 +306,15 @@ def test_extension_tables_refuse_torsion(monkeypatch, field):
     for maximal in eliminated[1:]:
         s = reduce(or_, maximal)
         nbrs = reduce(or_, [m for m in maximal if m >> k & 1]) ^ 1 << k
-        extension = [row | 1 << k if nbrs >> v & 1 else row for v, row in enumerate(base)] + [nbrs]
-        on_s = Graph(labels, tuple(row & s if s >> v & 1 else 0 for v, row in enumerate(extension)))
+        on_s = Graph(labels, tuple(row & s if s >> v & 1 else 0 for v, row in enumerate(_extension(base, nbrs))))
         assert s >> k & 1 and set(maximal) == {m for m in brute_maximal_cliques(on_s) if m & s}, maximal
     # each base result read off a pair row is the one a sweep of the base's
     # clique complex finds
-    assert bases[-1] == betti._subset_results(maximal_cliques(base), k, lockstep.results)
+    assert swept[-1][0] == betti._subset_results(maximal_cliques(base), k, lockstep.results)
     assert base[1] >> 2 & 1
     base[1] ^= 1 << 2
     base[2] ^= 1 << 1
-    tables = _tables_by_neighbours(base, field, lockstep)
-    for nbrs in random.Random(1517).sample(range(1 << k), 12):
-        extension = [row | 1 << k if nbrs >> v & 1 else row for v, row in enumerate(base)] + [nbrs]
-        assert tables[nbrs] == graded_betti(_complex_of_adj(extension), field), nbrs
+    _check_extensions(lockstep, base, swept, field, random.Random(1517).sample(range(1 << k), 12))
 
 
 def test_froberg_sweep_visits(monkeypatch):
@@ -381,28 +372,6 @@ def test_froberg_sweep_visits(monkeypatch):
     assert len([w for w in cores if w & 1 << 4]) == 0 and cores == [0]
 
 
-def test_froberg_sweep_builds_each_distinct_table_once(monkeypatch):
-    # extensions with equal sums share one table across all the bases of a
-    # sweep: the 1,024 graphs on 5 vertices build and classify 23
-    classified, tables = [], []
-    real_classify, real_tables = verify.classify, betti._Lockstep.tables
-
-    def lockstep_tables(self, cliques):
-        out = real_tables(self, cliques)
-        tables.extend(out)
-        return out
-
-    monkeypatch.setattr(verify, "classify", lambda table: classified.append(table) or real_classify(table))
-    monkeypatch.setattr(betti._Lockstep, "tables", lockstep_tables)
-    assert froberg_exhaustive(5).passed
-    # every table is held in `tables`, so distinct ids are distinct builds
-    assert len(tables) == 1024 and len({id(table) for table in tables}) == len(classified) == 23
-    first = {}
-    for table in tables:
-        assert first.setdefault(table, table) is table
-    assert len(first) == 23
-
-
 def test_froberg_sweep_cores_are_the_sweep_cores(monkeypatch):
     # the Froberg sweep takes each pair from the base graph's adjacency, and
     # a sweep of each graph on 5 vertices takes its clique complex from the
@@ -433,12 +402,12 @@ def test_froberg_mismatches_are_edge_masks(monkeypatch):
 
 
 def test_froberg_reports_every_extension_of_a_base_with_torsion(monkeypatch):
-    # a base whose results have torsion gets no tables, and each of its 8
+    # a base whose results have torsion gets no verdicts, and each of its 8
     # extensions on 4 vertices is a mismatch, chordal or not; the base is
     # the path 1-2-3, whose extensions are of both kinds
     path = [0b010, 0b101, 0b010]
-    real = betti._Lockstep.tables
-    monkeypatch.setattr(betti._Lockstep, "tables", lambda self, adj: None if adj == path else real(self, adj))
+    real = betti._Lockstep.linear
+    monkeypatch.setattr(betti._Lockstep, "linear", lambda self, adj: None if adj == path else real(self, adj))
     labelled = _pairs(4)
     base_mask = (1 << labelled.index((0, 1))) | (1 << labelled.index((1, 2)))
     expected = sorted(base_mask | sum(1 << labelled.index((v, 3)) for v in range(3) if nbrs >> v & 1) for nbrs in range(8))
@@ -498,12 +467,14 @@ def test_froberg_refuses_more_vertices_than_the_cap(monkeypatch):
 
 def test_froberg_sweep_builds_no_graph_or_complex(monkeypatch):
     # every graph of the sweep and its clique complex are masks built
-    # correctly by construction, so no validated object is built for them
-    def refuse(cls, *args):
-        raise AssertionError("the Froberg sweep built a Graph or a Complex")
+    # correctly by construction, so no validated object is built for them;
+    # a verdict reads homology degrees, so no table is built or classified
+    def refuse(*args):
+        raise AssertionError("the Froberg sweep built a Graph, a Complex or a BettiTable, or classified one")
 
-    monkeypatch.setattr(Graph, "__new__", refuse)
-    monkeypatch.setattr(Complex, "__new__", refuse)
+    for cls in (Graph, Complex, BettiTable):
+        monkeypatch.setattr(cls, "__new__", refuse)
+    monkeypatch.setattr(verify, "classify", refuse)
     result = froberg_exhaustive(5)
     assert (result.checked, result.mismatches) == (1024, ())
 
