@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 
-from .betti import BettiTable, ResolutionShape, _Lockstep, classify, graded_betti
+from .betti import BettiTable, ResolutionShape, _clique_flags, classify, graded_betti
 from .betti import DEFAULT_VERTEX_CAP
 from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
@@ -335,7 +335,10 @@ class SweepResult(namedtuple("SweepResult", "n checked mismatches")):
 
 
 # no flag complex on this many vertices or fewer has torsion (Katzman, J.
-# Combin. Theory Ser. A 113, 2006), and the Froberg sweep carries none
+# Combin. Theory Ser. A 113, 2006), so the Froberg sweep's verdicts hold
+# over every field.  The cap is the theorem's, not a resource bound: the
+# sweep's memo of the sum over j < n of C(n, j) 2^C(j, 2) graphs, 253,450
+# at n = 7, outgrows memory well before it
 FROBERG_VERTEX_CAP = 10
 
 
@@ -346,36 +349,31 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     complex has a linear resolution (the zero ideal counting as vacuously
     linear) iff the graph is chordal.  Katzman's: no restriction of the
     clique complex has torsion, so the verdict is the same over every
-    field; a base graph one of whose extensions' results has torsion gets
-    no verdicts, and each of its extensions is a mismatch.  `field` is not
-    read; it stays because `bench/worker.py` passes it positionally, and
-    ROADMAP item 1a deletes it together with that argument.
+    field; a graph one of whose restrictions has torsion is a mismatch,
+    chordal or not.  `field` is not read; it stays because `bench/worker.py`
+    passes it positionally, and ROADMAP item 1a deletes it together with
+    that argument.
     2^C(n,2) graphs; n = 6 is the strongest acceptance check in the suite.
 
-    Each graph is a base graph on vertices 0..n-2 plus a neighbour set of
-    vertex n-1, and the 2^(n-1) extensions of a base are swept together
-    (`betti._Lockstep`): per base, the 3^(n-1) pairs (W, N & W) through
-    vertex n-1, not 2^(n-1) subsets for each of its 2^(n-1) graphs.  A
-    subset W of the base is the pair (W - y, N_W(y)) for its top vertex y,
-    so the base's results are read off the pairs and no subset is visited.
-    A pair depends only on W and the base edges inside W, so the pairs of a
-    W short of all n-1 vertices are computed for the first base with those
-    edges and copied to the later ones.  Each computed pair takes its
-    homology from a smaller one and the link of one of its vertices, a
-    restriction the sweep holds already, by the Mayer-Vietoris split; what
-    has no such vertex is a core.  For n = 6 none of the 38,619 computed
-    pairs (248,832 are looked up) is a core, and the sweep's one
-    elimination is of the empty complex, once per sweep.  A graph is
-    linear iff none of its 2^n restrictions has homology above reduced
-    degree 0 (Hochster's formula): the 3^(n-1) pair flags fold into the
-    2^(n-1) extension flags in n-1 passes, and no table is built.
-    Chordality is decided once per base graph (`graphs.chordal_extensions`):
-    no extension of a non-chordal base is chordal, and the extension by N
-    of a chordal one is chordal iff, for each component C of the base minus
-    N, the vertices of N adjacent to C form a clique.  A graph is only its
-    adjacency masks: no clique search runs but on a pair core, and no
-    `Graph` or `Complex` is built.  n is capped at `FROBERG_VERTEX_CAP`
-    (10), where Katzman's theorem stops.
+    Every graph's flags come from one sweep (`betti._clique_flags`): each
+    graph on each vertex subset W is swept once, keyed by W and the edges
+    inside W, its homology from the graph on W less a vertex and that
+    vertex's link, both swept before, by the Mayer-Vietoris split; what has
+    no such vertex is a core.  Its flags OR its own with those of its
+    restrictions to one vertex fewer, so bit 0 says whether a restriction
+    has homology above reduced degree 0, which by Hochster's formula is
+    whether the graph is not linear, and bit 1 whether one has torsion.
+    The memo holds the sum over j < n of C(n, j) 2^C(j, 2) graphs on
+    smaller subsets, 7,301 for n = 6, and the flags of the 2^C(n,2) graphs
+    on all n vertices; for n = 6 the one core is the empty complex, once
+    per sweep, and no table is built.
+    Chordality is decided once per base graph on vertices 0..n-2
+    (`graphs.chordal_extensions`): no extension of a non-chordal base is
+    chordal, and the extension by N of a chordal one is chordal iff, for
+    each component C of the base minus N, the vertices of N adjacent to C
+    form a clique.  A graph is only its edge mask and adjacency masks: no
+    clique search runs but on a core, and no `Graph` or `Complex` is built.
+    n is capped at `FROBERG_VERTEX_CAP` (10), where Katzman's theorem stops.
     Mismatches are edge masks in the bit order of the pairs (i, j), i < j,
     in lexicographic order, sorted ascending.
     """
@@ -384,24 +382,26 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     if n > FROBERG_VERTEX_CAP:
         raise TooManyVerticesError(f"{n} vertices exceeds the Froberg sweep cap {FROBERG_VERTEX_CAP}")
     k = n - 1  # vertices of a base graph
-    last = 1 << k
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    flags = _clique_flags(n)
+    bit = {pair: 1 << b for b, pair in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
+    # last[N]: the edges from vertex k to N
+    last = [sum(bit[v, k] for v in range(k) if nbrs >> v & 1) for nbrs in range(1 << k)]
     base_pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    lockstep = _Lockstep(k)
     mismatches = []
     checked = 0
     for base_mask in range(1 << len(base_pairs)):
         base = [0] * k
+        base_edges = 0
         for b, (i, j) in enumerate(base_pairs):
             if (base_mask >> b) & 1:
                 base[i] |= 1 << j
                 base[j] |= 1 << i
-        linear = lockstep.linear(base)  # None: a result with torsion
+                base_edges |= bit[i, j]
         for nbrs, chordal in enumerate(chordal_extensions(base)):
-            # with torsion, a mismatch whatever the chordality
-            if linear is None or linear[nbrs] != chordal:
-                adj = [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)] + [nbrs]
-                mismatches.append(sum(1 << b for b, (i, j) in enumerate(pairs) if (adj[i] >> j) & 1))
+            edges = base_edges | last[nbrs]
+            # torsion is a mismatch whatever the chordality
+            if flags[edges] & 2 or (not flags[edges] & 1) != chordal:
+                mismatches.append(edges)
             checked += 1
     return SweepResult(n, checked, tuple(sorted(mismatches)))
 

@@ -1,5 +1,4 @@
-"""The sweep's own boundary maps and homology, and the Froberg lockstep's
-results, shaped for tests.
+"""The sweep's own boundary maps and homology, shaped for tests.
 
 Unlike the oracles in helpers.py, these call the code under test: they
 are what the oracles are compared with, not oracles themselves.
@@ -7,7 +6,6 @@ are what the oracles are compared with, not oracles themselves.
 
 from collections import Counter
 
-from srbetti import betti
 from srbetti.homology import _boundary_rows, reduced_dims_from_facets, torsion_shift
 from srbetti.simplicial import face_masks
 
@@ -42,25 +40,3 @@ def reduced_betti(c, p=None):
     for k in torsion_shift(torsion, p):
         out[k] += 1
     return out
-
-
-def record_pair_results(monkeypatch):
-    """The list that each later call of `betti._pair_results` appends its
-    (base, pairs) to: what the Froberg lockstep swept for each base graph."""
-    swept = []
-    real = betti._pair_results
-
-    def pair_results(adj, sweep):
-        swept.append(real(adj, sweep))
-        return swept[-1]
-
-    monkeypatch.setattr(betti, "_pair_results", pair_results)
-    return swept
-
-
-def extension_results(swept, tri, nbrs):
-    """res[W], for every W, of the extension of a base graph by a vertex v
-    with neighbours nbrs, from the lockstep's (base, pairs) of the base:
-    base[W] for W inside the base, pairs[tri[W] + tri[nbrs & W]] for W + v."""
-    base, pairs = swept
-    return list(base) + [pairs[tri[w] + tri[nbrs & w]] for w in range(len(base))]

@@ -18,6 +18,7 @@ from helpers import (
     brute_dominated_vertices,
     brute_face_masks,
     brute_integral_support,
+    brute_maximal_cliques,
     brute_reduced_dims,
     brute_removable_by_link,
     brute_split_vertices,
@@ -30,10 +31,10 @@ from helpers import (
     random_graph,
     suspension,
 )
-from sweep_helpers import extension_results, record_pair_results
 from srbetti import (
     BettiTable,
     Complex,
+    Graph,
     GF_DEFAULT,
     QQ,
     FieldSpec,
@@ -51,8 +52,6 @@ from srbetti import (
     read_complex,
 )
 from srbetti import betti, homology, simplicial
-from srbetti.betti import _Lockstep
-from srbetti.graphs import maximal_cliques
 from srbetti.homology import torsion_shift
 from srbetti.simplicial import _maximal_masks
 from srbetti.verify import corpus_graphs, froberg_exhaustive, verify_complex
@@ -393,7 +392,7 @@ def test_cores_are_eliminated_once(monkeypatch):
     assert froberg_exhaustive(5).passed
     # with the split no restriction of a graph on 5 vertices is a core but
     # the empty subset, which the sweep's one `_Results` registers and
-    # eliminates once, not once per base graph; no sweep shares it with
+    # eliminates once, not once per graph; no sweep shares it with
     # another, so the second sweep eliminates it again
     assert cores == [0] and calls == [[0]]
     calls.clear()
@@ -548,36 +547,27 @@ def test_threads_get_the_tables_of_one_thread():
     assert tables == [alone[c] for c in jobs]
 
 
-def base_adjacency(k):
-    """The adjacency masks of every graph on k labeled vertices, as the
-    Froberg sweep hands them to `_Lockstep.linear`."""
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    for mask in range(1 << len(pairs)):
-        adj = [0] * k
-        for b, (i, j) in enumerate(pairs):
-            if (mask >> b) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        yield adj
-
-
-def test_pair_memo_holds_one_row_per_graph_on_a_proper_subset(monkeypatch):
-    # a pair (W, N') is the clique complex of the graph on W + v, fixed by
-    # W, the base edges inside W and N': the memo keeps one row, the pairs
-    # of every N', per W short of the whole base and per graph on W,
-    # 2^C(|W|, 2) of them; the whole base's rows are not kept.  Each base
-    # result, read off the pair row of W less its top vertex, is the one a
-    # sweep of the base's clique complex finds under the same `_Results`
-    swept = record_pair_results(monkeypatch)
-    for k in range(6):
-        lockstep = _Lockstep(k)
-        for adj in base_adjacency(k):
-            assert lockstep.linear(adj) is not None
-            assert swept[-1][0] == betti._subset_results(maximal_cliques(adj), k, lockstep.results), adj
-        rows = [(w, 2 ** comb(w.bit_count(), 2)) for w in range((1 << k) - 1)]
-        assert len(lockstep.memo) == sum(graphs for _, graphs in rows)
-        assert sum(map(len, lockstep.memo.values())) == sum(graphs << w.bit_count() for w, graphs in rows)
-    assert (len(lockstep.memo), sum(map(len, lockstep.memo.values()))) == (426, 5851)
+def test_clique_flags_without_the_split_eliminate_every_graph(monkeypatch):
+    # with every split refused, each graph on each nonempty subset is a
+    # core, eliminated once on its maximal cliques, and the empty subset
+    # once: 1,450 eliminations on 5 vertices.  The flags are those the
+    # split gives
+    expected = [betti._clique_flags(n) for n in range(6)]
+    eliminated = []
+    real = betti._Results.core
+    monkeypatch.setattr(betti._Results, "core", lambda self, maximal: eliminated.append(tuple(maximal)) or real(self, maximal))
+    monkeypatch.setattr(betti._Results, "split", lambda self, a, link: None)
+    for n in range(6):
+        eliminated.clear()
+        assert betti._clique_flags(n) == expected[n], n
+        assert len(set(eliminated)) == len(eliminated) == sum(comb(n, j) * 2 ** comb(j, 2) for j in range(n + 1))
+        assert eliminated[0] == (0,)
+        labels = tuple(f"{v:02}" for v in range(n))
+        for maximal in eliminated[1:]:
+            w = reduce(or_, maximal)
+            adj = [reduce(or_, [m for m in maximal if m >> v & 1], 0) & ~(1 << v) for v in range(n)]
+            assert set(maximal) == {m for m in brute_maximal_cliques(Graph(labels, tuple(adj))) if m & w}, maximal
+    assert len(eliminated) == 1450
 
 
 # no vertex of the whole graph is isolated or dominated, but the link of 6,
@@ -694,9 +684,7 @@ def test_split_reads_integral_homology_in_every_degree():
 def test_acyclic_link_removes_a_vertex_nothing_dominates(monkeypatch):
     # on the whole vertex set of LINK_PATH no vertex is isolated or
     # dominated, but the link of 6 is the path 0-2-1-4, acyclic: the whole
-    # set is no core, and every result and table is exact, as is each
-    # result and the verdict of the lockstep, which takes the graph as the
-    # extension of its first 6 vertices by 6 with neighbours 0b10111
+    # set is no core, and every result and table is exact
     c = clique_complex(LINK_PATH)
     whole = (1 << c.n) - 1
     faces = brute_face_masks(c)
@@ -715,17 +703,8 @@ def test_acyclic_link_removes_a_vertex_nothing_dominates(monkeypatch):
     rp2 = betti._Results()
     rid = betti._subset_results(RP2.facets, RP2.n, rp2)[-1]
     assert not any(rp2.values[rid][0]) and rp2.support[rid]
-    base = [row & (1 << 6) - 1 for row in LINK_PATH.adj[:6]]
-    assert LINK_PATH.adj[6] == 0b10111
-    swept = record_pair_results(monkeypatch)
-    lockstep = _Lockstep(6)
-    linear = lockstep.linear(base)[0b10111]
-    extension = extension_results(swept[-1], lockstep.tri, 0b10111)
-    assert [lockstep.results.values[r] for r in extension] == [results.values[r] for r in res]
     for field in (FieldSpec.prime(2), FieldSpec.prime(3), QQ):
-        table = graded_betti(c, field)
-        assert table.as_dict() == brute_betti(c, field.p), field
-        assert linear == classify(table).is_linear_or_trivial, field
+        assert graded_betti(c, field).as_dict() == brute_betti(c, field.p), field
 
 
 # a 12-vertex facet and three triangles through z: most link restrictions

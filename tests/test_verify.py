@@ -8,8 +8,7 @@ from operator import or_
 
 import pytest
 
-from helpers import brute_maximal_cliques, flag_subdivision
-from sweep_helpers import extension_results, record_pair_results
+from helpers import brute_face_masks, brute_is_chordal, brute_reduced_dims
 from srbetti import (
     GF_DEFAULT,
     QQ,
@@ -35,15 +34,12 @@ from srbetti import (
     verify_complex,
 )
 from srbetti import betti, graphs, verify
-from srbetti.betti import _Lockstep
-from srbetti.graphs import maximal_cliques
 from srbetti.verify import CHECK_NAMES, corpus_graphs, dumps_report
 
 C4 = complex_from_facets([["1", "2"], ["2", "3"], ["3", "4"], ["1", "4"]])
 MIXED = complex_from_facets(
     [["1", "3", "4"], ["1", "3", "5"], ["1", "4", "5"], ["2", "3", "4"], ["2", "3", "5"], ["2", "4", "5"]]
 )
-FLAG_RP2 = flag_subdivision(read_complex(fixture_path("rp2.cplx")), 6)
 
 
 def test_report_c4():
@@ -210,8 +206,8 @@ def test_rationals_report_has_no_char_zero_section():
     assert rep.char_zero_agrees is None
 
 
-# The Froberg sweep steps the extensions of each graph on the first n-1
-# vertices, one per neighbour set of the last vertex, in lockstep.
+# The Froberg sweep reads each graph's flags off `betti._clique_flags`, which
+# sweeps every graph on every vertex subset once.
 
 
 def _pairs(n):
@@ -225,128 +221,49 @@ def _graph_of_mask(n, mask):
     return graph_from_edges(edges, vertices=labels)
 
 
-def _complex_of_adj(adj):
-    return clique_complex(Graph(tuple(f"{v + 1:02}" for v in range(len(adj))), tuple(adj)))
-
-
-def _extension(base, nbrs):
-    """The adjacency masks of the base graph plus a vertex with neighbours nbrs."""
-    return [row | 1 << len(base) if nbrs >> v & 1 else row for v, row in enumerate(base)] + [nbrs]
-
-
-def _check_extensions(lockstep, base, swept, field, neighbour_sets):
-    """For each neighbour set N, the extension of base by N: its results,
-    subset by subset, are those a sweep of its clique complex finds under
-    the lockstep's `_Results`, and its verdict is its table's shape over
-    the field.  The lockstep's (base, pairs) for base is swept[-1]."""
-    linear = lockstep.linear(base)
-    assert len(linear) == 1 << len(base)
-    for nbrs in neighbour_sets:
-        adj = _extension(base, nbrs)
-        expected = betti._subset_results(maximal_cliques(adj), len(adj), lockstep.results)
-        assert extension_results(swept[-1], lockstep.tri, nbrs) == list(expected), adj
-        table = graded_betti(_complex_of_adj(adj), field)
-        assert linear[nbrs] == classify(table).is_linear_or_trivial, adj
+def _check_flags(n, mask, flags, field):
+    """The flags of the graph with this edge mask: no torsion, and bit 0
+    clear iff its table over the field is linear or trivial; on 4 or fewer
+    vertices bit 0 is also whether a restriction's homology over the field,
+    by brute force, lies above reduced degree 0."""
+    c = clique_complex(_graph_of_mask(n, mask))
+    assert not flags[mask] & 2, mask
+    assert (not flags[mask] & 1) == classify(graded_betti(c, field)).is_linear_or_trivial, (n, mask)
+    if n <= 4:
+        faces = brute_face_masks(c)
+        restrictions = ({f for f in faces if f & w == f} for w in range(1 << n))
+        assert flags[mask] & 1 == any(any(brute_reduced_dims(r, field.p)[2:]) for r in restrictions), (n, mask)
 
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(2), QQ])
-def test_extension_tables_equal_graded_betti(monkeypatch, field):
-    # every graph on 5 or fewer vertices, as the sweep takes them from one
-    # lockstep, so the memo's rows are read, and a sample on 6
-    swept = record_pair_results(monkeypatch)
+def test_extension_tables_equal_graded_betti(field):
+    # every graph on 5 or fewer vertices, and a sample on 6
     for n in range(1, 6):
-        lockstep = _Lockstep(n - 1)
-        for mask in range(1 << len(_pairs(n - 1))):
-            _check_extensions(lockstep, _graph_of_mask(n - 1, mask).adj, swept, field, range(1 << (n - 1)))
-        assert len(swept) == 1 << len(_pairs(n - 1))
-        swept.clear()
-    by_base = {}
+        flags = betti._clique_flags(n)
+        assert len(flags) == 2 ** len(_pairs(n))
+        for mask in range(len(flags)):
+            _check_flags(n, mask, flags, field)
+    flags = betti._clique_flags(6)
     for mask in random.Random(1515).sample(range(1 << 15), 500):
-        g = _graph_of_mask(6, mask)
-        by_base.setdefault(tuple(row & 31 for row in g.adj[:-1]), []).append(g.adj[-1])
-    lockstep = _Lockstep(5)
-    for base, neighbour_sets in by_base.items():
-        _check_extensions(lockstep, list(base), swept, field, neighbour_sets)
-    assert sum(map(len, by_base.values())) == 500
-
-
-def _adjacency(c: Complex) -> list[int]:
-    """The 1-skeleton of c as adjacency masks."""
-    adj = [0] * c.n
-    for f in c.facets:
-        for v in range(c.n):
-            if f >> v & 1:
-                adj[v] |= f ^ 1 << v
-    return adj
-
-
-@pytest.mark.parametrize("field", [FieldSpec.prime(2), QQ])
-def test_extension_tables_refuse_torsion(monkeypatch, field):
-    # no flag complex on 10 or fewer vertices has torsion (Katzman 2006).
-    # FLAG_RP2, the projective plane made flag on 12 vertices, is the
-    # extension of the Moebius band on its first 11 by the last vertex with
-    # its neighbours: its torsion ((2, 2) on the whole set) comes from the
-    # pairs through the new vertex, so the band gets no verdicts.  The band
-    # less the edge 1-2 shares most of the memo's rows and has no torsion:
-    # on a seeded sample of its extensions, results and verdicts are exact
-    adj = _adjacency(FLAG_RP2)
-    k = FLAG_RP2.n - 1
-    base = [row & (1 << k) - 1 for row in adj[:k]]
-    eliminated = []
-    real_dims = betti.reduced_dims_from_facets
-    monkeypatch.setattr(betti, "reduced_dims_from_facets", lambda masks: eliminated.append(masks) or real_dims(masks))
-    swept = record_pair_results(monkeypatch)
-    lockstep = _Lockstep(k)
-    assert lockstep.linear(base) is None
-    # the sweep eliminates the empty complex and 16 pair cores, each on the
-    # maximal cliques of the graph on its W + v: the Moebius band's edges
-    # inside W and v joined to N', the neighbours of v in the cliques
-    assert len(eliminated) == 17 and eliminated[0] == [0]
-    labels = tuple(f"{v:02}" for v in range(k + 1))
-    for maximal in eliminated[1:]:
-        s = reduce(or_, maximal)
-        nbrs = reduce(or_, [m for m in maximal if m >> k & 1]) ^ 1 << k
-        on_s = Graph(labels, tuple(row & s if s >> v & 1 else 0 for v, row in enumerate(_extension(base, nbrs))))
-        assert s >> k & 1 and set(maximal) == {m for m in brute_maximal_cliques(on_s) if m & s}, maximal
-    # each base result read off a pair row is the one a sweep of the base's
-    # clique complex finds
-    assert swept[-1][0] == betti._subset_results(maximal_cliques(base), k, lockstep.results)
-    assert base[1] >> 2 & 1
-    base[1] ^= 1 << 2
-    base[2] ^= 1 << 1
-    _check_extensions(lockstep, base, swept, field, random.Random(1517).sample(range(1 << k), 12))
+        _check_flags(6, mask, flags, field)
 
 
 def test_froberg_sweep_visits(monkeypatch):
-    # per graph on 4 vertices: each pair of a subset W with a neighbour set
-    # of vertex 4 inside W, 3^4 in all, and no sweep of its subsets: each
-    # subset's result is a pair's.  2,420 of those 5,184 pairs are not
-    # acyclic.  A pair's result depends on W and the base edges inside W,
-    # so the rows of the 49 graphs on a W short of all 4 vertices are
-    # computed once each (313 pairs), and only the 16 pairs of the whole
-    # base are computed for every base: 1,337 computed pairs.  The split
-    # removes a vertex of every nonempty subset and pair, so the one core is
-    # the empty subset, registered once per sweep.  The sweep takes its
-    # bases as adjacency masks and runs no clique search under any name
+    # the sweep computes each graph on each subset once from graphs it
+    # swept before, and no sweep of a graph's subsets runs.  The split
+    # removes a vertex of every nonempty subset, trying the top one first,
+    # so the one core is the empty subset, registered once per sweep; the
+    # split is tried 1,825 times for the 1,449 graphs on nonempty subsets.
+    # The sweep runs no clique search under any name
     subsets = []
-    pairs = []
-    computed = []
+    splits = []
     cores = []
-    real_pairs, real_row = betti._pair_results, betti._pair_row
+    real_split = betti._Results.split
     real_core = betti._Results.core
 
-    def pair_results(adj, lockstep):
-        base, out = real_pairs(adj, lockstep)
-        k, tri = lockstep.k, lockstep.tri
-        indices = (tri[w] + tri[nbrs] for w in range(1 << k) for nbrs in range(1 << k) if nbrs & w == nbrs)
-        cells = (lockstep.results.values[out[i]] for i in indices)
-        pairs.extend(any(dims) or bool(torsion) for dims, torsion in cells)
-        return base, out
-
-    def pair_row(*args):
-        row = real_row(*args)
-        computed.append(len(row))
-        return row
+    def split(self, a, link):
+        splits.append((a, link))
+        return real_split(self, a, link)
 
     def core(self, maximal):
         cores.append(reduce(or_, maximal))
@@ -361,21 +278,18 @@ def test_froberg_sweep_visits(monkeypatch):
     for name in searchers:
         monkeypatch.setattr(sys.modules[name], "maximal_cliques", refuse)
     monkeypatch.setattr(betti, "_subset_results", lambda *args: subsets.append(args))
-    monkeypatch.setattr(betti, "_pair_results", pair_results)
-    monkeypatch.setattr(betti, "_pair_row", pair_row)
+    monkeypatch.setattr(betti._Results, "split", split)
     monkeypatch.setattr(betti._Results, "core", core)
     assert froberg_exhaustive(5).passed
     assert subsets == []
-    assert len(pairs) == 2 ** 6 * 3 ** 4 == 5184
-    assert sum(pairs) == 2420  # not acyclic
-    assert sum(computed) == 313 + 2 ** 6 * 2 ** 4 == 1337
-    assert len([w for w in cores if w & 1 << 4]) == 0 and cores == [0]
+    assert cores == [0]
+    assert len(splits) == 1825
 
 
 def test_froberg_sweep_cores_are_the_sweep_cores(monkeypatch):
-    # the Froberg sweep takes each pair from the base graph's adjacency, and
-    # a sweep of each graph on 5 vertices takes its clique complex from the
-    # graph itself; with the split the only core of either is the empty
+    # the Froberg sweep takes each graph from its edge mask, and a sweep of
+    # each graph on 5 vertices takes its clique complex from the graph
+    # itself; with the split the only core of either is the empty
     # subset, which each sweep eliminates once and nothing else
     calls = []
     real = betti.reduced_dims_from_facets
@@ -401,19 +315,34 @@ def test_froberg_mismatches_are_edge_masks(monkeypatch):
     assert result.mismatches == tuple(range(64))
 
 
-def test_froberg_reports_every_extension_of_a_base_with_torsion(monkeypatch):
-    # a base whose results have torsion gets no verdicts, and each of its 8
-    # extensions on 4 vertices is a mismatch, chordal or not; the base is
-    # the path 1-2-3, whose extensions are of both kinds
-    path = [0b010, 0b101, 0b010]
-    real = betti._Lockstep.linear
-    monkeypatch.setattr(betti._Lockstep, "linear", lambda self, adj: None if adj == path else real(self, adj))
-    labelled = _pairs(4)
-    base_mask = (1 << labelled.index((0, 1))) | (1 << labelled.index((1, 2)))
-    expected = sorted(base_mask | sum(1 << labelled.index((v, 3)) for v in range(3) if nbrs >> v & 1) for nbrs in range(8))
-    result = froberg_exhaustive(4)
-    assert result.checked == 64
-    assert result.mismatches == tuple(expected) and len(set(expected)) == 8
+@pytest.mark.parametrize("n", [4, 5])
+def test_froberg_reports_each_graph_with_torsion(monkeypatch, n):
+    # a graph one of whose restrictions has torsion is a mismatch whatever
+    # its chordality, and no other graph is.  With a circle's homology
+    # given a torsion, those are the graphs with a restriction whose clique
+    # complex has a circle's homology: the graphs with an induced cycle of
+    # 4 or more vertices, the non-chordal ones.  On 4 vertices the only
+    # such restriction is the whole graph, one of the three 4-cycles; on 5
+    # the torsion of a 4-cycle reaches the graphs above it, among them its
+    # cone, whose clique complex is contractible
+    real = betti._Results.id
+
+    def twisted_circle(self, hom):
+        dims, torsion = hom
+        circle = tuple(dims[:3]) == (0, 0, 1) and not any(dims[3:]) and not torsion
+        return real(self, (dims, ((2, 2),)) if circle else hom)
+
+    monkeypatch.setattr(betti._Results, "id", twisted_circle)
+    expected = tuple(mask for mask in range(1 << len(_pairs(n))) if not brute_is_chordal(_graph_of_mask(n, mask)))
+    result = froberg_exhaustive(n)
+    assert result.checked == 2 ** len(_pairs(n))
+    assert result.mismatches == expected
+    if n == 4:
+        cycles = [[(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 1), (1, 3), (2, 3), (0, 2)], [(0, 2), (1, 2), (1, 3), (0, 3)]]
+        assert expected == tuple(sorted(sum(1 << _pairs(4).index(e) for e in c) for c in cycles))
+    else:
+        cone = sum(1 << _pairs(5).index(e) for e in [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
+        assert cone in expected and len(expected) == 1024 - 822
 
 
 @pytest.mark.parametrize("path", [("1", "2", "3"), ("2", "3", "4"), ("1", "4", "3")])
@@ -454,12 +383,13 @@ def test_froberg_sweep_decides_chordality_once_per_base(monkeypatch):
 
 
 def test_froberg_refuses_more_vertices_than_the_cap(monkeypatch):
-    # the sweep carries no torsion, which Katzman's theorem rules out on 10
-    # or fewer vertices only; 11 is refused before any sweep
+    # the sweep's verdicts hold over every field where Katzman's theorem
+    # rules out torsion, on 10 or fewer vertices only; 11 is refused before
+    # any sweep
     def refuse(*args):
         raise AssertionError("the refused Froberg sweep started")
 
-    for name in ("chordal_extensions", "_Lockstep"):
+    for name in ("chordal_extensions", "_clique_flags"):
         monkeypatch.setattr(verify, name, refuse)
     with pytest.raises(TooManyVerticesError, match="11 vertices exceeds the Froberg sweep cap 10"):
         froberg_exhaustive(11)
@@ -481,8 +411,8 @@ def test_froberg_sweep_builds_no_graph_or_complex(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_froberg_verdict_does_not_depend_on_the_field(n):
-    # the tables only carry the field, and with no torsion (Katzman) a
-    # clique complex's table is the same over every field
+    # the sweep reads no field: with no torsion (Katzman) a clique
+    # complex's table is the same over every field
     fields = (FieldSpec.prime(2), FieldSpec.prime(3), GF_DEFAULT, QQ)
     results = {froberg_exhaustive(n, field) for field in fields}
     assert results == {verify.SweepResult(n, 2 ** (n * (n - 1) // 2), ())}
