@@ -5,16 +5,14 @@ over Q and the invariant factors, and the rank over GF(p) is the rank over
 Q less the factors divisible by p.  Everything is integer arithmetic; there
 is no floating point.  Matrices are expected to be small and sparse
 (boundary matrices with +-1 entries), so elimination keeps rows as dicts
-and pivots on a +-1 in the sparsest column.  Where that column has none
-it pivots on an entry of least absolute value: a +-1 elsewhere if one is
-left, else a Smith normal form step, as Dumas, Heckenbach, Saunders and
-Welker (2003) take for simplicial homology.
+and pivots on a +-1 of the shortest row that has one.  When no +-1 is
+left it takes a Smith normal form step, as Dumas, Heckenbach, Saunders
+and Welker (2003) take for simplicial homology.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
-from itertools import chain
+from collections import namedtuple
 from math import isqrt
 
 _PRIME_LIMIT = 1 << 31
@@ -71,9 +69,8 @@ def integral_rank(rows: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
     consumed.
 
     One elimination by unimodular steps, so no fraction appears.  It pivots
-    in the sparsest column, on its shortest row with an entry +-1.  When
-    that column has no +-1 it pivots on the first entry of least absolute
-    value in row order: a +-1 if one is left anywhere, else a Smith step.
+    on the first +-1 of the shortest row that has one; when no +-1 is left,
+    on the first entry of least absolute value in row order, a Smith step.
     A +-1 pivot is a unit step: clearing its column also clears its row,
     so the step holds over every field at once.
     """
@@ -81,10 +78,14 @@ def integral_rank(rows: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
     factors = []
     active = [r for r in rows if r]
     while active:
-        counts = Counter(chain.from_iterable(active))
-        pivot_col = min(counts, key=counts.get)
-        best = _unit_row(active, pivot_col)
-        if best is None:  # rare: the sparsest column has no unit entry
+        best = None
+        for i, r in enumerate(active):
+            if best is None or len(r) < shortest:
+                for c, v in r.items():
+                    if v == 1 or v == -1:
+                        best, pivot_col, shortest = i, c, len(r)
+                        break
+        if best is None:  # rare: no unit entry is left
             best, pivot_col = min(
                 ((i, c) for i, r in enumerate(active) for c in r), key=lambda ic: abs(active[ic[0]][ic[1]])
             )
@@ -125,13 +126,3 @@ def integral_rank(rows: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
             factors.append(abs(a))
         rnk += 1
     return rnk, tuple(factors)
-
-
-def _unit_row(rows: list[dict[int, int]], col: int) -> int | None:
-    """Index of the shortest row with a +-1 entry in col, if any."""
-    best = None
-    for idx, r in enumerate(rows):
-        v = r.get(col)
-        if (v == 1 or v == -1) and (best is None or len(r) < shortest):
-            best, shortest = idx, len(r)
-    return best

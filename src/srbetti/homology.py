@@ -23,8 +23,8 @@ chosen for speed: the vertex with the largest star, scored by the sum of
 2^(|m|-1) over the masks m through it (the faces through it, counted
 per mask), ties to the lowest vertex.  The quotient's basis is the faces F
 with F + v not a face: F + v is a face exactly when F lies in a link mask
-m - v (m through v), so the faces of the v-free masks are enumerated and
-tested against the link masks.  A boundary map with an empty side has rank
+m - v (m through v), so `face_masks` of the v-free masks are tested
+against the link masks.  A boundary map with an empty side has rank
 0 and is not eliminated.  The order of the faces within a dimension does
 not affect any result.
 """
@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .exactla import integral_rank
+from .simplicial import face_masks
 
 
 def _boundary_rows(lower: Sequence[int], upper: Sequence[int]) -> list[dict[int, int]]:
@@ -92,22 +93,13 @@ def reduced_dims_from_facets(facets: Iterable[int]) -> tuple[tuple[int, ...], tu
             best, v = score, low
         rest ^= low
     link = [m ^ v for m in masks if m & v]
-    outside = set()
-    for g in masks:
-        if g & v:
-            continue
-        cover = [g & h for h in link]
-        sub = g
-        while sub:
-            for c in cover:
-                if sub & c == sub:
-                    break
-            else:
-                outside.add(sub)
-            sub = (sub - 1) & g
     groups: list[list[int]] = [[] for _ in range(top + 1)]
-    for m in outside:
-        groups[m.bit_count()].append(m)
+    for f in face_masks(m for m in masks if not m & v):
+        for h in link:
+            if f & h == f:
+                break
+        else:
+            groups[f.bit_count()].append(f)
     ranks = [0] * (top + 1)  # ranks[i]: the map from (i+1)- to i-vertex faces
     torsion = []
     for i in range(top):

@@ -152,7 +152,7 @@ class VerificationReport(namedtuple("VerificationReport", [
             "dimension_d": self.f.d,
             "codim": self.codim,
             "pdim": self.pdim,
-            "pdim_ge_codim": self.pdim >= self.codim,
+            "pdim_ge_codim": checks["pdim_codim"],
             "betti_table": [[i, j, str(v)] for i, j, v in self.table.cells],
             "shape": shape,
             "resolution_view": resolution,

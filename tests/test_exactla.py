@@ -99,6 +99,19 @@ def random_non_unit_matrix(rnd):
     return [[rnd.choice(entries) for _ in range(cols)] for _ in range(rows)]
 
 
+def random_sparse_matrix(rnd, low=20, high=40):
+    """low to high rows and columns, 2 to 4 nonzeros a row, mostly +-1 with
+    some +-2 and +-3: large enough that the order of the pivots matters,
+    and most such matrices end in Smith steps."""
+    rows, cols = rnd.randint(low, high), rnd.randint(low, high)
+    entries = (1, -1, 1, -1, 1, -1, 2, -2, 3, -3)
+    dense = [[0] * cols for _ in range(rows)]
+    for row in dense:
+        for c in rnd.sample(range(cols), rnd.randint(2, 4)):
+            row[c] = rnd.choice(entries)
+    return dense
+
+
 # (matrix, its rank and invariant factors > 1), each checked against sympy
 FIXED_SMITH = [
     ([[2, 3]], (1, ())),  # the remainder 1 becomes a unit pivot
@@ -106,8 +119,8 @@ FIXED_SMITH = [
     ([[-2, 4], [4, -2]], (2, (2, 6))),  # negative pivots
     ([[2, 0, 1], [0, 2, 1]], (2, (2,))),  # a unit step, then a non-unit block
     ([[2, 0], [0, 3]], (2, (6,))),  # 2 does not divide 3: factors 1 and 6
-    # the sparsest column (0) has no unit; the first unit in row order, in
-    # column 1 (3 entries), is the pivot, though column 2 (2 entries) has one
+    # after the unit step on row 0, the shorter row [0, 0, 5] has no unit;
+    # the pivot is the unit of [2, 0, 1], then -10 is a Smith step alone
     ([[0, 1, 0], [2, 3, 1], [0, 2, 5]], (3, (10,))),
 ]
 
@@ -118,7 +131,7 @@ def test_integral_rank_against_oracles():
     rnd = random.Random(2003)
     blocks = 0
     matrices = [dense for dense, _ in FIXED_SMITH] + [random_non_unit_matrix(rnd) for _ in range(300)]
-    for dense in matrices:
+    for dense in matrices + [random_sparse_matrix(rnd) for _ in range(40)]:
         rnk, factors = integral_rank(sparse_rows(dense))
         assert rnk == frac_rank(dense) == rank(sparse_rows(dense), QQ)
         assert all(t > 1 for t in factors)
@@ -137,7 +150,8 @@ def test_integral_rank_matches_smith_normal_form():
     from sympy.matrices.normalforms import smith_normal_form
 
     rnd = random.Random(2004)
-    for dense in [dense for dense, _ in FIXED_SMITH] + [random_non_unit_matrix(rnd) for _ in range(150)]:
+    matrices = [dense for dense, _ in FIXED_SMITH] + [random_non_unit_matrix(rnd) for _ in range(150)]
+    for dense in matrices + [random_sparse_matrix(rnd, 18, 22) for _ in range(12)]:
         snf = smith_normal_form(sympy.Matrix(dense), domain=sympy.ZZ)
         diagonal = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i]]
         expected = (len(diagonal), tuple(sorted(t for t in diagonal if t > 1)))

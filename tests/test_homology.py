@@ -141,12 +141,9 @@ def test_elimination_work_on_general_complexes(monkeypatch):
     # rows x columns of every matrix the misses hand to integral_rank, over
     # seeded 10-vertex complexes with 20 facets of 3 to 6 vertices each.  A
     # count, not a time: an apex or quotient that keeps more faces raises
-    # it, and so does eliminating a restriction that the split removes
-    # (21,972 before the split; 5,628 with the split but link restrictions
-    # not collapsed; 2,048 with link restrictions split only by isolated
-    # and dominated vertices, whose small link cores the split at every
-    # level removes).  No elimination is shared across complexes, so a
-    # core two of them meet counts twice
+    # it, and so does eliminating a restriction that the split removes.
+    # No elimination is shared across complexes, so a core two of them
+    # meet counts twice
     cells = []
     real = homology._boundary_rows
 
