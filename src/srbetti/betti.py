@@ -53,16 +53,21 @@ order of the pairs (i, j), i < j.  Its result is the split above: A is the
 graph on W - u and u's link the graph on N_W(u), both swept before; the top
 vertex of W is tried first, its link's key being at hand, then the others
 ascending, and a graph where no vertex splits is a core, eliminated on its
-maximal cliques.  Its flags are bit 0, homology above reduced degree 0, and
-bit 1, torsion, ORed with the flags of its restrictions to W - u for each u,
-so they cover every restriction.  A clique complex has a linear resolution
-iff bit 0 is clear, by Hochster's formula: H_0 lands on the strand j = i + 1
-of the non-edges, every higher degree off it; without torsion that holds
-over every field, and no flag complex on 10 or fewer vertices has torsion
-(Katzman 2006).  The graphs on all n vertices come last and only their flags
-are kept, by edge mask; the memo holds the id and flags of the
-sum over j < n of C(n, j) 2^C(j, 2) graphs on smaller W: 7,301 at n = 6 and
-253,450 at n = 7.
+maximal cliques.  Its flags are bit 0, homology above reduced degree 0,
+bit 1, torsion, and bit 2, not chordal, ORed with the flags of its
+restrictions to W - u for each u, so they cover every restriction.  A clique
+complex has a linear resolution iff bit 0 is clear, by Hochster's formula:
+H_0 lands on the strand j = i + 1 of the non-edges, every higher degree off
+it; without torsion that holds over every field, and no flag complex on 10
+or fewer vertices has torsion (Katzman 2006).  Bit 2 reads the graph alone,
+never a result: a graph whose restrictions to W - u are all chordal is
+chordal iff one of its vertices is simplicial, its neighbours pairwise
+adjacent (Dirac 1961), so the graph on W gets bit 2 when no restriction has
+it and no vertex is simplicial, the top one tried first.  Froberg's theorem
+is that bits 0 and 2 agree.  The graphs on all n vertices come last and
+only their flags are kept, by edge mask; the memo holds the id and flags of
+the sum over j < n of C(n, j) 2^C(j, 2) graphs on smaller W: 7,301 at n = 6
+and 253,450 at n = 7.
 """
 
 from __future__ import annotations
@@ -291,7 +296,8 @@ def _clique_flags(n: int) -> bytearray:
     """By edge mask, its bits the pairs (i, j), i < j, in lexicographic
     order, the flags of each graph on n vertices: bit 0 if a restriction of
     its clique complex has homology above reduced degree 0, bit 1 if one has
-    torsion (module docstring)."""
+    torsion, bit 2 if an induced subgraph, itself included, is not chordal
+    (module docstring)."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     # edge masks are shifted up by n, so that a graph's key is its edges | W.
     # inside[w]: the edges inside w; star[u]: (edge, other end) for each edge of u
@@ -300,7 +306,7 @@ def _clique_flags(n: int) -> bytearray:
     results = _Results()
     split, support, twisted = results.split, results.support, results.twisted
     whole = (1 << n) - 1
-    memo = {0: 0}  # id << 2 | flags, by edges | W; {} is the empty complex
+    memo = {0: 0}  # id << 3 | flags, by edges | W; {} is the empty complex
     flags = bytearray(1 << len(pairs))
     for w in range(1, whole + 1):
         y = w.bit_length() - 1
@@ -314,21 +320,30 @@ def _clique_flags(n: int) -> bytearray:
             for edges_to, near_edges, nbrs in links:
                 e = base | edges_to
                 below = [memo[e & edges_in | sub] for _, edges_in, sub in lower]
-                r = split(a >> 2, memo[base & near_edges | nbrs] >> 2)
+                r = split(a >> 3, memo[base & near_edges | nbrs] >> 3)
                 if r is None:
                     for (u, _, _), b in zip(lower, below):
                         near = sum(v for edge, v in star[u] if e & edge)
-                        r = split(b >> 2, memo[e & inside[near] | near] >> 2)
+                        r = split(b >> 3, memo[e & inside[near] | near] >> 3)
                         if r is not None:
                             break
                     else:
                         adj = [sum(v for edge, v in star[u] if e & edge) for u in range(n)]
                         r = results.core([c for c in maximal_cliques(adj) if c & w])
-                f = reduce(or_, below, a) & 3 | (support[r] > 3) | twisted[r] << 1
+                f = reduce(or_, below, a) & 7 | (support[r] > 3) | twisted[r] << 1
+                # with every restriction chordal, chordal iff a vertex is
+                # simplicial (Dirac): y iff base holds the edges inside nbrs
+                if not f & 4 and near_edges & ~base:
+                    for u, _, _ in lower:
+                        near = sum(v for edge, v in star[u] if e & edge)
+                        if not inside[near] & ~e:
+                            break
+                    else:
+                        f |= 4
                 if w == whole:
                     flags[e >> n] = f
                 else:
-                    memo[e | w] = r << 2 | f
+                    memo[e | w] = r << 3 | f
     return flags
 
 

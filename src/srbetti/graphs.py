@@ -177,48 +177,6 @@ def is_chordal(adj: Sequence[int]) -> tuple[bool, tuple[int, ...] | None]:
     return True, tuple(order)
 
 
-def chordal_extensions(adj: Sequence[int]) -> list[bool]:
-    """Chordality of every extension of the graph G with adjacency masks adj
-    by a new vertex v: entry N says whether G + v, v with neighbour set N,
-    is chordal.  One `is_chordal` run decides all 2^n entries.
-
-    An induced subgraph of a chordal graph is chordal (Dirac 1961), so if G
-    is not, no G + v is.  Otherwise G + v is chordal iff, for each connected
-    component C of G - N, the vertices of N adjacent to C form a clique.  A
-    chordless cycle of length >= 4 in G + v passes through v, whose two
-    neighbours a, b on it are non-adjacent vertices of N; the rest of the
-    cycle is an induced a-b path with its interior in G - N, so inside one
-    component C that both touch.  Conversely, given such a, b and C, a
-    shortest a-b path through C closes a chordless cycle with v.
-    """
-    n = len(adj)
-    if not is_chordal(adj)[0]:
-        return [False] * (1 << n)
-    clique = [True] * (1 << n)  # clique[s]: the vertices of s are pairwise adjacent
-    for s in range(1, 1 << n):
-        low = s & -s
-        clique[s] = clique[s ^ low] and not (s ^ low) & ~adj[low.bit_length() - 1]
-    full = (1 << n) - 1
-    out = []
-    for nbrs in range(1 << n):
-        rest = full ^ nbrs  # the vertices of G - N in no component yet
-        chordal = True
-        while rest and chordal:
-            comp = todo = rest & -rest
-            touched = 0  # the neighbours of comp
-            while todo:
-                low = todo & -todo
-                row = adj[low.bit_length() - 1]
-                touched |= row
-                grown = row & rest & ~comp
-                comp |= grown
-                todo = todo ^ low | grown
-            rest ^= comp
-            chordal = clique[touched & nbrs]
-        out.append(chordal)
-    return out
-
-
 def maximal_cliques(adj: Sequence[int]) -> list[int]:
     """All maximal cliques as bitmasks, sorted ascending (Bron-Kerbosch, Tomita's pivot)."""
     n = len(adj)

@@ -22,14 +22,7 @@ from .betti import DEFAULT_VERTEX_CAP
 from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
 from .formulas import betti_from_h, check_lower_bound, h_relations
-from .graphs import (
-    Graph,
-    Xorshift64Star,
-    chordal_extensions,
-    clique_complex,
-    cycle_graph,
-    gen_chordal,
-)
+from .graphs import Graph, Xorshift64Star, clique_complex, cycle_graph, gen_chordal
 from .hilbert import multiplicity, verify_series_identity
 from .simplicial import Complex, FVector, HVector, f_vector, h_vector
 
@@ -362,17 +355,17 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     no such vertex is a core.  Its flags OR its own with those of its
     restrictions to one vertex fewer, so bit 0 says whether a restriction
     has homology above reduced degree 0, which by Hochster's formula is
-    whether the graph is not linear, and bit 1 whether one has torsion.
+    whether the graph is not linear, bit 1 whether one has torsion, and
+    bit 2 whether one is not chordal, decided from the graph alone: a graph
+    whose restrictions to one vertex fewer are chordal is chordal iff it
+    has a simplicial vertex (Dirac 1961).  A graph is a mismatch iff bit 1
+    is set or bits 0 and 2 differ.
     The memo holds the sum over j < n of C(n, j) 2^C(j, 2) graphs on
     smaller subsets, 7,301 for n = 6, and the flags of the 2^C(n,2) graphs
     on all n vertices; for n = 6 the one core is the empty complex, once
-    per sweep, and no table is built.
-    Chordality is decided once per base graph on vertices 0..n-2
-    (`graphs.chordal_extensions`): no extension of a non-chordal base is
-    chordal, and the extension by N of a chordal one is chordal iff, for
-    each component C of the base minus N, the vertices of N adjacent to C
-    form a clique.  A graph is only its edge mask and adjacency masks: no
-    clique search runs but on a core, and no `Graph` or `Complex` is built.
+    per sweep, and no table is built.  A graph is only its edge mask and
+    adjacency masks: no clique search runs but on a core, and no `Graph` or
+    `Complex` is built.
     n is capped at `FROBERG_VERTEX_CAP` (10), where Katzman's theorem stops.
     Mismatches are edge masks in the bit order of the pairs (i, j), i < j,
     in lexicographic order, sorted ascending.
@@ -381,29 +374,10 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
         raise ValueError(f"the Froberg sweep needs at least 1 vertex, got n = {n}")
     if n > FROBERG_VERTEX_CAP:
         raise TooManyVerticesError(f"{n} vertices exceeds the Froberg sweep cap {FROBERG_VERTEX_CAP}")
-    k = n - 1  # vertices of a base graph
     flags = _clique_flags(n)
-    bit = {pair: 1 << b for b, pair in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
-    # last[N]: the edges from vertex k to N
-    last = [sum(bit[v, k] for v in range(k) if nbrs >> v & 1) for nbrs in range(1 << k)]
-    base_pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    mismatches = []
-    checked = 0
-    for base_mask in range(1 << len(base_pairs)):
-        base = [0] * k
-        base_edges = 0
-        for b, (i, j) in enumerate(base_pairs):
-            if (base_mask >> b) & 1:
-                base[i] |= 1 << j
-                base[j] |= 1 << i
-                base_edges |= bit[i, j]
-        for nbrs, chordal in enumerate(chordal_extensions(base)):
-            edges = base_edges | last[nbrs]
-            # torsion is a mismatch whatever the chordality
-            if flags[edges] & 2 or (not flags[edges] & 1) != chordal:
-                mismatches.append(edges)
-            checked += 1
-    return SweepResult(n, checked, tuple(sorted(mismatches)))
+    # torsion is a mismatch whatever the chordality; else linear iff chordal
+    mismatches = tuple(edges for edges, f in enumerate(flags) if f & 2 or f & 1 != f >> 2 & 1)
+    return SweepResult(n, len(flags), mismatches)
 
 
 def dumps_report(obj: dict) -> str:

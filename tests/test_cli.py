@@ -299,17 +299,16 @@ def test_verify_json_carries_the_froberg_sweep(capsys):
 
 
 def test_verify_json_fails_on_a_sweep_mismatch_alone(capsys, monkeypatch):
-    # flip the verdict on the path 1-0-5: base edge 0-1 and neighbour set
-    # {0} of vertex 5, edge mask 2^0 + 2^4 in the order (0, 1), (0, 2), ...
-    real = verify.chordal_extensions
+    # flip the chordality flag, bit 2, of the path 1-0-5: edges 0-1 and
+    # 0-5, edge mask 2^0 + 2^4 in the order (0, 1), (0, 2), ...
+    real = verify._clique_flags
 
-    def flipped(base):
-        out = real(base)
-        if base == [0b10, 0b01, 0, 0, 0]:
-            out[0b1] = not out[0b1]
-        return out
+    def flipped(n):
+        flags = real(n)
+        flags[0b10001] ^= 4
+        return flags
 
-    monkeypatch.setattr(verify, "chordal_extensions", flipped)
+    monkeypatch.setattr(verify, "_clique_flags", flipped)
     code, out, _ = run(capsys, *SWEEP_JSON)
     doc = json.loads(out)
     # the corpus passed, and the sweep alone fails the run

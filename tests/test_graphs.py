@@ -24,7 +24,6 @@ from srbetti import (
     read_graph,
     write_graph,
 )
-from srbetti.graphs import chordal_extensions
 
 
 def all_graphs(n):
@@ -114,67 +113,6 @@ def test_elimination_order_breaks_ties_by_smallest_index():
         vertices=[str(v) for v in range(6)],
     )
     assert is_chordal(g.adj) == (True, (1, 2, 3, 4, 0, 5))
-
-
-def extended(base, nbrs):
-    """The adjacency masks of base plus a last vertex with neighbour set nbrs."""
-    last = 1 << len(base)
-    return [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)] + [nbrs]
-
-
-def test_chordal_extensions_exhaustive():
-    # every base on at most 5 vertices and every neighbour set: all 32,768
-    # graphs on 6 vertices and the smaller ones
-    checked = chordal = 0
-    for n in range(6):
-        for g in all_graphs(n):
-            verdicts = chordal_extensions(g.adj)
-            assert len(verdicts) == 1 << n
-            for nbrs, verdict in enumerate(verdicts):
-                assert verdict == is_chordal(extended(g.adj, nbrs))[0], (g.adj, nbrs)
-                checked += 1
-                chordal += verdict
-    assert checked == 1 + 2 + 8 + 64 + 1024 + 32768
-    assert chordal == 1 + 2 + 8 + 61 + 822 + 18154
-
-
-def test_chordal_extensions_against_subset_cycles():
-    # every graph on at most 5 vertices, then random ones on 7 to 9: half
-    # on a chordal base, where the component rule decides
-    for n in range(5):
-        for g in all_graphs(n):
-            for nbrs, verdict in enumerate(chordal_extensions(g.adj)):
-                h = Graph(tuple(str(v + 1) for v in range(n + 1)), tuple(extended(g.adj, nbrs)))
-                assert verdict == brute_is_chordal(h), (g.adj, nbrs)
-    rnd = random.Random(4006)
-    on_chordal_bases = set()
-    for trial in range(120):
-        k = rnd.randint(6, 8)
-        if trial % 2:
-            base = random_graph(rnd, k, p=rnd.uniform(0.2, 0.9)).adj
-        else:
-            base = gen_chordal(k, rnd.uniform(0.2, 0.8), rnd.getrandbits(32)).adj
-        nbrs = rnd.getrandbits(k)
-        h = Graph(tuple(str(v + 1) for v in range(k + 1)), tuple(extended(base, nbrs)))
-        verdict = chordal_extensions(base)[nbrs]
-        assert verdict == brute_is_chordal(h), (base, nbrs)
-        if is_chordal(base)[0]:
-            on_chordal_bases.add(verdict)
-    assert on_chordal_bases == {False, True}
-
-
-def test_chordal_extensions_by_hand():
-    # no extension of a four-cycle is chordal
-    assert chordal_extensions(cycle_graph(4).adj) == [False] * 16
-    # on the path 0-1-2, v joined to the whole path closes only triangles,
-    # though 0 and 2 are not adjacent; joined to 0 and 2 it closes a C4
-    verdicts = chordal_extensions(path_graph(3).adj)
-    assert verdicts[0b111]
-    assert not verdicts[0b101]
-    assert verdicts == [nbrs != 0b101 for nbrs in range(8)]
-    # on the path 0-1-2-3, v joined to 0 and 3 closes a C5 through the
-    # component {1, 2} of the path minus N
-    assert not chordal_extensions(path_graph(4).adj)[0b1001]
 
 
 def test_maximal_cliques_brute_force():

@@ -248,13 +248,26 @@ def test_extension_tables_equal_graded_betti(field):
         _check_flags(6, mask, flags, field)
 
 
+@pytest.mark.parametrize("n, chordal", [(1, 1), (2, 2), (3, 8), (4, 61), (5, 822), (6, 18154)])
+def test_clique_flags_bit_2_is_chordality(n, chordal):
+    # bit 2 of a graph's flags is set iff the graph is not chordal: against
+    # the induced-cycle definition on 5 or fewer vertices, and against
+    # `graphs.is_chordal` on all 32,768 graphs on 6
+    flags = betti._clique_flags(n)
+    for mask, f in enumerate(flags):
+        g = _graph_of_mask(n, mask)
+        assert (not f & 4) == (brute_is_chordal(g) if n <= 5 else graphs.is_chordal(g.adj)[0]), mask
+    assert sum(not f & 4 for f in flags) == chordal
+
+
 def test_froberg_sweep_visits(monkeypatch):
     # the sweep computes each graph on each subset once from graphs it
     # swept before, and no sweep of a graph's subsets runs.  The split
     # removes a vertex of every nonempty subset, trying the top one first,
     # so the one core is the empty subset, registered once per sweep; the
     # split is tried 1,825 times for the 1,449 graphs on nonempty subsets.
-    # The sweep runs no clique search under any name
+    # The sweep runs no clique search and no chordality test under any name:
+    # chordality is bit 2 of the flags, from simplicial vertices
     subsets = []
     splits = []
     cores = []
@@ -270,13 +283,17 @@ def test_froberg_sweep_visits(monkeypatch):
         return real_core(self, maximal)
 
     def refuse(adj):
-        raise AssertionError("the sweep searched a graph for its maximal cliques")
+        raise AssertionError("the sweep searched a graph for its maximal cliques or tested its chordality")
 
-    searchers = {name for name, module in sys.modules.items() if name.startswith("srbetti")}
-    searchers = {name for name in searchers if hasattr(sys.modules[name], "maximal_cliques")}
+    srbetti = {name for name, module in sys.modules.items() if name.startswith("srbetti")}
+    searchers = {name for name in srbetti if hasattr(sys.modules[name], "maximal_cliques")}
     assert searchers >= {"srbetti", "srbetti.graphs", "srbetti.betti"} and "srbetti.verify" not in searchers
+    testers = {name for name in srbetti if hasattr(sys.modules[name], "is_chordal")}
+    assert testers >= {"srbetti", "srbetti.graphs"} and "srbetti.verify" not in testers
     for name in searchers:
         monkeypatch.setattr(sys.modules[name], "maximal_cliques", refuse)
+    for name in testers:
+        monkeypatch.setattr(sys.modules[name], "is_chordal", refuse)
     monkeypatch.setattr(betti, "_subset_results", lambda *args: subsets.append(args))
     monkeypatch.setattr(betti._Results, "split", split)
     monkeypatch.setattr(betti._Results, "core", core)
@@ -307,9 +324,23 @@ def test_froberg_sweep_cores_are_the_sweep_cores(monkeypatch):
     assert len(calls) == 1 + 1024
 
 
+def _flip_chordality(monkeypatch, chosen):
+    """Make the sweep's flags call every graph whose edge mask chosen
+    accepts chordal if it is not and not chordal if it is (bit 2)."""
+    real = verify._clique_flags
+
+    def flipped(n):
+        flags = real(n)
+        for mask in range(len(flags)):
+            if chosen(mask):
+                flags[mask] ^= 4
+        return flags
+
+    monkeypatch.setattr(verify, "_clique_flags", flipped)
+
+
 def test_froberg_mismatches_are_edge_masks(monkeypatch):
-    real = verify.chordal_extensions
-    monkeypatch.setattr(verify, "chordal_extensions", lambda base: [not chordal for chordal in real(base)])
+    _flip_chordality(monkeypatch, lambda mask: True)
     result = froberg_exhaustive(4)
     assert result.checked == 64
     assert result.mismatches == tuple(range(64))
@@ -347,39 +378,13 @@ def test_froberg_reports_each_graph_with_torsion(monkeypatch, n):
 
 @pytest.mark.parametrize("path", [("1", "2", "3"), ("2", "3", "4"), ("1", "4", "3")])
 def test_froberg_reports_the_edge_mask_of_one_mismatch(monkeypatch, path):
-    # only base edges, one base edge and one edge of the last vertex, and
-    # only edges of the last vertex
+    # only edges among the first three vertices, one such edge and one
+    # edge of the last vertex, and only edges of the last vertex
     edges = sorted(tuple(sorted(e)) for e in zip(path, path[1:]))
-    real = verify.chordal_extensions
-
-    def flipped(base):
-        out = real(base)
-        last = 1 << len(base)
-        for nbrs in range(last):
-            adj = [row | last if (nbrs >> v) & 1 else row for v, row in enumerate(base)] + [nbrs]
-            adj_edges = [(str(i + 1), str(j + 1)) for i, j in _pairs(len(adj)) if (adj[i] >> j) & 1]
-            if adj_edges == edges:
-                out[nbrs] = not out[nbrs]
-        return out
-
-    monkeypatch.setattr(verify, "chordal_extensions", flipped)
     labelled = [(str(i + 1), str(j + 1)) for i, j in _pairs(4)]
-    assert froberg_exhaustive(4).mismatches == (sum(1 << labelled.index(e) for e in edges),)
-
-
-def test_froberg_sweep_decides_chordality_once_per_base(monkeypatch):
-    # one chordality test per base graph on 4 vertices decides all 32 of
-    # its extensions, not one test per graph on 5 vertices
-    calls = []
-    real = graphs.is_chordal
-
-    def is_chordal(adj):
-        calls.append(len(adj))
-        return real(adj)
-
-    monkeypatch.setattr(graphs, "is_chordal", is_chordal)
-    assert froberg_exhaustive(5).passed
-    assert calls == [4] * 64
+    mask = sum(1 << labelled.index(e) for e in edges)
+    _flip_chordality(monkeypatch, mask.__eq__)
+    assert froberg_exhaustive(4).mismatches == (mask,)
 
 
 def test_froberg_refuses_more_vertices_than_the_cap(monkeypatch):
@@ -389,8 +394,7 @@ def test_froberg_refuses_more_vertices_than_the_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("the refused Froberg sweep started")
 
-    for name in ("chordal_extensions", "_clique_flags"):
-        monkeypatch.setattr(verify, name, refuse)
+    monkeypatch.setattr(verify, "_clique_flags", refuse)
     with pytest.raises(TooManyVerticesError, match="11 vertices exceeds the Froberg sweep cap 10"):
         froberg_exhaustive(11)
 
