@@ -266,8 +266,7 @@ def test_froberg_sweep_visits(monkeypatch):
     # removes a vertex of every nonempty subset, trying the top one first,
     # so the one core is the empty subset, registered once per sweep; the
     # split is tried 1,825 times for the 1,449 graphs on nonempty subsets.
-    # The sweep runs no clique search and no chordality test under any name:
-    # chordality is bit 2 of the flags, from simplicial vertices
+    # The sweep runs no clique search under any name
     subsets = []
     splits = []
     cores = []
@@ -283,17 +282,13 @@ def test_froberg_sweep_visits(monkeypatch):
         return real_core(self, maximal)
 
     def refuse(adj):
-        raise AssertionError("the sweep searched a graph for its maximal cliques or tested its chordality")
+        raise AssertionError("the sweep searched a graph for its maximal cliques")
 
-    srbetti = {name for name, module in sys.modules.items() if name.startswith("srbetti")}
-    searchers = {name for name in srbetti if hasattr(sys.modules[name], "maximal_cliques")}
+    searchers = {name for name, module in sys.modules.items() if name.startswith("srbetti")}
+    searchers = {name for name in searchers if hasattr(sys.modules[name], "maximal_cliques")}
     assert searchers >= {"srbetti", "srbetti.graphs", "srbetti.betti"} and "srbetti.verify" not in searchers
-    testers = {name for name in srbetti if hasattr(sys.modules[name], "is_chordal")}
-    assert testers >= {"srbetti", "srbetti.graphs"} and "srbetti.verify" not in testers
     for name in searchers:
         monkeypatch.setattr(sys.modules[name], "maximal_cliques", refuse)
-    for name in testers:
-        monkeypatch.setattr(sys.modules[name], "is_chordal", refuse)
     monkeypatch.setattr(betti, "_subset_results", lambda *args: subsets.append(args))
     monkeypatch.setattr(betti._Results, "split", split)
     monkeypatch.setattr(betti._Results, "core", core)
@@ -301,6 +296,26 @@ def test_froberg_sweep_visits(monkeypatch):
     assert subsets == []
     assert cores == [0]
     assert len(splits) == 1825
+
+
+def test_froberg_sweep_decides_chordality_once_per_base(monkeypatch):
+    # the chordality of every graph on 5 vertices, each of its 32 extensions
+    # of a base graph on 4 among them, is bit 2 of the sweep's flags, decided
+    # once per graph in the memo from simplicial vertices and the flags of
+    # its restrictions; no chordality test runs under any name
+    calls = []
+
+    def is_chordal(adj):
+        calls.append(len(adj))
+        raise AssertionError("the sweep tested a graph's chordality")
+
+    testers = {name for name, module in sys.modules.items() if name.startswith("srbetti")}
+    testers = {name for name in testers if hasattr(sys.modules[name], "is_chordal")}
+    assert testers >= {"srbetti", "srbetti.graphs"} and "srbetti.verify" not in testers
+    for name in testers:
+        monkeypatch.setattr(sys.modules[name], "is_chordal", is_chordal)
+    assert froberg_exhaustive(5).passed
+    assert calls == []
 
 
 def test_froberg_sweep_cores_are_the_sweep_cores(monkeypatch):
