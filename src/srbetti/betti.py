@@ -47,27 +47,28 @@ sweep reads what another computed.
 
 The Froberg sweep (`_clique_flags`) takes every graph on n vertices at
 once.  The restriction of a graph to W is fixed by W and the edges inside
-W, so each graph on each W is swept once, in ascending order of W, and kept
-under (edges inside W) << n | W, the edges as bits in the lexicographic
-order of the pairs (i, j), i < j.  Its result is the split above: A is the
-graph on W - u and u's link the graph on N_W(u), both swept before; the top
-vertex of W is tried first, its link's key being at hand, then the others
-ascending, and a graph where no vertex splits is a core, eliminated on its
-maximal cliques.  Its flags are bit 0, homology above reduced degree 0,
-bit 1, torsion, and bit 2, not chordal, ORed with the flags of its
-restrictions to W - u for each u, so they cover every restriction.  A clique
-complex has a linear resolution iff bit 0 is clear, by Hochster's formula:
-H_0 lands on the strand j = i + 1 of the non-edges, every higher degree off
-it; without torsion that holds over every field, and no flag complex on 10
-or fewer vertices has torsion (Katzman 2006).  Bit 2 reads the graph alone,
-never a result: a graph whose restrictions to W - u are all chordal is
-chordal iff one of its vertices is simplicial, its neighbours pairwise
-adjacent (Dirac 1961), so the graph on W gets bit 2 when no restriction has
-it and no vertex is simplicial, the top one tried first.  Froberg's theorem
-is that bits 0 and 2 agree.  The graphs on all n vertices come last and
-only their flags are kept, by edge mask; the memo holds the id and flags of
-the sum over j < n of C(n, j) 2^C(j, 2) graphs on smaller W: 7,301 at n = 6
-and 253,450 at n = 7.
+W, so each graph on each W is swept once, in ascending order of W, its
+result's id kept under (edges inside W) << n | W, the edges as bits in the
+lexicographic order of the pairs (i, j), i < j.  Its result is the split
+above: A is the graph on W - u and u's link the graph on N_W(u), both swept
+before; the top vertex of W is tried first, its link's key being at hand,
+then the others ascending, and a graph where no vertex splits is a core,
+eliminated on its maximal cliques.  A graph's flags say whether some
+restriction has homology above reduced degree 0 (bit 0), torsion (bit 1)
+or is not chordal (bit 2).  Isolated vertices change none of them, so a
+graph on W has the flags of the graph on all n vertices with its edges, and
+only those keep own bits, in planes of 2^C(n,2) bits by edge mask: bits 0
+and 1 from their results, and bit 2, from planes of the edges, for an edge
+and no simplicial vertex, its neighbours pairwise adjacent, but isolated
+ones.  ORing each plane, for each vertex u in turn, with its copy with u's
+edges deleted gives each graph the OR over its induced subgraphs
+(`_induced_or`); a graph is chordal iff each of them has a simplicial
+vertex (Dirac 1961).  A clique complex has a linear resolution iff bit 0
+is clear, by Hochster's formula: H_0 lands on the strand j = i + 1 of the
+non-edges, every higher degree off it; without torsion that holds over
+every field, and no flag complex on 10 or fewer vertices has torsion
+(Katzman 2006).  Froberg's theorem is that bits 0 and 2 agree.  The memo
+holds the ids of the graphs on smaller W, 7,301 at n = 6.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ import sys
 from array import array
 from collections import Counter, namedtuple
 from functools import reduce
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 from operator import or_
 
 from .errors import TooManyVerticesError
@@ -296,9 +297,9 @@ def _clique_flags(n: int) -> bytearray:
     """By edge mask, its bits the pairs (i, j), i < j, in lexicographic
     order, the flags of each graph on n vertices: bit 0 if a restriction of
     its clique complex has homology above reduced degree 0, bit 1 if one has
-    torsion, bit 2 if an induced subgraph, itself included, is not chordal
-    (module docstring)."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    torsion, bit 2 if an induced subgraph, itself included, is not chordal:
+    its own bits ORed over its induced subgraphs (module docstring)."""
+    pairs = list(combinations(range(n), 2))
     # edge masks are shifted up by n, so that a graph's key is its edges | W.
     # inside[w]: the edges inside w; star[u]: (edge, other end) for each edge of u
     inside = [sum(1 << n + b for b, (i, j) in enumerate(pairs) if w >> i & w >> j & 1) for w in range(1 << n)]
@@ -306,45 +307,66 @@ def _clique_flags(n: int) -> bytearray:
     results = _Results()
     split, support, twisted = results.split, results.support, results.twisted
     whole = (1 << n) - 1
-    memo = {0: 0}  # id << 3 | flags, by edges | W; {} is the empty complex
-    flags = bytearray(1 << len(pairs))
+    memo = {0: 0}  # result ids by edges | W; {} is the empty complex
+    size = 1 << len(pairs)
+    own = bytearray(size)  # by edge mask: own bits 0 and 1 of the graph on all n vertices
     for w in range(1, whole + 1):
         y = w.bit_length() - 1
         rest = w ^ 1 << y
-        # each vertex u below y: the edges inside W - u, and W - u
-        lower = [(u, inside[w ^ 1 << u], w ^ 1 << u) for u in _bits(rest)]
         # each neighbour set N of y: the edges from y to N, those inside N, and N
         links = [(sum(edge for edge, v in star[y] if v & nbrs), inside[nbrs], nbrs) for nbrs in _submasks(rest)]
         for base in _submasks(inside[rest]):  # the graph on W - y
             a = memo[base | rest]
             for edges_to, near_edges, nbrs in links:
                 e = base | edges_to
-                below = [memo[e & edges_in | sub] for _, edges_in, sub in lower]
-                r = split(a >> 3, memo[base & near_edges | nbrs] >> 3)
+                r = split(a, memo[base & near_edges | nbrs])
                 if r is None:
-                    for (u, _, _), b in zip(lower, below):
-                        near = sum(v for edge, v in star[u] if e & edge)
-                        r = split(b >> 3, memo[e & inside[near] | near] >> 3)
-                        if r is not None:
-                            break
+                    for u in range(y):
+                        if w >> u & 1:
+                            near = sum(v for edge, v in star[u] if e & edge)
+                            r = split(memo[e & inside[w ^ 1 << u] | w ^ 1 << u], memo[e & inside[near] | near])
+                            if r is not None:
+                                break
                     else:
                         adj = [sum(v for edge, v in star[u] if e & edge) for u in range(n)]
                         r = results.core([c for c in maximal_cliques(adj) if c & w])
-                f = reduce(or_, below, a) & 7 | (support[r] > 3) | twisted[r] << 1
-                # with every restriction chordal, chordal iff a vertex is
-                # simplicial (Dirac): y iff base holds the edges inside nbrs
-                if not f & 4 and near_edges & ~base:
-                    for u, _, _ in lower:
-                        near = sum(v for edge, v in star[u] if e & edge)
-                        if not inside[near] & ~e:
-                            break
-                    else:
-                        f |= 4
                 if w == whole:
-                    flags[e >> n] = f
+                    own[e >> n] = (support[r] > 3) | twisted[r] << 1
                 else:
-                    memo[e | w] = r << 3 | f
-    return flags
+                    memo[e | w] = r
+    del memo
+    # bits 0 and 1 as planes, read as base-2 numerals, the top edge mask first
+    planes = [int(own.translate(bytes(48 | i >> k & 1 for i in range(256)))[::-1], 2) for k in (0, 1)]
+    # by pair, the plane of the edge masks that hold it: a byte pattern
+    # repeated, read as one integer
+    units = [b"\xaa", b"\xcc", b"\xf0"] + [bytes(1 << b - 3) + b"\xff" * (1 << b - 3) for b in range(3, len(pairs))]
+    edge = {pair: int.from_bytes(u * max(1, size // 8 // len(u)), "little") & (1 << size) - 1 for pair, u in zip(pairs, units)}
+    # bit 2: an edge, and no simplicial vertex but isolated ones (Dirac 1961)
+    simplicial = 0
+    for u in range(n):
+        nbr = {v: edge[min(u, v), max(u, v)] for v in range(n) if v != u}
+        apart = reduce(or_, [nbr[v] & nbr[x] & ~edge[v, x] for v, x in combinations(nbr, 2)], 0)
+        simplicial |= reduce(or_, nbr.values(), 0) & ~apart
+    planes.append((1 << size) - 2 & ~simplicial)
+    digits = bytes.maketrans(b"01", b"\0\1")  # a plane's base-2 numeral as bytes 0 and 1
+    flags = sum(int.from_bytes(f"{p:0{size}b}".encode().translate(digits), "big") << k for k, p in enumerate(_induced_or(planes, edge)))
+    return bytearray(flags.to_bytes(size, "little"))
+
+
+def _induced_or(planes: list[int], edge: dict[tuple[int, int], int]) -> list[int]:
+    """Planes of bits by edge mask ORed over induced subgraphs: bit e
+    becomes the OR of the bits at e & (the edges inside W) over every vertex
+    set W.  edge holds, by pair in the order of the mask's bits, the plane
+    of the masks that hold it.  For each vertex u in turn, each plane with
+    u's edges deleted, each edge b of u projected out by copying the bit at
+    e with b cleared onto e, is ORed into it."""
+    for u in set().union(*edge):
+        cut = planes
+        for b, (pair, holds) in enumerate(edge.items()):
+            if u in pair:
+                cut = [low | low << (1 << b) for low in (c & ~holds for c in cut)]
+        planes = [p | c for p, c in zip(planes, cut)]
+    return planes
 
 
 def _submasks(m: int) -> list[int]:

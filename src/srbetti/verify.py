@@ -330,8 +330,9 @@ class SweepResult(namedtuple("SweepResult", "n checked mismatches")):
 # no flag complex on this many vertices or fewer has torsion (Katzman, J.
 # Combin. Theory Ser. A 113, 2006), so the Froberg sweep's verdicts hold
 # over every field.  The cap is the theorem's, not a resource bound: the
-# sweep's memo of the sum over j < n of C(n, j) 2^C(j, 2) graphs, 253,450
-# at n = 7, outgrows memory well before it
+# sweep's memo of the ids of the sum over j < n of C(n, j) 2^C(j, 2)
+# graphs, 253,450 at n = 7, and its planes of 2^C(n,2) bits, 256 KiB at
+# n = 7, outgrow memory well before it
 FROBERG_VERTEX_CAP = 10
 
 
@@ -352,20 +353,19 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     graph on each vertex subset W is swept once, keyed by W and the edges
     inside W, its homology from the graph on W less a vertex and that
     vertex's link, both swept before, by the Mayer-Vietoris split; what has
-    no such vertex is a core.  Its flags OR its own with those of its
-    restrictions to one vertex fewer, so bit 0 says whether a restriction
-    has homology above reduced degree 0, which by Hochster's formula is
-    whether the graph is not linear, bit 1 whether one has torsion, and
-    bit 2 whether one is not chordal, decided from the graph alone: a graph
-    whose restrictions to one vertex fewer are chordal is chordal iff it
-    has a simplicial vertex (Dirac 1961).  A graph is a mismatch iff bit 1
-    is set or bits 0 and 2 differ.
-    The memo holds the sum over j < n of C(n, j) 2^C(j, 2) graphs on
-    smaller subsets, 7,301 for n = 6, and the flags of the 2^C(n,2) graphs
-    on all n vertices; for n = 6 the one core is the empty complex, once
-    per sweep, and no table is built.  A graph is only its edge mask and
-    adjacency masks: no clique search runs but on a core, and no `Graph` or
-    `Complex` is built.
+    no such vertex is a core.  The memo keeps result ids only, 7,301 of
+    them for n = 6.  Isolated vertices change no flag, so only the
+    2^C(n,2) graphs on all n vertices keep own bits, in bit planes by edge
+    mask: bit 0, homology above reduced degree 0, which by Hochster's
+    formula is whether the graph is not linear, and bit 1, torsion, from
+    their results; bit 2, no simplicial vertex but isolated ones, from
+    planes of the edges.  Each plane is then ORed over induced subgraphs,
+    one vertex's edges deleted at a time, so bit 2 says not chordal (Dirac
+    1961).  A graph is a mismatch iff bit 1 is set or bits 0 and 2 differ,
+    read off the flag bytes through a 256-entry verdict table.  For n = 6
+    the one core is the empty complex, once per sweep, and no table is
+    built.  A graph is only its edge mask and adjacency masks: no clique
+    search runs but on a core, and no `Graph` or `Complex` is built.
     n is capped at `FROBERG_VERTEX_CAP` (10), where Katzman's theorem stops.
     Mismatches are edge masks in the bit order of the pairs (i, j), i < j,
     in lexicographic order, sorted ascending.
@@ -375,9 +375,15 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     if n > FROBERG_VERTEX_CAP:
         raise TooManyVerticesError(f"{n} vertices exceeds the Froberg sweep cap {FROBERG_VERTEX_CAP}")
     flags = _clique_flags(n)
-    # torsion is a mismatch whatever the chordality; else linear iff chordal
-    mismatches = tuple(edges for edges, f in enumerate(flags) if f & 2 or f & 1 != f >> 2 & 1)
-    return SweepResult(n, len(flags), mismatches)
+    # by flags, 1 for a mismatch: torsion whatever the chordality, else
+    # linear and chordal disagreeing
+    verdicts = flags.translate(bytes(f & 2 > 0 or f & 1 != f >> 2 & 1 for f in range(256)))
+    mismatches = []
+    at = verdicts.find(1)
+    while at >= 0:
+        mismatches.append(at)
+        at = verdicts.find(1, at + 1)
+    return SweepResult(n, len(flags), tuple(mismatches))
 
 
 def dumps_report(obj: dict) -> str:

@@ -207,7 +207,8 @@ def test_rationals_report_has_no_char_zero_section():
 
 
 # The Froberg sweep reads each graph's flags off `betti._clique_flags`, which
-# sweeps every graph on every vertex subset once.
+# sweeps every graph on every vertex subset once and ORs each graph's own
+# bits over its induced subgraphs on bit planes.
 
 
 def _pairs(n):
@@ -260,6 +261,25 @@ def test_clique_flags_bit_2_is_chordality(n, chordal):
     assert sum(not f & 4 for f in flags) == chordal
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_induced_or_is_the_or_over_every_vertex_set(n):
+    # the closure of each plane, bit e the OR over every vertex set W of
+    # the bit at e & (the edges inside W), against that definition on
+    # seeded random planes, from one set bit to a quarter of them, so that
+    # no theorem shapes which graphs carry a bit.  The empty graph carries
+    # none, or every graph would inherit it
+    pairs = _pairs(n)
+    size = 1 << len(pairs)
+    rng = random.Random(4500 + n)
+    planes = [reduce(or_, [1 << rng.randrange(size) for _ in range(count)], 0) & ~1 for count in (1, size // 16 + 1, size // 4 + 1)]
+    inside = [sum(1 << b for b, (i, j) in enumerate(pairs) if w >> i & w >> j & 1) for w in range(1 << n)]
+    expected = [sum(any(p >> (e & edges) & 1 for edges in inside) << e for e in range(size)) for p in planes]
+    edge = {pair: sum(1 << e for e in range(size) if e >> b & 1) for b, pair in enumerate(pairs)}
+    assert betti._induced_or(planes, edge) == expected
+    if n >= 3:  # the closure adds bits, but not to every graph
+        assert all(p < q < (1 << size) - 2 for p, q in zip(planes[1:], expected[1:]))
+
+
 def test_froberg_sweep_visits(monkeypatch):
     # the sweep computes each graph on each subset once from graphs it
     # swept before, and no sweep of a graph's subsets runs.  The split
@@ -300,9 +320,10 @@ def test_froberg_sweep_visits(monkeypatch):
 
 def test_froberg_sweep_decides_chordality_once_per_base(monkeypatch):
     # the chordality of every graph on 5 vertices, each of its 32 extensions
-    # of a base graph on 4 among them, is bit 2 of the sweep's flags, decided
-    # once per graph in the memo from simplicial vertices and the flags of
-    # its restrictions; no chordality test runs under any name
+    # of a base graph on 4 among them, is bit 2 of the sweep's flags: its own
+    # bit, no simplicial vertex but isolated ones, taken for every graph at
+    # once from planes of the edges, ORed over its induced subgraphs; no
+    # chordality test runs under any name
     calls = []
 
     def is_chordal(adj):
