@@ -152,8 +152,7 @@ def report_text(rep: VerificationReport, source: dict) -> str:
             f"resolution view: p={rep.shape.p}, degrees=({degrees}), "
             f"betti=({', '.join(map(str, rep.shape.betti))})"
         )
-        if rep.formula_betti is not None:
-            lines.append(f"formula betti: ({', '.join(map(str, rep.formula_betti))})")
+        lines.append(f"formula betti: ({', '.join(map(str, rep.formula_betti))})")
         lines.append(f"formula match: {_yesno(checks['theorem_formula'])}")
         lines.append(f"series identity residual: {polynomial_text(rep.series_residual)}")
         lines.append(f"lower bound beta_i >= C(p,i): {_yesno(checks['lower_bound'])}")

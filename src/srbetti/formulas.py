@@ -25,35 +25,33 @@ def _coeff(poly: tuple[int, ...], k: int) -> int:
     return poly[k] if 0 <= k < len(poly) else 0
 
 
-def betti_from_h(h: HVector, n: int, d: int, degrees: tuple[int, ...]) -> tuple[int, ...]:
+def betti_from_h(h: HVector, n: int, degrees: tuple[int, ...]) -> tuple[int, ...]:
     """beta_i = (-1)^(i+1) [z^(d_i)] (1-z)^(n-d) h(z), for i in 0..p.
 
-    n is the number of vertices (= ambient variables), d the Krull dimension
-    of the face ring (complex dimension + 1), so n - d is the codimension;
-    degrees d_0 < ... < d_p are a pure shape's (`ResolutionShape.degrees`).
-    Raises ValueError unless n >= d >= 1.  Every value is returned, whatever
-    its sign: a value <= 0 means the degrees cannot be the shape of a minimal
+    n is the number of vertices (= ambient variables) and d = len(h) - 1 the
+    Krull dimension of the face ring, so n - d is the codimension; degrees
+    d_0 < ... < d_p are a pure shape's (`ResolutionShape.degrees`).  Raises
+    ValueError unless n >= d >= 1.  Every value is returned, whatever its
+    sign: a value <= 0 means the degrees cannot be the shape of a minimal
     resolution for this h-vector, and it fails the comparison with the table.
     """
-    if not n >= d >= 1:
-        raise ValueError(f"need n >= d >= 1, got n={n}, d={d}")
-    num = h_numerator(h, n, d)
+    if len(h.entries) < 2:
+        raise ValueError(f"need d >= 1, got h={h.entries}")
+    num = h_numerator(h, n)
     return tuple(_coeff(num, di) if i % 2 else -_coeff(num, di) for i, di in enumerate(degrees))
 
 
-def h_relations(h: HVector, n: int, d: int, p: int, t: int) -> tuple[int, ...]:
+def h_relations(h: HVector, n: int, p: int, t: int) -> tuple[int, ...]:
     """Residuals [z^j] (1-z)^(n-d) h(z) for j in (p+t, n].
 
     All must vanish when the face ring has a t-linear resolution of length
     p+1; residuals beyond j = n vanish identically and are not emitted.
     Nonzero residuals are returned as data, not raised as errors.
     """
-    num = h_numerator(h, n, d)
+    num = h_numerator(h, n)
     return tuple(_coeff(num, j) for j in range(p + t + 1, n + 1))
 
 
-def check_lower_bound(betti: tuple[int, ...], p: int) -> tuple[bool, ...]:
-    """Per-index verdicts beta_i >= C(p, i) for a pure resolution of length p+1."""
-    if len(betti) != p + 1:
-        raise ValueError(f"expected {p + 1} Betti numbers, got {len(betti)}")
-    return tuple(betti[i] >= comb(p, i) for i in range(p + 1))
+def check_lower_bound(betti: tuple[int, ...]) -> tuple[bool, ...]:
+    """Per-index verdicts beta_i >= C(p, i) for a pure resolution of length p+1 = len(betti)."""
+    return tuple(b >= comb(len(betti) - 1, i) for i, b in enumerate(betti))

@@ -37,8 +37,9 @@ def multiplicity(h: HVector) -> int:
     return sum(h.entries)
 
 
-def h_numerator(h: HVector, n: int, d: int) -> tuple[int, ...]:
-    """N(z) = (1-z)^(n-d) * sum h_i z^i, the series numerator over (1-z)^n."""
+def h_numerator(h: HVector, n: int) -> tuple[int, ...]:
+    """N(z) = (1-z)^(n-d) * sum h_i z^i over (1-z)^n, d = len(h) - 1 (ValueError if n < d)."""
+    d = len(h.entries) - 1
     if n < d:
         raise ValueError(f"need n >= d, got n={n}, d={d}")
     num = list(h.entries)
@@ -55,11 +56,11 @@ def k_polynomial(table: BettiTable) -> tuple[int, ...]:
     return _trim(out)
 
 
-def verify_series_identity(h: HVector, n: int, d: int, table: BettiTable) -> tuple[int, ...]:
-    """Residual N(z) minus the K-polynomial of the table.
+def verify_series_identity(h: HVector, table: BettiTable) -> tuple[int, ...]:
+    """Residual N(z) minus the K-polynomial of the table, n = table.n.
 
     Empty (the zero polynomial) iff the identity holds; it holds for every
     table shape, and for a pure shape it is the paper's numerator identity.
     """
-    pairs = zip_longest(h_numerator(h, n, d), k_polynomial(table), fillvalue=0)
+    pairs = zip_longest(h_numerator(h, table.n), k_polynomial(table), fillvalue=0)
     return _trim([a - b for a, b in pairs])

@@ -189,12 +189,12 @@ def verify_complex(
     relations = None
     bounds = None
     if shape.is_pure:
-        formula = betti_from_h(h, c.n, f.d, shape.degrees)
+        formula = betti_from_h(h, c.n, shape.degrees)
         match = tuple(a == b for a, b in zip(formula, shape.betti))
-        residual = verify_series_identity(h, c.n, f.d, table)
-        bounds = check_lower_bound(shape.betti, shape.p)
+        residual = verify_series_identity(h, table)
+        bounds = check_lower_bound(shape.betti)
         if shape.kind == "linear":
-            relations = h_relations(h, c.n, f.d, shape.p, shape.t)
+            relations = h_relations(h, c.n, shape.p, shape.t)
 
     char_zero = None
     if field.p is not None:

@@ -46,6 +46,19 @@ def cross_polytope(r: int) -> Complex:
     return complex_from_facets(facets)
 
 
+def cyclic_polytope_boundary(n: int, d: int) -> Complex:
+    """Boundary of the cyclic d-polytope on n vertices 0, ..., n-1.  By
+    Gale's evenness condition its facets are the d-subsets S such that
+    every two vertices outside S are separated by an even number of
+    vertices of S."""
+    facets = []
+    for s in combinations(range(n), d):
+        outside = sorted(set(range(n)) - set(s))
+        if all(sum(i < v < j for v in s) % 2 == 0 for i, j in combinations(outside, 2)):
+            facets.append([str(v) for v in s])
+    return complex_from_facets(facets)
+
+
 def join(c1: Complex, c2: Complex) -> Complex:
     """The join of complexes on disjoint label sets: its faces are the
     unions of a face of c1 and a face of c2, so its facets are the unions

@@ -60,7 +60,7 @@ def test_criterion_1_formula_matches_oracle(corpus):
         if not rep.shape.is_pure:
             continue
         pure_cases += 1
-        formula = betti_from_h(rep.h, c.n, rep.f.d, rep.shape.degrees)
+        formula = betti_from_h(rep.h, c.n, rep.shape.degrees)
         assert formula == rep.shape.betti, (c.facets, formula, rep.shape)
     elapsed = oracle_s + time.monotonic() - start
     assert pure_cases >= 4 + 1  # the four fixtures are pure, plus corpus hits
@@ -87,7 +87,7 @@ def test_criterion_3_series_identity_and_mutation(corpus):
         checked += 1
         assert rep.series_residual == ()
         for k in range(len(rep.table.cells)):
-            residual = verify_series_identity(rep.h, c.n, rep.f.d, bumped_table(rep.table, k))
+            residual = verify_series_identity(rep.h, bumped_table(rep.table, k))
             assert residual != (), (c.facets, k)
     print(f"ACCEPTANCE 3 series identity + mutation: PASS ({checked} pure cases)")
 

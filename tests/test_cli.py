@@ -324,7 +324,7 @@ def test_verify_names_the_first_failing_corpus_complex(capsys, monkeypatch):
     # a lower bound that fails on every pure table; the corpus for count 4,
     # n_max 6, seed 1 starts with two simplices, so the third complex fails
     # first
-    monkeypatch.setattr(verify, "check_lower_bound", lambda betti, p: (False,) * len(betti))
+    monkeypatch.setattr(verify, "check_lower_bound", lambda betti: (False,) * len(betti))
     complexes = [clique_complex(g) for g in corpus_graphs(4, 6, 1)]
     assert [classify(graded_betti(c)).kind for c in complexes[:3]] == ["trivial", "trivial", "linear"]
     first = fingerprint(complexes[2])

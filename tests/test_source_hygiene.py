@@ -129,7 +129,7 @@ def test_no_package_exception_is_caught_inside_the_package():
 
 
 def test_formulas_import_no_sweep():
-    # the closed forms read plain values (h, n, d, degrees, p, t); a table
+    # the closed forms read plain values (h, n, degrees, p, t); a table
     # or a graph is the caller's to compute, so no second sweep runs here
     imported = set()
     for node in ast.walk(TREES["formulas.py"]):
