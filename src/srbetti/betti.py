@@ -110,8 +110,6 @@ class BettiTable(namedtuple("BettiTable", "cells n field torsion", defaults=((),
 
     def over(self, field: FieldSpec) -> "BettiTable":
         """The same complex's table over another field."""
-        if not self.torsion:  # no torsion: the same table over every field
-            return BettiTable(self.cells, self.n, field)
         acc = self.as_dict()
         for (j, torsion), count in self.torsion:
             for k in torsion_shift(torsion, self.field.p):
@@ -185,11 +183,6 @@ class _Results:
         return self.id(reduced_dims_from_facets(maximal))
 
 
-def _closed(masks, n: int) -> dict[int, int]:
-    """Each vertex's closed neighbourhood in the 1-skeleton, both as bits."""
-    return {1 << v: reduce(or_, [f for f in masks if f >> v & 1], 1 << v) for v in range(n)}
-
-
 def _faces(masks, n: int) -> bytes:
     """Byte m is 1 iff the mask m lies in one of the masks: the facets
     marked, then for each vertex v each byte at an index with bit v ORed
@@ -244,13 +237,16 @@ def _subset_results(masks, n: int, results: _Results) -> array:
     """res[W], as ids into results, for every W in [0, 2^n) of the complex
     the masks span (module docstring), a clique complex iff they are the
     maximal cliques of its 1-skeleton."""
-    closed = _closed(masks, n)
+    # by vertex, as a bit: the facets through it, and their union, its
+    # closed neighbourhood in the 1-skeleton
+    through = {1 << v: [f for f in masks if f >> v & 1] for v in range(n)}
+    closed = {u: reduce(or_, fs, u) for u, fs in through.items()}
     flag = maximal_cliques([closed[1 << v] ^ 1 << v for v in range(n)]) == sorted(masks)
     # off flag complexes: the face bitmap, and each vertex's star record,
     # its link's results by the vertex set it is restricted to, the facets
     # through it and their union
     face = None if flag else _faces(masks, n)
-    stars = {} if flag else {u: ({}, [f for f in masks if f & u], union) for u, union in closed.items()}
+    stars = {} if flag else {u: ({}, fs, closed[u]) for u, fs in through.items()}
     split = results.split
     res = array("I", bytes(4 << n))  # res[{}] is 0, the empty complex
     for w in range(1, len(res)):

@@ -126,18 +126,18 @@ def _yesno(holds: bool) -> str:
 
 def report_text(rep: VerificationReport, source: dict) -> str:
     lines = []
-    lines.append(f"input: {source['path']} ({source['kind']}, n={rep.n})")
+    lines.append(f"input: {source['path']} ({source['kind']}, n={rep.table.n})")
     if source.get("chordal") is not None:
         lines.append(f"graph chordal: {_yesno(source['chordal'])}")
-    lines.append(f"field: {rep.field}")
+    lines.append(f"field: {rep.table.field}")
     lines.append(f"f-vector: ({', '.join(map(str, rep.f.entries))})")
     lines.append(f"h-vector: ({', '.join(map(str, rep.h.entries))})")
     lines.append(f"hilbert series: {series_text(*series_from_f(rep.f))}")
     checks = rep.checks()
     lines.append(f"multiplicity: {multiplicity(rep.h)} (= f_(d-1) = {rep.f.entries[-1]}: {_yesno(checks['multiplicity'])})")
-    lines.append(f"betti table over {rep.field}:")
+    lines.append(f"betti table over {rep.table.field}:")
     lines.append(betti_triangle(rep.table))
-    lines.append(f"pdim: {rep.pdim}, codim: {rep.codim} (pdim >= codim: {_yesno(checks['pdim_codim'])})")
+    lines.append(f"pdim: {rep.table.pdim}, codim: {rep.codim} (pdim >= codim: {_yesno(checks['pdim_codim'])})")
     if rep.shape.kind == "trivial":
         lines.append("classification: zero ideal (complex is a simplex)")
     elif rep.shape.kind == "general":

@@ -38,23 +38,6 @@ def fingerprint(c: Complex) -> str:
     return sha256(blob).hexdigest()[:16]
 
 
-# Identity checks, in report and tally order.  "froberg_linear" is the
-# forward direction of Froberg's theorem: a chordal graph's clique complex
-# must classify linear (or trivial, for a complete graph, where the ideal is
-# zero).  Only the corpus knows its inputs are chordal, so only the corpus
-# decides it; a single report leaves it None.
-CHECK_NAMES = (
-    "theorem_formula",
-    "multiplicity",
-    "series_identity",
-    "h_relations",
-    "lower_bound",
-    "froberg_linear",
-    "pdim_codim",
-    "char_zero",
-)
-
-
 def _verdict(outcomes: dict[str, bool | None]) -> bool:
     """No gating check failed.  char_zero is informational (field dependence
     is legitimate data) and never gates; None means "does not apply"."""
@@ -69,8 +52,7 @@ class VerificationReport(namedtuple("VerificationReport", [
 
     The shape, the formula's values and the residuals and verdicts derived
     from the table, f and h are computed once, by verify_complex, for the
-    checks and the renderers to read; n, the field, pdim and codim are read
-    from the table and f."""
+    checks and the renderers to read; codim is read from the table and f."""
 
     __slots__ = ()
     facet_hash: str
@@ -86,25 +68,19 @@ class VerificationReport(namedtuple("VerificationReport", [
     char_zero_agrees: bool | None
 
     @property
-    def n(self) -> int:
-        return self.table.n
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.table.field
-
-    @property
-    def pdim(self) -> int:
-        return self.table.pdim
-
-    @property
     def codim(self) -> int:
-        return self.n - self.f.d
+        return self.table.n - self.f.d
 
     def checks(self) -> dict[str, bool | None]:
-        """Per-identity outcomes keyed in CHECK_NAMES order, None where the
+        """Per-identity outcomes, in report and tally order, None where the
         identity does not apply.  Which identities apply to which shape is
-        decided once, by the fields verify_complex fills in."""
+        decided once, by the fields verify_complex fills in.
+
+        "froberg_linear" is the forward direction of Froberg's theorem: a
+        chordal graph's clique complex must classify linear (or trivial, for
+        a complete graph, where the ideal is zero).  Only the corpus knows
+        its inputs are chordal, so only the corpus decides it; a single
+        report leaves it None."""
         residual = self.series_residual
         relations = self.relation_residuals
         return {
@@ -114,7 +90,7 @@ class VerificationReport(namedtuple("VerificationReport", [
             "h_relations": None if relations is None else all(r == 0 for r in relations),
             "lower_bound": None if self.bound_verdicts is None else all(self.bound_verdicts),
             "froberg_linear": None,
-            "pdim_codim": self.pdim >= self.codim,
+            "pdim_codim": self.table.pdim >= self.codim,
             "char_zero": self.char_zero_agrees,
         }
 
@@ -138,13 +114,13 @@ class VerificationReport(namedtuple("VerificationReport", [
             }
         return {
             "schema": "srbetti-report/1",
-            "identity": {"n": self.n, "facets_sha256": self.facet_hash},
-            "field": str(self.field),
+            "identity": {"n": self.table.n, "facets_sha256": self.facet_hash},
+            "field": str(self.table.field),
             "f_vector": [str(x) for x in self.f.entries],
             "h_vector": [str(x) for x in self.h.entries],
             "dimension_d": self.f.d,
             "codim": self.codim,
-            "pdim": self.pdim,
+            "pdim": self.table.pdim,
             "pdim_ge_codim": checks["pdim_codim"],
             "betti_table": [[i, j, str(v)] for i, j, v in self.table.cells],
             "shape": shape,
@@ -289,13 +265,16 @@ def verify_chordal_corpus(
     """Generate seeded chordal graphs, verify every identity on each clique
     complex (refusing one above n_cap vertices), and check the converse on
     the chordless-cycle fixtures."""
-    tally: Counter = Counter()  # (check name, outcome) -> complexes
+    # check name, in checks() order -> outcome -> complexes; corpus_graphs
+    # refuses count < 1, so every name is seen
+    tally: dict[str, Counter] = {}
     first_failure = None
     for g in corpus_graphs(count, n_max, seed):
         rep = verify_complex(clique_complex(g), field, n_cap)
         outcomes = rep.checks()
         outcomes["froberg_linear"] = rep.shape.is_linear_or_trivial
-        tally.update(outcomes.items())
+        for name, ok in outcomes.items():
+            tally.setdefault(name, Counter())[ok] += 1
         if first_failure is None and not _verdict(outcomes):
             first_failure = rep.facet_hash
     converse = []
@@ -303,7 +282,7 @@ def verify_chordal_corpus(
         g = cycle_graph(int(name[1:]))
         shape = classify(graded_betti(clique_complex(g), field))
         converse.append((name, shape.kind, not shape.is_linear_or_trivial))
-    checks = {name: CheckCounts(tally[name, True], tally[name, False], tally[name, None]) for name in CHECK_NAMES}
+    checks = {name: CheckCounts(t[True], t[False], t[None]) for name, t in tally.items()}
     return CorpusSummary(count, n_max, seed, field, checks, tuple(converse), first_failure)
 
 
@@ -349,24 +328,9 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     that argument.
     2^C(n,2) graphs; n = 6 is the strongest acceptance check in the suite.
 
-    Every graph's flags come from one sweep (`betti._clique_flags`): each
-    graph on each vertex subset W is swept once, keyed by W and the edges
-    inside W, its homology from the graph on W less a vertex and that
-    vertex's link, both swept before, by the Mayer-Vietoris split; what has
-    no such vertex is a core.  The memo keeps result ids only, 7,301 of
-    them for n = 6.  Isolated vertices change no flag, so only the
-    2^C(n,2) graphs on all n vertices keep own bits, in bit planes by edge
-    mask: bit 0, homology above reduced degree 0, which by Hochster's
-    formula is whether the graph is not linear, and bit 1, torsion, from
-    their results; bit 2, no simplicial vertex but isolated ones, from
-    planes of the edges.  Each plane is then ORed over induced subgraphs,
-    one vertex's edges deleted at a time, so bit 2 says not chordal (Dirac
-    1961).  A graph is a mismatch iff bit 1 is set or bits 0 and 2 differ,
-    read off the flag bytes through a 256-entry verdict table.  For n = 6
-    the one core is the empty complex, once per sweep, and no table is
-    built.  A graph is only its edge mask and adjacency masks: no clique
-    search runs but on a core, and no `Graph` or `Complex` is built.
-    n is capped at `FROBERG_VERTEX_CAP` (10), where Katzman's theorem stops.
+    The flags come from one sweep over every graph (`betti._clique_flags`).
+    n < 1 is refused, and so is n above `FROBERG_VERTEX_CAP` (10), where
+    Katzman's theorem stops.
     Mismatches are edge masks in the bit order of the pairs (i, j), i < j,
     in lexicographic order, sorted ascending.
     """

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, gcd
 
 from srbetti import BettiTable, Complex, Graph, complex_from_facets, graph_from_edges
@@ -199,6 +199,50 @@ def brute_betti(c: Complex, p: int | None = None) -> dict[tuple[int, int], int]:
         for k, dim in enumerate(dims):
             if dim:
                 table[(j - k, j)] = table.get((j - k, j), 0) + dim
+    return table
+
+
+def koszul_betti(c: Complex, p: int | None = None) -> dict[tuple[int, int], int]:
+    """Graded Betti numbers over GF(p), or over Q for p None, as Tor of the
+    face ring and the field, from the Koszul complex K(x; k[Delta]): no
+    restriction and no homology of a complex enters.
+
+    beta_{i,j} sums dim H_i of the Koszul complex in degree alpha over the
+    multidegrees alpha in {0, 1, 2}^n with |alpha| = j.  In homological
+    degree i its basis is e_U (x) x^(alpha - U), over the i-sets U inside
+    supp alpha for which supp(alpha - U) is a face; otherwise the monomial
+    is zero in the face ring.  d sends e_U (x) m to the sum over u in U of
+    (-1)^(the elements of U below u) e_(U-u) (x) x_u m, a term that is zero
+    when supp(x_u m) is not a face.  A face ring's Betti numbers sit in
+    squarefree degrees, so every alpha with a 2 must add nothing.
+    """
+    faces = brute_face_masks(c)
+    table: dict[tuple[int, int], int] = {}
+    for alpha in product(range(3), repeat=c.n):
+        one = sum(1 << v for v, a in enumerate(alpha) if a == 1)
+        two = sum(1 << v for v, a in enumerate(alpha) if a == 2)
+        if two not in faces:  # x^(alpha - U) is zero for every U
+            continue
+        support = one | two
+        basis: list[list[int]] = [[] for _ in range(support.bit_count() + 1)]
+        for u in range(support + 1):
+            if u & support == u and support ^ u & one in faces:
+                basis[u.bit_count()].append(u)
+        # ranks[i]: the differential from degree i to degree i - 1
+        ranks = [0] * (len(basis) + 1)
+        for i in range(1, len(basis)):
+            row_of = {u: r for r, u in enumerate(basis[i - 1])}
+            dense = [[0] * len(basis[i]) for _ in basis[i - 1]]
+            for col, u in enumerate(basis[i]):
+                for pos, v in enumerate(bits(u)):
+                    if u ^ 1 << v in row_of:
+                        dense[row_of[u ^ 1 << v]][col] = (-1) ** pos
+            ranks[i] = frac_rank(dense) if p is None else modp_rank(dense, p)
+        j = sum(alpha)
+        for i, cell in enumerate(basis):
+            dim = len(cell) - ranks[i] - ranks[i + 1]
+            if dim:
+                table[i, j] = table.get((i, j), 0) + dim
     return table
 
 

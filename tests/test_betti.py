@@ -26,6 +26,7 @@ from helpers import (
     cross_polytope,
     flag_subdivision,
     join,
+    koszul_betti,
     koszul_table,
     random_complex,
     random_graph,
@@ -214,6 +215,20 @@ def test_tables_match_brute_force_hochster():
     complexes += [random_complex(rnd, max_n=6, max_facets=10, max_size=3) for _ in range(100)]
     for c in complexes:
         assert graded_betti(c, QQ).as_dict() == brute_betti(c), c.facets
+
+
+def test_tables_match_koszul_complex():
+    # Tor from the Koszul complex of the face ring, where no restriction
+    # and no homology of a complex enters, against the sweep and Hochster's
+    # formula: a misreading of the degree shift or of which subsets count
+    # that both share fails here.  rp2 differs over GF(2)
+    rnd = random.Random(6017)
+    complexes = [RP2, cross_polytope(3)]
+    complexes += [random_complex(rnd, max_n=6, max_facets=8) for _ in range(20)]
+    for c in complexes:
+        for field in (QQ, FieldSpec.prime(2), FieldSpec.prime(3)):
+            table = graded_betti(c, field).as_dict()
+            assert koszul_betti(c, field.p) == table == brute_betti(c, field.p), (c.facets, field)
 
 
 def primed(c):
@@ -513,6 +528,15 @@ def test_one_sweep_serves_every_field(monkeypatch):
         assert len(calls) == 2
         calls.clear()
         assert rep.table.over(field) == table and calls == []
+    # without torsion `over` keeps the cells and gives the whole record,
+    # torsion () included, that a sweep over the other field gives: C4 and
+    # the default corpus's second graph, on 6 vertices
+    for c in (C4, clique_complex(corpus_graphs(2, 9, 7)[1])):
+        rep = verify_complex(c, GF_DEFAULT)
+        for field in (GF_DEFAULT, FieldSpec.prime(2), QQ):
+            table = graded_betti(c, field)
+            calls.clear()
+            assert rep.table.over(field) == table and table.torsion == () and calls == [], (c.facets, field)
 
 
 def test_tables_do_not_depend_on_call_order():

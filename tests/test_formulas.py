@@ -1,11 +1,13 @@
 """Closed-form Betti numbers from h-vectors, and the linear-relation system."""
 
 from fractions import Fraction
-from math import factorial, prod
+from functools import reduce
+from itertools import combinations
+from math import comb, factorial, prod
 
 import pytest
 
-from helpers import bumped_table, cyclic_polytope_boundary
+from helpers import bumped_table, cyclic_polytope_boundary, join
 from srbetti import (
     QQ,
     FieldSpec,
@@ -15,6 +17,7 @@ from srbetti import (
     classify,
     clique_complex,
     complete_graph,
+    complex_from_facets,
     cycle_graph,
     f_vector,
     gen_chordal,
@@ -166,7 +169,7 @@ def test_cyclic_polytopes_pure_non_linear(field):
             rep = verify_complex(cyclic_polytope_boundary(n, d), field)
             degrees = (*range(d // 2 + 1, n - d // 2), n)
             assert (rep.shape.kind, rep.shape.degrees) == ("pure", degrees), (n, d)
-            assert rep.all_identities_hold() and rep.pdim == rep.codim, (n, d)
+            assert rep.all_identities_hold() and rep.table.pdim == rep.codim, (n, d)
             herzog_kuhl = tuple(
                 abs(prod(Fraction(dj, dj - di) for dj in degrees if dj != di)) for di in degrees
             )
@@ -179,3 +182,24 @@ def test_cyclic_polytopes_pure_non_linear(field):
     for d in (3, 5, 7):
         for n in range(d + 2, 13):
             assert verify_complex(cyclic_polytope_boundary(n, d), field).shape.kind == "general", (n, d)
+    # the join of k boundaries of the (a-1)-simplex is a complete
+    # intersection of k forms of degree a: beta_{i, a i} = C(k, i), pure
+    # with degrees (a, 2a, ..., ka), and h(1) = a^k.  a = 2 is the
+    # cross-polytope
+    for a in (3, 4):
+        for k in range(1, 12 // a + 1):
+            boundaries = [complex_from_facets([[f"{b}.{v}" for v in s] for s in combinations(range(a), a - 1)]) for b in range(k)]
+            rep = verify_complex(reduce(join, boundaries), field)
+            degrees = tuple(a * i for i in range(1, k + 1))
+            assert rep.table.cells == tuple((i, a * i, comb(k, i)) for i in range(k + 1)), (a, k)
+            assert (rep.shape.kind, rep.shape.degrees) == ("linear" if k == 1 else "pure", degrees), (a, k)
+            assert rep.all_identities_hold() and rep.table.pdim == rep.codim == k, (a, k)
+            herzog_kuhl = tuple(
+                abs(prod(Fraction(dj, dj - di) for dj in degrees if dj != di)) for di in degrees
+            )
+            assert herzog_kuhl == rep.shape.betti, (a, k)
+            assert sum(rep.h.entries) == Fraction(prod(degrees), factorial(k)) == a**k, (a, k)
+            for cell in range(1, len(rep.table.cells)):
+                bumped = classify(bumped_table(rep.table, cell)).betti
+                assert betti_from_h(rep.h, a * k, degrees) != bumped, (a, k, cell)
+                assert herzog_kuhl != bumped, (a, k, cell)
