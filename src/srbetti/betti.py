@@ -81,7 +81,7 @@ from itertools import combinations, zip_longest
 from operator import or_
 
 from .errors import TooManyVerticesError
-from .exactla import GF_DEFAULT, QQ, FieldSpec
+from .exactla import GF_DEFAULT, FieldSpec
 from .graphs import maximal_cliques
 from .homology import reduced_dims_from_facets, torsion_shift
 from .simplicial import Complex, _bits, _maximal_masks
@@ -98,8 +98,8 @@ class BettiTable(namedtuple("BettiTable", "cells n field torsion", defaults=((),
     cell is (0, 0, 1)), j the internal degree.  Absent cells are zero.
     `torsion` holds sorted ((|W|, torsion), count) pairs: count is the
     number of restrictions Delta_W of that size with that torsion in their
-    integral homology (see homology.reduced_dims_from_facets); it is all
-    the table over another field needs.
+    integral homology (see homology.reduced_dims_from_facets), whose
+    factors divisible by the field's characteristic only add to the cells.
     """
 
     __slots__ = ()
@@ -107,17 +107,6 @@ class BettiTable(namedtuple("BettiTable", "cells n field torsion", defaults=((),
     n: int
     field: FieldSpec
     torsion: tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], int], ...]
-
-    def over(self, field: FieldSpec) -> "BettiTable":
-        """The same complex's table over another field."""
-        acc = self.as_dict()
-        for (j, torsion), count in self.torsion:
-            for k in torsion_shift(torsion, self.field.p):
-                acc[j - k, j] -= count
-            for k in torsion_shift(torsion, field.p):
-                acc[j - k, j] = acc.get((j - k, j), 0) + count
-        cells = tuple(sorted((i, j, v) for (i, j), v in acc.items() if v))
-        return BettiTable(cells, self.n, field, self.torsion)
 
     @property
     def pdim(self) -> int:
@@ -268,8 +257,8 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
     """Exact graded Betti numbers of the face ring of c over the field.
 
     Sweeps all vertex subsets; cost is 2^n times a small homology problem,
-    so n is capped (default 20).  The sweep computes integral homology, so
-    the table over any other field follows from the result by `over`.
+    so n is capped (default 20).  Each integral result adds its Betti
+    numbers over Q, and its torsion's shift over the field, to the cells.
     """
     if c.n > n_cap:
         raise TooManyVerticesError(f"{c.n} vertices exceeds the sweep cap {n_cap}")
@@ -285,8 +274,10 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT
             acc[j - r_idx, j] += b * count
         if tors:
             torsion[j, tors] += count
+            for k in torsion_shift(tors, field.p):
+                acc[j - k, j] += count
     cells = tuple(sorted((i, j, v) for (i, j), v in acc.items() if v))
-    return BettiTable(cells, c.n, QQ, tuple(sorted(torsion.items()))).over(field)
+    return BettiTable(cells, c.n, field, tuple(sorted(torsion.items())))
 
 
 def _clique_flags(n: int) -> bytearray:

@@ -20,10 +20,11 @@ from collections import Counter, namedtuple
 from .betti import BettiTable, ResolutionShape, _clique_flags, classify, graded_betti
 from .betti import DEFAULT_VERTEX_CAP
 from .errors import TooManyVerticesError
-from .exactla import GF_DEFAULT, QQ, FieldSpec
+from .exactla import GF_DEFAULT, FieldSpec
 from .formulas import betti_from_h, check_lower_bound, h_relations
 from .graphs import Graph, Xorshift64Star, clique_complex, cycle_graph, gen_chordal
 from .hilbert import multiplicity, verify_series_identity
+from .homology import torsion_shift
 from .simplicial import Complex, FVector, HVector, f_vector, h_vector
 
 try:  # the builtin module, without hashlib's OpenSSL; gone in Python 3.12
@@ -148,9 +149,9 @@ def verify_complex(
     """Full cross-check of one complex over the given field.
 
     Per-identity outcomes land in report fields; nothing mathematical raises.
-    When the field is finite, the table over the rationals is derived from
-    the same sweep and compared, so characteristic dependence is reported
-    rather than hidden.
+    When the field is finite, char_zero_agrees says whether the table equals
+    the one over Q, as it does iff no torsion factor of a restriction is
+    divisible by the characteristic: field dependence is reported, not hidden.
     """
     # the sweep refuses an over-cap or unaddressable input before any face
     # is counted
@@ -174,7 +175,7 @@ def verify_complex(
 
     char_zero = None
     if field.p is not None:
-        char_zero = table.over(QQ).cells == table.cells
+        char_zero = not any(torsion_shift(tors, field.p) for (_, tors), _ in table.torsion)
 
     return VerificationReport(
         facet_hash=fingerprint(c),
@@ -326,7 +327,8 @@ def froberg_exhaustive(n: int = 6, field: FieldSpec = GF_DEFAULT) -> SweepResult
     chordal or not.  `field` is not read; it stays because `bench/worker.py`
     passes it positionally, and ROADMAP item 1a deletes it together with
     that argument.
-    2^C(n,2) graphs; n = 6 is the strongest acceptance check in the suite.
+    2^C(n,2) graphs; n = 6 is acceptance criterion 6, and the suite also
+    runs n = 7, its strongest check.
 
     The flags come from one sweep over every graph (`betti._clique_flags`).
     n < 1 is refused, and so is n above `FROBERG_VERTEX_CAP` (10), where

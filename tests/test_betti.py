@@ -375,8 +375,12 @@ def test_tables_match_brute_force_mod_p(p):
     complexes = [C4, MIXED, RP2, suspension(RP2)]
     complexes += [clique_complex(g) for g in corpus_graphs(5, 8, 11)]
     complexes += [random_complex(rnd, max_n=7, max_facets=10, max_size=4) for _ in range(40)]
+    # the report's char-0 verdict is the oracle's tables over GF(p) and Q
+    # compared; rp2 and its suspension disagree over GF(2)
     for c in complexes:
-        assert graded_betti(c, FieldSpec.prime(p)).as_dict() == brute_betti(c, p), c.facets
+        brute = brute_betti(c, p)
+        assert graded_betti(c, FieldSpec.prime(p)).as_dict() == brute, c.facets
+        assert verify_complex(c, FieldSpec.prime(p)).char_zero_agrees == (brute == brute_betti(c)), c.facets
 
 
 def general_complex(n: int, seed: int) -> Complex:
@@ -434,6 +438,16 @@ def test_cores_are_eliminated_once(monkeypatch):
         for c in complexes:
             graded_betti(c)
         assert (len(cores) - cores.count(0), len(links), len(visits), len(calls)) == (1, 14554, 6, 6)
+
+
+def test_froberg_sweep_on_7_vertices(monkeypatch):
+    # all 2,097,152 labeled graphs on 7 vertices, 64 times acceptance
+    # criterion 6: no mismatch, and no restriction of any graph is a core
+    # but the empty subset, eliminated once
+    calls = count_misses(monkeypatch)
+    result = froberg_exhaustive(7)
+    assert result.checked == 2_097_152 and result.mismatches == ()
+    assert calls == [[0]]
 
 
 def test_general_eliminations_are_bounded(monkeypatch):
@@ -512,31 +526,30 @@ def test_a_core_reduces_its_masks_once(monkeypatch):
 
 
 def test_one_sweep_serves_every_field(monkeypatch):
-    # a report over GF(p) also needs the table over Q; both come from one
-    # sweep, so a report costs the eliminations of one sweep: the empty
-    # subset and rp2's whole set (8 while link restrictions split only by
-    # isolated and dominated vertices: each vertex's link, a pentagon, was
-    # a core too).  A second `graded_betti` over another field sweeps again
-    # and costs as many; `over` gives the same table from the first
-    # sweep's torsion for none
+    # a report over GF(p) also says whether its table agrees with the one
+    # over Q, read off the sweep's torsion, so a report costs the
+    # eliminations of one sweep: the empty subset and rp2's whole set (8
+    # while link restrictions split only by isolated and dominated
+    # vertices: each vertex's link, a pentagon, was a core too).  rp2's
+    # torsion 2 changes its table over GF(2) alone.  A second
+    # `graded_betti` over another field sweeps again and costs as many
     calls = count_misses(monkeypatch)
-    rep = verify_complex(RP2, GF_DEFAULT)
-    assert len(calls) == 2 and rep.char_zero_agrees is True
+    for field, agrees in ((GF_DEFAULT, True), (FieldSpec.prime(3), True), (FieldSpec.prime(2), False)):
+        calls.clear()
+        rep = verify_complex(RP2, field)
+        assert len(calls) == 2 and rep.char_zero_agrees is agrees, field
     for field in (GF_DEFAULT, FieldSpec.prime(2), QQ):
         calls.clear()
-        table = graded_betti(RP2, field)
+        graded_betti(RP2, field)
         assert len(calls) == 2
-        calls.clear()
-        assert rep.table.over(field) == table and calls == []
-    # without torsion `over` keeps the cells and gives the whole record,
-    # torsion () included, that a sweep over the other field gives: C4 and
-    # the default corpus's second graph, on 6 vertices
+    # without torsion the table agrees over every field: C4 and the default
+    # corpus's second graph, on 6 vertices
     for c in (C4, clique_complex(corpus_graphs(2, 9, 7)[1])):
         rep = verify_complex(c, GF_DEFAULT)
+        assert rep.char_zero_agrees is True
         for field in (GF_DEFAULT, FieldSpec.prime(2), QQ):
             table = graded_betti(c, field)
-            calls.clear()
-            assert rep.table.over(field) == table and table.torsion == () and calls == [], (c.facets, field)
+            assert table.torsion == () and table.cells == rep.table.cells, (c.facets, field)
 
 
 def test_tables_do_not_depend_on_call_order():
