@@ -7,7 +7,7 @@ its call, so no result depends on call order or on threads.
 """
 
 from .betti import (
-    DEFAULT_VERTEX_CAP,
+    VERTEX_CAP,
     BettiTable,
     ResolutionShape,
     classify,

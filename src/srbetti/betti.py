@@ -73,7 +73,6 @@ holds the ids of the graphs on smaller W, 7,301 at n = 6.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from collections import Counter, namedtuple
 from functools import reduce
@@ -86,7 +85,7 @@ from .graphs import maximal_cliques
 from .homology import reduced_dims_from_facets, torsion_shift
 from .simplicial import Complex, _bits, _maximal_masks
 
-DEFAULT_VERTEX_CAP = 20
+VERTEX_CAP = 20
 
 _Homology = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]  # Betti numbers over Q from degree -1; torsion
 
@@ -253,17 +252,15 @@ def _subset_results(masks, n: int, results: _Results) -> array:
     return res
 
 
-def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT, n_cap: int = DEFAULT_VERTEX_CAP) -> BettiTable:
+def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT) -> BettiTable:
     """Exact graded Betti numbers of the face ring of c over the field.
 
     Sweeps all vertex subsets; cost is 2^n times a small homology problem,
-    so n is capped (default 20).  Each integral result adds its Betti
+    so n is at most VERTEX_CAP (20).  Each integral result adds its Betti
     numbers over Q, and its torsion's shift over the field, to the cells.
     """
-    if c.n > n_cap:
-        raise TooManyVerticesError(f"{c.n} vertices exceeds the sweep cap {n_cap}")
-    if 4 << c.n > sys.maxsize:  # res, 4 bytes a subset, is larger than any object can be
-        raise TooManyVerticesError(f"{c.n} vertices: the sweep's 2^{c.n} subsets exceed the address space")
+    if c.n > VERTEX_CAP:
+        raise TooManyVerticesError(f"{c.n} vertices exceeds the sweep cap {VERTEX_CAP}")
     results = _Results()
     res = _subset_results(c.facets, c.n, results)
     acc: Counter = Counter()

@@ -14,12 +14,12 @@ import functools
 import sys
 from pathlib import Path
 
-from .betti import DEFAULT_VERTEX_CAP, BettiTable
+from .betti import VERTEX_CAP, BettiTable
 from .errors import ParseError, TooManyVerticesError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
 from .graphs import gen_chordal, graph_from_edges, graph_text, is_chordal, clique_complex, read_edges
 from .hilbert import multiplicity, series_from_f
-from .simplicial import MAX_VERTICES, complex_from_facets, read_facets
+from .simplicial import complex_from_facets, read_facets
 from .verify import (
     VerificationReport,
     dumps_report,
@@ -49,27 +49,26 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _load_input(path: str, n_cap: int):
+def _load_input(path: str):
     """Load a .cplx complex or a .graph graph (which analyzes as its clique
     complex).  Returns (complex, source), source being the report's
     {"path", "kind", "chordal"} section; chordal is None for a complex."""
     suffix = Path(path).suffix
     if suffix == ".cplx":
         facets = read_facets(path)
-        # refused before the complex is built, whose antichain test is
-        # quadratic in the facets; over MAX_VERTICES it refuses itself
-        n = len({t for fac in facets for t in fac})
-        if n_cap < n <= MAX_VERTICES:
-            raise TooManyVerticesError(f"{n} vertices exceeds --n-cap {n_cap}")
-        return complex_from_facets(facets), {"path": path, "kind": "complex", "chordal": None}
-    if suffix != ".graph":
+        labels = set().union(*facets)
+    elif suffix == ".graph":
+        edges, vertices = read_edges(path)
+        labels = set(vertices or ()).union(*edges)
+    else:
         raise ParseError(path, 1, f"unrecognized input extension {suffix!r} (want .cplx or .graph)")
-    edges, vertices = read_edges(path)
-    # a graph is refused before its adjacency masks, O(n^2) bits, and its
-    # clique complex, which can be exponential in n
-    n = len(set(vertices or ()).union(*edges))
-    if n > n_cap:
-        raise TooManyVerticesError(f"{n} vertices exceeds --n-cap {n_cap}")
+    # refused before anything is built: a complex's antichain test is
+    # quadratic in its facets, a graph's adjacency masks are O(n^2) bits and
+    # its clique complex can be exponential in n
+    if len(labels) > VERTEX_CAP:
+        raise TooManyVerticesError(f"{len(labels)} vertices exceeds the sweep cap {VERTEX_CAP}")
+    if suffix == ".cplx":
+        return complex_from_facets(facets), {"path": path, "kind": "complex", "chordal": None}
     graph = graph_from_edges(edges, vertices)
     chordal = is_chordal(graph.adj)[0]
     return clique_complex(graph), {"path": path, "kind": "graph", "chordal": chordal}
@@ -168,8 +167,8 @@ def report_text(rep: VerificationReport, source: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
-    c, source = _load_input(args.path, args.n_cap)
-    rep = verify_complex(c, args.field, args.n_cap)
+    c, source = _load_input(args.path)
+    rep = verify_complex(c, args.field)
     if args.format == "json":
         doc = rep.to_json_dict()
         numerator, pole_order = series_from_f(rep.f)
@@ -183,8 +182,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gen_chordal(args) -> int:
-    if args.n > args.n_cap:
-        raise TooManyVerticesError(f"n={args.n} exceeds --n-cap {args.n_cap}")
+    if args.n > VERTEX_CAP:  # refused before its adjacency is allocated
+        raise TooManyVerticesError(f"{args.n} vertices exceeds the sweep cap {VERTEX_CAP}")
     _emit(graph_text(gen_chordal(args.n, args.density, args.seed)), args)
     return 0
 
@@ -202,8 +201,8 @@ def cmd_verify(args) -> int:
         reports = []
         ok = True
         for path in args.paths:
-            c, source = _load_input(path, args.n_cap)
-            rep = verify_complex(c, args.field, args.n_cap)
+            c, source = _load_input(path)
+            rep = verify_complex(c, args.field)
             ok = ok and rep.all_identities_hold()
             reports.append((rep, source))
         if args.format == "json":
@@ -221,11 +220,7 @@ def cmd_verify(args) -> int:
     for name, default in CORPUS_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
-    if args.n_max > args.n_cap:
-        raise TooManyVerticesError(f"--n-max {args.n_max} exceeds --n-cap {args.n_cap}")
-    if args.exhaustive_froberg and args.n_cap < 6:
-        raise TooManyVerticesError(f"--exhaustive-froberg needs --n-cap 6 or more, got {args.n_cap}")
-    summary = verify_chordal_corpus(args.count, args.n_max, args.seed, args.field, args.n_cap)
+    summary = verify_chordal_corpus(args.count, args.n_max, args.seed, args.field)
     ok = summary.gate_passed()
     sweep = None
     if args.exhaustive_froberg:
@@ -276,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n-cap", type=int, default=DEFAULT_VERTEX_CAP,
-                       help=f"vertex cap for the subset sweep (default {DEFAULT_VERTEX_CAP}, max {MAX_VERTICES})")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     def report_options(p: argparse.ArgumentParser) -> None:
@@ -315,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not 1 <= args.n_cap <= MAX_VERTICES:
-            raise ValueError(f"--n-cap must be between 1 and {MAX_VERTICES}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"srbetti: error: {exc}", file=sys.stderr)

@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 
-from .betti import BettiTable, ResolutionShape, _clique_flags, classify, graded_betti
-from .betti import DEFAULT_VERTEX_CAP
+from .betti import VERTEX_CAP, BettiTable, ResolutionShape, _clique_flags, classify, graded_betti
 from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, FieldSpec
 from .formulas import betti_from_h, check_lower_bound, h_relations
@@ -141,11 +140,7 @@ class VerificationReport(namedtuple("VerificationReport", [
         }
 
 
-def verify_complex(
-    c: Complex,
-    field: FieldSpec = GF_DEFAULT,
-    n_cap: int = DEFAULT_VERTEX_CAP,
-) -> VerificationReport:
+def verify_complex(c: Complex, field: FieldSpec = GF_DEFAULT) -> VerificationReport:
     """Full cross-check of one complex over the given field.
 
     Per-identity outcomes land in report fields; nothing mathematical raises.
@@ -153,9 +148,8 @@ def verify_complex(
     the one over Q, as it does iff no torsion factor of a restriction is
     divisible by the characteristic: field dependence is reported, not hidden.
     """
-    # the sweep refuses an over-cap or unaddressable input before any face
-    # is counted
-    table = graded_betti(c, field, n_cap)
+    # the sweep refuses an input above its cap before any face is counted
+    table = graded_betti(c, field)
     f = f_vector(c)
     h = h_vector(f)
     shape = classify(table)
@@ -246,6 +240,8 @@ def corpus_graphs(count: int, n_max: int, seed: int) -> list[Graph]:
     one master stream, so the corpus is a pure function of its parameters."""
     if count < 1 or n_max < 2:
         raise ValueError("need count >= 1 and n_max >= 2")
+    if n_max > VERTEX_CAP:  # refused before any graph is drawn or swept
+        raise TooManyVerticesError(f"{n_max} vertices exceeds the sweep cap {VERTEX_CAP}")
     rng = Xorshift64Star(seed)
     out = []
     for _ in range(count):
@@ -256,22 +252,16 @@ def corpus_graphs(count: int, n_max: int, seed: int) -> list[Graph]:
     return out
 
 
-def verify_chordal_corpus(
-    count: int,
-    n_max: int,
-    seed: int,
-    field: FieldSpec = GF_DEFAULT,
-    n_cap: int = DEFAULT_VERTEX_CAP,
-) -> CorpusSummary:
+def verify_chordal_corpus(count: int, n_max: int, seed: int, field: FieldSpec = GF_DEFAULT) -> CorpusSummary:
     """Generate seeded chordal graphs, verify every identity on each clique
-    complex (refusing one above n_cap vertices), and check the converse on
-    the chordless-cycle fixtures."""
+    complex, and check the converse on the chordless-cycle fixtures; an
+    n_max above VERTEX_CAP is refused before any sweep (corpus_graphs)."""
     # check name, in checks() order -> outcome -> complexes; corpus_graphs
     # refuses count < 1, so every name is seen
     tally: dict[str, Counter] = {}
     first_failure = None
     for g in corpus_graphs(count, n_max, seed):
-        rep = verify_complex(clique_complex(g), field, n_cap)
+        rep = verify_complex(clique_complex(g), field)
         outcomes = rep.checks()
         outcomes["froberg_linear"] = rep.shape.is_linear_or_trivial
         for name, ok in outcomes.items():

@@ -97,9 +97,10 @@ def test_pentagon_table():
 
 
 def test_vertex_cap_enforced():
-    c = clique_complex(complete_graph(8))
-    with pytest.raises(TooManyVerticesError):
-        graded_betti(c, n_cap=7)
+    # both sides of the cap: a simplex on 20 vertices is swept, on 21 refused
+    assert classify(graded_betti(clique_complex(complete_graph(20)))).kind == "trivial"
+    with pytest.raises(TooManyVerticesError, match="^21 vertices exceeds the sweep cap 20$"):
+        graded_betti(clique_complex(complete_graph(21)))
 
 
 def test_relabeling_invariance():

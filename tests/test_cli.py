@@ -109,12 +109,12 @@ def test_analyze_unknown_extension(tmp_path, capsys):
     assert code == 2
 
 
-def test_analyze_respects_n_cap(tmp_path, capsys):
+def test_analyze_respects_sweep_cap(tmp_path, capsys):
     f = tmp_path / "big.cplx"
-    f.write_text(" ".join(f"v{i}" for i in range(12)) + "\n")
-    code, _, err = run(capsys, "analyze", str(f), "--n-cap", "8")
+    f.write_text(" ".join(f"v{i}" for i in range(21)) + "\n")
+    code, _, err = run(capsys, "analyze", str(f))
     assert code == 2
-    assert "exceeds" in err
+    assert "21 vertices exceeds the sweep cap 20" in err
 
 
 def test_every_input_error_is_one_stderr_line_and_exit_two(tmp_path, capsys):
@@ -150,18 +150,17 @@ def test_oversized_input_refused_before_its_complex_is_built(tmp_path, capsys, m
     for f in (graph, cplx):
         for argv in (["analyze", str(f)], ["verify", str(f)]):
             code, out, err = run(capsys, *argv)
-            assert (code, out, err) == (2, "", "srbetti: error: 24 vertices exceeds --n-cap 20\n"), argv
-    # past the 64-bit face representation a .cplx still refuses itself
-    monkeypatch.undo()
+            assert (code, out, err) == (2, "", "srbetti: error: 24 vertices exceeds the sweep cap 20\n"), argv
+    # past the 64-bit face representation too the sweep cap refuses first
     wide = tmp_path / "wide.cplx"
     wide.write_text(" ".join(f"v{i}" for i in range(65)) + "\n")
-    code, out, err = run(capsys, "analyze", str(wide), "--n-cap", "10")
-    assert (code, out, err) == (2, "", "srbetti: error: 65 vertices exceeds the 64-bit face representation\n")
+    code, out, err = run(capsys, "analyze", str(wide))
+    assert (code, out, err) == (2, "", "srbetti: error: 65 vertices exceeds the sweep cap 20\n")
 
 
 def test_large_graph_file_refused_in_time(tmp_path, capsys):
     # 100,000 edges checked against a 10,000-label header: a linear scan of
-    # the header per edge took about 9 s before --n-cap was compared
+    # the header per edge took about 9 s before the sweep cap was compared
     labels = [f"v{i}" for i in range(10000)]
     f = tmp_path / "circulant.graph"
     edges = [f"{labels[a]} {labels[(a + d) % 10000]}" for a in range(10000) for d in range(1, 11)]
@@ -169,11 +168,11 @@ def test_large_graph_file_refused_in_time(tmp_path, capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "analyze", str(f))
     assert time.perf_counter() - start < 3.0
-    assert (code, out, err) == (2, "", "srbetti: error: 10000 vertices exceeds --n-cap 20\n")
+    assert (code, out, err) == (2, "", "srbetti: error: 10000 vertices exceeds the sweep cap 20\n")
 
 
 def test_large_graph_refused_before_its_adjacency_masks(tmp_path, capsys):
-    # an edge-only path: with its adjacency masks built before --n-cap was
+    # an edge-only path: with its adjacency masks built before the sweep cap was
     # compared the refusal peaked at 36.6 MiB, counting its labels first at 6.1
     f = tmp_path / "path.graph"
     f.write_text("".join(f"v{i} v{i + 1}\n" for i in range(19999)))
@@ -183,28 +182,28 @@ def test_large_graph_refused_before_its_adjacency_masks(tmp_path, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (code, out, err) == (2, "", "srbetti: error: 20000 vertices exceeds --n-cap 20\n")
+    assert (code, out, err) == (2, "", "srbetti: error: 20000 vertices exceeds the sweep cap 20\n")
     assert peak < 16 << 20
 
 
-@pytest.mark.parametrize("n, top", [(63, 2), (64, 2), (63, 18)], ids=["63", "64", "63-facet18"])
-def test_unaddressable_sweep_refused_before_it_allocates(tmp_path, capsys, n, top):
-    # a facet on the first `top` vertices and a path on the rest: 63 or 64
-    # vertices are under --n-cap 64, but the sweep's 2^n results, 4 bytes
-    # each, are more bytes than an object can hold, so the refusal comes
-    # before the sweep allocates them, and before the 2^18 faces of the
-    # 18-vertex facet are counted (which peaked at about 18 MiB)
+@pytest.mark.parametrize(
+    "n, top", [(21, 2), (31, 2), (63, 2), (64, 2), (63, 18)], ids=["21", "31", "63", "64", "63-facet18"]
+)
+def test_over_cap_input_refused_before_it_allocates(tmp_path, capsys, n, top):
+    # a facet on the first `top` vertices and a path on the rest: the
+    # sweep's 2^n results, 4 bytes each, are 8 GiB at n = 31, so the refusal
+    # comes before the sweep allocates them, and before the 2^18 faces of
+    # the 18-vertex facet are counted (which peaked at about 18 MiB)
     f = tmp_path / "path.cplx"
     facet = " ".join(f"v{i:02d}" for i in range(top))
     f.write_text(facet + "\n" + "".join(f"v{i:02d} v{i + 1:02d}\n" for i in range(top - 1, n - 1)))
     tracemalloc.start()
     try:
-        code, out, err = run(capsys, "analyze", str(f), "--n-cap", "64")
+        code, out, err = run(capsys, "analyze", str(f))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    message = f"srbetti: error: {n} vertices: the sweep's 2^{n} subsets exceed the address space\n"
-    assert (code, out, err) == (2, "", message)
+    assert (code, out, err) == (2, "", f"srbetti: error: {n} vertices exceeds the sweep cap 20\n")
     assert peak < 1 << 20
 
 
@@ -227,11 +226,11 @@ def test_gen_chordal_prints_what_out_writes(tmp_path, capsys):
     assert out.encode("utf-8") == path.read_bytes()
 
 
-def test_gen_chordal_refuses_n_above_n_cap(capsys):
-    code, out, err = run(capsys, "gen-chordal", "9", "0.5", "1", "--n-cap", "8")
+def test_gen_chordal_refuses_n_above_sweep_cap(capsys):
+    code, out, err = run(capsys, "gen-chordal", "21", "0.5", "1")
     assert code == 2
     assert out == ""
-    assert "n=9 exceeds --n-cap 8" in err
+    assert "21 vertices exceeds the sweep cap 20" in err
 
 
 def test_gen_chordal_k3(capsys):
@@ -360,23 +359,16 @@ def test_missing_fixture_is_refused():
         fixture_path("missing.cplx")
 
 
-def test_bad_n_cap(capsys):
-    code, _, err = run(capsys, "verify", "--count", "2", "--n-max", "4", "--n-cap", "99")
-    assert code == 2
+def test_verify_corpus_refuses_n_max_above_sweep_cap(capsys, monkeypatch):
+    # refused before any corpus graph is swept
+    def refuse(*_):
+        raise AssertionError("a corpus graph was swept before --n-max was checked")
 
-
-def test_verify_corpus_refuses_n_max_above_n_cap(capsys):
-    code, out, err = run(capsys, "verify", "--count", "3", "--n-max", "9", "--n-cap", "3")
-    assert code == 2
-    assert out == ""
-    assert "--n-max 9 exceeds --n-cap 3" in err
-
-
-def test_verify_refuses_froberg_sweep_above_n_cap(capsys):
-    code, out, err = run(capsys, "verify", "--count", "2", "--n-max", "4", "--n-cap", "5", "--exhaustive-froberg")
+    monkeypatch.setattr(verify, "graded_betti", refuse)
+    code, out, err = run(capsys, "verify", "--count", "3", "--n-max", "21")
     assert code == 2
     assert out == ""
-    assert "--exhaustive-froberg needs --n-cap 6 or more, got 5" in err
+    assert err == "srbetti: error: 21 vertices exceeds the sweep cap 20\n"
 
 
 @pytest.mark.parametrize(

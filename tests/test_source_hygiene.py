@@ -4,16 +4,18 @@ package refers to any more, exception classes that nothing raises, and
 handlers inside the package that catch one of its own exceptions.
 Also the independence of the test oracles from the code they check, the
 closed forms' independence from the sweep, and the package's module-level
-state, and what a CLI run imports."""
+state, what a CLI run imports, and the README's list of CLI options."""
 
+import argparse
 import ast
 import hashlib
+import re
 import subprocess
 import sys
 from importlib.util import find_spec
 from pathlib import Path
 
-from srbetti import complex_from_facets, fixture_path
+from srbetti import cli, complex_from_facets, fixture_path
 from srbetti.simplicial import read_facets
 
 TESTS = Path(__file__).resolve().parent
@@ -205,3 +207,20 @@ def test_fingerprint_without_the_builtin_sha256():
     c = complex_from_facets(read_facets(path))
     blob = f"{c.n}:{','.join(map(str, c.facets))}".encode()
     assert out.split() == [hashlib.sha256(blob).hexdigest()[:16], "True"]
+
+
+def test_readme_cli_section_names_exactly_the_parser_options():
+    # every --flag the README's CLI section describes is taken by some
+    # subcommand, and every option of a subcommand but -h is described
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    described = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        flag
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    assert sorted(described - options) == [] and sorted(options - described) == []

@@ -144,12 +144,16 @@ def test_corpus_converse_fixtures_not_linear():
     assert all(kind == "pure" for _, kind, _ in summary.converse)
 
 
-def test_corpus_honours_n_cap():
-    # the corpus for count 3, n_max 9, seed 7 draws graphs on 4 and 6 vertices
-    assert sorted(g.n for g in corpus_graphs(3, 9, 7)) == [4, 4, 6]
-    with pytest.raises(TooManyVerticesError):
-        verify_chordal_corpus(3, 9, 7, n_cap=5)
-    assert verify_chordal_corpus(3, 9, 7, n_cap=6).gate_passed()
+def test_corpus_refuses_n_max_above_sweep_cap(monkeypatch):
+    # refused before any graph is swept, not at the first one over the cap
+    def refuse(*_):
+        raise AssertionError("a corpus graph was swept before n_max was checked")
+
+    monkeypatch.setattr(verify, "graded_betti", refuse)
+    with pytest.raises(TooManyVerticesError, match="^21 vertices exceeds the sweep cap 20$"):
+        verify_chordal_corpus(3, 21, 7)
+    graphs_at_cap = corpus_graphs(3, 20, 7)
+    assert len(graphs_at_cap) == 3 and all(2 <= g.n <= 20 for g in graphs_at_cap)
 
 
 def test_corpus_deterministic():
