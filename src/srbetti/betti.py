@@ -43,7 +43,13 @@ complex has no core; nor has any clique complex of a graph on 6 vertices
 (`froberg_exhaustive(6)` meets none).  The table sums the (|W|, result)
 counts; torsion gives it over every GF(p).  Everything a sweep keeps is
 local to its call: a core is eliminated where the sweep meets it, and no
-sweep reads what another computed.
+sweep reads what another computed.  `graded_betti` numbers the vertices by
+ascending star, the sum of 2^(|f|-1) over the facets f through a vertex
+(homology's apex score), ties in label order, so each W and each link
+restriction tries first its vertex of smallest star, whose link is most
+often a simplex or memoised.  No table depends on the numbering: it counts
+results by |W| and torsion by (|W|, torsion), and a core is a W that no
+vertex splits, in whatever order they are tried.
 
 The Froberg sweep (`_clique_flags`) takes every graph on n vertices at
 once.  The restriction of a graph to W is fixed by W and the edges inside
@@ -261,8 +267,11 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT) -> BettiTable:
     """
     if c.n > VERTEX_CAP:
         raise TooManyVerticesError(f"{c.n} vertices exceeds the sweep cap {VERTEX_CAP}")
+    # vertex i is the i-th by ascending star, ties in label order (module docstring)
+    star = [sum(1 << f.bit_count() - 1 for f in c.facets if f >> v & 1) for v in range(c.n)]
+    order = sorted(range(c.n), key=star.__getitem__)
     results = _Results()
-    res = _subset_results(c.facets, c.n, results)
+    res = _subset_results([sum(1 << i for i, v in enumerate(order) if f >> v & 1) for f in c.facets], c.n, results)
     acc: Counter = Counter()
     torsion: Counter = Counter()
     for (j, rid), count in Counter(zip(map(int.bit_count, range(len(res))), res)).items():

@@ -36,6 +36,13 @@ def random_complex(rnd: random.Random, max_n: int = 7, max_facets: int = 6, max_
             return c
 
 
+def general_complex(n: int, seed: int) -> Complex:
+    """A complex shaped like the benchmark's `general`: 2n facets of 3 to 6
+    of n vertices each, drawn by `random.Random(seed)`."""
+    rnd = random.Random(seed)
+    return complex_from_facets([[f"v{v}" for v in rnd.sample(range(n), rnd.randint(3, 6))] for _ in range(2 * n)])
+
+
 def cross_polytope(r: int) -> Complex:
     """Boundary of the r-dimensional cross-polytope: minimal non-faces are the
     r disjoint pairs {2k-1, 2k}, a complete intersection of quadrics."""

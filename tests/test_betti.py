@@ -25,6 +25,7 @@ from helpers import (
     bumped_table,
     cross_polytope,
     flag_subdivision,
+    general_complex,
     join,
     koszul_betti,
     koszul_table,
@@ -101,11 +102,6 @@ def test_vertex_cap_enforced():
     assert classify(graded_betti(clique_complex(complete_graph(20)))).kind == "trivial"
     with pytest.raises(TooManyVerticesError, match="^21 vertices exceeds the sweep cap 20$"):
         graded_betti(clique_complex(complete_graph(21)))
-
-
-def test_relabeling_invariance():
-    relabeled = complex_from_facets([["p", "q"], ["q", "r"], ["r", "s"], ["p", "s"]])
-    assert graded_betti(relabeled).cells == graded_betti(C4).cells
 
 
 def test_no_entries_in_homological_degree_zero_beyond_origin():
@@ -235,6 +231,30 @@ def test_tables_match_koszul_complex():
 def primed(c):
     """c with a prime on every label, to join it with a complex on the same labels."""
     return complex_from_facets([[c.labels[v] + "'" for v in bits(f)] for f in c.facets])
+
+
+def permuted(c: Complex, seed: int) -> Complex:
+    """c with its vertices renamed so that their sorted order, and so their
+    numbering, is a permutation drawn by `random.Random(seed)`."""
+    perm = random.Random(seed).sample(range(c.n), c.n)
+    return complex_from_facets([[f"x{perm[v]:02d}" for v in bits(f)] for f in c.facets])
+
+
+def test_relabeling_invariance():
+    # a table sums its restrictions by |W| and keys their torsion by (|W|,
+    # torsion), so no numbering of the vertices changes it: not the labels',
+    # nor the sweep's own by ascending star, whose ties keep the labels'
+    relabeled = complex_from_facets([["p", "q"], ["q", "r"], ["r", "s"], ["p", "s"]])
+    assert graded_betti(relabeled).cells == graded_betti(C4).cells
+    rnd = random.Random(6052)
+    complexes = [RP2, FLAG_RP2, clique_complex(random_graph(rnd, 9)), general_complex(11, 2)]
+    complexes += [random_complex(rnd, max_n=8, max_facets=10, max_size=4) for _ in range(8)]
+    for c in complexes:
+        for field in (QQ, FieldSpec.prime(2), FieldSpec.prime(3)):
+            table = graded_betti(c, field)
+            for seed in range(4):
+                other = graded_betti(permuted(c, seed), field)
+                assert (other.cells, other.torsion) == (table.cells, table.torsion), (c.facets, field, seed)
 
 
 def test_join_multiplies_betti_polynomials():
@@ -384,13 +404,6 @@ def test_tables_match_brute_force_mod_p(p):
         assert verify_complex(c, FieldSpec.prime(p)).char_zero_agrees == (brute == brute_betti(c)), c.facets
 
 
-def general_complex(n: int, seed: int) -> Complex:
-    """A complex shaped like the benchmark's `general`: 2n facets of 3 to 6
-    of n vertices each, drawn by `random.Random(seed)`."""
-    rnd = random.Random(seed)
-    return complex_from_facets([[f"v{v}" for v in rnd.sample(range(n), rnd.randint(3, 6))] for _ in range(2 * n)])
-
-
 def count_visits(monkeypatch) -> list:
     """Record the vertex set of every core visited, of the sweep or of a
     link restriction, and each `_Results`'s empty subset."""
@@ -420,7 +433,7 @@ def test_cores_are_eliminated_once(monkeypatch):
     assert froberg_exhaustive(5).passed
     assert cores == [0] and calls == [[0]]
     # off flag complexes cores remain: five general complexes make one core
-    # of the sweep and compute 14,554 link restrictions, of vertices and of
+    # of the sweep and compute 9,755 link restrictions, of vertices and of
     # larger faces, and each of the 6 core visits, the empty subsets
     # included, is one elimination, on every pass.  A simplex is not
     # memoised, so it counts on every call.  The visits fell from 524 when
@@ -429,7 +442,9 @@ def test_cores_are_eliminated_once(monkeypatch):
     # cores were most of the visits; the restrictions rose from 6,430, as a
     # split reads both sides, A and the link of a face one vertex larger,
     # and from 12,201 when a cone was caught before the split: a cone that
-    # is no simplex is now split and memoised, with the restrictions it reads
+    # is no simplex is now split and memoised, with the restrictions it
+    # reads (14,554).  They fell to 9,755 when the vertices were numbered
+    # by ascending star, so that each split tries its smallest star first
     complexes = [general_complex(10, seed) for seed in range(5)]
     for _ in range(2):
         cores.clear()
@@ -438,7 +453,7 @@ def test_cores_are_eliminated_once(monkeypatch):
         calls.clear()
         for c in complexes:
             graded_betti(c)
-        assert (len(cores) - cores.count(0), len(links), len(visits), len(calls)) == (1, 14554, 6, 6)
+        assert (len(cores) - cores.count(0), len(links), len(visits), len(calls)) == (1, 9755, 6, 6)
 
 
 def test_froberg_sweep_on_7_vertices(monkeypatch):
@@ -463,6 +478,25 @@ def test_general_eliminations_are_bounded(monkeypatch):
     visits = count_visits(monkeypatch)
     graded_betti(general_complex(14, 3))
     assert len(visits) == 4 and len(calls) == len(visits), (len(visits), len(calls))
+
+
+def test_general_link_restrictions_are_bounded(monkeypatch):
+    # a count, not a time: the general complexes on 16 vertices with 32
+    # drawn facets of 3 to 6 vertices (`random.Random(1)` and `(3)`)
+    # computed 158,137 and 113,237 link restrictions while the sweep
+    # numbered the vertices in label order.  Numbered by ascending star,
+    # each W and each link restriction tries its vertex of smallest star
+    # first, mostly a simplex or a memoised link, and they compute 33,947
+    # and 43,463.  A core is a W that no vertex splits, so the 39 and 50
+    # cores of the sweep, the empty subset included, do not depend on it
+    cores, links = count_cores(monkeypatch)
+    counts = []
+    for seed in (1, 3):
+        cores.clear()
+        links.clear()
+        graded_betti(general_complex(16, seed))
+        counts.append((len(links), len(cores)))
+    assert counts == [(33947, 39), (43463, 50)]
 
 
 def test_chordal_corpus_has_no_core_but_the_empty_subset(monkeypatch):
@@ -521,9 +555,11 @@ def test_a_core_reduces_its_masks_once(monkeypatch):
     # a simplex and reduces nothing (133 and 9 link cores of 3,343 and 996
     # when only an isolated or a dominated vertex removed one; a split
     # reads both of its sides, so more restrictions are computed: 5,665 and
-    # 1,222 while a cone was caught before the split, and more now that a
-    # cone that is no simplex is split and memoised)
-    assert reduced == {"flag": (0, 0, 0), "few wide non-faces": (8, 20, 7982), "non-flag": (1, 0, 1304)}
+    # 1,222 while a cone was caught before the split, 7,982 and 1,304 once
+    # a cone that is no simplex was split and memoised, and fewer now that
+    # the vertices are numbered by ascending star, so that each split
+    # tries its smallest star first)
+    assert reduced == {"flag": (0, 0, 0), "few wide non-faces": (8, 20, 7945), "non-flag": (1, 0, 970)}
 
 
 def test_one_sweep_serves_every_field(monkeypatch):

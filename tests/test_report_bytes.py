@@ -4,7 +4,10 @@ hash to fixed sha256 values.
 
 The values were recorded before the verification layer and the rank kernel
 were consolidated; the paths-mode `verify` values before the CLI parser was
-built once per process.  A change that is meant to keep every result (a
+built once per process.  The fixtures have at most 6 vertices, so two
+larger inputs, written to a temporary directory, pin `analyze --format json`
+over each field where the sweep does more work: a general 14-vertex complex
+and a chordal 16-vertex graph.  A change that is meant to keep every result (a
 refactor, a speedup, a deletion of dead code) must keep every hash; a change
 that alters a report on purpose must say so and re-record the value.
 """
@@ -13,7 +16,8 @@ import hashlib
 
 import pytest
 
-from srbetti import DATA_DIR
+from helpers import general_complex
+from srbetti import DATA_DIR, write_complex
 from srbetti.cli import main
 
 FIXTURES = ("c4.cplx", "rp2.cplx", "k3.graph", "p3.graph")
@@ -86,6 +90,21 @@ EXPECTED = {
         "357d2c51a603f00c5f46f8fcc2c798673e6718b9d8f42555753924f9b25e993a",
 }
 
+LARGER_EXPECTED = {
+    "analyze general14.cplx --field 2":
+        "3dfc472cc3ba136826146d4c6c9701a25ac96bd23fe1b47e2f7922050cf86a7b",
+    "analyze general14.cplx --field 32003":
+        "f071bbc9a7fab420fa303da43bf30b6f7db11b796215e9a890ba3ea56111adfe",
+    "analyze general14.cplx --field Q":
+        "836c7d0f3ac3bd66032a665c192d25a16ed7578e6fff179643b5e1a770028710",
+    "analyze chordal16.graph --field 2":
+        "22a395b235b1ee9a906ea3153bb4f6a2538f2b8a7e17a986ba6f2249a4353225",
+    "analyze chordal16.graph --field 32003":
+        "347214fb40586c47e381755f583f011673cd6200deb5317fb613cb27552c113f",
+    "analyze chordal16.graph --field Q":
+        "1f71ce2abdefc5e0383a288841a241f12a4d361341c0438395e00448168bd782",
+}
+
 CORPUS_ARGS = ("verify", "--count", "12", "--n-max", "8", "--seed", "5")
 
 
@@ -119,3 +138,14 @@ def test_report_bytes_pinned(key, capsys, monkeypatch):
     code, digest = report_sha256(CASES[key], capsys)
     assert code == 0
     assert digest == EXPECTED[key]
+
+
+@pytest.mark.parametrize("key", sorted(LARGER_EXPECTED))
+def test_larger_report_bytes_pinned(key, tmp_path, capsys, monkeypatch):
+    # general_complex(14, 3) as a .cplx, and `gen-chordal 16 0.5 1`
+    monkeypatch.chdir(tmp_path)
+    write_complex(general_complex(14, 3), "general14.cplx")
+    assert main(["gen-chordal", "16", "0.5", "1", "--out", "chordal16.graph"]) == 0
+    code, digest = report_sha256(key.split() + ["--format", "json"], capsys)
+    assert code == 0
+    assert digest == LARGER_EXPECTED[key]
