@@ -1,9 +1,10 @@
 """Betti tables, Hilbert series and h-vector identities of face rings.
 
 Everything is exact integer arithmetic over bitmask combinatorics, and all
-values are immutable.  The one piece of process-wide state is the CLI
-parser, which parsing never changes; each sweep keeps its results local to
-its call, so no result depends on call order or on threads.
+values are immutable.  The process-wide state is the CLI's two pieces: its
+parser, which parsing never changes, and `cli.CORPUS_DEFAULTS`, which
+`verify` reads and never writes.  Each sweep keeps its results local to its
+call, so no result depends on call order or on threads.
 """
 
 from .betti import (

@@ -44,8 +44,8 @@ complex has no core; nor has any clique complex of a graph on 6 vertices
 counts; torsion gives it over every GF(p).  Everything a sweep keeps is
 local to its call: a core is eliminated where the sweep meets it, and no
 sweep reads what another computed.  `graded_betti` numbers the vertices by
-ascending star, the sum of 2^(|f|-1) over the facets f through a vertex
-(homology's apex score), ties in label order, so each W and each link
+ascending star score (`homology._star_scores`, which also picks homology's
+apex) over the facets, ties in label order, so each W and each link
 restriction tries first its vertex of smallest star, whose link is most
 often a simplex or memoised.  No table depends on the numbering: it counts
 results by |W| and torsion by (|W|, torsion), and a core is a W that no
@@ -88,10 +88,17 @@ from operator import or_
 from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, FieldSpec
 from .graphs import maximal_cliques
-from .homology import reduced_dims_from_facets, torsion_shift
-from .simplicial import Complex, _bits, _maximal_masks
+from .homology import _star_scores, reduced_dims_from_facets, torsion_shift
+from .simplicial import Complex, _maximal_masks, face_masks
 
 VERTEX_CAP = 20
+
+
+def _check_cap(n: int) -> None:
+    """The sweep cap's one refusal: n above VERTEX_CAP, before anything is built."""
+    if n > VERTEX_CAP:
+        raise TooManyVerticesError(f"{n} vertices exceeds the sweep cap {VERTEX_CAP}")
+
 
 _Homology = tuple[tuple[int, ...], tuple[tuple[int, int], ...]]  # Betti numbers over Q from degree -1; torsion
 
@@ -227,10 +234,11 @@ def _link_result(sigma: int, s: int, face: bytes, stars: dict, results: _Results
     return rid
 
 
-def _subset_results(masks, n: int, results: _Results) -> array:
-    """res[W], as ids into results, for every W in [0, 2^n) of the complex
-    the masks span (module docstring), a clique complex iff they are the
-    maximal cliques of its 1-skeleton."""
+def _subset_results(masks, n: int) -> tuple[array, _Results]:
+    """res[W], as ids into the returned results, for every W in [0, 2^n) of
+    the complex the masks span (module docstring), a clique complex iff
+    they are the maximal cliques of its 1-skeleton."""
+    results = _Results()
     # by vertex, as a bit: the facets through it, and their union, its
     # closed neighbourhood in the 1-skeleton
     through = {1 << v: [f for f in masks if f >> v & 1] for v in range(n)}
@@ -255,7 +263,7 @@ def _subset_results(masks, n: int, results: _Results) -> array:
                 break
             rest ^= u
         res[w] = results.core(_maximal_masks(map(w.__and__, masks))) if r is None else r
-    return res
+    return res, results
 
 
 def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT) -> BettiTable:
@@ -265,13 +273,10 @@ def graded_betti(c: Complex, field: FieldSpec = GF_DEFAULT) -> BettiTable:
     so n is at most VERTEX_CAP (20).  Each integral result adds its Betti
     numbers over Q, and its torsion's shift over the field, to the cells.
     """
-    if c.n > VERTEX_CAP:
-        raise TooManyVerticesError(f"{c.n} vertices exceeds the sweep cap {VERTEX_CAP}")
-    # vertex i is the i-th by ascending star, ties in label order (module docstring)
-    star = [sum(1 << f.bit_count() - 1 for f in c.facets if f >> v & 1) for v in range(c.n)]
-    order = sorted(range(c.n), key=star.__getitem__)
-    results = _Results()
-    res = _subset_results([sum(1 << i for i, v in enumerate(order) if f >> v & 1) for f in c.facets], c.n, results)
+    _check_cap(c.n)
+    # vertex i is the i-th by ascending star score, ties in label order (module docstring)
+    order = sorted(range(c.n), key=_star_scores(c.facets, c.n).__getitem__)
+    res, results = _subset_results([sum(1 << i for i, v in enumerate(order) if f >> v & 1) for f in c.facets], c.n)
     acc: Counter = Counter()
     torsion: Counter = Counter()
     for (j, rid), count in Counter(zip(map(int.bit_count, range(len(res))), res)).items():
@@ -307,8 +312,8 @@ def _clique_flags(n: int) -> bytearray:
         y = w.bit_length() - 1
         rest = w ^ 1 << y
         # each neighbour set N of y: the edges from y to N, those inside N, and N
-        links = [(sum(edge for edge, v in star[y] if v & nbrs), inside[nbrs], nbrs) for nbrs in _submasks(rest)]
-        for base in _submasks(inside[rest]):  # the graph on W - y
+        links = [(sum(edge for edge, v in star[y] if v & nbrs), inside[nbrs], nbrs) for nbrs in face_masks([rest])]
+        for base in face_masks([inside[rest]]):  # the graph on W - y
             a = memo[base | rest]
             for edges_to, near_edges, nbrs in links:
                 e = base | edges_to
@@ -360,14 +365,6 @@ def _induced_or(planes: list[int], edge: dict[tuple[int, int], int]) -> list[int
                 cut = [low | low << (1 << b) for low in (c & ~holds for c in cut)]
         planes = [p | c for p, c in zip(planes, cut)]
     return planes
-
-
-def _submasks(m: int) -> list[int]:
-    """The submasks of m."""
-    out = [0]
-    for v in _bits(m):
-        out += [s | 1 << v for s in out]
-    return out
 
 
 class ResolutionShape(namedtuple("ResolutionShape", "kind degrees betti", defaults=(None, None))):

@@ -14,8 +14,8 @@ import functools
 import sys
 from pathlib import Path
 
-from .betti import VERTEX_CAP, BettiTable
-from .errors import ParseError, TooManyVerticesError
+from .betti import BettiTable, _check_cap
+from .errors import ParseError
 from .exactla import GF_DEFAULT, QQ, FieldSpec
 from .graphs import gen_chordal, graph_from_edges, graph_text, is_chordal, clique_complex, read_edges
 from .hilbert import multiplicity, series_from_f
@@ -61,12 +61,11 @@ def _load_input(path: str):
         edges, vertices = read_edges(path)
         labels = set(vertices or ()).union(*edges)
     else:
-        raise ParseError(path, 1, f"unrecognized input extension {suffix!r} (want .cplx or .graph)")
+        raise ParseError(path, None, f"unrecognized input extension {suffix!r} (want .cplx or .graph)")
     # refused before anything is built: a complex's antichain test is
     # quadratic in its facets, a graph's adjacency masks are O(n^2) bits and
     # its clique complex can be exponential in n
-    if len(labels) > VERTEX_CAP:
-        raise TooManyVerticesError(f"{len(labels)} vertices exceeds the sweep cap {VERTEX_CAP}")
+    _check_cap(len(labels))
     if suffix == ".cplx":
         return complex_from_facets(facets), {"path": path, "kind": "complex", "chordal": None}
     graph = graph_from_edges(edges, vertices)
@@ -182,8 +181,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gen_chordal(args) -> int:
-    if args.n > VERTEX_CAP:  # refused before its adjacency is allocated
-        raise TooManyVerticesError(f"{args.n} vertices exceeds the sweep cap {VERTEX_CAP}")
+    _check_cap(args.n)  # refused before its adjacency is allocated
     _emit(graph_text(gen_chordal(args.n, args.density, args.seed)), args)
     return 0
 

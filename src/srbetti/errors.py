@@ -10,9 +10,9 @@ class TooManyVerticesError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed input file; carries path and 1-based line number."""
+    """Malformed input file; carries path and 1-based line number (None: the whole file)."""
 
-    def __init__(self, path, lineno: int, message: str):
-        super().__init__(f"{path}:{lineno}: {message}")
+    def __init__(self, path, lineno: int | None, message: str):
+        super().__init__(f"{path}: {message}" if lineno is None else f"{path}:{lineno}: {message}")
         self.path = path
         self.lineno = lineno

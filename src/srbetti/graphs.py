@@ -265,8 +265,8 @@ def write_graph(g: Graph, path) -> None:
 
 
 def read_edges(path) -> tuple[list[tuple[str, str]], set[str] | None]:
-    """The edges and the vertex header (None if absent) of a .graph file:
-    '#' comment lines, optional vertex header, edge lines."""
+    """The edges and the vertex header (None if absent) of a .graph file
+    naming some vertex: '#' comment lines, optional vertex header, edges."""
     vertices: set[str] | None = None
     edges: list[tuple[str, str]] = []
     with open(path, encoding="utf-8") as fh:
@@ -290,8 +290,8 @@ def read_edges(path) -> tuple[list[tuple[str, str]], set[str] | None]:
             if vertices is not None and (u not in vertices or v not in vertices):
                 raise ParseError(path, lineno, f"edge uses undeclared vertex in {line!r}")
             edges.append((u, v))
-    if vertices is None and not edges:
-        raise ParseError(path, 1, "no vertices or edges found")
+    if not vertices and not edges:
+        raise ParseError(path, None, "no vertices or edges found")
     return edges, vertices
 
 

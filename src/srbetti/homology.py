@@ -19,9 +19,8 @@ quotient is free, so the pair's sequence stays exact after tensoring with
 GF(p), where the cone is still acyclic: the Betti numbers over Q and over
 every GF(p), and so the torsion (each map's invariant factors > 1), are
 those of the full complex, whichever vertex v is.  The apex is therefore
-chosen for speed: the vertex with the largest star, scored by the sum of
-2^(|m|-1) over the masks m through it (the faces through it, counted
-per mask), ties to the lowest vertex.  The quotient's basis is the faces F
+chosen for speed: the vertex with the largest star score (`_star_scores`),
+ties to the lowest vertex.  The quotient's basis is the faces F
 with F + v not a face: F + v is a face exactly when F lies in a link mask
 m - v (m through v), so `face_masks` of the v-free masks are tested
 against the link masks.  A boundary map with an empty side has rank
@@ -60,6 +59,20 @@ def _boundary_rows(lower: Sequence[int], upper: Sequence[int]) -> list[dict[int,
     return rows
 
 
+def _star_scores(masks: Iterable[int], n: int) -> list[int]:
+    """By vertex, below n, its star score: the sum of 2^(|m|-1) over the
+    masks m through it, the faces through it counted per mask.  The empty
+    mask adds nothing."""
+    scores = [0] * n
+    for m in masks:
+        w = 1 << m.bit_count() >> 1
+        while m:
+            low = m & -m
+            scores[low.bit_length() - 1] += w
+            m ^= low
+    return scores
+
+
 def reduced_dims_from_facets(facets: Iterable[int]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Integral homology data of the complex spanned by some face masks:
     the reduced Betti numbers over Q, (b_{-1}, ..., b_dim), and the
@@ -77,21 +90,8 @@ def reduced_dims_from_facets(facets: Iterable[int]) -> tuple[tuple[int, ...], tu
     if not masks:
         return (1,), ()
     top = max(m.bit_count() for m in masks)
-    union = 0
-    for m in masks:
-        union |= m
-    weighted = [(m, 1 << (m.bit_count() - 1)) for m in masks]
-    best = 0
-    rest = union
-    while rest:  # ascending, so a tie keeps the lower vertex
-        low = rest & -rest
-        score = 0
-        for m, w in weighted:
-            if m & low:
-                score += w
-        if score > best:
-            best, v = score, low
-        rest ^= low
+    scores = _star_scores(masks, max(masks).bit_length())
+    v = 1 << scores.index(max(scores))  # index finds the lowest of a tie
     link = [m ^ v for m in masks if m & v]
     groups: list[list[int]] = [[] for _ in range(top + 1)]
     for f in face_masks(m for m in masks if not m & v):

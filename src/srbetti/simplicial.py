@@ -19,7 +19,7 @@ from collections.abc import Iterable
 from math import comb
 from pathlib import Path
 
-from .errors import EmptyInputError, TooManyVerticesError
+from .errors import EmptyInputError, ParseError, TooManyVerticesError
 
 MAX_VERTICES = 64
 
@@ -227,7 +227,7 @@ def write_complex(c: Complex, path) -> None:
 
 def read_facets(path) -> list[list[str]]:
     """The facet token lists of a .cplx file: '#' lines are comments, other
-    lines are facets."""
+    lines are facets, and a file without one is refused."""
     facets = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -235,6 +235,8 @@ def read_facets(path) -> list[list[str]]:
             if not line or line.startswith("#"):
                 continue
             facets.append(line.split())
+    if not facets:
+        raise ParseError(path, None, "no facets given")
     return facets
 
 

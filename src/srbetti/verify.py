@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 
-from .betti import VERTEX_CAP, BettiTable, ResolutionShape, _clique_flags, classify, graded_betti
+from .betti import BettiTable, ResolutionShape, _check_cap, _clique_flags, classify, graded_betti
 from .errors import TooManyVerticesError
 from .exactla import GF_DEFAULT, FieldSpec
 from .formulas import betti_from_h, check_lower_bound, h_relations
@@ -240,8 +240,7 @@ def corpus_graphs(count: int, n_max: int, seed: int) -> list[Graph]:
     one master stream, so the corpus is a pure function of its parameters."""
     if count < 1 or n_max < 2:
         raise ValueError("need count >= 1 and n_max >= 2")
-    if n_max > VERTEX_CAP:  # refused before any graph is drawn or swept
-        raise TooManyVerticesError(f"{n_max} vertices exceeds the sweep cap {VERTEX_CAP}")
+    _check_cap(n_max)  # refused before any graph is drawn or swept
     rng = Xorshift64Star(seed)
     out = []
     for _ in range(count):

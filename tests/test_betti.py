@@ -1,5 +1,6 @@
 """The graded Betti oracle: subset-formula tables and their classification."""
 
+import hashlib
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -53,7 +54,7 @@ from srbetti import (
     minimal_non_faces,
     read_complex,
 )
-from srbetti import betti, homology, simplicial
+from srbetti import betti, homology, simplicial, verify
 from srbetti.homology import torsion_shift
 from srbetti.simplicial import _maximal_masks
 from srbetti.verify import corpus_graphs, froberg_exhaustive, verify_complex
@@ -342,49 +343,57 @@ def test_alexander_duality_identities():
     assert not eagon_reiner(table, dual_betti(RP2, QQ), RP2.n, alexander_dual(RP2)[0].dim)
 
 
-def count_misses(monkeypatch) -> list:
-    """Record the masks of every elimination: one per core visited, of the
-    sweep or of a link restriction, and one for each `_Results`'s empty
-    subset."""
-    calls = []
-    real = betti.reduced_dims_from_facets
+class Work:
+    """The work of the sweeps run while `record_work` is installed, in order:
+      eliminations  the masks of each elimination, one per core visited
+      visits        the vertex set of each core visited, of the sweep or of
+                    a link restriction, each `_Results`'s empty subset
+                    included
+      cores         the subset W of each core of the sweep, visited while
+                    no link restriction is computed
+      links         the vertex set of each link restriction computed off
+                    flag complexes, of a vertex or of a larger face
+                    (`betti._link_result` not read from its memo; a simplex
+                    is never memoised, so it counts on every call)"""
 
-    def counting(facets):
-        calls.append(facets)
-        return real(facets)
+    def __init__(self):
+        self.eliminations, self.visits, self.cores, self.links = [], [], [], []
 
-    monkeypatch.setattr(betti, "reduced_dims_from_facets", counting)
-    return calls
+    def clear(self):
+        for events in vars(self).values():
+            events.clear()
 
 
-def count_cores(monkeypatch) -> tuple[list, list]:
-    """Record the subset W of every core the sweep visits, the union of its
-    maximal masks, and the vertex set of every link restriction, of a
-    vertex or of a larger face, it computes off flag complexes
-    (`betti._link_result` not read from its memo; a simplex is never
-    memoised, so it counts on every call).  A core of a link restriction,
-    visited while one is computed, is not a core of the sweep."""
-    cores, links = [], []
+def record_work(monkeypatch) -> Work:
+    """Wrap betti's `reduced_dims_from_facets`, `_Results.core` and
+    `_link_result`, once each, to record the Work they do."""
+    work = Work()
     computing = []
-    real_core, real_link = betti._Results.core, betti._link_result
+    real_dims, real_core, real_link = betti.reduced_dims_from_facets, betti._Results.core, betti._link_result
+
+    def dims(facets):
+        work.eliminations.append(facets)
+        return real_dims(facets)
 
     def core(self, maximal):
+        work.visits.append(reduce(or_, maximal))
         if not computing:
-            cores.append(reduce(or_, maximal))
+            work.cores.append(work.visits[-1])
         return real_core(self, maximal)
 
     def link_result(sigma, s, face, stars, results):
         if s and s not in stars[sigma][0]:
-            links.append(s)
+            work.links.append(s)
         computing.append(s)
         try:
             return real_link(sigma, s, face, stars, results)
         finally:
             computing.pop()
 
+    monkeypatch.setattr(betti, "reduced_dims_from_facets", dims)
     monkeypatch.setattr(betti._Results, "core", core)
     monkeypatch.setattr(betti, "_link_result", link_result)
-    return cores, links
+    return work
 
 
 @pytest.mark.parametrize("p", [2, 3, 32003])
@@ -404,98 +413,76 @@ def test_tables_match_brute_force_mod_p(p):
         assert verify_complex(c, FieldSpec.prime(p)).char_zero_agrees == (brute == brute_betti(c)), c.facets
 
 
-def count_visits(monkeypatch) -> list:
-    """Record the vertex set of every core visited, of the sweep or of a
-    link restriction, and each `_Results`'s empty subset."""
-    visits = []
-    real = betti._Results.core
-
-    def core(self, maximal):
-        visits.append(reduce(or_, maximal))
-        return real(self, maximal)
-
-    monkeypatch.setattr(betti._Results, "core", core)
-    return visits
-
-
 def test_cores_are_eliminated_once(monkeypatch):
-    calls = count_misses(monkeypatch)
-    cores, links = count_cores(monkeypatch)
-    visits = count_visits(monkeypatch)
+    work = record_work(monkeypatch)
     assert froberg_exhaustive(5).passed
     # with the split no restriction of a graph on 5 vertices is a core but
     # the empty subset, which the sweep's one `_Results` registers and
     # eliminates once, not once per graph; no sweep shares it with
     # another, so the second sweep eliminates it again
-    assert cores == [0] and calls == [[0]]
-    calls.clear()
-    cores.clear()
+    assert work.cores == [0] and work.eliminations == [[0]]
+    work.clear()
     assert froberg_exhaustive(5).passed
-    assert cores == [0] and calls == [[0]]
+    assert work.cores == [0] and work.eliminations == [[0]]
     # off flag complexes cores remain: five general complexes make one core
     # of the sweep and compute 9,755 link restrictions, of vertices and of
     # larger faces, and each of the 6 core visits, the empty subsets
-    # included, is one elimination, on every pass.  A simplex is not
-    # memoised, so it counts on every call.  The visits fell from 524 when
-    # link restrictions split only by isolated and dominated vertices: the
-    # split removes a vertex whose link has homology too, and small link
-    # cores were most of the visits; the restrictions rose from 6,430, as a
-    # split reads both sides, A and the link of a face one vertex larger,
-    # and from 12,201 when a cone was caught before the split: a cone that
-    # is no simplex is now split and memoised, with the restrictions it
-    # reads (14,554).  They fell to 9,755 when the vertices were numbered
-    # by ascending star, so that each split tries its smallest star first
+    # included, is one elimination, on every pass.  A split reads both of
+    # its sides, A and the link of a face one vertex larger, and memoises a
+    # cone that is no simplex; a simplex is not memoised, so it counts on
+    # every call.  A rule that stops splitting raises the visits, and a
+    # memo that stops serving, or a split that stops trying its smallest
+    # star first, raises the restrictions
     complexes = [general_complex(10, seed) for seed in range(5)]
     for _ in range(2):
-        cores.clear()
-        links.clear()
-        visits.clear()
-        calls.clear()
+        work.clear()
         for c in complexes:
             graded_betti(c)
-        assert (len(cores) - cores.count(0), len(links), len(visits), len(calls)) == (1, 9755, 6, 6)
+        counts = len(work.cores) - work.cores.count(0), len(work.links), len(work.visits), len(work.eliminations)
+        assert counts == (1, 9755, 6, 6)
 
 
 def test_froberg_sweep_on_7_vertices(monkeypatch):
     # all 2,097,152 labeled graphs on 7 vertices, 64 times acceptance
     # criterion 6: no mismatch, and no restriction of any graph is a core
-    # but the empty subset, eliminated once
-    calls = count_misses(monkeypatch)
+    # but the empty subset, eliminated once.  The order in which the sweep
+    # visits graphs assigns its result ids, and must change no flag: the
+    # flags' sha256 is pinned
+    work = record_work(monkeypatch)
+    flags = []
+    monkeypatch.setattr(verify, "_clique_flags", lambda n: flags.append(betti._clique_flags(n)) or flags[-1])
     result = froberg_exhaustive(7)
     assert result.checked == 2_097_152 and result.mismatches == ()
-    assert calls == [[0]]
+    assert work.eliminations == [[0]]
+    assert hashlib.sha256(flags[0]).hexdigest() == "a689c681487010ca53ef34811e7904b4be5b89318de3a223f5269640b8daf7b5"
 
 
 def test_general_eliminations_are_bounded(monkeypatch):
     # a count, not a time: the general complex on 14 vertices with 28 drawn
-    # facets of 3 to 6 vertices (`random.Random(3)`) eliminated 8,385
-    # restrictions before the split, and 1,565 while link restrictions
-    # split only by isolated and dominated vertices, nearly all small link
-    # cores.  With the split at every level it visits 4 cores: the empty
-    # subset and three of the sweep, each eliminated where it is met.  A
-    # rule that stops applying raises both counts
-    calls = count_misses(monkeypatch)
-    visits = count_visits(monkeypatch)
+    # facets of 3 to 6 vertices (`random.Random(3)`) visits 4 cores, the
+    # empty subset and three of the sweep, each eliminated once, where it
+    # is met.  A rule that stops applying raises both counts, a core
+    # eliminated twice the second
+    work = record_work(monkeypatch)
     graded_betti(general_complex(14, 3))
-    assert len(visits) == 4 and len(calls) == len(visits), (len(visits), len(calls))
+    assert (len(work.visits), len(work.eliminations)) == (4, 4)
 
 
 def test_general_link_restrictions_are_bounded(monkeypatch):
     # a count, not a time: the general complexes on 16 vertices with 32
     # drawn facets of 3 to 6 vertices (`random.Random(1)` and `(3)`)
-    # computed 158,137 and 113,237 link restrictions while the sweep
-    # numbered the vertices in label order.  Numbered by ascending star,
-    # each W and each link restriction tries its vertex of smallest star
-    # first, mostly a simplex or a memoised link, and they compute 33,947
-    # and 43,463.  A core is a W that no vertex splits, so the 39 and 50
-    # cores of the sweep, the empty subset included, do not depend on it
-    cores, links = count_cores(monkeypatch)
+    # compute 33,947 and 43,463 link restrictions.  Numbered by ascending
+    # star, each W and each link restriction tries first its vertex of
+    # smallest star, mostly a simplex or a memoised link, and a numbering
+    # that stops doing so raises these counts.  A core is a W that no
+    # vertex splits, so the 39 and 50 cores of the sweep, the empty subset
+    # included, do not depend on the numbering
+    work = record_work(monkeypatch)
     counts = []
     for seed in (1, 3):
-        cores.clear()
-        links.clear()
+        work.clear()
         graded_betti(general_complex(16, seed))
-        counts.append((len(links), len(cores)))
+        counts.append((len(work.links), len(work.cores)))
     assert counts == [(33947, 39), (43463, 50)]
 
 
@@ -505,11 +492,10 @@ def test_chordal_corpus_has_no_core_but_the_empty_subset(monkeypatch):
     # chordal graph's clique complex is a core; the empty subset has no
     # vertex and is one, eliminated once per sweep
     graphs = corpus_graphs(200, 9, 7)
-    calls = count_misses(monkeypatch)
-    cores, _ = count_cores(monkeypatch)
+    work = record_work(monkeypatch)
     for g in graphs:
         graded_betti(clique_complex(g))
-    assert cores == [0] * 200 and len(calls) == 200
+    assert work.cores == [0] * 200 and len(work.eliminations) == 200
 
 
 def test_a_core_reduces_its_masks_once(monkeypatch):
@@ -528,8 +514,7 @@ def test_a_core_reduces_its_masks_once(monkeypatch):
 
         # homology has no _maximal_masks to replace; one it imported again would be counted
         monkeypatch.setattr(module, "_maximal_masks", counting, raising=False)
-    cores, links = count_cores(monkeypatch)
-    visits = count_visits(monkeypatch)
+    work = record_work(monkeypatch)
     rnd = random.Random(6014)
     flag = [clique_complex(random_graph(rnd, 8)) for _ in range(20)]
     others = [RP2, suspension(RP2), join(RP2, primed(TRI)), join(RP2, primed(C4))]
@@ -541,44 +526,38 @@ def test_a_core_reduces_its_masks_once(monkeypatch):
     reduced = {}
     for kind, complexes in kinds.items():
         counts["betti"] = 0
-        cores.clear()
-        links.clear()
-        visits.clear()
+        work.clear()
         for c in complexes:
             graded_betti(c)
-        assert cores.count(0) == len(complexes), kind
-        assert counts == {"betti": len(visits) - len(complexes), "homology": 0}, kind
-        reduced[kind] = (len(cores) - len(complexes), len(visits) - len(cores), len(links))
+        assert work.cores.count(0) == len(complexes), kind
+        assert counts == {"betti": len(work.visits) - len(complexes), "homology": 0}, kind
+        reduced[kind] = (len(work.cores) - len(complexes), len(work.visits) - len(work.cores), len(work.links))
     # (cores of the sweep, cores of link restrictions, link restrictions
     # computed): no flag complex on 8 vertices has a core but the empty
     # subset; off flag complexes nearly every link restriction splits or is
-    # a simplex and reduces nothing (133 and 9 link cores of 3,343 and 996
-    # when only an isolated or a dominated vertex removed one; a split
-    # reads both of its sides, so more restrictions are computed: 5,665 and
-    # 1,222 while a cone was caught before the split, 7,982 and 1,304 once
-    # a cone that is no simplex was split and memoised, and fewer now that
-    # the vertices are numbered by ascending star, so that each split
-    # tries its smallest star first)
+    # a simplex and reduces nothing.  A rule that stops splitting raises
+    # the link cores; a memo that stops serving, or a split that stops
+    # trying its smallest star first, raises the restrictions computed
     assert reduced == {"flag": (0, 0, 0), "few wide non-faces": (8, 20, 7945), "non-flag": (1, 0, 970)}
 
 
 def test_one_sweep_serves_every_field(monkeypatch):
     # a report over GF(p) also says whether its table agrees with the one
     # over Q, read off the sweep's torsion, so a report costs the
-    # eliminations of one sweep: the empty subset and rp2's whole set (8
-    # while link restrictions split only by isolated and dominated
-    # vertices: each vertex's link, a pentagon, was a core too).  rp2's
-    # torsion 2 changes its table over GF(2) alone.  A second
+    # eliminations of one sweep: the empty subset and rp2's whole set, its
+    # one core (each vertex's link, a pentagon, splits).  A third would
+    # mean a second sweep per report, or a link that no longer splits.
+    # rp2's torsion 2 changes its table over GF(2) alone.  A second
     # `graded_betti` over another field sweeps again and costs as many
-    calls = count_misses(monkeypatch)
+    work = record_work(monkeypatch)
     for field, agrees in ((GF_DEFAULT, True), (FieldSpec.prime(3), True), (FieldSpec.prime(2), False)):
-        calls.clear()
+        work.clear()
         rep = verify_complex(RP2, field)
-        assert len(calls) == 2 and rep.char_zero_agrees is agrees, field
+        assert len(work.eliminations) == 2 and rep.char_zero_agrees is agrees, field
     for field in (GF_DEFAULT, FieldSpec.prime(2), QQ):
-        calls.clear()
+        work.clear()
         graded_betti(RP2, field)
-        assert len(calls) == 2
+        assert len(work.eliminations) == 2
     # without torsion the table agrees over every field: C4 and the default
     # corpus's second graph, on 6 vertices
     for c in (C4, clique_complex(corpus_graphs(2, 9, 7)[1])):
@@ -690,15 +669,14 @@ def test_every_subset_result_matches_brute_force(monkeypatch):
     complexes += [random_complex(rnd, max_n=7, max_facets=8, max_size=rnd.choice([2, 3, 4])) for _ in range(40)]
     complexes += [random_complex(rnd, max_n=7, max_facets=16, max_size=4) for _ in range(20)]
     complexes += [clique_complex(random_graph(rnd, rnd.randint(4, 7))) for _ in range(20)]
-    cores, _ = count_cores(monkeypatch)
+    work = record_work(monkeypatch)
     kinds = set()
     for c in complexes:
         flag = _kind(c) == "flag"
         faces = brute_face_masks(c)
         edges = {f for f in faces if f.bit_count() == 2}
-        cores.clear()
-        results = betti._Results()
-        res = betti._subset_results(c.facets, c.n, results)
+        work.clear()
+        res, results = betti._subset_results(c.facets, c.n)
         for w in range(1 << c.n):
             dims, torsion = results.values[res[w]]
             whole = {f for f in faces if f & w == f}
@@ -719,7 +697,7 @@ def test_every_subset_result_matches_brute_force(monkeypatch):
             assert split or w & w - 1 == 0 or not linked, (c.facets, w)
             rules = {"isolated": isolated, "dominated": dominated, "acyclic link": linked, "split": split}
             kind = next((name for name, applies in rules.items() if applies), "core")
-            assert (w in cores) == (kind == "core"), (c.facets, w)
+            assert (w in work.cores) == (kind == "core"), (c.facets, w)
             kinds.add((kind, bool(torsion), w != 0))
     assert kinds >= {(kind, t, True) for kind in ("isolated", "dominated", "split", "core") for t in (False, True)}
     assert ("acyclic link", False, True) in kinds and ("core", False, False) in kinds
@@ -765,18 +743,16 @@ def test_acyclic_link_removes_a_vertex_nothing_dominates(monkeypatch):
     assert c.labels == tuple("0123456") and not brute_dominated_vertices(faces, whole)
     assert all(any(f.bit_count() == 2 and f >> u & 1 for f in faces) for u in range(c.n))
     assert brute_removable_by_link(faces, whole) >= {1 << 6}
-    cores, _ = count_cores(monkeypatch)
-    results = betti._Results()
-    res = betti._subset_results(c.facets, c.n, results)
-    assert whole not in cores
+    work = record_work(monkeypatch)
+    res, results = betti._subset_results(c.facets, c.n)
+    assert whole not in work.cores
     for w in range(whole + 1):
         dims, torsion = results.values[res[w]]
         expected = brute_reduced_dims({f for f in faces if f & w == f})
         assert list(dims) + [0] * (len(expected) - len(dims)) == expected and not torsion, w
     # rp2 is acyclic over Q but not over Z, so a link like it keeps its vertex
-    rp2 = betti._Results()
-    rid = betti._subset_results(RP2.facets, RP2.n, rp2)[-1]
-    assert not any(rp2.values[rid][0]) and rp2.support[rid]
+    res, rp2 = betti._subset_results(RP2.facets, RP2.n)
+    assert not any(rp2.values[res[-1]][0]) and rp2.support[res[-1]]
     for field in (FieldSpec.prime(2), FieldSpec.prime(3), QQ):
         assert graded_betti(c, field).as_dict() == brute_betti(c, field.p), field
 
@@ -831,7 +807,7 @@ def test_non_flag_sweep_enumerates_no_faces(monkeypatch):
 
     orig = simplicial.face_masks
     holders = sorted(name for name, module in sys.modules.items() if name.split(".")[0] == "srbetti" and getattr(module, "face_masks", None) is orig)
-    assert holders == ["srbetti.homology", "srbetti.simplicial"]
+    assert holders == ["srbetti.betti", "srbetti.homology", "srbetti.simplicial"]
     # rp2 and its suspension have cores, and a core's quotient basis lists
     # its faces by design, so homology keeps face_masks for them
     for name in holders:
@@ -872,7 +848,7 @@ def test_link_results_match_brute_force(monkeypatch):
         dual = alexander_dual(random_complex(rnd, max_n=8, max_facets=rnd.choice([4, 6]), max_size=4))[0]
         if dual.n:  # not the empty face alone
             duals.append(dual)
-    visits = count_visits(monkeypatch)
+    work = record_work(monkeypatch)
     oracle = {}
     kinds = set()
     for c in [BIG, RP2, suspension(RP2), TORUS, *randoms, *duals]:
@@ -886,7 +862,7 @@ def test_link_results_match_brute_force(monkeypatch):
             for s in range(1, nbrs + 1):
                 if s & nbrs != s or s.bit_count() > cap:
                     continue
-                visits.clear()
+                work.clear()
                 dims, torsion = results.values[betti._link_result(sigma, s, face, stars, results)]
                 # the subsets of s, the i-th vertex of s relabeled i
                 subsets = [0]
@@ -918,8 +894,8 @@ def test_link_results_match_brute_force(monkeypatch):
                     assert got[: len(exp)] == exp and not any(got[len(exp) :]), (c.facets, sigma, s, p)
                 # A, s minus x, is memoised; a link of sigma + x may
                 # eliminate cores of its own, on fewer vertices than s
-                assert (s not in stars[sigma][0], visits.count(s)) == (kind == "simplex", kind == "core"), (c.facets, sigma, s)
-                assert kind != "simplex" or not visits, (c.facets, sigma, s)
+                assert (s not in stars[sigma][0], work.visits.count(s)) == (kind == "simplex", kind == "core"), (c.facets, sigma, s)
+                assert kind != "simplex" or not work.visits, (c.facets, sigma, s)
                 kinds.add((kind, past, cone, bool(torsion)))
     assert {kind for kind, _, _, _ in kinds} == {"simplex", "split", "core"}
     assert any(kind == "split" and past for kind, past, _, _ in kinds) and ("core", False, False, True) in kinds
@@ -966,8 +942,8 @@ def test_flag_projective_plane_has_torsion():
     assert not brute_split_vertices(faces, (1 << FLAG_RP2.n) - 1)
     a, b = next(pair for pair in combinations(range(FLAG_RP2.n), 2) if 1 << pair[0] | 1 << pair[1] not in faces)
     with_path = _with(FLAG_RP2, (FLAG_RP2.labels[a], "p"), ("p", FLAG_RP2.labels[b]))
-    results = betti._Results()
-    whole = results.values[betti._subset_results(with_path.facets, with_path.n, results)[-1]]
+    res, results = betti._subset_results(with_path.facets, with_path.n)
+    whole = results.values[res[-1]]
     assert _kind(with_path) == "flag" and whole == ((0, 0, 1), ((2, 2),))
     faces = brute_face_masks(with_path)
     assert brute_split_vertices(faces, (1 << with_path.n) - 1) == {1 << with_path.labels.index("p")}

@@ -103,10 +103,12 @@ def test_analyze_malformed_file(tmp_path, capsys):
 
 
 def test_analyze_unknown_extension(tmp_path, capsys):
+    # no line is read, so the message names the file alone
     f = tmp_path / "x.txt"
     f.write_text("1 2\n")
-    code, _, err = run(capsys, "analyze", str(f))
-    assert code == 2
+    code, out, err = run(capsys, "analyze", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"srbetti: error: {f}: unrecognized input extension '.txt' (want .cplx or .graph)\n"
 
 
 def test_analyze_respects_sweep_cap(tmp_path, capsys):
@@ -118,14 +120,23 @@ def test_analyze_respects_sweep_cap(tmp_path, capsys):
 
 
 def test_every_input_error_is_one_stderr_line_and_exit_two(tmp_path, capsys):
-    # ParseError, EmptyInputError, TooManyVerticesError and OSError alike
+    # ParseError, TooManyVerticesError and OSError alike.  A file that
+    # holds nothing to analyze is an error of the whole file: it is named,
+    # with no line number, also among the files of `verify`
     (tmp_path / "bad.graph").write_text("this is not an edge line\n")
     (tmp_path / "empty.cplx").write_text("# no facets\n")
+    (tmp_path / "empty.graph").write_text("# no vertices\n")
+    (tmp_path / "bare.graph").write_text("vertices\n")
     (tmp_path / "wide.cplx").write_text(" ".join(f"v{i}" for i in range(65)) + "\n")
-    for name in ("bad.graph", "empty.cplx", "wide.cplx", "missing.cplx"):
+    whole = {"empty.cplx": "no facets given", "empty.graph": "no vertices or edges found", "bare.graph": "no vertices or edges found"}
+    for name in ("bad.graph", "empty.cplx", "empty.graph", "bare.graph", "wide.cplx", "missing.cplx"):
         code, out, err = run(capsys, "analyze", str(tmp_path / name))
         assert code == 2 and out == ""
         assert err.startswith("srbetti: error: ") and err.count("\n") == 1
+        if name in whole:
+            assert err == f"srbetti: error: {tmp_path / name}: {whole[name]}\n"
+    code, out, err = run(capsys, "verify", str(fixture_path("c4.cplx")), str(tmp_path / "empty.cplx"))
+    assert (code, out, err) == (2, "", f"srbetti: error: {tmp_path / 'empty.cplx'}: no facets given\n")
 
 
 def test_oversized_input_refused_before_its_complex_is_built(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from sweep_helpers import boundary_rows, composes_to_zero, reduced_betti
 from srbetti import GF_DEFAULT, Complex, complex_from_facets, f_vector, fixture_path, graded_betti, read_complex
 from srbetti import homology
 from srbetti.homology import reduced_dims_from_facets, torsion_shift
+from srbetti.simplicial import face_masks
 
 
 def checked_betti(c, p=None):
@@ -135,6 +136,32 @@ def test_quotient_matches_full_chain_complex_oracle():
             moved = [sum(1 << perm[v] for v in bits(m)) for m in masks]
             assert reduced_dims_from_facets(moved) == (dims, torsion), masks
     assert with_torsion >= 2
+
+
+def test_star_scores_count_the_faces_through_each_vertex(monkeypatch):
+    # a vertex's star score counts the faces through it per mask, here by
+    # listing each mask's submasks; the empty mask, the empty complex's one
+    # facet, adds nothing.  The apex is the vertex of largest score, the
+    # lowest of a tie, and the quotient lists the faces of exactly the
+    # masks that miss it
+    listed = []
+    monkeypatch.setattr(homology, "face_masks", lambda masks: listed.append(list(masks)) or face_masks(listed[-1]))
+    rnd = random.Random(3005)
+    draws = [[0b0011, 0b1110, 0b1100]]  # vertices 2 and 3 tie, above 0 and 1
+    draws += [[rnd.getrandbits(n) for _ in range(rnd.randint(1, 6))] for n in rnd.choices(range(1, 9), k=300)]
+    ties = 0
+    for masks in draws:
+        n = max(masks).bit_length()
+        brute = [sum(s >> v & 1 for m in masks for s in range(m + 1) if s & m == s) for v in range(n)]
+        assert homology._star_scores(masks, n) == brute, masks
+        if any(masks):
+            listed.clear()
+            reduced_dims_from_facets(masks)
+            apex = brute.index(max(brute))
+            assert listed == [[m for m in masks if m and not m >> apex & 1]], masks
+            ties += brute.count(brute[apex]) > 1
+    assert ties >= 100
+    assert homology._star_scores((0,), 0) == [] and homology._star_scores([0, 0], 3) == [0, 0, 0]
 
 
 def test_elimination_work_on_general_complexes(monkeypatch):
