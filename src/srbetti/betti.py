@@ -128,9 +128,6 @@ class BettiTable(namedtuple("BettiTable", "cells n field torsion", defaults=((),
     def total(self, i: int) -> int:
         return sum(v for a, _, v in self.cells if a == i)
 
-    def max_j(self) -> int:
-        return max(b for _, b, _ in self.cells)
-
     def as_dict(self) -> dict[tuple[int, int], int]:
         return {(a, b): v for a, b, v in self.cells}
 

@@ -54,23 +54,20 @@ def _load_input(path: str):
     complex).  Returns (complex, source), source being the report's
     {"path", "kind", "chordal"} section; chordal is None for a complex."""
     suffix = Path(path).suffix
+    # over the sweep cap, refused before anything is built: a complex's antichain
+    # test is quadratic in its facets, a graph's adjacency masks are O(n^2)
+    # bits and its clique complex can be exponential in n
     if suffix == ".cplx":
         facets = read_facets(path)
-        labels = set().union(*facets)
-    elif suffix == ".graph":
-        edges, vertices = read_edges(path)
-        labels = set(vertices or ()).union(*edges)
-    else:
-        raise ParseError(path, None, f"unrecognized input extension {suffix!r} (want .cplx or .graph)")
-    # refused before anything is built: a complex's antichain test is
-    # quadratic in its facets, a graph's adjacency masks are O(n^2) bits and
-    # its clique complex can be exponential in n
-    _check_cap(len(labels))
-    if suffix == ".cplx":
+        _check_cap(len(set().union(*facets)))
         return complex_from_facets(facets), {"path": path, "kind": "complex", "chordal": None}
-    graph = graph_from_edges(edges, vertices)
-    chordal = is_chordal(graph.adj)[0]
-    return clique_complex(graph), {"path": path, "kind": "graph", "chordal": chordal}
+    if suffix == ".graph":
+        edges, vertices = read_edges(path)
+        _check_cap(len(set(vertices or ()).union(*edges)))
+        graph = graph_from_edges(edges, vertices)
+        chordal = is_chordal(graph.adj)[0]
+        return clique_complex(graph), {"path": path, "kind": "graph", "chordal": chordal}
+    raise ParseError(path, None, f"unrecognized input extension {suffix!r} (want .cplx or .graph)")
 
 
 def betti_triangle(table: BettiTable) -> str:

@@ -6,7 +6,7 @@ class EmptyInputError(ValueError):
 
 
 class TooManyVerticesError(ValueError):
-    """Vertex count exceeds a hard or configured cap."""
+    """Vertex count exceeds the sweep cap or the 64-bit face representation."""
 
 
 class ParseError(ValueError):

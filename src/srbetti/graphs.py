@@ -21,7 +21,7 @@ from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from .errors import EmptyInputError, ParseError
-from .simplicial import Complex, _bits
+from .simplicial import Complex, _bits, _lines
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -109,12 +109,10 @@ def _default_labels(n: int) -> tuple[str, ...]:
 
 
 def graph_from_edges(edges: Iterable[tuple[str, str]], vertices: Iterable[str] | None = None) -> Graph:
-    """Build a graph from labeled edges, plus optional isolated vertices."""
+    """Build a graph from labeled edges, plus optional isolated vertices (Graph refuses a loop)."""
     tokens: set[str] = set(vertices) if vertices is not None else set()
     edge_list = []
     for u, v in edges:
-        if u == v:
-            raise ValueError(f"loop edge {u!r}")
         tokens.add(u)
         tokens.add(v)
         edge_list.append((u, v))
@@ -249,10 +247,10 @@ def gen_chordal(n: int, density: float, seed: int) -> Graph:
 
 def graph_text(g: Graph) -> str:
     """The .graph text of g: a vertex header, then one edge per line.  A
-    label that is not one token, starts with '#' (a comment line) or is
-    'vertices' (a header line) would not read back: ValueError."""
+    label that is not one token, starts with '#' (a comment line) or U+FEFF
+    (as in write_complex) or is 'vertices' (a header line): ValueError."""
     for label in g.labels:
-        if label.split() != [label] or label.startswith("#") or label == "vertices":
+        if label.split() != [label] or label.startswith(("#", "\ufeff")) or label == "vertices":
             raise ValueError(f"vertex label {label!r} cannot be written to a .graph file")
     lines = ["vertices " + " ".join(g.labels)]
     lines.extend(f"{u} {v}" for u, v in g.edges())
@@ -266,30 +264,26 @@ def write_graph(g: Graph, path) -> None:
 
 def read_edges(path) -> tuple[list[tuple[str, str]], set[str] | None]:
     """The edges and the vertex header (None if absent) of a .graph file
-    naming some vertex: '#' comment lines, optional vertex header, edges."""
+    naming some vertex (lines as in simplicial._lines): optional vertex header, edges."""
     vertices: set[str] | None = None
     edges: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "vertices":
-                if vertices is not None:
-                    raise ParseError(path, lineno, "duplicate vertex header")
-                if edges:
-                    raise ParseError(path, lineno, "vertex header must precede edges")
-                vertices = set(parts[1:])
-                continue
-            if len(parts) != 2:
-                raise ParseError(path, lineno, f"expected 'u v', got {line!r}")
-            u, v = parts
-            if u == v:
-                raise ParseError(path, lineno, f"loop edge {u!r}")
-            if vertices is not None and (u not in vertices or v not in vertices):
-                raise ParseError(path, lineno, f"edge uses undeclared vertex in {line!r}")
-            edges.append((u, v))
+    for lineno, line in _lines(path):
+        parts = line.split()
+        if parts[0] == "vertices":
+            if vertices is not None:
+                raise ParseError(path, lineno, "duplicate vertex header")
+            if edges:
+                raise ParseError(path, lineno, "vertex header must precede edges")
+            vertices = set(parts[1:])
+            continue
+        if len(parts) != 2:
+            raise ParseError(path, lineno, f"expected 'u v', got {line!r}")
+        u, v = parts
+        if u == v:
+            raise ParseError(path, lineno, f"loop edge {u!r}")
+        if vertices is not None and (u not in vertices or v not in vertices):
+            raise ParseError(path, lineno, f"edge uses undeclared vertex in {line!r}")
+        edges.append((u, v))
     if not vertices and not edges:
         raise ParseError(path, None, "no vertices or edges found")
     return edges, vertices

@@ -50,7 +50,7 @@ def h_numerator(h: HVector, n: int) -> tuple[int, ...]:
 
 def k_polynomial(table: BettiTable) -> tuple[int, ...]:
     """sum_{i,j} (-1)^i beta_{i,j} z^j over every cell of the table."""
-    out = [0] * (table.max_j() + 1)
+    out = [0] * (max(j for _, j, _ in table.cells) + 1)
     for i, j, v in table.cells:
         out[j] += -v if i % 2 else v
     return _trim(out)

@@ -107,7 +107,7 @@ def complex_from_facets(facets: Iterable[Iterable[str]]) -> Complex:
 
     The vertex set is the sorted union of all tokens, so every vertex lies in
     some facet and the singleton condition holds by construction.  Dominated
-    facets are dropped silently.
+    facets are dropped silently.  Complex refuses more than MAX_VERTICES.
     """
     facet_tokens = [tuple(f) for f in facets]
     if not facet_tokens:
@@ -121,8 +121,6 @@ def complex_from_facets(facets: Iterable[Iterable[str]]) -> Complex:
     if not tokens:
         raise EmptyInputError("all facets are empty")
     labels = tuple(sorted(tokens))
-    if len(labels) > MAX_VERTICES:
-        raise TooManyVerticesError(f"{len(labels)} vertices exceeds the {MAX_VERTICES}-bit face representation")
     index = {t: k for k, t in enumerate(labels)}
     masks = []
     for fac in facet_tokens:
@@ -215,26 +213,35 @@ def minimal_non_faces(c: Complex) -> list[tuple[str, ...]]:
 
 def write_complex(c: Complex, path) -> None:
     """One facet per line as whitespace-separated tokens (.cplx format).
-    A label starting with '#' would start a comment line: ValueError."""
+    A label starting with '#' (a comment line) or U+FEFF (a byte order
+    mark, which the reader drops at the start of a file): ValueError."""
     if c.n == 0:
         raise EmptyInputError("the empty complex has no facet-file representation")
     for label in c.labels:
-        if label.startswith("#"):
-            raise ValueError(f"vertex label {label!r} starts with '#', which the .cplx reader takes as a comment")
+        if label.startswith(("#", "\ufeff")):
+            raise ValueError(f"vertex label {label!r} cannot be written to a .cplx file")
     lines = [" ".join(c.tokens_of(f)) for f in c.facets]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _lines(path):
+    """(line number, stripped text) of each line of an input file that is
+    neither blank nor a '#' comment.  The file is UTF-8 text, a leading byte
+    order mark dropped; one that does not decode is refused as a whole."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except UnicodeDecodeError:  # no line or offset: the decoder's count within its chunk
+        raise ParseError(path, None, "not UTF-8 text") from None
+
+
 def read_facets(path) -> list[list[str]]:
-    """The facet token lists of a .cplx file: '#' lines are comments, other
-    lines are facets, and a file without one is refused."""
-    facets = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            facets.append(line.split())
+    """The facet token lists of a .cplx file (see _lines): each line is a
+    facet, and a file without one is refused."""
+    facets = [line.split() for _, line in _lines(path)]
     if not facets:
         raise ParseError(path, None, "no facets given")
     return facets

@@ -128,8 +128,12 @@ def test_every_input_error_is_one_stderr_line_and_exit_two(tmp_path, capsys):
     (tmp_path / "empty.graph").write_text("# no vertices\n")
     (tmp_path / "bare.graph").write_text("vertices\n")
     (tmp_path / "wide.cplx").write_text(" ".join(f"v{i}" for i in range(65)) + "\n")
+    (tmp_path / "utf16.cplx").write_bytes("1 2\n".encode("utf-16"))
+    (tmp_path / "utf16.graph").write_bytes("1 2\n".encode("utf-16"))
     whole = {"empty.cplx": "no facets given", "empty.graph": "no vertices or edges found", "bare.graph": "no vertices or edges found"}
-    for name in ("bad.graph", "empty.cplx", "empty.graph", "bare.graph", "wide.cplx", "missing.cplx"):
+    whole |= {"utf16.cplx": "not UTF-8 text", "utf16.graph": "not UTF-8 text"}
+    names = ("bad.graph", "empty.cplx", "empty.graph", "bare.graph", "wide.cplx", "missing.cplx", "utf16.cplx", "utf16.graph")
+    for name in names:
         code, out, err = run(capsys, "analyze", str(tmp_path / name))
         assert code == 2 and out == ""
         assert err.startswith("srbetti: error: ") and err.count("\n") == 1
@@ -137,6 +141,26 @@ def test_every_input_error_is_one_stderr_line_and_exit_two(tmp_path, capsys):
             assert err == f"srbetti: error: {tmp_path / name}: {whole[name]}\n"
     code, out, err = run(capsys, "verify", str(fixture_path("c4.cplx")), str(tmp_path / "empty.cplx"))
     assert (code, out, err) == (2, "", f"srbetti: error: {tmp_path / 'empty.cplx'}: no facets given\n")
+    code, out, err = run(capsys, "verify", str(fixture_path("c4.cplx")), str(tmp_path / "utf16.graph"))
+    assert (code, out, err) == (2, "", f"srbetti: error: {tmp_path / 'utf16.graph'}: not UTF-8 text\n")
+
+
+def test_byte_order_mark_gives_the_plain_report(tmp_path, capsys):
+    # the triangle boundary with a UTF-8 BOM was analyzed as a 4-vertex path
+    (tmp_path / "tri.cplx").write_text("a b\nb c\nc a\n")
+    (tmp_path / "tri.graph").write_text("a b\nb c\nc a\n")
+    plains = [tmp_path / "tri.cplx", tmp_path / "tri.graph", fixture_path("rp2.cplx"), fixture_path("k3.graph")]
+    for plain in plains:
+        bom = tmp_path / f"bom-{plain.name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        docs = []
+        for path in (plain, bom):
+            code, out, err = run(capsys, "analyze", str(path), "--format", "json")
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            assert doc["source"].pop("path") == str(path)
+            docs.append(doc)
+        assert docs[0] == docs[1], plain.name
 
 
 def test_oversized_input_refused_before_its_complex_is_built(tmp_path, capsys, monkeypatch):

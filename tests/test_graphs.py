@@ -200,6 +200,14 @@ def test_graph_writer_refuses_comment_label(tmp_path):
         write_graph(g, tmp_path / "g.graph")
 
 
+def test_graph_writer_refuses_byte_order_mark_label(tmp_path):
+    # as in .cplx, though here the header comes first: the reader drops a
+    # U+FEFF at the start of a file, and neither writer takes such a label
+    g = graph_from_edges([("\ufeffa", "b")])
+    with pytest.raises(ValueError, match=r"'\\ufeffa'"):
+        write_graph(g, tmp_path / "g.graph")
+
+
 def test_graph_writer_refuses_header_label(tmp_path):
     # the edge line "vertices x" would read back as a second header
     g = graph_from_edges([("vertices", "x")])
@@ -220,6 +228,21 @@ def test_graph_file_parsing(tmp_path):
     g = read_graph(path)
     assert g.labels == ("a", "b", "c")
     assert g.edges() == [("a", "b"), ("b", "c")]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["vertices a b c\na b\nb c\n", "a b\nb c\nc a\n", "# k3\n1 2\n1 3\n2 3\n"],
+    ids=["header", "edges", "comment"],
+)
+def test_graph_byte_order_mark_is_dropped(tmp_path, text):
+    # with a UTF-8 BOM, a header line read as a bad edge, the first edge's
+    # vertex as a fourth label and a comment line as an edge
+    plain = tmp_path / "plain.graph"
+    plain.write_text(text, encoding="utf-8")
+    bom = tmp_path / "bom.graph"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_graph(bom) == read_graph(plain)
 
 
 @pytest.mark.parametrize(

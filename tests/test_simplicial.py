@@ -11,6 +11,7 @@ from srbetti import (
     EmptyInputError,
     FVector,
     HVector,
+    ParseError,
     TooManyVerticesError,
     complex_from_facets,
     f_vector,
@@ -187,6 +188,35 @@ def test_cplx_writer_refuses_comment_label(tmp_path):
     c = complex_from_facets([["#a", "b"], ["b", "c"]])
     with pytest.raises(ValueError, match="'#a'"):
         write_complex(c, tmp_path / "x.cplx")
+
+
+def test_cplx_writer_refuses_byte_order_mark_label(tmp_path):
+    # the reader drops a U+FEFF at the start of the file: "\ufeffa" would read back as "a"
+    c = complex_from_facets([["\ufeffa"]])
+    with pytest.raises(ValueError, match=r"'\\ufeffa'"):
+        write_complex(c, tmp_path / "x.cplx")
+
+
+def test_cplx_byte_order_mark_is_dropped(tmp_path):
+    # the triangle boundary saved with a UTF-8 BOM was read as a path whose
+    # fourth vertex was '\ufeffa'; before a comment, the BOM hid the '#'
+    for name, text in [("tri", "a b\nb c\nc a\n"), ("c4", "# square\n1 2\n2 3\n3 4\n1 4\n")]:
+        plain = tmp_path / f"{name}.cplx"
+        plain.write_text(text, encoding="utf-8")
+        bom = tmp_path / f"{name}-bom.cplx"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_complex(bom) == read_complex(plain)
+    assert read_complex(tmp_path / "tri-bom.cplx") == complex_from_facets([["a", "b"], ["b", "c"], ["c", "a"]])
+
+
+def test_cplx_not_utf8_is_refused_as_a_whole_file(tmp_path):
+    # a UTF-16 BOM at the start, and a stray byte past the decoder's first chunk
+    for name, data in [("utf16", b"\xff\xfe1 2\n"), ("late", b"1 2\n" * 5000 + b"\xff\n")]:
+        path = tmp_path / f"{name}.cplx"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as caught:
+            read_complex(path)
+        assert str(caught.value) == f"{path}: not UTF-8 text" and caught.value.lineno is None
 
 
 def test_cplx_comments_and_blanks(tmp_path):
