@@ -58,8 +58,15 @@ result's id kept under (edges inside W) << n | W, the edges as bits in the
 lexicographic order of the pairs (i, j), i < j.  Its result is the split
 above: A is the graph on W - u and u's link the graph on N_W(u), both swept
 before; the top vertex of W is tried first, its link's key being at hand,
-then the others ascending, and a graph where no vertex splits is a core,
-eliminated on its maximal cliques.  A graph's flags say whether some
+then the others ascending, each one's neighbour set read from a table by
+its edges, and a graph where no vertex splits is a core, eliminated on its
+maximal cliques.  The graphs on all n vertices, most of the sweep's, are
+split by vertex 0 in blocks: its edges are the low n - 1 bits of the edge
+mask, so the graphs with one base, the same graph on 1 .. n-1, fill one
+block of 2^(n-1) own bytes, read off one table per result of A by the
+link's result, built over the ids of the smaller W.  Only where vertex 0
+does not split, 6,283 of 32,768 graphs at n = 6, are the other vertices
+tried one graph at a time, then a core.  A graph's flags say whether some
 restriction has homology above reduced degree 0 (bit 0), torsion (bit 1)
 or is not chordal (bit 2).  Isolated vertices change none of them, so a
 graph on W has the flags of the graph on all n vertices with its edges, and
@@ -296,39 +303,65 @@ def _clique_flags(n: int) -> bytearray:
     its own bits ORed over its induced subgraphs (module docstring)."""
     pairs = list(combinations(range(n), 2))
     # edge masks are shifted up by n, so that a graph's key is its edges | W.
-    # inside[w]: the edges inside w; star[u]: (edge, other end) for each edge of u
+    # inside[w]: the edges inside w; mine[u]: the edges of u; adj[u]: u's
+    # neighbour set by the edges of u in a graph's mask
     inside = [sum(1 << n + b for b, (i, j) in enumerate(pairs) if w >> i & w >> j & 1) for w in range(1 << n)]
-    star = [[(1 << n + b, 1 << (i ^ j ^ u)) for b, (i, j) in enumerate(pairs) if u in (i, j)] for u in range(n)]
+    mine = [sum(1 << n + b for b, pair in enumerate(pairs) if u in pair) for u in range(n)]
+    adj = [{e: sum(1 << (i ^ j ^ u) for b, (i, j) in enumerate(pairs) if e >> n + b & 1) for e in face_masks([m])} for u, m in enumerate(mine)]
     results = _Results()
     split, support, twisted = results.split, results.support, results.twisted
     whole = (1 << n) - 1
-    memo = {0: 0}  # result ids by edges | W; {} is the empty complex
+    memo = {0: 0}  # result ids by edges | W, W a proper subset; {} is the empty complex
     size = 1 << len(pairs)
     own = bytearray(size)  # by edge mask: own bits 0 and 1 of the graph on all n vertices
-    for w in range(1, whole + 1):
+
+    def bits(r):
+        """The own bits of the result r, or 255 where the split failed."""
+        return 255 if r is None else (support[r] > 3) | twisted[r] << 1
+
+    def fallback(e, w, tries):
+        """The result of the graph with edges e on w whose first vertex
+        did not split: the first of the vertices tries that splits, else
+        a core, eliminated on its maximal cliques."""
+        for u in tries:
+            near = adj[u][e & mine[u]]
+            r = split(memo[e & inside[w ^ 1 << u] | w ^ 1 << u], memo[e & inside[near] | near])
+            if r is not None:
+                return r
+        return results.core([c for c in maximal_cliques([adj[u][e & mine[u]] for u in range(n)]) if c & w])
+
+    for w in range(1, whole):
         y = w.bit_length() - 1
         rest = w ^ 1 << y
-        # each neighbour set N of y: the edges from y to N, those inside N, and N
-        links = [(sum(edge for edge, v in star[y] if v & nbrs), inside[nbrs], nbrs) for nbrs in face_masks([rest])]
+        lower = [u for u in range(y) if w >> u & 1]
+        # each neighbour set N of y in W: the edges from y to N, those inside N, and N
+        links = [(edges, inside[nbrs], nbrs) for edges, nbrs in adj[y].items() if nbrs & rest == nbrs]
         for base in face_masks([inside[rest]]):  # the graph on W - y
             a = memo[base | rest]
-            for edges_to, near_edges, nbrs in links:
-                e = base | edges_to
+            for edges, near_edges, nbrs in links:
                 r = split(a, memo[base & near_edges | nbrs])
-                if r is None:
-                    for u in range(y):
-                        if w >> u & 1:
-                            near = sum(v for edge, v in star[u] if e & edge)
-                            r = split(memo[e & inside[w ^ 1 << u] | w ^ 1 << u], memo[e & inside[near] | near])
-                            if r is not None:
-                                break
-                    else:
-                        adj = [sum(v for edge, v in star[u] if e & edge) for u in range(n)]
-                        r = results.core([c for c in maximal_cliques(adj) if c & w])
-                if w == whole:
-                    own[e >> n] = (support[r] > 3) | twisted[r] << 1
-                else:
-                    memo[e | w] = r
+                memo[base | edges | w] = fallback(base | edges, w, lower) if r is None else r
+    # the graphs on all n vertices, by vertex 0, whose edges are the low
+    # n - 1 bits of the edge mask: each graph on 1 .. n-1, the base, owns
+    # the block of 2^(n-1) masks that add each neighbour set N of 0, in
+    # order.  rows[a][l] is the own bits of the split of A's result a by
+    # the link's l, for each id l of a proper subset (the splits here add
+    # ids, none of them a link's), or 255 where it fails
+    if n:  # at n = 0 own[0] stays 0, the empty complex's bits
+        rest = whole ^ 1
+        zero = [(inside[nbrs], nbrs) for nbrs in range(0, whole + 1, 2)]
+        count = len(support)
+        rows = {}
+        for base in face_masks([inside[rest]]):
+            a = memo[base | rest]
+            if a not in rows:
+                rows[a] = bytes(map(bits, map(split, [a] * count, range(count))))
+            ids = [memo[base & near_edges | nbrs] for near_edges, nbrs in zero]
+            own[base >> n : (base >> n) + len(zero)] = bytes(map(rows[a].__getitem__, ids))
+        at = own.find(255)
+        while at >= 0:  # then vertex 0 did not split: the fallback
+            own[at] = bits(fallback(at << n, whole, range(1, n)))
+            at = own.find(255, at + 1)
     del memo
     # bits 0 and 1 as planes, read as base-2 numerals, the top edge mask first
     planes = [int(own.translate(bytes(48 | i >> k & 1 for i in range(256)))[::-1], 2) for k in (0, 1)]

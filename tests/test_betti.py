@@ -457,6 +457,36 @@ def test_froberg_sweep_on_7_vertices(monkeypatch):
     assert hashlib.sha256(flags[0]).hexdigest() == "a689c681487010ca53ef34811e7904b4be5b89318de3a223f5269640b8daf7b5"
 
 
+# sha256 of `_clique_flags(n)` for n = 0 .. 6, recorded before the graphs
+# on all n vertices were split in blocks by vertex 0; n = 7 is pinned in
+# test_froberg_sweep_on_7_vertices
+FLAG_DIGESTS = [
+    "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    "96a296d224f285c67bee93c30f8a309157f0daa35dc5b87e410b78630a09cfc7",
+    "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    "aa90bf942604ccac3b56b3a43b102b526d500dfdbfbc2d506d5310b6228a6d8c",
+    "dcf21364cc6bc94cccb36d149548450560e686e71366f9988d9faefdbe93cc73",
+    "058e658d3085b04e060a256e31bbbee3a0f1bd699caed167b4708ac07ac3fa26",
+]
+
+
+def test_clique_flags_are_pinned():
+    assert [hashlib.sha256(betti._clique_flags(n)).hexdigest() for n in range(7)] == FLAG_DIGESTS
+
+
+def test_clique_flags_split_count(monkeypatch):
+    # a count, not a time: on 6 vertices the graphs on all of them take
+    # one split per pair of A's result and a link's, in blocks by vertex 0,
+    # and per-graph splits only where vertex 0 does not split; 50,399
+    # splits when each of them was split alone
+    calls = []
+    real = betti._Results.split
+    monkeypatch.setattr(betti._Results, "split", lambda self, a, link: calls.append(a) or real(self, a, link))
+    assert hashlib.sha256(betti._clique_flags(6)).hexdigest() == FLAG_DIGESTS[6]
+    assert len(calls) == 17703
+
+
 def test_general_eliminations_are_bounded(monkeypatch):
     # a count, not a time: the general complex on 14 vertices with 28 drawn
     # facets of 3 to 6 vertices (`random.Random(3)`) visits 4 cores, the

@@ -296,9 +296,11 @@ def test_induced_or_is_the_or_over_every_vertex_set(n):
 def test_froberg_sweep_visits(monkeypatch):
     # the sweep computes each graph on each subset once from graphs it
     # swept before, and no sweep of a graph's subsets runs.  The split
-    # removes a vertex of every nonempty subset, trying the top one first,
-    # so the one core is the empty subset, registered once per sweep; the
-    # split is tried 1,825 times for the 1,449 graphs on nonempty subsets.
+    # removes a vertex of every nonempty subset, trying the top one first
+    # (vertex 0 on all 5 vertices), so the one core is the empty subset,
+    # registered once per sweep; the split is tried 831 times for the
+    # 1,449 graphs on nonempty subsets, those on all 5 vertices once per
+    # pair of A's result and a link's, then where vertex 0 did not split.
     # The sweep runs no clique search under any name
     subsets = []
     splits = []
@@ -328,7 +330,7 @@ def test_froberg_sweep_visits(monkeypatch):
     assert froberg_exhaustive(5).passed
     assert subsets == []
     assert cores == [0]
-    assert len(splits) == 1825
+    assert len(splits) == 831
 
 
 def test_froberg_sweep_decides_chordality_once_per_base(monkeypatch):
