@@ -9,6 +9,7 @@ from operator import or_
 import pytest
 
 from helpers import brute_face_masks, brute_is_chordal, brute_reduced_dims
+from sweep_helpers import record_work
 from srbetti import (
     GF_DEFAULT,
     QQ,
@@ -250,7 +251,7 @@ def _check_flags(n, mask, flags, field):
 
 
 @pytest.mark.parametrize("field", [FieldSpec.prime(2), QQ])
-def test_extension_tables_equal_graded_betti(field):
+def test_clique_flags_bits_0_and_1_match_graded_betti(field):
     # every graph on 5 or fewer vertices, and a sample on 6
     for n in range(1, 6):
         flags = betti._clique_flags(n)
@@ -303,18 +304,6 @@ def test_froberg_sweep_visits(monkeypatch):
     # pair of A's result and a link's, then where vertex 0 did not split.
     # The sweep runs no clique search under any name
     subsets = []
-    splits = []
-    cores = []
-    real_split = betti._Results.split
-    real_core = betti._Results.core
-
-    def split(self, a, link):
-        splits.append((a, link))
-        return real_split(self, a, link)
-
-    def core(self, maximal):
-        cores.append(reduce(or_, maximal))
-        return real_core(self, maximal)
 
     def refuse(adj):
         raise AssertionError("the sweep searched a graph for its maximal cliques")
@@ -325,15 +314,14 @@ def test_froberg_sweep_visits(monkeypatch):
     for name in searchers:
         monkeypatch.setattr(sys.modules[name], "maximal_cliques", refuse)
     monkeypatch.setattr(betti, "_subset_results", lambda *args: subsets.append(args))
-    monkeypatch.setattr(betti._Results, "split", split)
-    monkeypatch.setattr(betti._Results, "core", core)
+    work = record_work(monkeypatch)
     assert froberg_exhaustive(5).passed
     assert subsets == []
-    assert cores == [0]
-    assert len(splits) == 831
+    assert work.cores == [0]
+    assert len(work.splits) == 831
 
 
-def test_froberg_sweep_decides_chordality_once_per_base(monkeypatch):
+def test_froberg_sweep_runs_no_chordality_test(monkeypatch):
     # the chordality of every graph on 5 vertices, each of its 32 extensions
     # of a base graph on 4 among them, is bit 2 of the sweep's flags: its own
     # bit, no simplicial vertex but isolated ones, taken for every graph at
@@ -359,20 +347,12 @@ def test_froberg_sweep_cores_are_the_sweep_cores(monkeypatch):
     # each graph on 5 vertices takes its clique complex from the graph
     # itself; with the split the only core of either is the empty
     # subset, which each sweep eliminates once and nothing else
-    calls = []
-    real = betti.reduced_dims_from_facets
-
-    def only_empty(facets):
-        assert facets == [0], facets
-        calls.append(facets)
-        return real(facets)
-
-    monkeypatch.setattr(betti, "reduced_dims_from_facets", only_empty)
+    work = record_work(monkeypatch)
     assert froberg_exhaustive(5).passed
-    assert len(calls) == 1
+    assert work.eliminations == [[0]]
     for mask in range(1 << len(_pairs(5))):
         graded_betti(clique_complex(_graph_of_mask(5, mask)), QQ)
-    assert len(calls) == 1 + 1024
+    assert work.eliminations == [[0]] * (1 + 1024)
 
 
 def _flip_chordality(monkeypatch, chosen):
